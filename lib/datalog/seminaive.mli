@@ -1,7 +1,8 @@
-(** Bottom-up Datalog≠ evaluation. [evaluate] is semi-naive: after the
-    first round, rules only fire through matches touching the previous
-    round's delta. [evaluate_naive] is the reference implementation used
-    in tests. *)
+(** Bottom-up Datalog≠ evaluation. Rule bodies are matched by the
+    [Structure.Eval] join planner ([Structure.Eval.fold_body]); a delta
+    pin becomes pre-bound variables plus constant checks. [evaluate] is
+    semi-naive: after the first round, rules only fire through matches
+    touching the previous round's delta. *)
 
 (** All derivable facts (EDB ∪ IDB fixpoint). *)
 val evaluate : Program.t -> Structure.Instance.t -> Structure.Instance.t
@@ -14,6 +15,9 @@ val answers :
 val holds :
   Program.t -> Structure.Instance.t -> Structure.Element.t list -> bool
 
+(** Naive fixpoint: every rule re-fires on the whole instance until
+    nothing changes. The reference the equivalence suites compare
+    [evaluate] and the incremental state against. *)
 val evaluate_naive : Program.t -> Structure.Instance.t -> Structure.Instance.t
 
 (** {1 Incremental maintenance}

@@ -82,31 +82,9 @@ let constant_fixing q =
         m ts)
     EMap.empty q.atoms
 
-(* Compile the body to [Structure.Eval] atoms over a dense variable
-   numbering (variables in sorted-name order, answer variables
-   included). *)
-let compile q =
-  let _, var_ix =
-    SSet.fold
-      (fun v (i, m) -> (i + 1, SMap.add v i m))
-      (variables q) (0, SMap.empty)
-  in
-  let atoms =
-    List.map
-      (fun (r, ts) ->
-        Structure.Eval.atom r
-          (List.map
-             (function
-               | Logic.Term.Var v -> Structure.Eval.Var (SMap.find v var_ix)
-               | Logic.Term.Const c ->
-                   Structure.Eval.Const (Structure.Element.Const c))
-             ts))
-      q.atoms
-  in
-  (var_ix, atoms)
-
 (* A tuple ā is an answer iff there is a homomorphism from D_q to the
-   interpretation mapping the answer constants to ā. *)
+   interpretation mapping the answer constants to ā — a solution of the
+   body with the answer variables pre-bound to ā. *)
 let holds inst q tuple =
   if List.length tuple <> arity q then
     invalid_arg "Cq.holds: tuple arity mismatch";
@@ -125,78 +103,45 @@ let holds inst q tuple =
         let args = List.map (fun t -> EMap.find (term_element t) fixed) ts in
         Structure.Instance.mem (Structure.Instance.fact r args) inst)
       q.atoms
-  else if Structure.Eval.planner_enabled () then
-    let var_ix, atoms = compile q in
-    let bindings =
-      List.map2 (fun x e -> (SMap.find x var_ix, e)) q.answer tuple
-    in
-    let idx = Structure.Relindex.of_instance inst in
-    let plan =
-      Structure.Eval.make_plan idx ~bound:(List.map fst bindings) atoms
-    in
-    Structure.Eval.exists idx plan ~bindings
   else
-    let fixed =
-      List.fold_left2
-        (fun m x e -> EMap.add (var_element x) e m)
-        (constant_fixing q) q.answer tuple
-    in
-    Structure.Homomorphism.exists ~fixed ~source:(canonical_db q) ~target:inst ()
+    Structure.Eval.fold_body inst
+      ~bound:(List.combine q.answer tuple)
+      (Structure.Eval.compile q.atoms)
+      (fun _ _ -> (true, true))
+      false
 
 let holds_boolean inst q = holds inst q []
 
 (* All answers over the domain of [inst], duplicate-free and sorted —
-   the order is the same whichever evaluation pipeline produced them. *)
+   the order does not depend on the plan the evaluator chose. *)
 let answers inst q =
-  let raw =
-    if Structure.Eval.planner_enabled () then begin
-      let var_ix, atoms = compile q in
-      let ans_ix = List.map (fun x -> SMap.find x var_ix) q.answer in
-      let idx = Structure.Relindex.of_instance inst in
-      let plan = Structure.Eval.make_plan idx atoms in
-      let seen = Hashtbl.create 16 in
-      Structure.Eval.fold idx plan ~bindings:[]
-        (fun sol acc ->
-          let tuple = List.map (fun i -> sol.(i)) ans_ix in
-          if Hashtbl.mem seen tuple then (false, acc)
-          else begin
-            Hashtbl.replace seen tuple ();
-            (false, tuple :: acc)
-          end)
-        []
-    end
-    else
-      let db = canonical_db q in
-      let answer_elems = List.map var_element q.answer in
-      let seen = Hashtbl.create 16 in
-      Structure.Homomorphism.fold ~fixed:(constant_fixing q) ~source:db
-        ~target:inst
-        (fun m acc ->
-          let tuple = List.map (fun e -> EMap.find e m) answer_elems in
-          if Hashtbl.mem seen tuple then (false, acc)
-          else begin
-            Hashtbl.replace seen tuple ();
-            (false, tuple :: acc)
-          end)
-        []
-  in
-  List.sort (List.compare Structure.Element.compare) raw
+  let body = Structure.Eval.compile q.atoms in
+  let ans_ix = List.map (fun x -> SMap.find x body.var_ix) q.answer in
+  let seen = Hashtbl.create 16 in
+  Structure.Eval.fold_body inst body
+    (fun sol acc ->
+      let tuple = List.map (fun i -> sol.(i)) ans_ix in
+      if Hashtbl.mem seen tuple then (false, acc)
+      else begin
+        Hashtbl.replace seen tuple ();
+        (false, tuple :: acc)
+      end)
+    []
+  |> List.sort (List.compare Structure.Element.compare)
 
 (* The chosen join plan for [q]'s body over [inst], as JSON. *)
 let explain inst q =
-  let var_ix, atoms = compile q in
+  let body = Structure.Eval.compile q.atoms in
   let idx = Structure.Relindex.of_instance inst in
-  let plan = Structure.Eval.make_plan idx atoms in
-  let vars = Array.make (SMap.cardinal var_ix) "" in
-  SMap.iter (fun v i -> vars.(i) <- v) var_ix;
-  Printf.sprintf "{\"query\":\"%s\",\"vars\":[%s],\"plan\":%s}"
-    (Structure.Eval.json_escape q.name)
-    (String.concat ","
-       (Array.to_list
-          (Array.map
-             (fun v -> "\"" ^ Structure.Eval.json_escape v ^ "\"")
-             vars)))
-    (Structure.Eval.explain_json plan)
+  let plan = Structure.Eval.make_plan idx body.body_atoms in
+  let vars = Array.make (SMap.cardinal body.var_ix) "" in
+  SMap.iter (fun v i -> vars.(i) <- v) body.var_ix;
+  Obs.Json.obj
+    [
+      ("query", Obs.Json.escape q.name);
+      ("vars", Obs.Json.arr (Array.to_list (Array.map Obs.Json.escape vars)));
+      ("plan", Structure.Eval.explain_json plan);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Shape analysis                                                       *)

@@ -1,6 +1,6 @@
 (** Conjunctive queries q(x̄) ← φ (Section 2): atoms over variables and
     constants, a tuple of answer variables, canonical databases, and
-    evaluation by homomorphism search. *)
+    evaluation through the [Structure.Eval] join planner. *)
 
 type atom = string * Logic.Term.t list
 
@@ -40,7 +40,7 @@ val holds : Structure.Instance.t -> t -> Structure.Element.t list -> bool
 val holds_boolean : Structure.Instance.t -> t -> bool
 
 (** All answers of [q] in [inst], duplicate-free and sorted (the order
-    does not depend on which evaluation pipeline produced them). *)
+    does not depend on the join plan). *)
 val answers : Structure.Instance.t -> t -> Structure.Element.t list list
 
 (** The join plan the planner would choose for [q]'s body over [inst],

@@ -1,5 +1,4 @@
 module SMap = Logic.Names.SMap
-module EMap = Structure.Element.Map
 
 (* The restricted chase for existential rules (TGDs) and equality
    generating dependencies (EGDs). Complete for certain answers w.r.t.
@@ -26,57 +25,17 @@ let atom_vars atoms =
     (fun acc (_, ts) -> Logic.Names.SSet.union acc (Logic.Term.vars ts))
     Logic.Names.SSet.empty atoms
 
-let body_query atoms =
-  Query.Cq.make ~name:"body" ~answer:[] atoms
-
 (* All homomorphisms from the body into [inst] (constants denote
    themselves), as variable bindings in a canonical sorted order — rule
-   application assigns fresh nulls in binding order, so the fixed order
-   keeps chase results identical whichever evaluation pipeline ran. *)
+   application assigns fresh nulls in binding order, and the index's row
+   order (hence the planner's enumeration order) depends on how the
+   index was built, so sorting keeps chase results reproducible. *)
 let body_matches atoms inst =
-  let vars = atom_vars atoms in
-  let raw =
-    if Structure.Eval.planner_enabled () then begin
-      let _, var_ix =
-        Logic.Names.SSet.fold
-          (fun v (i, m) -> (i + 1, SMap.add v i m))
-          vars (0, SMap.empty)
-      in
-      let eatoms =
-        List.map
-          (fun (r, ts) ->
-            Structure.Eval.atom r
-              (List.map
-                 (function
-                   | Logic.Term.Var v ->
-                       Structure.Eval.Var (SMap.find v var_ix)
-                   | Logic.Term.Const c ->
-                       Structure.Eval.Const (Structure.Element.Const c))
-                 ts))
-          atoms
-      in
-      let idx = Structure.Relindex.of_instance inst in
-      let plan = Structure.Eval.make_plan idx eatoms in
-      Structure.Eval.fold idx plan ~bindings:[]
-        (fun sol acc -> (false, SMap.map (fun i -> sol.(i)) var_ix :: acc))
-        []
-    end
-    else
-      let q = body_query atoms in
-      let db = Query.Cq.canonical_db q in
-      Structure.Homomorphism.fold
-        ~fixed:(Query.Cq.constant_fixing q)
-        ~source:db ~target:inst
-        (fun m acc ->
-          let bind =
-            Logic.Names.SSet.fold
-              (fun v b -> SMap.add v (EMap.find (Query.Cq.var_element v) m) b)
-              vars SMap.empty
-          in
-          (false, bind :: acc))
-        []
-  in
-  List.sort_uniq (SMap.compare Structure.Element.compare) raw
+  let body = Structure.Eval.compile atoms in
+  Structure.Eval.fold_body inst body
+    (fun sol acc -> (false, SMap.map (fun i -> sol.(i)) body.var_ix :: acc))
+    []
+  |> List.sort_uniq (SMap.compare Structure.Element.compare)
 
 let instantiate_atom bind (r, ts) =
   Structure.Instance.fact r

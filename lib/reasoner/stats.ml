@@ -79,6 +79,24 @@ let add ~into t =
   into.ground_seconds <- into.ground_seconds +. t.ground_seconds;
   into.solve_seconds <- into.solve_seconds +. t.solve_seconds
 
+(* The work done between an earlier snapshot [a] and a later one [b]. *)
+let diff b a =
+  {
+    groundings = b.groundings - a.groundings;
+    solves = b.solves - a.solves;
+    decisions = b.decisions - a.decisions;
+    propagations = b.propagations - a.propagations;
+    conflicts = b.conflicts - a.conflicts;
+    cache_hits = b.cache_hits - a.cache_hits;
+    cache_misses = b.cache_misses - a.cache_misses;
+    memo_hits = b.memo_hits - a.memo_hits;
+    memo_misses = b.memo_misses - a.memo_misses;
+    budget_timeouts = b.budget_timeouts - a.budget_timeouts;
+    budget_fuel_trips = b.budget_fuel_trips - a.budget_fuel_trips;
+    ground_seconds = b.ground_seconds -. a.ground_seconds;
+    solve_seconds = b.solve_seconds -. a.solve_seconds;
+  }
+
 let now = Obs.Clock.now
 
 (* Run [f], crediting its wall time via [credit]. *)

@@ -34,6 +34,10 @@ val copy : t -> t
 (** [add ~into t] accumulates [t]'s counters into [into]. *)
 val add : into:t -> t -> unit
 
+(** [diff b a] is the field-wise difference [b - a] as a fresh record:
+    the work done between snapshot [a] and the later snapshot [b]. *)
+val diff : t -> t -> t
+
 (** [timed credit f] runs [f], passing its wall time to [credit]. *)
 val timed : (float -> unit) -> (unit -> 'a) -> 'a
 

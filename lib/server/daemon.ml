@@ -294,23 +294,6 @@ let budget_of_spec (spec : P.budget_spec) =
   | { timeout_s; fuel; max_clauses } ->
       Reasoner.Budget.create ?timeout:timeout_s ?fuel ?max_clauses ()
 
-let stats_delta (a : S.t) (b : S.t) : S.t =
-  let d = S.create () in
-  d.groundings <- b.groundings - a.groundings;
-  d.solves <- b.solves - a.solves;
-  d.decisions <- b.decisions - a.decisions;
-  d.propagations <- b.propagations - a.propagations;
-  d.conflicts <- b.conflicts - a.conflicts;
-  d.cache_hits <- b.cache_hits - a.cache_hits;
-  d.cache_misses <- b.cache_misses - a.cache_misses;
-  d.memo_hits <- b.memo_hits - a.memo_hits;
-  d.memo_misses <- b.memo_misses - a.memo_misses;
-  d.budget_timeouts <- b.budget_timeouts - a.budget_timeouts;
-  d.budget_fuel_trips <- b.budget_fuel_trips - a.budget_fuel_trips;
-  d.ground_seconds <- b.ground_seconds -. a.ground_seconds;
-  d.solve_seconds <- b.solve_seconds -. a.solve_seconds;
-  d
-
 (* Stats cross the wire as the Stats.to_json object, re-parsed into the
    protocol's Json so responses round-trip exactly. *)
 let stats_json st =
@@ -441,7 +424,7 @@ let eval_job st (se : sess) (want : P.budget_spec) want_stats () =
   let boolean = Query.Ucq.is_boolean se.omq.Omq.query in
   let names = List.map (List.map element_name) in
   let stats () =
-    if want_stats then Some (stats_json (stats_delta before (S.copy g)))
+    if want_stats then Some (stats_json (S.diff g before))
     else None
   in
   let partial reason (p : Omq.Session.partial_answers) =

@@ -10,22 +10,13 @@
    atoms; each atom's bound positions form an access pattern served by
    [Relindex] (adaptive linear scan → hash lookup). *)
 
+module SMap = Logic.Names.SMap
+module SSet = Logic.Names.SSet
+
 type term = Const of Element.t | Var of int
 type atom = { rel : string; args : term array }
 
 let atom rel args = { rel; args = Array.of_list args }
-
-(* Per-domain switch: when off, callers fall back to their pre-planner
-   naive paths. Exists so the equivalence suite and the bench can run
-   both pipelines wholesale. *)
-let enabled_key = Domain.DLS.new_key (fun () -> true)
-let planner_enabled () = Domain.DLS.get enabled_key
-let set_planner_enabled b = Domain.DLS.set enabled_key b
-
-let with_planner b f =
-  let prev = planner_enabled () in
-  set_planner_enabled b;
-  Fun.protect ~finally:(fun () -> set_planner_enabled prev) f
 
 type access = Membership | Lookup | Scan
 
@@ -173,39 +164,32 @@ let make_plan idx ?(bound = []) atoms =
   if Obs.Trace.enabled () then emit_plan_span plan;
   plan
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let explain_json plan =
+  let int = string_of_int in
   let step_json s =
     let a = plan.atoms.(s.atom_ix) in
     let bound =
-      let l = ref [] in
-      for p = Array.length a.args - 1 downto 0 do
-        if s.mask land (1 lsl p) <> 0 then l := string_of_int p :: !l
-      done;
-      String.concat "," !l
+      List.filter
+        (fun p -> s.mask land (1 lsl p) <> 0)
+        (List.init (Array.length a.args) Fun.id)
     in
-    Printf.sprintf
-      "{\"atom\":%d,\"body\":\"%s\",\"rel\":\"%s\",\"access\":\"%s\",\"bound\":[%s],\"est_rows\":%g,\"rel_size\":%d}"
-      s.atom_ix
-      (json_escape (Fmt.str "%a" pp_atom a))
-      (json_escape a.rel) (access_label s.access) bound s.est s.rel_size
+    Obs.Json.obj
+      [
+        ("atom", int s.atom_ix);
+        ("body", Obs.Json.escape (Fmt.str "%a" pp_atom a));
+        ("rel", Obs.Json.escape a.rel);
+        ("access", Obs.Json.escape (access_label s.access));
+        ("bound", Obs.Json.arr (List.map int bound));
+        ("est_rows", Printf.sprintf "%g" s.est);
+        ("rel_size", int s.rel_size);
+      ]
   in
-  Printf.sprintf "{\"nvars\":%d,\"atoms\":%d,\"order\":[%s]}" plan.nvars
-    (Array.length plan.atoms)
-    (String.concat "," (List.map step_json plan.order))
+  Obs.Json.obj
+    [
+      ("nvars", int plan.nvars);
+      ("atoms", int (Array.length plan.atoms));
+      ("order", Obs.Json.arr (List.map step_json plan.order));
+    ]
 
 exception Stop
 
@@ -282,5 +266,32 @@ let fold idx plan ~bindings f init =
   (try go 0 with Stop -> ());
   !acc
 
-let exists idx plan ~bindings =
-  fold idx plan ~bindings (fun _ _ -> (true, true)) false
+(* Named-variable bodies: the one place where rule and query bodies —
+   [(rel, terms)] atoms over named variables and constants — become
+   planner atoms. Variables are numbered in sorted-name order, so a
+   body's numbering depends only on its variable names. *)
+type body = { var_ix : int SMap.t; body_atoms : atom list }
+
+let compile atoms =
+  let vars =
+    List.fold_left
+      (fun acc (_, ts) -> SSet.union acc (Logic.Term.vars ts))
+      SSet.empty atoms
+  in
+  let _, var_ix =
+    SSet.fold (fun v (i, m) -> (i + 1, SMap.add v i m)) vars (0, SMap.empty)
+  in
+  let term = function
+    | Logic.Term.Var v -> Var (SMap.find v var_ix)
+    | Logic.Term.Const c -> Const (Element.Const c)
+  in
+  {
+    var_ix;
+    body_atoms = List.map (fun (r, ts) -> atom r (List.map term ts)) atoms;
+  }
+
+let fold_body inst ?(bound = []) body f init =
+  let idx = Relindex.of_instance inst in
+  let bindings = List.map (fun (x, e) -> (SMap.find x body.var_ix, e)) bound in
+  let plan = make_plan idx ~bound:(List.map fst bindings) body.body_atoms in
+  fold idx plan ~bindings f init

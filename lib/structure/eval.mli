@@ -15,18 +15,6 @@ type atom = { rel : string; args : term array }
 
 val atom : string -> term list -> atom
 
-(** {2 Per-domain switch}
-
-    When off, callers ({!Homomorphism}, [Query.Cq], the chase, semi-
-    naive Datalog) fall back to their pre-planner naive paths. Exists so
-    the equivalence suite and the bench can run both pipelines. *)
-
-val planner_enabled : unit -> bool
-val set_planner_enabled : bool -> unit
-
-(** Run [f] with the switch set, restoring the previous value. *)
-val with_planner : bool -> (unit -> 'a) -> 'a
-
 type access = Membership | Lookup | Scan
 
 type step = {
@@ -48,10 +36,6 @@ val make_plan : Relindex.t -> ?bound:int list -> atom list -> plan
 (** The chosen order, access paths and estimates as a JSON object. *)
 val explain_json : plan -> string
 
-(** Escape a string for inclusion in a JSON string literal (used by
-    callers composing {!explain_json} into larger objects). *)
-val json_escape : string -> string
-
 (** [fold idx plan ~bindings f init] enumerates every assignment of the
     plan's variables satisfying all atoms, depth-first in plan order.
     [bindings] pre-binds variables; every variable below [plan.nvars]
@@ -66,6 +50,33 @@ val fold :
   'a ->
   'a
 
-val exists : Relindex.t -> plan -> bindings:(int * Element.t) list -> bool
+(** {2 Named-variable bodies}
+
+    The single entry point through which rule and query bodies —
+    [(rel, terms)] atoms over named variables and constants — reach the
+    planner: [Query.Cq] evaluation, the chase's trigger search and
+    semi-naive Datalog all compile here. The reference implementations
+    the equivalence suites compare against are
+    {!Homomorphism.fold_naive} and [Datalog.Seminaive.evaluate_naive]. *)
+
+type body = {
+  var_ix : int Logic.Names.SMap.t;
+      (** variable numbering, in sorted-name order *)
+  body_atoms : atom list;
+}
+
+val compile : (string * Logic.Term.t list) list -> body
+
+(** [fold_body inst ?bound body f init] plans [body] over [inst]'s
+    {!Relindex} with the named variables of [bound] pre-bound, then
+    folds its solutions exactly as {!fold} does (the solution array is
+    indexed by [body.var_ix]). *)
+val fold_body :
+  Instance.t ->
+  ?bound:(string * Element.t) list ->
+  body ->
+  (Element.t array -> 'a -> bool * 'a) ->
+  'a ->
+  'a
 
 val pp_atom : atom Fmt.t

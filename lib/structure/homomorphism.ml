@@ -151,7 +151,7 @@ let fold_naive ?(fixed = EMap.empty) ?(injective = false) ~source ~target f
 (* Planner-backed enumeration: source elements that occur in facts
    become join variables over the target's [Relindex]; source elements
    with no incident fact ("isolated") are unconstrained and range over
-   the whole target domain, exactly as the naive path's [candidates]
+   the whole target domain, exactly as [fold_naive]'s [candidates]
    fallback. Solutions come in plan order, deterministically. *)
 let fold_eval ~fixed ~source ~target f init =
   let fixed_ok =
@@ -229,9 +229,8 @@ let fold_eval ~fixed ~source ~target f init =
   end
 
 let fold ?(fixed = EMap.empty) ?(injective = false) ~source ~target f init =
-  if (not injective) && Eval.planner_enabled () then
-    fold_eval ~fixed ~source ~target f init
-  else fold_naive ~fixed ~injective ~source ~target f init
+  if injective then fold_naive ~fixed ~injective ~source ~target f init
+  else fold_eval ~fixed ~source ~target f init
 
 let find ?(fixed = EMap.empty) ?(injective = false) ~source ~target () =
   fold ~fixed ~injective ~source ~target (fun m _ -> (true, Some m)) None

@@ -11,9 +11,8 @@ val apply : map -> Element.t -> Element.t
 val is_homomorphism : map -> source:Instance.t -> target:Instance.t -> bool
 
 (** [fold ~source ~target f init] enumerates homomorphisms extending
-    [fixed]; [f] returns [(stop, acc)]. Backed by the {!Eval} join
-    planner when {!Eval.planner_enabled} (the default); [injective]
-    searches always use the naive backtracking path. *)
+    [fixed]; [f] returns [(stop, acc)]. Non-injective searches run on
+    the {!Eval} join planner; [injective] searches take {!fold_naive}. *)
 val fold :
   ?fixed:map ->
   ?injective:bool ->
@@ -23,9 +22,10 @@ val fold :
   'a ->
   'a
 
-(** The pre-planner backtracking enumeration, kept as the reference
-    implementation for the equivalence suite and as the [injective]
-    path. Same contract as {!fold}. *)
+(** Backtracking enumeration with fact-based candidate filtering: the
+    [injective] path of {!fold}, and the independent reference the
+    equivalence suite and the [bench.eval] naive rows compare the
+    planner against. Same contract as {!fold}. *)
 val fold_naive :
   ?fixed:map ->
   ?injective:bool ->

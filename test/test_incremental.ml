@@ -2,9 +2,8 @@
 
    - Datalog≠: random insert/retract interleavings on random instances,
      the delta-maintained state must answer identically to [evaluate]
-     from scratch after every step — under both the planner-backed and
-     the naive binding paths, for counting (nonrecursive) and DRed
-     (recursive) deletion strategies alike.
+     from scratch after every step, for counting (nonrecursive) and
+     DRed (recursive) deletion strategies alike.
    - Reasoner.Engine: dynamic (assumption-backed) engines answer like a
      fresh engine after each delta, and refuse ([`Needs_rebuild]) the
      cases the grounding cannot absorb.
@@ -114,15 +113,13 @@ let step rng st edb =
     let st, _ = S.retract st batch in
     (st, List.fold_left (fun d f -> Structure.Instance.remove_fact f d) edb batch)
 
-let interleaving_agrees program planner =
+let interleaving_agrees program =
   QCheck.Test.make ~count:60
     ~name:
-      (Printf.sprintf "insert/retract interleaving (%s, planner %b)"
-         (if S.recursive program then "recursive" else "nonrecursive")
-         planner)
+      (Printf.sprintf "insert/retract interleaving (%s)"
+         (if S.recursive program then "recursive" else "nonrecursive"))
     QCheck.(int_bound 100000)
     (fun seed ->
-      Structure.Eval.with_planner planner @@ fun () ->
       let rng = Random.State.make [| seed |] in
       let edb0 =
         Structure.Instance.of_facts
@@ -262,11 +259,9 @@ let test_session_retract_to_empty () =
 let suite =
   [
     Alcotest.test_case "strategy dispatch" `Quick test_strategy_dispatch;
-    QCheck_alcotest.to_alcotest (interleaving_agrees nonrec_join true);
-    QCheck_alcotest.to_alcotest (interleaving_agrees nonrec_join false);
-    QCheck_alcotest.to_alcotest (interleaving_agrees tc true);
-    QCheck_alcotest.to_alcotest (interleaving_agrees tc false);
-    QCheck_alcotest.to_alcotest (interleaving_agrees sg true);
+    QCheck_alcotest.to_alcotest (interleaving_agrees nonrec_join);
+    QCheck_alcotest.to_alcotest (interleaving_agrees tc);
+    QCheck_alcotest.to_alcotest (interleaving_agrees sg);
     Alcotest.test_case "changed flag" `Quick test_changed_flag;
     Alcotest.test_case "engine delta" `Quick test_engine_delta;
     Alcotest.test_case "engine needs_rebuild" `Quick test_engine_needs_rebuild;

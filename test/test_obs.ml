@@ -423,6 +423,42 @@ let test_stats_publish () =
       "cache_hits"; "cache_misses"; "budget_timeouts"; "budget_fuel_trips";
       "ground_seconds"; "solve_seconds" ]
 
+(* [diff] undoes [add]: diff (a+b) a = b on every counter, checked
+   through the JSON schema, which names each field once. *)
+let test_stats_diff () =
+  let module S = Reasoner.Stats in
+  let mk k =
+    let t = S.create () in
+    t.groundings <- k;
+    t.solves <- k + 1;
+    t.decisions <- k + 2;
+    t.propagations <- k + 3;
+    t.conflicts <- k + 4;
+    t.cache_hits <- k + 5;
+    t.cache_misses <- k + 6;
+    t.memo_hits <- k + 7;
+    t.memo_misses <- k + 8;
+    t.budget_timeouts <- k + 9;
+    t.budget_fuel_trips <- k + 10;
+    t.ground_seconds <- float_of_int k +. 0.5;
+    t.solve_seconds <- float_of_int k +. 0.25;
+    t
+  in
+  let a = mk 100 and b = mk 7 in
+  let sum = S.copy a in
+  S.add ~into:sum b;
+  let fields t =
+    match parse_json (S.to_json t) with
+    | Obj fields -> fields
+    | _ -> Alcotest.fail "Stats.to_json is not an object"
+  in
+  let want = fields b and got = fields (S.diff sum a) in
+  check Alcotest.int "field count" 13 (List.length want);
+  List.iter
+    (fun (k, v) ->
+      check Alcotest.(float 1e-9) k (as_num v) (as_num (List.assoc k got)))
+    want
+
 let suite =
   [
     Alcotest.test_case "traced run: spans nest well-formed" `Quick
@@ -445,4 +481,5 @@ let suite =
     Alcotest.test_case "metrics registry: kinds, idempotence, JSON" `Quick
       test_metrics_registry;
     Alcotest.test_case "stats publish into metrics" `Quick test_stats_publish;
+    Alcotest.test_case "stats diff undoes add" `Quick test_stats_diff;
   ]
