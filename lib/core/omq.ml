@@ -44,7 +44,8 @@ type session = {
   engines : Reasoner.Engine.t option ref array;
 }
 
-let open_session ?(max_extra = 2) ?(updatable = false) omq d =
+let open_session ?(max_extra = Reasoner.Problem.default_max_extra)
+    ?(updatable = false) omq d =
   {
     omq;
     instance = d;
@@ -90,24 +91,24 @@ module Session = struct
       Obs.Trace.add_attr "tuple"
         (Obs.Trace.Str
            (String.concat "," (List.map Structure.Element.to_string tuple)));
-    let rec go k =
-      k > s.max_extra
-      || (Reasoner.Engine.certain_ucq ?budget (engine ?budget s k)
-            s.omq.query tuple
-         && go (k + 1))
+    let refuted k =
+      let eng = engine ?budget s k in
+      if Reasoner.Engine.certain_ucq ?budget eng s.omq.query tuple then None
+      else Some ()
     in
-    let r = go 0 in
+    let r =
+      Option.is_none (Reasoner.Problem.deepen ~max_extra:s.max_extra refuted)
+    in
     if Obs.Trace.enabled () then
       Obs.Trace.add_attr "certain" (Obs.Trace.Bool r);
     r
 
   let is_consistent ?budget s =
-    let rec go k =
-      k <= s.max_extra
-      && (Reasoner.Engine.is_consistent ?budget (engine ?budget s k)
-         || go (k + 1))
-    in
-    go 0
+    Option.is_some
+      (Reasoner.Problem.deepen ~max_extra:s.max_extra (fun k ->
+           if Reasoner.Engine.is_consistent ?budget (engine ?budget s k) then
+             Some ()
+           else None))
 
   (* Candidate tuples over the active domain, lazily. *)
   let candidates s =

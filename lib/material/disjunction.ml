@@ -21,17 +21,18 @@ let pp_witness ppf w =
 
 (* Check one candidate disjunction: [`Fails w] means the disjunction is
    certain but no disjunct is — the disjunction property fails. *)
-let check ?budget ?(max_extra = 2) o d pointed =
+let check ?budget ?max_extra o d pointed =
   Obs.Trace.with_span
     ~attrs:[ ("disjuncts", Obs.Trace.Int (List.length pointed)) ]
     "material.disjunction_check"
   @@ fun () ->
-  if not (Reasoner.Bounded.certain_disjunction ?budget ~max_extra o d pointed)
+  if
+    not (Reasoner.Engine.certain_disjunction_upto ?budget ?max_extra o d pointed)
   then `Disjunction_not_certain
   else
     match
       List.find_opt
-        (fun (q, t) -> Reasoner.Bounded.certain_cq ?budget ~max_extra o d q t)
+        (fun (q, t) -> Reasoner.Engine.certain_cq_upto ?budget ?max_extra o d q t)
         pointed
     with
     | Some _ -> `Holds
@@ -42,7 +43,7 @@ let check ?budget ?(max_extra = 2) o d pointed =
 let find_violation ?budget ?max_extra o candidates =
   List.find_map
     (fun (d, pointed) ->
-      if not (Reasoner.Bounded.is_consistent ?budget ?max_extra o d) then None
+      if not (Reasoner.Engine.is_consistent_upto ?budget ?max_extra o d) then None
       else
         match check ?budget ?max_extra o d pointed with
         | `Fails w -> Some w

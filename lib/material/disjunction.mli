@@ -11,9 +11,9 @@ type witness = {
 
 val pp_witness : witness Fmt.t
 
-(** Check one candidate disjunction on an instance. A [?budget] is
-    threaded into the bounded searches; a trip raises
-    {!Reasoner.Budget.Exhausted}. *)
+(** Check one candidate disjunction on an instance, on the cached
+    {!Reasoner.Engine} sessions of (O, D). A [?budget] is threaded into
+    the engine; a trip raises {!Reasoner.Budget.Exhausted}. *)
 val check :
   ?budget:Reasoner.Budget.t ->
   ?max_extra:int ->

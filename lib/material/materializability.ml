@@ -60,33 +60,42 @@ let default_pool o d =
   in
   unary_queries @ binary_queries @ exists_queries
 
-(* The certain answers of the pool, computed once — on the incremental
-   engine: one grounding per countermodel bound, shared by every pointed
-   query in the pool (the pool is quadratic in dom(D), so this is the
-   hot path of the materializability search). *)
-let pool_certainty ?budget ?(max_extra = 2) o d pool =
-  Obs.Trace.with_span
-    ~attrs:[ ("pool", Obs.Trace.Int (List.length pool)) ]
-    "material.pool_certainty"
-  @@ fun () ->
-  let pool_signature =
+(* The cached engine session of (O, D) at bound [extra], with the
+   pool's relations pre-registered. *)
+let session ?budget o d pool extra =
+  let extra_signature =
     List.fold_left
       (fun s (q, _) -> Logic.Signature.union s (Query.Cq.signature q))
       Logic.Signature.empty pool
   in
-  let engines =
-    List.init (max_extra + 1) (fun k ->
-        Reasoner.Engine.session ?budget ~extra_signature:pool_signature
-          ~extra:k o d)
+  Reasoner.Engine.session ?budget ~extra_signature ~extra o d
+
+(* The certain answers of the pool, computed once — on the incremental
+   engine: one grounding per countermodel bound, shared by every pointed
+   query in the pool (the pool is quadratic in dom(D), so this is the
+   hot path of the materializability search). Sessions are looked up
+   once per bound and grounded on first use. *)
+let pool_certainty ?budget ?max_extra o d pool =
+  Obs.Trace.with_span
+    ~attrs:[ ("pool", Obs.Trace.Int (List.length pool)) ]
+    "material.pool_certainty"
+  @@ fun () ->
+  let engines = Hashtbl.create 3 in
+  let engine k =
+    match Hashtbl.find_opt engines k with
+    | Some eng -> eng
+    | None ->
+        let eng = session ?budget o d pool k in
+        Hashtbl.add engines k eng;
+        eng
   in
   List.map
     (fun (q, tuple) ->
-      let certain =
-        List.for_all
-          (fun eng -> Reasoner.Engine.certain_cq ?budget eng q tuple)
-          engines
+      let refuted k =
+        if Reasoner.Engine.certain_cq ?budget (engine k) q tuple then None
+        else Some ()
       in
-      (q, tuple, certain))
+      (q, tuple, Option.is_none (Reasoner.Problem.deepen ?max_extra refuted)))
     pool
 
 let answers_like_certainty certainty b =
@@ -101,35 +110,30 @@ let is_materialization_for ?budget ?max_extra o d pool b =
   && answers_like_certainty (pool_certainty ?budget ?max_extra o d pool) b
 
 (* Search for a materialization over the bounded domain. The certain
-   answers of the pool are computed once; then a single SAT problem per
-   domain size asks for a model of O and D that satisfies exactly the
-   certain pool queries (certain ⇒ assert q, non-certain ⇒ assert ¬q).
-   [max_model_extra] bounds the materialization's fresh nulls,
-   [max_extra] the countermodel search behind the certainty labels. *)
-let find_materialization ?budget ?(max_model_extra = 2) ?(max_extra = 2) ?limit
-    ?pool o d =
+   answers of the pool are computed once; then one engine model query
+   per domain size asks for a model of O and D that satisfies exactly
+   the certain pool queries (each reified pool query assumed positively
+   when certain, negatively when not) — on the same cached sessions the
+   certainty labels came from. [max_model_extra] bounds the
+   materialization's fresh nulls, [max_extra] the countermodel search
+   behind the certainty labels. *)
+let find_materialization ?budget ?max_model_extra ?max_extra ?pool o d =
   Obs.Trace.with_span "material.find_materialization" @@ fun () ->
-  ignore limit;
   let pool = match pool with Some p -> p | None -> default_pool o d in
-  let certainty = pool_certainty ?budget ~max_extra o d pool in
-  let rec over_extras k =
-    if k > max_model_extra then None
-    else
-      match Reasoner.Bounded.pool_exact_model ?budget ~extra:k o d certainty with
-      | Some b -> Some b
-      | None -> over_extras (k + 1)
-  in
-  over_extras 0
+  let certainty = pool_certainty ?budget ?max_extra o d pool in
+  Reasoner.Problem.deepen ?max_extra:max_model_extra (fun k ->
+      Reasoner.Engine.signed_model ?budget
+        (session ?budget o d pool k)
+        certainty)
 
 (* Materializable for an instance: consistent implies a materialization
    exists (within the bounds). *)
-let materializable_on ?budget ?max_model_extra ?max_extra ?limit ?pool o d =
+let materializable_on ?budget ?max_model_extra ?max_extra ?pool o d =
   Obs.Trace.with_span "material.materializable_on" @@ fun () ->
   let r =
     (not (Reasoner.Engine.is_consistent_upto ?budget ?max_extra o d))
     || Option.is_some
-         (find_materialization ?budget ?max_model_extra ?max_extra ?limit ?pool
-            o d)
+         (find_materialization ?budget ?max_model_extra ?max_extra ?pool o d)
   in
   if Obs.Trace.enabled () then
     Obs.Trace.add_attr "materializable" (Obs.Trace.Bool r);

@@ -1,11 +1,14 @@
 (** Bounded materializability testing (Definition 2): search for a model
     of O and D whose answers to a pool of pointed queries coincide with
     the certain answers. Bounds: extra domain elements in the
-    materialization ([max_model_extra]), countermodel budget
-    ([max_extra]), model enumeration limit, and the query pool.
+    materialization ([max_model_extra]), countermodel ceiling
+    ([max_extra]), both defaulting to
+    {!Reasoner.Problem.default_max_extra}, and the query pool.
 
-    Certainty labels are computed on the incremental {!Reasoner.Engine}:
-    one grounding per countermodel bound shared across the whole pool. *)
+    Everything runs on the cached {!Reasoner.Engine} sessions of (O, D):
+    the certainty labels share one grounding per countermodel bound
+    across the whole pool, and the materialization itself is one
+    {!Reasoner.Engine.signed_model} query per model bound. *)
 
 type pointed = Query.Cq.t * Structure.Element.t list
 
@@ -15,8 +18,8 @@ val default_pool :
   Logic.Ontology.t -> Structure.Instance.t -> pointed list
 
 (** Is [b] a materialization of O and [d] w.r.t. the pool? All entry
-    points accept a [?budget] threaded into the underlying engine and
-    bounded searches; a trip raises {!Reasoner.Budget.Exhausted}. *)
+    points accept a [?budget] threaded into the underlying engine; a
+    trip raises {!Reasoner.Budget.Exhausted}. *)
 val is_materialization_for :
   ?budget:Reasoner.Budget.t ->
   ?max_extra:int ->
@@ -31,7 +34,6 @@ val find_materialization :
   ?budget:Reasoner.Budget.t ->
   ?max_model_extra:int ->
   ?max_extra:int ->
-  ?limit:int ->
   ?pool:pointed list ->
   Logic.Ontology.t ->
   Structure.Instance.t ->
@@ -42,7 +44,6 @@ val materializable_on :
   ?budget:Reasoner.Budget.t ->
   ?max_model_extra:int ->
   ?max_extra:int ->
-  ?limit:int ->
   ?pool:pointed list ->
   Logic.Ontology.t ->
   Structure.Instance.t ->

@@ -22,7 +22,7 @@ type verdict =
           missing), so Definition 3 does not apply *)
 
 let check ?budget ?(variant = Structure.Unravel.UGF) ?(depth = 3)
-    ?(max_extra = 2) o d (q : Query.Cq.t) tuple =
+    ?max_extra o d (q : Query.Cq.t) tuple =
   Obs.Trace.with_span
     ~attrs:[ ("depth", Obs.Trace.Int depth) ]
     "material.tolerance_check"
@@ -43,9 +43,9 @@ let check ?budget ?(variant = Structure.Unravel.UGF) ?(depth = 3)
       | None -> Not_guarded "no root bag for the guarded set"
       | Some copies ->
           let tuple' = List.map (fun e -> EMap.find e copies) tuple in
-          let on_d = Reasoner.Bounded.certain_cq ?budget ~max_extra o d q tuple in
+          let on_d = Reasoner.Engine.certain_cq_upto ?budget ?max_extra o d q tuple in
           let on_du =
-            Reasoner.Bounded.certain_cq ?budget ~max_extra o
+            Reasoner.Engine.certain_cq_upto ?budget ?max_extra o
               (Structure.Unravel.instance u) q tuple'
           in
           if Bool.equal on_d on_du then Tolerant_on

@@ -17,7 +17,7 @@ let preserving_hom ~source ~target d =
 (* A model among the bounded models of O and D that maps into every
    other enumerated model (preserving dom(D)), if one exists. *)
 let find_hom_universal ?(extra = 1) ?(limit = 200) o d =
-  let models = Reasoner.Bounded.models ~extra ~limit o d in
+  let models = Reasoner.Ground.enumerate ~limit (Reasoner.Problem.build ~extra o d) in
   List.find_opt
     (fun b ->
       List.for_all (fun a -> preserving_hom ~source:b ~target:a d) models)

@@ -1,177 +1,68 @@
 module SMap = Logic.Names.SMap
 
-(* Bounded model finding for arbitrary uGF(=)/uGC2(=) (indeed FO)
-   ontologies: search for models of O and D whose domain is dom(D) plus
-   [extra] fresh labelled nulls. Sound and complete for refuting
-   entailments (a countermodel is a countermodel); complete for
-   establishing them only up to the domain bound. GF and GC2 have the
-   finite model property, so iterative deepening converges in the limit;
-   every experiment records the bound it used.
+(* The one-shot reference for certain answers over arbitrary FO(=,
+   counting) ontologies: search for models of O and D whose domain is
+   dom(D) plus [extra] fresh labelled nulls, grounding a fresh problem
+   and solving it with a fresh solver for every tuple and every bound.
+   Sound and complete for refuting entailments (a countermodel is a
+   countermodel); complete for establishing them only up to the domain
+   bound.
 
-   All entry points accept a [?budget]; the plain forms raise
-   [Budget.Exhausted] on a trip (never with the default unlimited
-   budget), and the [try_*] forms return a typed outcome whose partial
-   payload is the number of deepening bounds fully completed. *)
-
-let problem ?budget ?extra_signature ~extra o d =
-  Problem.build ?budget ?extra_signature ~extra o d
-
-(* A model of O and D over dom(D) + [extra] nulls, if any. *)
-let find_model ?budget ?(extra = 0) o d =
-  Ground.solve (problem ?budget ~extra o d)
-
-let is_consistent ?budget ?(max_extra = 2) o d =
-  let rec go k =
-    k <= max_extra
-    && (Option.is_some (find_model ?budget ~extra:k o d) || go (k + 1))
-  in
-  go 0
-
-(* All models over the bounded domain (for materializability search). *)
-let models ?budget ?(extra = 0) ?limit o d =
-  Ground.enumerate ?limit (problem ?budget ~extra o d)
-
-(* ------------------------------------------------------------------ *)
-(* Certain answers                                                      *)
-(* ------------------------------------------------------------------ *)
+   Library code answers on the incremental Engine; this module stays as
+   the independent oracle the test suites, examples and bench compare
+   it against. Its independence lies in the grounding (queries enter as
+   asserted negations, not reified literals) and the solving (a fresh
+   solver per problem, no assumptions, no witness cache). *)
 
 let answer_env (q : Query.Cq.t) tuple =
   List.fold_left2
     (fun env v e -> SMap.add v e env)
     SMap.empty q.Query.Cq.answer tuple
 
+(* A model of O and D over dom(D) + [extra] nulls refuting every
+   (formula, assignment) pair, if any. *)
+let refute ~extra o d negated =
+  let sig_q =
+    List.fold_left
+      (fun s (f, _) -> Logic.Signature.union s (Logic.Signature.of_formula f))
+      Logic.Signature.empty negated
+  in
+  let g = Problem.build ~extra_signature:sig_q ~extra o d in
+  List.iter (fun (f, env) -> Ground.assert_negation ~env g f) negated;
+  Ground.solve g
+
+let negated_pointed pointed =
+  List.map (fun (cq, tuple) -> (Query.Cq.to_formula cq, answer_env cq tuple)) pointed
+
+let is_consistent ?max_extra o d =
+  Option.is_some (Problem.deepen ?max_extra (fun extra -> refute ~extra o d []))
+
 (* A countermodel to O,D |= q(ā) with [extra] fresh nulls, if any. *)
-let countermodel ?budget ?(extra = 0) o d (q : Query.Ucq.t) tuple =
+let countermodel ?(extra = 0) o d (q : Query.Ucq.t) tuple =
   if List.length tuple <> Query.Ucq.arity q then
     invalid_arg "Bounded.countermodel: tuple arity mismatch";
-  let g = problem ?budget ~extra_signature:(Query.Ucq.signature q) ~extra o d in
-  List.iter
-    (fun cq ->
-      Ground.assert_negation ~env:(answer_env cq tuple) g
-        (Query.Cq.to_formula cq))
-    (Query.Ucq.disjuncts q);
-  Ground.solve g
+  refute ~extra o d
+    (negated_pointed (List.map (fun cq -> (cq, tuple)) (Query.Ucq.disjuncts q)))
 
 (* O,D |= q(ā), up to [max_extra] additional domain elements: no
    countermodel at any bound 0..max_extra. *)
-let certain_ucq ?budget ?(max_extra = 2) o d q tuple =
-  let rec go k =
-    if k > max_extra then true
-    else
-      match countermodel ?budget ~extra:k o d q tuple with
-      | Some _ -> false
-      | None -> go (k + 1)
-  in
-  go 0
+let certain_ucq ?max_extra o d q tuple =
+  Option.is_none
+    (Problem.deepen ?max_extra (fun extra -> countermodel ~extra o d q tuple))
 
-let certain_cq ?budget ?max_extra o d q tuple =
-  certain_ucq ?budget ?max_extra o d (Query.Ucq.of_cq q) tuple
+let certain_cq ?max_extra o d q tuple =
+  certain_ucq ?max_extra o d (Query.Ucq.of_cq q) tuple
 
 (* Certain truth of an arbitrary FO(=, counting) formula under an
    assignment: no bounded model of O and D refutes it. Used for
    non-query conditions such as the (=1 P) markers of Section 7. *)
-let certain_formula ?budget ?(max_extra = 2) ?(env = SMap.empty) o d f =
-  let rec go k =
-    if k > max_extra then true
-    else begin
-      let g =
-        problem ?budget ~extra_signature:(Logic.Signature.of_formula f)
-          ~extra:k o d
-      in
-      Ground.assert_negation ~env g f;
-      match Ground.solve g with Some _ -> false | None -> go (k + 1)
-    end
-  in
-  go 0
-
-(* A model of O and D over dom(D)+extra nulls satisfying exactly the
-   flagged pointed queries: entries (q, ā, true) are asserted, entries
-   (q, ā, false) refuted. Used by the materializability search. *)
-let pool_exact_model ?budget ?(extra = 0) o d flagged =
-  let sig_q =
-    List.fold_left
-      (fun s (q, _, _) -> Logic.Signature.union s (Query.Cq.signature q))
-      Logic.Signature.empty flagged
-  in
-  let g = problem ?budget ~extra_signature:sig_q ~extra o d in
-  List.iter
-    (fun (q, tuple, wanted) ->
-      let env = answer_env q tuple in
-      let f = Query.Cq.to_formula q in
-      if wanted then Ground.assert_formula ~env g f
-      else Ground.assert_negation ~env g f)
-    flagged;
-  Ground.solve g
-
-(* One bound of the certain-disjunction test (Theorem 17). *)
-let certain_disjunction_at ?budget ~extra o d pointed =
-  let sig_q =
-    List.fold_left
-      (fun s (q, _) -> Logic.Signature.union s (Query.Cq.signature q))
-      Logic.Signature.empty pointed
-  in
-  let g = problem ?budget ~extra_signature:sig_q ~extra o d in
-  List.iter
-    (fun (cq, tuple) ->
-      Ground.assert_negation ~env:(answer_env cq tuple) g
-        (Query.Cq.to_formula cq))
-    pointed;
-  Option.is_none (Ground.solve g)
+let certain_formula ?max_extra ?(env = SMap.empty) o d f =
+  Option.is_none
+    (Problem.deepen ?max_extra (fun extra -> refute ~extra o d [ (f, env) ]))
 
 (* Certain disjunction: O,D |= q1(ā1) ∨ … ∨ qn(ān) for *pointed* queries
    (used for the disjunction property, Theorem 17). *)
-let certain_disjunction ?budget ?(max_extra = 2) o d pointed =
-  let rec go k =
-    k > max_extra
-    || (certain_disjunction_at ?budget ~extra:k o d pointed && go (k + 1))
-  in
-  go 0
-
-(* ------------------------------------------------------------------ *)
-(* Typed-outcome entry points                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Each iterative-deepening loop reports, on a trip, how many bounds it
-   completed: [`Timeout k] means bounds 0..k-1 are fully decided. *)
-
-let deepening budget max_extra step =
-  let completed = ref 0 in
-  Budget.protect budget
-    ~partial:(fun () -> !completed)
-    (fun () ->
-      let rec go k =
-        if k > max_extra then true
-        else if step k then begin
-          completed := k + 1;
-          go (k + 1)
-        end
-        else false
-      in
-      go 0)
-
-let try_is_consistent budget ?(max_extra = 2) o d =
-  (* consistency deepening stops at the first SAT bound *)
-  let completed = ref 0 in
-  Budget.protect budget
-    ~partial:(fun () -> !completed)
-    (fun () ->
-      let rec go k =
-        if k > max_extra then false
-        else if Option.is_some (find_model ~budget ~extra:k o d) then true
-        else begin
-          completed := k + 1;
-          go (k + 1)
-        end
-      in
-      go 0)
-
-let try_certain_ucq budget ?(max_extra = 2) o d q tuple =
-  deepening budget max_extra (fun k ->
-      Option.is_none (countermodel ~budget ~extra:k o d q tuple))
-
-let try_certain_cq budget ?max_extra o d q tuple =
-  try_certain_ucq budget ?max_extra o d (Query.Ucq.of_cq q) tuple
-
-let try_certain_disjunction budget ?(max_extra = 2) o d pointed =
-  deepening budget max_extra (fun k ->
-      certain_disjunction_at ~budget ~extra:k o d pointed)
+let certain_disjunction ?max_extra o d pointed =
+  let negated = negated_pointed pointed in
+  Option.is_none
+    (Problem.deepen ?max_extra (fun extra -> refute ~extra o d negated))

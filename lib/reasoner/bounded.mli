@@ -1,56 +1,23 @@
-(** Bounded model finding and certain answers for arbitrary FO(=,
-    counting) ontologies.
+(** The one-shot reference for bounded model finding and certain answers
+    over arbitrary FO(=, counting) ontologies.
 
-    Countermodels are searched over domains dom(D) ∪ {k fresh nulls}.
+    Countermodels are searched over domains dom(D) ∪ {k fresh nulls},
+    with a fresh grounding and a fresh solver per tuple and per bound.
     Refutations are exact (any countermodel refutes); confirmations are
     "entailed up to the bound". GF and GC2 enjoy the finite model
-    property, so iterative deepening converges; experiments record the
-    bound they use.
+    property, so iterative deepening ({!Problem.deepen}) converges;
+    experiments record the bound they use.
 
-    Every entry point accepts a [?budget] (default {!Budget.unlimited},
-    under which nothing ever trips). The plain forms raise
-    {!Budget.Exhausted} on a trip; the [try_*] forms return a typed
-    {!Budget.outcome} whose partial payload is the number of deepening
-    bounds fully completed before the trip. *)
-
-(** The grounded SAT problem for (O, D) over dom(D) + [extra] nulls —
-    the shared builder behind every search here (see {!Problem}). *)
-val problem :
-  ?budget:Budget.t ->
-  ?extra_signature:Logic.Signature.t ->
-  extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  Ground.t
-
-(** A model of O and D over dom(D) + [extra] nulls, if any. *)
-val find_model :
-  ?budget:Budget.t ->
-  ?extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  Structure.Instance.t option
+    Library code answers on {!Engine}; this module is the independent
+    oracle that tests, examples and the bench harness check it against.
+    It takes no budget. *)
 
 (** Consistency of D w.r.t. O, trying 0..[max_extra] extra elements. *)
 val is_consistent :
-  ?budget:Budget.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  bool
-
-(** All models over the bounded domain (distinct fact sets). *)
-val models :
-  ?budget:Budget.t ->
-  ?extra:int ->
-  ?limit:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  Structure.Instance.t list
+  ?max_extra:int -> Logic.Ontology.t -> Structure.Instance.t -> bool
 
 (** A countermodel to O,D ⊨ q(ā) with exactly [extra] fresh nulls. *)
 val countermodel :
-  ?budget:Budget.t ->
   ?extra:int ->
   Logic.Ontology.t ->
   Structure.Instance.t ->
@@ -60,7 +27,6 @@ val countermodel :
 
 (** O,D ⊨ q(ā): no countermodel with 0..[max_extra] extra elements. *)
 val certain_ucq :
-  ?budget:Budget.t ->
   ?max_extra:int ->
   Logic.Ontology.t ->
   Structure.Instance.t ->
@@ -69,7 +35,6 @@ val certain_ucq :
   bool
 
 val certain_cq :
-  ?budget:Budget.t ->
   ?max_extra:int ->
   Logic.Ontology.t ->
   Structure.Instance.t ->
@@ -80,7 +45,6 @@ val certain_cq :
 (** Certain truth of an FO(=, counting) formula under an assignment
     [env]: no bounded model of O and D refutes it. *)
 val certain_formula :
-  ?budget:Budget.t ->
   ?max_extra:int ->
   ?env:Structure.Element.t Logic.Names.SMap.t ->
   Logic.Ontology.t ->
@@ -88,70 +52,11 @@ val certain_formula :
   Logic.Formula.t ->
   bool
 
-(** A model of O and D over dom(D)+[extra] nulls satisfying exactly the
-    flagged pointed queries ((q, ā, wanted) triples). Backs the
-    materializability search. *)
-val pool_exact_model :
-  ?budget:Budget.t ->
-  ?extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  (Query.Cq.t * Structure.Element.t list * bool) list ->
-  Structure.Instance.t option
-
-(** O,D ⊨ q1(ā1) ∨ … ∨ qn(ān) at exactly [extra] fresh nulls. *)
-val certain_disjunction_at :
-  ?budget:Budget.t ->
-  extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  (Query.Cq.t * Structure.Element.t list) list ->
-  bool
-
 (** O,D ⊨ q1(ā1) ∨ … ∨ qn(ān) for pointed CQs (disjunction property,
     Theorem 17). *)
 val certain_disjunction :
-  ?budget:Budget.t ->
   ?max_extra:int ->
   Logic.Ontology.t ->
   Structure.Instance.t ->
   (Query.Cq.t * Structure.Element.t list) list ->
   bool
-
-(** {2 Typed-outcome entry points}
-
-    On a trip, [`Timeout k] / [`Out_of_fuel k] reports that deepening
-    bounds 0..k-1 were fully decided before exhaustion. *)
-
-val try_is_consistent :
-  Budget.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  (bool, int) Budget.outcome
-
-val try_certain_ucq :
-  Budget.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  Query.Ucq.t ->
-  Structure.Element.t list ->
-  (bool, int) Budget.outcome
-
-val try_certain_cq :
-  Budget.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  Query.Cq.t ->
-  Structure.Element.t list ->
-  (bool, int) Budget.outcome
-
-val try_certain_disjunction :
-  Budget.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  (Query.Cq.t * Structure.Element.t list) list ->
-  (bool, int) Budget.outcome

@@ -6,7 +6,7 @@
     A {!t} carries an optional wall-clock deadline, a propagation/conflict
     fuel counter and a grounding-clause cap, and is checked at cheap
     cancellation points threaded through {!Dpll}, {!Ground}, {!Engine},
-    {!Bounded}, {!Chase} and the analyses built on them.
+    {!Chase} and the analyses built on them.
 
     Exhaustion is signalled internally by the {!Exhausted} exception,
     which the budgeted entry points of the public modules convert into a

@@ -14,8 +14,7 @@ module SMap = Logic.Names.SMap
 
    Budgets: every operation accepts a [?budget] and installs it on the
    session's grounder and solver for the duration of the call. A trip
-   raises [Budget.Exhausted] out of the plain forms (the [try_*] forms
-   return typed outcomes instead) but never corrupts the session:
+   raises [Budget.Exhausted] but never corrupts the session:
    cancellation points sit where the solver's invariants hold, and a
    partially-emitted query reification is an unreferenced definitional
    fragment that later solves may freely satisfy. The session answers
@@ -23,9 +22,7 @@ module SMap = Logic.Names.SMap
    test suite proves this by fault injection. *)
 
 type t = {
-  ontology : Logic.Ontology.t;
   mutable instance : Structure.Instance.t;
-  extra : int;
   (* Dynamic engines carry D's facts as persistent solver assumptions
      (the fact variables themselves — dense ranks in per-relation
      blocks) instead of unit clauses: insertion adds an assumption over
@@ -59,16 +56,13 @@ type t = {
   mutable witness : Structure.Instance.t option;
 }
 
-let ontology t = t.ontology
 let instance t = t.instance
-let extra t = t.extra
 let stats t = t.stats
 
-(* Mirror every update into the global record, once. *)
+(* Every update lands in the session's own record and in the global one. *)
 let tally t f =
   f t.stats;
-  let g = Stats.global () in
-  if t.stats != g then f g
+  f (Stats.global ())
 
 (* Run [f] with [b] installed as the session budget (both here and on
    the grounder), restoring the unlimited budget afterwards — including
@@ -100,15 +94,13 @@ let with_memo_delta st f =
   let h0 = g.Stats.memo_hits and m0 = g.Stats.memo_misses in
   Fun.protect
     ~finally:(fun () ->
-      if st != g then begin
-        st.Stats.memo_hits <- st.Stats.memo_hits + (g.Stats.memo_hits - h0);
-        st.Stats.memo_misses <-
-          st.Stats.memo_misses + (g.Stats.memo_misses - m0)
-      end)
+      st.Stats.memo_hits <- st.Stats.memo_hits + (g.Stats.memo_hits - h0);
+      st.Stats.memo_misses <- st.Stats.memo_misses + (g.Stats.memo_misses - m0))
     f
 
-let create ?stats:(st = Stats.create ()) ?(extra_signature = Logic.Signature.empty)
-    ?(budget = Budget.unlimited) ?(dynamic = false) ~extra o d =
+let create ?(extra_signature = Logic.Signature.empty) ?(budget = Budget.unlimited)
+    ?(dynamic = false) ~extra o d =
+  let st = Stats.create () in
   Obs.Trace.with_span
     ~attrs:
       [ ("extra", Obs.Trace.Int extra); ("dynamic", Obs.Trace.Bool dynamic) ]
@@ -134,9 +126,7 @@ let create ?stats:(st = Stats.create ()) ?(extra_signature = Logic.Signature.emp
       in
       let t =
         {
-          ontology = o;
           instance = d;
-          extra;
           dynamic;
           assumed;
           fact_assumptions;
@@ -233,15 +223,6 @@ let formula_of_cq t cq =
       t.cq_formulas <- (cq, f) :: t.cq_formulas;
       f
 
-let find_model ?(budget = Budget.unlimited) t =
-  with_budget t budget (fun () ->
-      match run_solver t [] with
-      | Dpll.Unsat -> None
-      | Dpll.Sat m ->
-          let w = Ground.extract_model t.ground m in
-          t.witness <- Some w;
-          Some w)
-
 let is_consistent ?(budget = Budget.unlimited) t =
   match t.consistent with
   | Some c -> c
@@ -256,19 +237,21 @@ let answer_env (q : Query.Cq.t) tuple =
     (fun env v e -> SMap.add v e env)
     SMap.empty q.Query.Cq.answer tuple
 
-(* A countermodel to O,D ⊨ ⋁ qᵢ(āᵢ) over this session's domain: a model
-   where every pointed disjunct fails, found by assuming the negation of
-   each reified instantiation. *)
-let pointed_assumptions t pointed =
-  List.map
-    (fun (cq, tuple) ->
-      let env = answer_env cq tuple in
-      -reified_lit ~env t (formula_of_cq t cq))
-    pointed
-
-let countermodel_pointed ?(budget = Budget.unlimited) t pointed =
+(* A model of O and D over this session's domain in which each pointed
+   CQ holds exactly when flagged: its reified instantiation is assumed
+   positively when wanted and negatively when not. Any model of O and D
+   over the session domain is a valid witness, so the result refreshes
+   the cached one. *)
+let signed_model ?(budget = Budget.unlimited) t flagged =
   with_budget t budget (fun () ->
-      match run_solver t (pointed_assumptions t pointed) with
+      let assumptions =
+        List.map
+          (fun (cq, tuple, wanted) ->
+            let l = reified_lit ~env:(answer_env cq tuple) t (formula_of_cq t cq) in
+            if wanted then l else -l)
+          flagged
+      in
+      match run_solver t assumptions with
       | Dpll.Unsat -> None
       | Dpll.Sat m ->
           let w = Ground.extract_model t.ground m in
@@ -287,15 +270,16 @@ let witness_refutes w pointed =
 let certain_pointed ?budget t pointed =
   match t.witness with
   | Some w when witness_refutes w pointed -> false
-  | _ -> Option.is_none (countermodel_pointed ?budget t pointed)
+  | _ ->
+      (* a countermodel: a model where every pointed disjunct fails *)
+      Option.is_none
+        (signed_model ?budget t
+           (List.map (fun (cq, tuple) -> (cq, tuple, false)) pointed))
 
 let pointed_of name q tuple =
   if List.length tuple <> Query.Ucq.arity q then
     invalid_arg (Fmt.str "Engine.%s: tuple arity mismatch" name);
   List.map (fun cq -> (cq, tuple)) (Query.Ucq.disjuncts q)
-
-let countermodel ?budget t q tuple =
-  countermodel_pointed ?budget t (pointed_of "countermodel" q tuple)
 
 (* Certainty at THIS session's domain bound: no countermodel with
    exactly [extra t] fresh nulls. *)
@@ -305,10 +289,6 @@ let certain_ucq ?budget t q tuple =
 let certain_cq ?budget t q tuple = certain_ucq ?budget t (Query.Ucq.of_cq q) tuple
 
 let certain_disjunction ?budget t pointed = certain_pointed ?budget t pointed
-
-let certain_formula ?(budget = Budget.unlimited) ?(env = SMap.empty) t f =
-  with_budget t budget (fun () ->
-      not (run_solver_sat t [ -reified_lit ~env t f ]))
 
 (* ------------------------------------------------------------------ *)
 (* Delta maintenance (dynamic engines)                                  *)
@@ -501,7 +481,7 @@ let set_cache_capacity n =
 let clear_cache () = Hashtbl.reset (registry ()).sessions
 let cached_sessions () = Hashtbl.length (registry ()).sessions
 
-let session ?stats ?extra_signature ?budget ~extra o d =
+let session ?extra_signature ?budget ~extra o d =
   let r = registry () in
   let key = (digest_ontology o, digest_instance d, extra) in
   r.clock <- r.clock + 1;
@@ -514,7 +494,7 @@ let session ?stats ?extra_signature ?budget ~extra o d =
       t
   | None ->
       Obs.Trace.event ~attrs:[ ("extra", Obs.Trace.Int extra) ] "engine.cache_miss";
-      let t = create ?stats ?extra_signature ?budget ~extra o d in
+      let t = create ?extra_signature ?budget ~extra o d in
       tally t (fun s -> s.Stats.cache_misses <- s.Stats.cache_misses + 1);
       if r.capacity > 0 then begin
         Hashtbl.replace r.sessions key { engine = t; stamp = r.clock };
@@ -523,79 +503,26 @@ let session ?stats ?extra_signature ?budget ~extra o d =
       t
 
 (* ------------------------------------------------------------------ *)
-(* Iterative-deepening conveniences (Bounded-compatible semantics)      *)
+(* Iterative deepening over cached sessions                             *)
 (* ------------------------------------------------------------------ *)
 
-let is_consistent_upto ?stats ?budget ?(max_extra = 2) o d =
-  let rec go k =
-    k <= max_extra
-    && (is_consistent ?budget (session ?stats ?budget ~extra:k o d) || go (k + 1))
-  in
-  go 0
+let is_consistent_upto ?budget ?max_extra o d =
+  Option.is_some
+    (Problem.deepen ?max_extra (fun extra ->
+         if is_consistent ?budget (session ?budget ~extra o d) then Some ()
+         else None))
 
-let certain_ucq_upto ?stats ?budget ?(max_extra = 2) o d q tuple =
-  let rec go k =
-    k > max_extra
-    || (certain_ucq ?budget (session ?stats ?budget ~extra:k o d) q tuple
-       && go (k + 1))
-  in
-  go 0
+(* Certain iff no bound refutes; a refuting bound ends the walk. *)
+let certain_disjunction_upto ?budget ?max_extra o d pointed =
+  Option.is_none
+    (Problem.deepen ?max_extra (fun extra ->
+         if certain_disjunction ?budget (session ?budget ~extra o d) pointed
+         then None
+         else Some ()))
 
-let certain_cq_upto ?stats ?budget ?max_extra o d q tuple =
-  certain_ucq_upto ?stats ?budget ?max_extra o d (Query.Ucq.of_cq q) tuple
+let certain_ucq_upto ?budget ?max_extra o d q tuple =
+  certain_disjunction_upto ?budget ?max_extra o d
+    (pointed_of "certain_ucq_upto" q tuple)
 
-let certain_disjunction_upto ?stats ?budget ?(max_extra = 2) o d pointed =
-  let rec go k =
-    k > max_extra
-    || (certain_disjunction ?budget (session ?stats ?budget ~extra:k o d) pointed
-       && go (k + 1))
-  in
-  go 0
-
-(* ------------------------------------------------------------------ *)
-(* Typed-outcome entry points                                           *)
-(* ------------------------------------------------------------------ *)
-
-let try_is_consistent budget t =
-  Budget.protect budget
-    ~partial:(fun () -> ())
-    (fun () -> is_consistent ~budget t)
-
-let try_certain_ucq budget t q tuple =
-  Budget.protect budget
-    ~partial:(fun () -> ())
-    (fun () -> certain_ucq ~budget t q tuple)
-
-let try_certain_cq budget t q tuple =
-  try_certain_ucq budget t (Query.Ucq.of_cq q) tuple
-
-let try_is_consistent_upto budget ?stats ?(max_extra = 2) o d =
-  let completed = ref 0 in
-  Budget.protect budget
-    ~partial:(fun () -> !completed)
-    (fun () ->
-      let rec go k =
-        if k > max_extra then false
-        else if is_consistent ~budget (session ?stats ~budget ~extra:k o d)
-        then true
-        else begin
-          completed := k + 1;
-          go (k + 1)
-        end
-      in
-      go 0)
-
-let try_certain_ucq_upto budget ?stats ?(max_extra = 2) o d q tuple =
-  let completed = ref 0 in
-  Budget.protect budget
-    ~partial:(fun () -> !completed)
-    (fun () ->
-      let rec go k =
-        k > max_extra
-        || certain_ucq ~budget (session ?stats ~budget ~extra:k o d) q tuple
-           && begin
-                completed := k + 1;
-                go (k + 1)
-              end
-      in
-      go 0)
+let certain_cq_upto ?budget ?max_extra o d q tuple =
+  certain_ucq_upto ?budget ?max_extra o d (Query.Ucq.of_cq q) tuple

@@ -1,17 +1,16 @@
-(** The incremental certain-answer engine: ground (O, D, extra fresh
-    nulls) once into a persistent CDCL solver, then answer per-tuple
-    certainty queries by solving under assumption literals (the negated
-    reified query instantiation). Learned clauses and query reifications
-    are kept for the session's lifetime, so batches of tuple checks over
-    the same (O, D) pay for one grounding.
+(** The certain-answer engine, and the only one library code calls:
+    ground (O, D, extra fresh nulls) once into a persistent CDCL solver,
+    then answer per-tuple certainty queries by solving under assumption
+    literals (the signed reified query instantiations). Learned clauses
+    and query reifications are kept for the session's lifetime, so
+    batches of tuple checks over the same (O, D) pay for one grounding.
 
-    Semantics match {!Bounded} exactly: a session at bound [extra]
-    searches countermodels over dom(D) plus [extra] labelled nulls; the
-    [_upto] helpers reproduce the iterative-deepening ceilings.
+    Semantics match the {!Bounded} reference exactly: a session at bound
+    [extra] searches countermodels over dom(D) plus [extra] labelled
+    nulls; the [_upto] forms walk the bounds with {!Problem.deepen}.
 
-    Every operation accepts a [?budget] (default {!Budget.unlimited}).
-    The plain forms raise {!Budget.Exhausted} on a trip; the [try_*]
-    forms return a typed {!Budget.outcome}. A trip never corrupts a
+    Every operation accepts a [?budget] (default {!Budget.unlimited})
+    and raises {!Budget.Exhausted} on a trip. A trip never corrupts a
     session: cancellation points sit where the solver's invariants hold
     and partially-emitted reifications are unreferenced definitional
     fragments, so the session keeps answering later queries exactly like
@@ -21,8 +20,8 @@ type t
 
 (** Ground (O, D) with exactly [extra] fresh nulls. [extra_signature]
     pre-registers further relations (query relations are also admitted
-    on demand later). [stats] defaults to a fresh per-session record;
-    every update is mirrored into {!Stats.global}. May raise
+    on demand later). Each engine counts into its own fresh {!stats}
+    record; every update is mirrored into {!Stats.global}. May raise
     {!Budget.Exhausted} while grounding when budgeted.
 
     With [~dynamic:true] the instance's facts are carried as persistent
@@ -31,7 +30,6 @@ type t
     solver rebuild. Dynamic engines mutate their instance in place and
     must not enter the keyed {!session} cache. *)
 val create :
-  ?stats:Stats.t ->
   ?extra_signature:Logic.Signature.t ->
   ?budget:Budget.t ->
   ?dynamic:bool ->
@@ -40,25 +38,22 @@ val create :
   Structure.Instance.t ->
   t
 
-val ontology : t -> Logic.Ontology.t
 val instance : t -> Structure.Instance.t
-val extra : t -> int
 val stats : t -> Stats.t
-
-(** A model of O and D over the session domain, if any. *)
-val find_model : ?budget:Budget.t -> t -> Structure.Instance.t option
 
 (** Memoized: solved once per session (only a completed verdict is
     memoized), sound because query reifications are definitional
     extensions. *)
 val is_consistent : ?budget:Budget.t -> t -> bool
 
-(** A countermodel to O,D ⊨ q(ā) over the session domain, if any. *)
-val countermodel :
+(** A model of O and D over the session domain in which each pointed CQ
+    [(q, ā, wanted)] holds iff [wanted], if any: the reified
+    instantiations are assumed positively or negatively. A countermodel
+    to O,D ⊨ q₁(ā₁) ∨ … ∨ qₙ(āₙ) is the all-unwanted case. *)
+val signed_model :
   ?budget:Budget.t ->
   t ->
-  Query.Ucq.t ->
-  Structure.Element.t list ->
+  (Query.Cq.t * Structure.Element.t list * bool) list ->
   Structure.Instance.t option
 
 (** Certainty at this session's exact domain bound. *)
@@ -71,14 +66,6 @@ val certain_cq :
 (** O,D ⊨ q₁(ā₁) ∨ … ∨ qₙ(āₙ) at this session's bound. *)
 val certain_disjunction :
   ?budget:Budget.t -> t -> (Query.Cq.t * Structure.Element.t list) list -> bool
-
-(** Certain truth of an FO(=, counting) formula under an assignment. *)
-val certain_formula :
-  ?budget:Budget.t ->
-  ?env:Structure.Element.t Logic.Names.SMap.t ->
-  t ->
-  Logic.Formula.t ->
-  bool
 
 (** {2 Delta maintenance}
 
@@ -123,7 +110,6 @@ val retract_facts :
 
 (** Fetch or build the session for (O, D, extra). *)
 val session :
-  ?stats:Stats.t ->
   ?extra_signature:Logic.Signature.t ->
   ?budget:Budget.t ->
   extra:int ->
@@ -137,13 +123,13 @@ val clear_cache : unit -> unit
 (** Number of currently cached sessions. *)
 val cached_sessions : unit -> int
 
-(** {2 Iterative-deepening conveniences}
+(** {2 Iterative deepening}
 
-    Same verdicts as the corresponding {!Bounded} entry points, but
-    every bound k in 0..max_extra runs on a (cached) session. *)
+    Same verdicts as the corresponding {!Bounded} entry points: every
+    bound k in 0..[max_extra] (default {!Problem.default_max_extra}) runs
+    on a cached {!session}, walked in order by {!Problem.deepen}. *)
 
 val is_consistent_upto :
-  ?stats:Stats.t ->
   ?budget:Budget.t ->
   ?max_extra:int ->
   Logic.Ontology.t ->
@@ -151,7 +137,6 @@ val is_consistent_upto :
   bool
 
 val certain_ucq_upto :
-  ?stats:Stats.t ->
   ?budget:Budget.t ->
   ?max_extra:int ->
   Logic.Ontology.t ->
@@ -161,7 +146,6 @@ val certain_ucq_upto :
   bool
 
 val certain_cq_upto :
-  ?stats:Stats.t ->
   ?budget:Budget.t ->
   ?max_extra:int ->
   Logic.Ontology.t ->
@@ -171,49 +155,9 @@ val certain_cq_upto :
   bool
 
 val certain_disjunction_upto :
-  ?stats:Stats.t ->
   ?budget:Budget.t ->
   ?max_extra:int ->
   Logic.Ontology.t ->
   Structure.Instance.t ->
   (Query.Cq.t * Structure.Element.t list) list ->
   bool
-
-(** {2 Typed-outcome entry points}
-
-    Session-level forms carry no meaningful partial (unit); the [_upto]
-    forms report how many deepening bounds completed before the trip. *)
-
-val try_is_consistent : Budget.t -> t -> (bool, unit) Budget.outcome
-
-val try_certain_ucq :
-  Budget.t ->
-  t ->
-  Query.Ucq.t ->
-  Structure.Element.t list ->
-  (bool, unit) Budget.outcome
-
-val try_certain_cq :
-  Budget.t ->
-  t ->
-  Query.Cq.t ->
-  Structure.Element.t list ->
-  (bool, unit) Budget.outcome
-
-val try_is_consistent_upto :
-  Budget.t ->
-  ?stats:Stats.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  (bool, int) Budget.outcome
-
-val try_certain_ucq_upto :
-  Budget.t ->
-  ?stats:Stats.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  Query.Ucq.t ->
-  Structure.Element.t list ->
-  (bool, int) Budget.outcome

@@ -2,7 +2,21 @@
    finder (Bounded) and the incremental engine (Engine) search models of
    (O, D) over dom(D) plus [extra] fresh labelled nulls. This module is
    the single place that sets up that domain, the joint signature and
-   the base assertions. *)
+   the base assertions, and that walks the domain bounds. *)
+
+let default_max_extra = 2
+
+(* Iterative deepening over the domain bound: GF and GC2 have the finite
+   model property, so searching dom(D) plus 0, 1, 2, ... fresh nulls in
+   order converges. [at k] is the search at bound k; the first decisive
+   ([Some]) answer ends the walk, so deeper bounds are never grounded
+   once a shallower one decides. *)
+let deepen ?(max_extra = default_max_extra) at =
+  let rec go k =
+    if k > max_extra then None
+    else match at k with Some _ as r -> r | None -> go (k + 1)
+  in
+  go 0
 
 let domain ~extra d =
   let nulls = Structure.Instance.fresh_nulls extra d in

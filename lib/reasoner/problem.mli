@@ -3,6 +3,16 @@
     fresh labelled nulls, with the ontology's, the instance's and any
     extra signature's relations registered. *)
 
+(** The default deepening ceiling: 2 fresh nulls. *)
+val default_max_extra : int
+
+(** [deepen ?max_extra at] runs [at k] for k = 0..[max_extra] (default
+    {!default_max_extra}) in order and returns the first [Some]; [None]
+    when no bound is decisive. The one iterative-deepening loop: every
+    certain-answer, consistency and materialization search walks its
+    bounds through it. *)
+val deepen : ?max_extra:int -> (int -> 'a option) -> 'a option
+
 (** dom(D) plus [extra] fresh nulls (never empty). *)
 val domain : extra:int -> Structure.Instance.t -> Structure.Element.t list
 

@@ -30,7 +30,7 @@ val instance : witness -> Twotwosat.t -> Structure.Instance.t
 val query : witness -> Twotwosat.t -> Query.Ucq.t option
 
 (** [(unsat, certain)] — the two sides of the reduction equivalence,
-    computed independently (solver vs bounded certain answers). *)
+    computed independently (2+2-SAT solver vs engine certain answers). *)
 val unsat_iff_certain :
   ?max_extra:int ->
   Logic.Ontology.t ->

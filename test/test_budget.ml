@@ -121,33 +121,40 @@ let test_clause_cap () =
   | `Timeout _ -> Alcotest.fail "clause-cap trips are Out_of_fuel"
 
 (* --------------------------------------------------------------- *)
-(* Bounded: the typed deepening loops report completed bounds. *)
+(* Material verdicts share the engine LRU: a trip anywhere in a
+   disjunction-property check leaves the cached sessions answering the
+   next unbudgeted check exactly. *)
 
 let qa = cq ~answer:[ "x" ] [ ("A", [ v "x" ]) ]
+let qb = cq ~answer:[ "x" ] [ ("B", [ v "x" ]) ]
 
-let test_bounded_try () =
-  let d = inst [ ("A", [ "a" ]) ] in
-  (match Reasoner.Bounded.try_certain_cq Budget.unlimited o_disj d qa [ e "a" ] with
-  | `Ok true -> ()
-  | _ -> Alcotest.fail "A(a) is certain");
-  (* sweep the bounded search too: partial payloads are completed
-     bounds, hence between 0 and max_extra+1 *)
-  let obs = Budget.observer () in
-  ignore (Reasoner.Bounded.try_certain_cq obs o_disj d qa [ e "a" ]);
-  let n = Budget.checkpoints obs in
-  check Alcotest.bool "bounded workload passes checkpoints" true (n > 0);
-  for i = 0 to n - 1 do
+let test_material_try () =
+  let d = inst [ ("D", [ "a" ]) ] in
+  let disj budget =
     match
-      Reasoner.Bounded.try_certain_cq (Budget.inject_after i) o_disj d qa
-        [ e "a" ]
+      Material.Disjunction.check ~budget ~max_extra:1 o_disj d
+        [ (qa, [ e "a" ]); (qb, [ e "a" ]) ]
     with
-    | `Ok true -> ()
-    | `Ok false -> Alcotest.failf "inject %d flipped the verdict" i
-    | `Out_of_fuel k | `Timeout k ->
-        check Alcotest.bool
-          (Printf.sprintf "inject %d: completed bounds in range" i)
-          true
-          (k >= 0 && k <= 3)
+    | `Holds -> "holds"
+    | `Fails _ -> "fails"
+    | `Disjunction_not_certain -> "not certain"
+  in
+  Reasoner.Engine.clear_cache ();
+  let expected = disj Budget.unlimited in
+  check Alcotest.string "A ∨ B certain, neither disjunct" "fails" expected;
+  Reasoner.Engine.clear_cache ();
+  let obs = Budget.observer () in
+  check Alcotest.string "observer run" expected (disj obs);
+  let n = Budget.checkpoints obs in
+  check Alcotest.bool "material workload passes checkpoints" true (n > 0);
+  for i = 0 to n - 1 do
+    Reasoner.Engine.clear_cache ();
+    (match disj (Budget.inject_after i) with
+    | v -> check Alcotest.string (Printf.sprintf "inject %d: verdict" i) expected v
+    | exception Budget.Exhausted _ -> ());
+    check Alcotest.string
+      (Printf.sprintf "inject %d: next unbudgeted check" i)
+      expected (disj Budget.unlimited)
   done
 
 (* --------------------------------------------------------------- *)
@@ -214,7 +221,7 @@ let suite =
     Alcotest.test_case "expired_deadline" `Quick test_expired_deadline;
     Alcotest.test_case "fuel_exhaustion" `Quick test_fuel_exhaustion;
     Alcotest.test_case "clause_cap" `Quick test_clause_cap;
-    Alcotest.test_case "bounded_inject_sweep" `Slow test_bounded_try;
+    Alcotest.test_case "material_inject_sweep" `Slow test_material_try;
     Alcotest.test_case "chase_inject_sweep" `Quick test_chase_try;
     Alcotest.test_case "decide_inject" `Quick test_decide_try;
   ]

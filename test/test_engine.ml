@@ -12,9 +12,9 @@ let qa = cq ~name:"qa" ~answer:[ "x" ] [ ("A", [ v "x" ]) ]
 let qb = cq ~name:"qb" ~answer:[ "x" ] [ ("B", [ v "x" ]) ]
 let qab = ucq ~name:"qab" [ qa; qb ]
 
-(* 1. Engine and Bounded agree on consistency and certain answers for
-   random instances against a Horn and a disjunctive ontology, at every
-   deepening ceiling 0..2. *)
+(* 1. Engine and Bounded agree on consistency, certain answers and
+   certain disjunctions for random instances against a Horn and a
+   disjunctive ontology, at every deepening ceiling 0..2. *)
 let test_engine_vs_bounded =
   QCheck.Test.make ~name:"engine agrees with Bounded at bounds 0-2" ~count:12
     QCheck.(pair (int_bound 100000) (int_range 0 2))
@@ -40,7 +40,12 @@ let test_engine_vs_bounded =
                    [ qc; qa; qb ]
                  && Bool.equal
                       (Reasoner.Engine.certain_ucq_upto ~max_extra o d qab [ el ])
-                      (Reasoner.Bounded.certain_ucq ~max_extra o d qab [ el ]))
+                      (Reasoner.Bounded.certain_ucq ~max_extra o d qab [ el ])
+                 &&
+                 let pointed = [ (qa, [ el ]); (qb, [ el ]) ] in
+                 Bool.equal
+                   (Reasoner.Engine.certain_disjunction_upto ~max_extra o d pointed)
+                   (Reasoner.Bounded.certain_disjunction ~max_extra o d pointed))
                dom)
         [ o_horn; o_disj ])
 

@@ -24,6 +24,14 @@ let test_disjunction_fails_for_union () =
   | `Disjunction_not_certain -> ()
   | _ -> Alcotest.fail "O2 alone should not entail the disjunction"
 
+(* Whatever find_materialization returns must answer the pool exactly
+   like the certain answers. *)
+let check_materialization ?max_extra o d b =
+  check "answers the pool like the certain answers" true
+    (Material.Materializability.is_materialization_for ?max_extra o d
+       (Material.Materializability.default_pool o d)
+       b)
+
 let test_materialization_horn () =
   (* Horn ontologies have materializations (the chase). *)
   let d = inst [ ("A", [ "a" ]) ] in
@@ -32,7 +40,8 @@ let test_materialization_horn () =
   | Some b ->
       check "model of O" true
         (Structure.Modelcheck.is_model b (Logic.Ontology.all_sentences o_horn));
-      check "contains D" true (Structure.Instance.subset d b)
+      check "contains D" true (Structure.Instance.subset d b);
+      check_materialization o_horn d b
 
 let test_materialization_union_fails () =
   let fingers = [ "f1"; "f2"; "f3"; "f4"; "f5" ] in
@@ -44,7 +53,15 @@ let test_materialization_union_fails () =
        o_hand_union d);
   check "O2 materializable on the same instance" true
     (Material.Materializability.materializable_on ~max_model_extra:1 ~max_extra:1
-       o_hand_thumb d)
+       o_hand_thumb d);
+  let find o =
+    Material.Materializability.find_materialization ~max_model_extra:1
+      ~max_extra:1 o d
+  in
+  check "no materialization for O1 ∪ O2" true (Option.is_none (find o_hand_union));
+  match find o_hand_thumb with
+  | None -> Alcotest.fail "expected a materialization for O2"
+  | Some b -> check_materialization ~max_extra:1 o_hand_thumb d b
 
 let test_disjunctive_not_materializable () =
   (* D ⊑ A ⊔ B with D(a). *)
