@@ -40,8 +40,10 @@ type session = {
   extra_signature : Logic.Signature.t;
   (* one engine per countermodel bound 0..max_extra, grounded on first
      use (memo cells rather than Lazy.t so a per-call budget governs the
-     grounding too) and shared through the Reasoner.Engine LRU cache *)
-  engines : Reasoner.Engine.t option ref array;
+     grounding too) and shared through the Reasoner.Engine LRU cache;
+     each beside its stats baseline at acquisition, so the session
+     reports its own work, not the cached engine's lifetime *)
+  engines : (Reasoner.Engine.t * Reasoner.Stats.t) option ref array;
 }
 
 let open_session ?(max_extra = Reasoner.Problem.default_max_extra)
@@ -68,20 +70,21 @@ module Session = struct
   let engine ?budget s k =
     let cell = s.engines.(k) in
     match !cell with
-    | Some eng -> eng
+    | Some (eng, _) -> eng
     | None ->
-        let eng =
+        let acquired =
           if s.updatable then
-            Reasoner.Engine.create ?budget ~dynamic:true
-              ~extra_signature:s.extra_signature ~extra:k s.omq.ontology
-              s.instance
+            ( Reasoner.Engine.create ?budget ~dynamic:true
+                ~extra_signature:s.extra_signature ~extra:k s.omq.ontology
+                s.instance,
+              Reasoner.Stats.create () )
           else
-            Reasoner.Engine.session ?budget
+            Reasoner.Engine.acquire ?budget
               ~extra_signature:s.extra_signature ~extra:k s.omq.ontology
               s.instance
         in
-        cell := Some eng;
-        eng
+        cell := Some acquired;
+        fst acquired
 
   (* O,D ⊨ q(ā): no countermodel at any bound 0..max_extra. Bounds are
      visited in order, so a refuted tuple never grounds deeper bounds. *)
@@ -193,13 +196,16 @@ module Session = struct
       ~partial:(fun () -> ())
       (fun () -> is_consistent ~budget s)
 
-  (* Aggregated counters of the engines this session has grounded. *)
+  (* The work this session drove through its engines since acquiring
+     them, summed over bounds. *)
   let stats s =
     let acc = Reasoner.Stats.create () in
     Array.iter
       (fun cell ->
         match !cell with
-        | Some eng -> Reasoner.Stats.add ~into:acc (Reasoner.Engine.stats eng)
+        | Some (eng, baseline) ->
+            Reasoner.Stats.add ~into:acc
+              (Reasoner.Stats.diff (Reasoner.Engine.stats eng) baseline)
         | None -> ())
       s.engines;
     acc
@@ -212,7 +218,7 @@ module Session = struct
 
   let forced_engines s =
     Array.to_list s.engines
-    |> List.filter_map (fun cell -> !cell)
+    |> List.filter_map (fun cell -> Option.map fst !cell)
 
   (* Delta-update every engine this session has grounded; if any of them
      needs a rebuild (static engine, new domain element, vacated domain

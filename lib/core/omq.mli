@@ -108,7 +108,11 @@ module Session : sig
   val is_consistent_within :
     Reasoner.Budget.t -> t -> (bool, unit) Reasoner.Budget.outcome
 
-  (** Aggregated {!Reasoner.Stats} of the engines this session forced. *)
+  (** The work this session drove through the engines it forced, summed
+      over bounds: each engine's {!Reasoner.Stats} less its snapshot at
+      acquisition ({!Reasoner.Engine.acquire}). A session that borrows a
+      cached engine reports its cache hit and its own solves, not the
+      grounding or solves of earlier sessions. *)
   val stats : t -> Reasoner.Stats.t
 end
 

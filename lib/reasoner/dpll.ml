@@ -33,6 +33,7 @@ type t = {
   mutable heap_pos : int array;  (* var -> index in heap, -1 if absent *)
   mutable heap_size : int;
   mutable heap_dirty : bool;  (* bulk activity writes since last rebuild *)
+  mutable decision : bool array;  (* var may be branched on (default true) *)
   mutable phase : bool array;
   mutable seen : bool array;  (* scratch for conflict analysis *)
   mutable scratch : int array;  (* scratch for clause simplification *)
@@ -71,6 +72,7 @@ let make ~nvars =
     heap_pos = Array.init (max nvars 1) (fun i -> if i < nvars then i else -1);
     heap_size = nvars;
     heap_dirty = false;
+    decision = Array.make (max nvars 1) true;
     phase = Array.make (max nvars 1) false;
     seen = Array.make (max nvars 1) false;
     scratch = Array.make 16 0;
@@ -88,11 +90,12 @@ let grow_array a n def =
     bigger
   end
 
-(* The VSIDS order heap: a binary max-heap of unassigned variables by
-   activity, so [decide] is O(log n) instead of a scan over all
-   variables. Deletion is lazy — a variable assigned by propagation
-   stays in the heap until [decide] pops and skips it; [cancel_until]
-   re-inserts the variables it unassigns. *)
+(* The VSIDS order heap: a binary max-heap of unassigned decision
+   variables by activity, so [decide] is O(log n) instead of a scan over
+   all variables. Deletion is lazy — a variable assigned by propagation
+   (or stripped of its decision flag) stays in the heap until [decide]
+   pops and skips it; [cancel_until] re-inserts the decision variables
+   it unassigns. *)
 
 let heap_swap s i j =
   let u = s.heap.(i) and v = s.heap.(j) in
@@ -136,7 +139,7 @@ let heap_sift_down s i =
   done
 
 let heap_insert s v =
-  if s.heap_pos.(v) < 0 then begin
+  if s.heap_pos.(v) < 0 && s.decision.(v) then begin
     s.heap.(s.heap_size) <- v;
     s.heap_pos.(v) <- s.heap_size;
     s.heap_size <- s.heap_size + 1;
@@ -159,13 +162,14 @@ let heap_pop s =
 (* Repair the heap order for [v] after its activity increased. *)
 let heap_update s v = if s.heap_pos.(v) >= 0 then heap_sift_up s s.heap_pos.(v)
 
-(* Rebuild from every unassigned variable — for callers that overwrite
-   activities in bulk (one-shot seeding) rather than through [bump]. *)
+(* Rebuild from every unassigned decision variable — for callers that
+   overwrite activities in bulk (one-shot seeding) rather than through
+   [bump]. *)
 let heap_rebuild s =
   Array.fill s.heap_pos 0 (Array.length s.heap_pos) (-1);
   s.heap_size <- 0;
   for v = 0 to s.nvars - 1 do
-    if s.assign.(v) = 0 then begin
+    if s.assign.(v) = 0 && s.decision.(v) then begin
       s.heap.(s.heap_size) <- v;
       s.heap_pos.(v) <- s.heap_size;
       s.heap_size <- s.heap_size + 1
@@ -185,6 +189,7 @@ let ensure_nvars s n =
     s.trail <- grow_array s.trail n 0;
     s.activity <- grow_array s.activity n 0.0;
     s.phase <- grow_array s.phase n false;
+    s.decision <- grow_array s.decision n true;
     s.seen <- grow_array s.seen n false;
     s.heap <- grow_array s.heap n 0;
     s.heap_pos <- grow_array s.heap_pos n (-1);
@@ -194,6 +199,15 @@ let ensure_nvars s n =
       heap_insert s v
     done
   end
+
+(* [set_decision_var s v b] lets the search branch on variable v (b) or
+   not (lazily: a stripped variable already in the heap is skipped when
+   popped). *)
+let set_decision_var s v b =
+  ensure_nvars s v;
+  let v = v - 1 in
+  s.decision.(v) <- b;
+  if b && s.assign.(v) = 0 then heap_insert s v
 
 (* Decision levels can exceed nvars when assumptions open dummy levels. *)
 let ensure_levels s n = s.trail_lim <- grow_array s.trail_lim n 0
@@ -497,12 +511,25 @@ let analyze s conflict_ci =
   in
   (Array.of_list lits, backjump)
 
+(* The next branching variable: the most active unassigned decision
+   variable. Once the heap is exhausted, every variable should be
+   assigned — callers strip the flag only from variables that unit
+   propagation defines from the decision variables — but a trail shorter
+   than [nvars] says otherwise, and then the lowest unassigned variable
+   is decided, so completeness never rests on that invariant. *)
 let decide s =
   let best = ref (-1) in
   while !best = -1 && s.heap_size > 0 do
     let v = heap_pop s in
-    if s.assign.(v) = 0 then best := v
+    if s.assign.(v) = 0 && s.decision.(v) then best := v
   done;
+  if !best = -1 && s.trail_size < s.nvars then begin
+    let v = ref 0 in
+    while s.assign.(!v) <> 0 do
+      incr v
+    done;
+    best := !v
+  end;
   if !best = -1 then None
   else begin
     let v = !best in

@@ -30,6 +30,16 @@ val assert_clause : t -> int list -> unit
     modified. *)
 val assert_clause_slice : t -> int array -> int -> int -> unit
 
+(** [set_decision_var s v b] marks variable [v] as one the search may
+    branch on ([b = true], the default for every variable) or not, as
+    MiniSat's [setDecisionVar]. Clear it on variables that unit
+    propagation fixes once the decision variables are set (Tseitin
+    auxiliaries): the search then branches only on the rest, at their
+    saved phase ([false] first). Verdicts stay complete either way — a
+    variable left unassigned when no decision variable remains is
+    decided anyway, so a model always assigns every variable. *)
+val set_decision_var : t -> int -> bool -> unit
+
 (** Seed branching activity from a clause (Jeroslow-Wang-ish weights);
     call before {!assert_clause} when building a solver incrementally. *)
 val seed_clause : t -> int list -> unit

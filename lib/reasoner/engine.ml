@@ -35,6 +35,7 @@ type t = {
   mutable fact_assumptions : int list;
   ground : Ground.t;
   solver : Dpll.t;
+  mutable synced_vars : int;  (* variables already sorted into facts/auxiliaries *)
   reified : (Logic.Formula.t * (string * Structure.Element.t) list, int) Hashtbl.t;
   (* per-session caches for the per-tuple hot path: the formula of each
      disjunct (physical keys — sessions see a handful of CQs, each
@@ -78,9 +79,19 @@ let with_budget t b f =
     f
 
 (* Push clauses produced by the grounder since the last sync into the
-   persistent solver, straight from the clause arena. *)
+   persistent solver, straight from the clause arena. New Tseitin
+   auxiliaries lose their decision flag: propagation fixes them from the
+   facts, so the solver branches on facts alone, false first, and a
+   countermodel holds only the facts O and D force — a near-minimal
+   witness that refutes every non-answer at once on Horn inputs. *)
 let sync t =
-  Dpll.ensure_nvars t.solver (Ground.nvars t.ground);
+  let n = Ground.nvars t.ground in
+  Dpll.ensure_nvars t.solver n;
+  for v = t.synced_vars + 1 to n do
+    if not (Ground.is_fact_var t.ground v) then
+      Dpll.set_decision_var t.solver v false
+  done;
+  t.synced_vars <- n;
   Ground.iter_pending t.ground (fun buf off len ->
       Dpll.seed_clause_slice t.solver buf off len;
       Dpll.assert_clause_slice t.solver buf off len)
@@ -132,6 +143,7 @@ let create ?(extra_signature = Logic.Signature.empty) ?(budget = Budget.unlimite
           fact_assumptions;
           ground = g;
           solver = Dpll.make ~nvars:(Ground.nvars g);
+          synced_vars = 0;
           reified = Hashtbl.create 64;
           cq_formulas = [];
           signed = [];
@@ -481,7 +493,10 @@ let set_cache_capacity n =
 let clear_cache () = Hashtbl.reset (registry ()).sessions
 let cached_sessions () = Hashtbl.length (registry ()).sessions
 
-let session ?extra_signature ?budget ~extra o d =
+(* The baseline is the engine's record before this lookup: a cached
+   engine's lifetime counters belong to earlier borrowers, a fresh
+   engine's all belong to this one. *)
+let acquire ?extra_signature ?budget ~extra o d =
   let r = registry () in
   let key = (digest_ontology o, digest_instance d, extra) in
   r.clock <- r.clock + 1;
@@ -489,9 +504,10 @@ let session ?extra_signature ?budget ~extra o d =
   | Some e ->
       e.stamp <- r.clock;
       let t = e.engine in
+      let baseline = Stats.copy t.stats in
       tally t (fun s -> s.Stats.cache_hits <- s.Stats.cache_hits + 1);
       Obs.Trace.event ~attrs:[ ("extra", Obs.Trace.Int extra) ] "engine.cache_hit";
-      t
+      (t, baseline)
   | None ->
       Obs.Trace.event ~attrs:[ ("extra", Obs.Trace.Int extra) ] "engine.cache_miss";
       let t = create ?extra_signature ?budget ~extra o d in
@@ -500,7 +516,10 @@ let session ?extra_signature ?budget ~extra o d =
         Hashtbl.replace r.sessions key { engine = t; stamp = r.clock };
         evict_to r r.capacity
       end;
-      t
+      (t, Stats.create ())
+
+let session ?extra_signature ?budget ~extra o d =
+  fst (acquire ?extra_signature ?budget ~extra o d)
 
 (* ------------------------------------------------------------------ *)
 (* Iterative deepening over cached sessions                             *)

@@ -117,6 +117,20 @@ val session :
   Structure.Instance.t ->
   t
 
+(** {!session}, paired with a snapshot of the engine's {!stats} taken
+    before this lookup (all zero when the lookup grounded the engine).
+    [Stats.diff (stats t) baseline] is then the work done since the
+    borrower acquired it — its own grounding or cache hit, solves and
+    memo traffic — rather than the lifetime counters of a cached engine
+    that earlier borrowers also drove. *)
+val acquire :
+  ?extra_signature:Logic.Signature.t ->
+  ?budget:Budget.t ->
+  extra:int ->
+  Logic.Ontology.t ->
+  Structure.Instance.t ->
+  t * Stats.t
+
 val set_cache_capacity : int -> unit
 val clear_cache : unit -> unit
 

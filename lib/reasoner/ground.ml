@@ -142,6 +142,16 @@ let fact_var t (f : Structure.Instance.fact) =
       info.base + !rank
   | _ -> outside ()
 
+(* Fact variables fill the relation blocks; every other variable is a
+   Tseitin auxiliary. [rels_rev] lists the blocks by descending base, so
+   the first block starting at or below [v] is the only one that can
+   hold it — for auxiliaries allocated after the last registration, the
+   head of the list. *)
+let is_fact_var t v =
+  match List.find_opt (fun (_, info) -> info.base <= v) t.rels_rev with
+  | Some (_, info) -> v < info.base + info.count
+  | None -> false
+
 let fresh_aux t =
   t.nvars <- t.nvars + 1;
   t.nvars

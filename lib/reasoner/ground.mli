@@ -41,6 +41,15 @@ val set_budget : t -> Budget.t -> unit
     @raise Invalid_argument for facts outside the signature/domain. *)
 val fact_var : t -> Structure.Instance.fact -> int
 
+(** [is_fact_var t v] holds when SAT variable [v] is a fact variable (in
+    some relation's block) rather than a Tseitin auxiliary. Every
+    auxiliary the grounder emits is defined by a full equivalence over
+    fact variables and earlier auxiliaries, so unit propagation fixes it
+    once the facts are set — a solver need only branch on fact
+    variables (see {!Dpll.set_decision_var}). Constant time for
+    variables allocated after the last relation was registered. *)
+val is_fact_var : t -> int -> bool
+
 (** Admit further relations after creation, registering their fact
     variables after the existing ones (idempotent). Used by sessions
     answering queries whose signature was unknown at grounding time. *)

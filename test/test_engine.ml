@@ -12,9 +12,31 @@ let qa = cq ~name:"qa" ~answer:[ "x" ] [ ("A", [ v "x" ]) ]
 let qb = cq ~name:"qb" ~answer:[ "x" ] [ ("B", [ v "x" ]) ]
 let qab = ucq ~name:"qab" [ qa; qb ]
 
+(* Counting, disjunction and an inverse role, as in the hard corpus
+   item of the parallel tests:
+   D ⊑ A ⊔ B,  A ⊑ ≥3 R.B,  B ⊑ ∃R⁻.D. Over a 7-element instance the
+   counting node grounds by subset expansion at bounds 0 and 1 and as a
+   sequential-counter ladder at bound 2 (C(9,3) = 84 subsets), so the
+   engine's decision-variable split meets both kinds of auxiliary. *)
+let o_count =
+  let module F = Logic.Formula in
+  Logic.Ontology.make
+    [ forall_eq "x"
+        (F.Implies (atom "D" [ v "x" ], F.Or (atom "A" [ v "x" ], atom "B" [ v "x" ])));
+      forall_eq "x"
+        (F.Implies
+           ( atom "A" [ v "x" ],
+             F.CountGeq (3, "y", F.And (atom "R" [ v "x"; v "y" ], atom "B" [ v "y" ])) ));
+      forall_eq "x"
+        (F.Implies
+           ( atom "B" [ v "x" ],
+             F.Exists ([ "y" ], F.And (atom "R" [ v "y"; v "x" ], atom "D" [ v "y" ])) ));
+    ]
+
 (* 1. Engine and Bounded agree on consistency, certain answers and
-   certain disjunctions for random instances against a Horn and a
-   disjunctive ontology, at every deepening ceiling 0..2. *)
+   certain disjunctions for random instances against a Horn, a
+   disjunctive and a counting ontology, at every deepening ceiling
+   0..2. *)
 let test_engine_vs_bounded =
   QCheck.Test.make ~name:"engine agrees with Bounded at bounds 0-2" ~count:12
     QCheck.(pair (int_bound 100000) (int_range 0 2))
@@ -24,9 +46,10 @@ let test_engine_vs_bounded =
         Logic.Signature.of_list [ ("A", 1); ("B", 1); ("D", 1); ("R", 2) ]
       in
       let d = Structure.Randgen.nonempty_instance ~rng ~signature ~size:3 ~p:0.35 in
-      let dom = Structure.Instance.domain_list d in
+      let wide = Structure.Randgen.nonempty_instance ~rng ~signature ~size:7 ~p:0.35 in
       List.for_all
-        (fun o ->
+        (fun (o, d) ->
+          let dom = Structure.Instance.domain_list d in
           Bool.equal
             (Reasoner.Engine.is_consistent_upto ~max_extra o d)
             (Reasoner.Bounded.is_consistent ~max_extra o d)
@@ -47,7 +70,7 @@ let test_engine_vs_bounded =
                    (Reasoner.Engine.certain_disjunction_upto ~max_extra o d pointed)
                    (Reasoner.Bounded.certain_disjunction ~max_extra o d pointed))
                dom)
-        [ o_horn; o_disj ])
+        [ (o_horn, d); (o_disj, d); (o_count, wide) ])
 
 (* 2. A session grounds once and answers many: repeated tuple checks on
    the same (O, D, extra) reuse the cached engine. *)
@@ -99,6 +122,53 @@ let test_session_stats () =
   check "certain C at the chain head" true (List.mem [ e "a" ] answers);
   check "grounded at least one bound" true ((Omq.Session.stats s).groundings > 0)
 
+(* 4b. A session borrowing a cached engine reports its own work: its
+   cache hit and its own solves, not the grounding and solves of the
+   session that built the engine. *)
+let test_borrowed_session_stats () =
+  Omq.clear_caches ();
+  let omq = Omq.of_cq o_horn qc in
+  let d = inst [ ("A", [ "a" ]); ("R", [ "a"; "b" ]) ] in
+  let run () =
+    let s = Omq.open_session ~max_extra:1 omq d in
+    ignore (Omq.Session.certain_answers s);
+    Omq.Session.stats s
+  in
+  let first = run () in
+  let g0 = Reasoner.Stats.copy (Reasoner.Stats.global ()) in
+  let second = run () in
+  let spent = Reasoner.Stats.diff (Reasoner.Stats.global ()) g0 in
+  check_int "first session grounds both bounds" 2 first.groundings;
+  check_int "second session grounds nothing" 0 second.groundings;
+  check_int "second session hits the cache per bound" 2 second.cache_hits;
+  check "second session solved" true (second.solves > 0);
+  check_int "second session reports only its own solves" spent.solves
+    second.solves
+
+(* 4c. Witness quality on a Horn input (the bulk-eval ontology and query
+   shape over a fixed random instance): the solver branches on facts
+   only, false first, so the first countermodel holds just the facts O
+   and D force and refutes every non-answer. Each answer costs one
+   unsatisfiable solve per bound 0..2; all non-answers together cost
+   one satisfiable solve. *)
+let test_horn_witness_refutes_in_bulk () =
+  Omq.clear_caches ();
+  let tbox =
+    Dl.Parser.parse_tbox "C0 << C1\nexists r0 . C1 << C2\nC2 << exists r3 . C3\n"
+  in
+  let q = Query.Parse.ucq_of_string "q(x) <- r0(x,y), C2(x), C1(y)" in
+  let d =
+    Structure.Randgen.large ~rng:(Random.State.make [| 7 |]) ~nconst:30
+      ~unary_p:0.1 ~nfacts:300 ()
+  in
+  let s = Omq.open_session ~max_extra:2 (Omq.of_tbox tbox q) d in
+  let answers = List.length (Omq.Session.certain_answers s) in
+  check "some answers, some non-answers" true
+    (answers > 0 && answers < Structure.Instance.domain_size d);
+  check_int "one solve per answer and bound, one for all non-answers"
+    ((answers * 3) + 1)
+    (Omq.Session.stats s).solves
+
 (* 5. rewritten_certain is result-typed: single CQs evaluate, proper
    unions are rejected rather than raising. *)
 let test_rewritten_result () =
@@ -130,6 +200,9 @@ let suite =
     Alcotest.test_case "cache_accounting" `Quick test_cache_accounting;
     Alcotest.test_case "cache_eviction" `Quick test_cache_eviction;
     Alcotest.test_case "session_stats" `Quick test_session_stats;
+    Alcotest.test_case "borrowed_session_stats" `Quick test_borrowed_session_stats;
+    Alcotest.test_case "horn_witness_refutes_in_bulk" `Quick
+      test_horn_witness_refutes_in_bulk;
     Alcotest.test_case "rewritten_result" `Quick test_rewritten_result;
     Alcotest.test_case "streaming" `Quick test_streaming;
   ]

@@ -1,4 +1,10 @@
 let () =
+  (* The server and chaos suites run clients and daemons in this
+     process. A daemon ignores SIGPIPE only while it runs, so a client
+     write racing a daemon's exit (or a connection it dropped) would
+     kill the whole test process; ignore it here so the write fails
+     with EPIPE, which the clients report as an error. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "omq-guarded"
     [
       ("logic", Test_logic.suite);

@@ -183,14 +183,22 @@ let expect_ok name (r : Corpus.result_one) =
 (* Fuel is deterministic (propagations + conflicts), so a separating
    budget provably exists: sweep until the cheap items complete and the
    hard one trips, then check the cheap verdicts equal the unbudgeted
-   ones — the sibling trip changed nothing for them. *)
+   ones — the sibling trip changed nothing for them. Every run starts
+   cold: the pool reuses the calling domain as worker 0, and a session
+   warmed by an earlier run (engines, witness, learned clauses) settles
+   the hard item on a few propagations, so it is no longer the expensive
+   one. *)
+let cold_run ?fuel () =
+  Omq.clear_caches ();
+  Corpus.run ?fuel ~jobs:2 mixed_task mixed_items
+
 let test_fuel_trips_only_the_expensive_item () =
-  let unbudgeted = projected (Corpus.run ~jobs:2 mixed_task mixed_items) in
+  let unbudgeted = projected (cold_run ()) in
   let rec sweep fuel =
     if fuel > 1 lsl 24 then
       Alcotest.fail "no separating fuel found (hard item too cheap)"
     else
-      let report = Corpus.run ~fuel ~jobs:2 mixed_task mixed_items in
+      let report = cold_run ~fuel () in
       match List.map (fun r -> r.Corpus.outcome) report.Corpus.results with
       | [ Ok _; Error { reason = Reasoner.Budget.Fuel; _ }; Ok _ ] -> report
       | _ -> sweep (fuel * 2)

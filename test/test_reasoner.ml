@@ -22,6 +22,21 @@ let test_dpll_enumerate () =
   let ms = Reasoner.Dpll.enumerate ~nvars:2 ~project:[ 1; 2 ] [ [ 1; 2 ] ] in
   Alcotest.(check int) "three models" 3 (List.length ms)
 
+(* Variables without the decision flag still get values: once no
+   decision variable is left, the search decides the unassigned rest, so
+   the model satisfies every clause and the unconstrained variable 3 is
+   decided too (two decisions: 1, then 3; 2 is propagated). *)
+let test_dpll_decision_safety_net () =
+  let s = Reasoner.Dpll.make ~nvars:3 in
+  Reasoner.Dpll.assert_clause s [ 1; 2 ];
+  List.iter (fun v -> Reasoner.Dpll.set_decision_var s v false) [ 1; 2; 3 ];
+  match Reasoner.Dpll.solve_assuming s [] with
+  | Reasoner.Dpll.Unsat -> Alcotest.fail "satisfiable clause set refuted"
+  | Reasoner.Dpll.Sat m ->
+      check "clause satisfied" true (m.(0) || m.(1));
+      let decisions, _, _ = Reasoner.Dpll.counters s in
+      Alcotest.(check int) "every variable assigned" 2 decisions
+
 let test_dpll_vs_brute =
   QCheck.Test.make ~name:"dpll agrees with brute force" ~count:60
     QCheck.(pair (int_bound 10000) (int_range 1 4))
@@ -203,6 +218,8 @@ let suite =
   [
     Alcotest.test_case "dpll_basic" `Quick test_dpll_basic;
     Alcotest.test_case "dpll_enumerate" `Quick test_dpll_enumerate;
+    Alcotest.test_case "dpll_decision_safety_net" `Quick
+      test_dpll_decision_safety_net;
     QCheck_alcotest.to_alcotest test_dpll_vs_brute;
     Alcotest.test_case "consistency" `Quick test_consistency;
     Alcotest.test_case "certain_disjunctive" `Quick test_certain_disjunctive;
