@@ -32,7 +32,6 @@ type t = {
   mutable heap : int array;  (* binary max-heap of variables by activity *)
   mutable heap_pos : int array;  (* var -> index in heap, -1 if absent *)
   mutable heap_size : int;
-  mutable heap_dirty : bool;  (* bulk activity writes since last rebuild *)
   mutable decision : bool array;  (* var may be branched on (default true) *)
   mutable phase : bool array;
   mutable seen : bool array;  (* scratch for conflict analysis *)
@@ -71,7 +70,6 @@ let make ~nvars =
     heap = Array.init (max nvars 1) (fun i -> i);
     heap_pos = Array.init (max nvars 1) (fun i -> if i < nvars then i else -1);
     heap_size = nvars;
-    heap_dirty = false;
     decision = Array.make (max nvars 1) true;
     phase = Array.make (max nvars 1) false;
     seen = Array.make (max nvars 1) false;
@@ -162,9 +160,10 @@ let heap_pop s =
 (* Repair the heap order for [v] after its activity increased. *)
 let heap_update s v = if s.heap_pos.(v) >= 0 then heap_sift_up s s.heap_pos.(v)
 
-(* Rebuild from every unassigned decision variable — for callers that
-   overwrite activities in bulk (one-shot seeding) rather than through
-   [bump]. *)
+(* Rebuild from every unassigned decision variable — only for the
+   one-shot [solve]/[solve_iter], which overwrite every activity in bulk
+   and then search once. Incremental seeding and [bump] repair the heap
+   per write instead. *)
 let heap_rebuild s =
   Array.fill s.heap_pos 0 (Array.length s.heap_pos) (-1);
   s.heap_size <- 0;
@@ -324,7 +323,7 @@ let assert_scratch s len =
   let m = dedup_scan s.scratch len in
   if m >= 0 then begin
     (* abs-sorted, so the last literal carries the largest variable *)
-    if m > 0 then ensure_nvars s (abs s.scratch.(m - 1) + 1);
+    if m > 0 then ensure_nvars s (abs s.scratch.(m - 1));
     let sat = ref false in
     let k = ref 0 in
     for i = 0 to m - 1 do
@@ -371,24 +370,25 @@ let assert_clause_slice s a off len =
   end
 
 (* Seed branching activity from a clause (Jeroslow-Wang-ish weights),
-   for solvers built incrementally rather than via one-shot [solve]. *)
+   for solvers built incrementally rather than via one-shot [solve].
+   Seeding only raises activities, so each write is repaired in place
+   by sifting the variable up (MiniSat's order-heap discipline) and the
+   next solve starts from a valid heap, with no rebuild. *)
+let seed_lit s w l =
+  let v = lit_var l in
+  ensure_nvars s (v + 1);
+  s.activity.(v) <- s.activity.(v) +. w;
+  heap_update s v
+
 let seed_clause s c =
   let w = 2.0 ** float_of_int (-min (List.length c) 30) in
-  List.iter
-    (fun l ->
-      ensure_nvars s (lit_var l + 1);
-      s.activity.(lit_var l) <- s.activity.(lit_var l) +. w)
-    c;
-  s.heap_dirty <- true
+  List.iter (seed_lit s w) c
 
 let seed_clause_slice s a off len =
   let w = 2.0 ** float_of_int (-min len 30) in
   for i = off to off + len - 1 do
-    let l = a.(i) in
-    ensure_nvars s (lit_var l + 1);
-    s.activity.(lit_var l) <- s.activity.(lit_var l) +. w
-  done;
-  s.heap_dirty <- true
+    seed_lit s w a.(i)
+  done
 
 (* Two-watched-literal unit propagation; returns the conflicting clause
    index, or -1. *)
@@ -585,11 +585,6 @@ let search ?(budget = Budget.unlimited) s assumptions =
   Array.iter (fun l -> ensure_nvars s (lit_var l + 1)) assumptions;
   ensure_levels s (Array.length assumptions + s.nvars + 1);
   cancel_until s 0;
-  if s.heap_dirty then begin
-    (* bulk seeding bypassed per-write heap repair; one rebuild here *)
-    heap_rebuild s;
-    s.heap_dirty <- false
-  end;
   if s.broken then false
   else begin
     let restart_budget = ref 100 in
@@ -700,8 +695,8 @@ let solve ?budget ~nvars clauses =
     s.activity.(v) <- pos.(v) +. neg.(v);
     s.phase.(v) <- pos.(v) >= neg.(v)
   done;
-  s.heap_dirty <- true;
   List.iter (fun c -> assert_clause s c) clauses;
+  heap_rebuild s;
   solve_assuming ?budget s []
 
 (* Same one-shot solve over a clause *iterator*: [iter f] must call
@@ -724,8 +719,8 @@ let solve_iter ?budget ~nvars iter =
     s.activity.(v) <- pos.(v) +. neg.(v);
     s.phase.(v) <- pos.(v) >= neg.(v)
   done;
-  s.heap_dirty <- true;
   iter (fun buf off len -> assert_clause_slice s buf off len);
+  heap_rebuild s;
   solve_assuming ?budget s []
 
 let lit_true model l = if l > 0 then model.(l - 1) else not model.(-l - 1)

@@ -41,7 +41,12 @@ val assert_clause_slice : t -> int array -> int -> int -> unit
 val set_decision_var : t -> int -> bool -> unit
 
 (** Seed branching activity from a clause (Jeroslow-Wang-ish weights);
-    call before {!assert_clause} when building a solver incrementally. *)
+    call before {!assert_clause} when building a solver incrementally.
+    Seeding only raises activities, so each literal's variable is
+    bumped and sifted up in the order heap in place (MiniSat's
+    discipline): the heap stays valid and no solve pays a rebuild over
+    every variable, however many clauses arrive between solves.
+    Registers unseen variables. *)
 val seed_clause : t -> int list -> unit
 
 (** {!seed_clause} for an arena slice. *)
@@ -66,7 +71,9 @@ val is_broken : t -> bool
 (** Cumulative (decisions, propagations, conflicts). *)
 val counters : t -> int * int * int
 
-(** One-shot solve. May raise {!Budget.Exhausted} when budgeted. *)
+(** One-shot solve. Activities and phases are set in bulk from
+    occurrence counts and the order heap is rebuilt once, at the single
+    search. May raise {!Budget.Exhausted} when budgeted. *)
 val solve : ?budget:Budget.t -> nvars:int -> int list list -> result
 
 (** One-shot solve over a clause iterator: [iter f] must call

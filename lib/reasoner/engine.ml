@@ -83,18 +83,29 @@ let with_budget t b f =
    auxiliaries lose their decision flag: propagation fixes them from the
    facts, so the solver branches on facts alone, false first, and a
    countermodel holds only the facts O and D force — a near-minimal
-   witness that refutes every non-answer at once on Horn inputs. *)
+   witness that refutes every non-answer at once on Horn inputs. The
+   [engine.sync] span carries the clauses pushed and the variables
+   admitted, so clause loading is visible apart from grounding (at
+   creation) and settlement (per candidate). *)
 let sync t =
+  Obs.Trace.with_span "engine.sync" @@ fun () ->
   let n = Ground.nvars t.ground in
+  let fresh = n - t.synced_vars in
   Dpll.ensure_nvars t.solver n;
   for v = t.synced_vars + 1 to n do
     if not (Ground.is_fact_var t.ground v) then
       Dpll.set_decision_var t.solver v false
   done;
   t.synced_vars <- n;
+  let clauses = ref 0 in
   Ground.iter_pending t.ground (fun buf off len ->
+      incr clauses;
       Dpll.seed_clause_slice t.solver buf off len;
-      Dpll.assert_clause_slice t.solver buf off len)
+      Dpll.assert_clause_slice t.solver buf off len);
+  if Obs.Trace.enabled () then begin
+    Obs.Trace.add_attr "clauses" (Obs.Trace.Int !clauses);
+    Obs.Trace.add_attr "vars" (Obs.Trace.Int fresh)
+  end
 
 (* The grounding memo counts its traffic in [Stats.global] directly
    (it is process-wide, not per-session); [f]'s delta is mirrored into

@@ -4,9 +4,10 @@ module ETbl = Structure.Element.Tbl
 
 (* Grounding of FO(=, counting) sentences over a fixed finite domain into
    propositional clauses. One SAT variable per possible fact; Tseitin
-   auxiliaries for the structure. Distinct domain elements are distinct
-   (standard names for constants; labelled nulls are kept distinct —
-   models with fused nulls are covered by smaller domains).
+   auxiliaries for the structure that plain CNF cannot take (see
+   [assert_g]). Distinct domain elements are distinct (standard names
+   for constants; labelled nulls are kept distinct — models with fused
+   nulls are covered by smaller domains).
 
    The hot path is integer-only (see DESIGN.md, "hot-path data layout"):
 
@@ -20,7 +21,7 @@ module ETbl = Structure.Element.Tbl
      constants and env-bound free variables are resolved to fixed
      domain positions at compile time. Quantifier expansion then loops
      over positions without allocating environments.
-   - Tseitin clauses land in a growable flat [int] arena encoded as
+   - Clauses land in a growable flat [int] arena encoded as
      [len; lit_1; ..; lit_len] records, consumed by {!Dpll} as slices.
    - A bounded, process-wide memo keyed by (operation, |dom|, compiled
      formula) replays the emitted clause slice of a structurally
@@ -542,14 +543,23 @@ and expand t slots ss sign g =
 (* ------------------------------------------------------------------ *)
 
 (* Assert a ground circuit at top level (avoiding an auxiliary for the
-   outermost and/or). *)
+   outermost and/or). A disjunction whose only non-literal part is one
+   conjunction is distributed — l_1 ∨ .. ∨ l_k ∨ (c_1 ∧ .. ∧ c_m) is
+   asserted as the m disjunctions c_j ∨ l_1 ∨ .. ∨ l_k, recursively —
+   which is the plain CNF of Horn axioms such as ∃r.C ⊑ D, C ⊑ ∀r.D and
+   C ⊑ D ⊓ E: one clause per leaf and no auxiliary, where Tseitin would
+   reify every conjunct. Every other shape keeps Tseitin. *)
 let rec assert_g t g =
   match g with
   | GTrue -> ()
   | GFalse -> emit_clause0 t
   | GLit l -> emit_clause1 t l
   | GAnd parts -> List.iter (assert_g t) parts
-  | GOr parts -> emit_clause_list t (List.map (lit_of t) parts)
+  | GOr parts -> (
+      match List.partition (function GLit _ -> true | _ -> false) parts with
+      | lits, [ GAnd conj ] ->
+          List.iter (fun c -> assert_g t (gor (c :: lits))) conj
+      | _ -> emit_clause_list t (List.map (lit_of t) parts))
 
 (* ------------------------------------------------------------------ *)
 (* The cross-session circuit memo                                       *)

@@ -3,11 +3,18 @@
     Tseitin auxiliaries for structure). Together with {!Dpll} this gives
     the bounded model finder {!Bounded}.
 
+    Asserted Horn shapes need no auxiliaries: a disjunction whose only
+    non-literal part is one conjunction is distributed into one clause
+    per conjunct, recursively, so [∃r.C ⊑ D], [C ⊑ ∀r.D] and
+    [C ⊑ D ⊓ E] ground to their plain CNF. Every other shape is
+    Tseitin-encoded. Either way the models over fact variables are
+    those of the sentence.
+
     The hot path is integer-only: domain elements are interned to dense
     positions, fact variables are computed as
     [relation_base + mixed-radix tuple rank], sentences are compiled to
-    slot-resolved form before quantifier expansion, and Tseitin clauses
-    land in a flat [int] arena consumed by the solver as slices. A
+    slot-resolved form before quantifier expansion, and clauses land in
+    a flat [int] arena consumed by the solver as slices. A
     bounded domain-local memo replays the compiled ground circuit of
     structurally identical (sentence, domain size) pairs across
     sessions. See DESIGN.md, "hot-path data layout". *)

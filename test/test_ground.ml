@@ -374,8 +374,37 @@ let test_certain_agreement =
             (Structure.Instance.domain_list d))
         scenarios)
 
+(* 4. Horn axioms ground to plain CNF. Over a 4-element domain,
+   ∃r.A ⊑ B and A ⊑ ∀r.B are the 16 clauses ¬r(x,y) ∨ ¬A(y) ∨ B(x),
+   resp. ¬A(x) ∨ ¬r(x,y) ∨ B(y): the disjunction with one conjunction
+   is distributed, so no Tseitin auxiliary is allocated (a reified
+   encoding needs 5 per element and 72 clauses). *)
+let test_horn_axioms_plain_cnf () =
+  let domain = List.map e [ "a"; "b"; "c"; "d" ] in
+  let signature = Logic.Signature.of_list [ ("A", 1); ("B", 1); ("r", 2) ] in
+  let facts = 4 + 4 + 16 in
+  List.iter
+    (fun axiom ->
+      let g = Reasoner.Ground.create ~domain ~signature () in
+      List.iter
+        (Reasoner.Ground.assert_formula g)
+        (Logic.Ontology.all_sentences
+           (Dl.Translate.tbox (Dl.Parser.parse_tbox axiom)));
+      let clauses = ref 0 in
+      Reasoner.Ground.iter_pending g (fun _ _ len ->
+          incr clauses;
+          Alcotest.(check int) (axiom ^ ": ternary clause") 3 len);
+      Alcotest.(check int) (axiom ^ ": clauses") 16 !clauses;
+      Alcotest.(check int) (axiom ^ ": no auxiliaries") facts
+        (Reasoner.Ground.nvars g))
+    [ "exists r . A << B"; "A << forall r . B" ]
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suite =
   qsuite
     [ test_sat_agreement; test_enumerate_agreement; test_certain_agreement ]
+  @ [
+      Alcotest.test_case "horn axioms ground to plain cnf" `Quick
+        test_horn_axioms_plain_cnf;
+    ]

@@ -199,6 +199,33 @@ let test_span_nesting () =
     [ "omq.query"; "omq.certain"; "engine.ground"; "ground.build";
       "engine.solve"; "dpll.solve" ]
 
+(* Clause loading has its own span: the first sync runs inside
+   engine.ground and loads the whole grounding; every sync reports the
+   clauses it pushed and the variables it admitted. *)
+let test_sync_span () =
+  let _, c = traced_answers () in
+  let spans = Trace.spans c in
+  let syncs =
+    List.filter (fun (s : Trace.span) -> s.name = "engine.sync") spans
+  in
+  Alcotest.(check bool) "engine.sync spans present" true (syncs <> []);
+  let int_attr (s : Trace.span) k =
+    match List.assoc_opt k s.attrs with
+    | Some (Trace.Int n) -> n
+    | _ -> Alcotest.failf "engine.sync without an int %s attribute" k
+  in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) "non-negative counts" true
+        (int_attr s "clauses" >= 0 && int_attr s "vars" >= 0))
+    syncs;
+  let first = List.hd syncs in
+  let parent = List.find (fun (s : Trace.span) -> s.id = first.parent) spans in
+  check Alcotest.string "first sync under engine.ground" "engine.ground"
+    parent.name;
+  Alcotest.(check bool) "first sync loads clauses and variables" true
+    (int_attr first "clauses" > 0 && int_attr first "vars" > 0)
+
 let test_manual_nesting () =
   let (), c =
     Trace.collect (fun () ->
@@ -463,6 +490,8 @@ let suite =
   [
     Alcotest.test_case "traced run: spans nest well-formed" `Quick
       test_span_nesting;
+    Alcotest.test_case "engine.sync span: clause loading counted" `Quick
+      test_sync_span;
     Alcotest.test_case "manual spans: parentage and event attribution" `Quick
       test_manual_nesting;
     Alcotest.test_case "exception unwinding closes every span" `Quick

@@ -72,6 +72,82 @@ let test_dpll_vs_brute =
         | Reasoner.Dpll.Sat _ -> true
         | Reasoner.Dpll.Unsat -> false))
 
+(* A solver made for n variables stays at n when its clauses mention
+   variable n: the model has exactly one entry per variable. *)
+let test_dpll_model_length () =
+  let n = 5 in
+  let s = Reasoner.Dpll.make ~nvars:n in
+  List.iter (Reasoner.Dpll.assert_clause s) [ [ 1; -2 ]; [ 2; n ]; [ -n; 3 ] ];
+  match Reasoner.Dpll.solve_assuming s [ -1 ] with
+  | Reasoner.Dpll.Unsat -> Alcotest.fail "satisfiable clause set refuted"
+  | Reasoner.Dpll.Sat m ->
+      Alcotest.(check int) "one entry per variable" n (Array.length m)
+
+(* Does the assignment [a] (index v-1 for variable v) satisfy [l]? *)
+let holds a l = if l > 0 then a.(l - 1) else not a.(-l - 1)
+
+(* The persistent solver as the engine drives it: clauses arrive in
+   batches from a flat [len; lits..] arena through the slice API (seeded,
+   then asserted), some variables lose their decision flag, and solves
+   under random assumptions are interleaved with the batches. After
+   every solve the verdict must match brute force over all clauses so
+   far plus the assumptions, and a model must satisfy all of them. *)
+let test_dpll_incremental_vs_brute =
+  QCheck.Test.make ~name:"incremental dpll agrees with brute force" ~count:80
+    QCheck.(pair (int_bound 100000) (int_range 1 6))
+    (fun (seed, nvars) ->
+      let rng = Random.State.make [| seed |] in
+      let lit () =
+        let v = 1 + Random.State.int rng nvars in
+        if Random.State.bool rng then v else -v
+      in
+      let s = Reasoner.Dpll.make ~nvars:(1 + Random.State.int rng nvars) in
+      let assignments =
+        List.init (1 lsl nvars) (fun bits ->
+            Array.init nvars (fun i -> bits land (1 lsl i) <> 0))
+      in
+      let clauses = ref [] in
+      let ok = ref true in
+      for _ = 1 to 1 + Random.State.int rng 4 do
+        let batch =
+          List.init (1 + Random.State.int rng 4) (fun _ ->
+              List.init (1 + Random.State.int rng 3) (fun _ -> lit ()))
+        in
+        let arena =
+          Array.of_list
+            (List.concat_map (fun c -> List.length c :: c) batch)
+        in
+        let i = ref 0 in
+        while !i < Array.length arena do
+          let len = arena.(!i) in
+          Reasoner.Dpll.seed_clause_slice s arena (!i + 1) len;
+          Reasoner.Dpll.assert_clause_slice s arena (!i + 1) len;
+          i := !i + len + 1
+        done;
+        clauses := batch @ !clauses;
+        if Random.State.int rng 3 = 0 then
+          Reasoner.Dpll.set_decision_var s
+            (1 + Random.State.int rng nvars)
+            false;
+        for _ = 1 to 1 + Random.State.int rng 3 do
+          let assumptions =
+            List.init (Random.State.int rng 3) (fun _ -> lit ())
+          in
+          let all = List.map (fun l -> [ l ]) assumptions @ !clauses in
+          let brute =
+            List.exists
+              (fun a -> List.for_all (List.exists (holds a)) all)
+              assignments
+          in
+          match Reasoner.Dpll.solve_assuming s assumptions with
+          | Reasoner.Dpll.Unsat -> if brute then ok := false
+          | Reasoner.Dpll.Sat m ->
+              if not (brute && List.for_all (List.exists (holds m)) all) then
+                ok := false
+        done
+      done;
+      !ok)
+
 (* ---------------------------------------------------------------- *)
 (* Bounded model finding                                             *)
 (* ---------------------------------------------------------------- *)
@@ -221,6 +297,8 @@ let suite =
     Alcotest.test_case "dpll_decision_safety_net" `Quick
       test_dpll_decision_safety_net;
     QCheck_alcotest.to_alcotest test_dpll_vs_brute;
+    Alcotest.test_case "dpll_model_length" `Quick test_dpll_model_length;
+    QCheck_alcotest.to_alcotest test_dpll_incremental_vs_brute;
     Alcotest.test_case "consistency" `Quick test_consistency;
     Alcotest.test_case "certain_disjunctive" `Quick test_certain_disjunctive;
     Alcotest.test_case "certain_horn" `Quick test_certain_horn;
