@@ -971,7 +971,7 @@ let meta_metrics () =
 
 let write_metrics path =
   let oc = open_out path in
-  output_string oc (Obs.Metrics.to_json (Obs.Metrics.global ()));
+  output_string oc (Obs.Json.render (Obs.Metrics.to_json (Obs.Metrics.global ())));
   output_char oc '\n';
   close_out oc;
   Fmt.pr "@.metrics written to %s@." path

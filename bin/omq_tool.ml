@@ -248,13 +248,6 @@ let with_tracing (c : common) f =
     | exception Sys_error m -> Error m
   end
 
-(* Stats cross into protocol frames as the Stats.to_json object,
-   re-parsed so the rendering is the daemon's. *)
-let stats_json st =
-  match P.Json.parse (Reasoner.Stats.to_json st) with
-  | Ok j -> j
-  | Error _ -> P.Json.Null
-
 let print_response resp = Fmt.pr "%s@." (P.render_response resp)
 
 (* ------------------------------------------------------------------ *)
@@ -338,9 +331,14 @@ let eval_cmd =
     let* d = load_instance data in
     let* q = load_query query in
     if explain then
-      Fmt.pr "{\"plans\":[%s]}@."
-        (String.concat ","
-           (List.map (Query.Cq.explain d) (Query.Ucq.disjuncts q)));
+      Fmt.pr "%s@."
+        (P.Json.render
+           (P.Json.Obj
+              [
+                ( "plans",
+                  P.Json.Arr
+                    (List.map (Query.Cq.explain d) (Query.Ucq.disjuncts q)) );
+              ]));
     let omq = Omq.of_tbox tbox q in
     Reasoner.Stats.reset (Reasoner.Stats.global ());
     let budget = budget_of c in
@@ -348,7 +346,7 @@ let eval_cmd =
     let global = Reasoner.Stats.global () in
     let boolean = Query.Ucq.is_boolean q in
     let names = List.map (List.map element_name) in
-    let proto_stats () = if stats then Some (stats_json global) else None in
+    let proto_stats () = if stats then Some (Reasoner.Stats.json global) else None in
     (* A tripped budget: report what was certified before exhaustion and
        where to resume, then exit with the reason's code. *)
     let partial reason (p : Omq.Session.partial_answers) =

@@ -18,18 +18,21 @@ let format_of_string = function
   | "jsonl" -> Some Jsonl
   | _ -> None
 
+let int i = Json.Num (float_of_int i)
+
 let attr_json = function
-  | Trace.Str s -> Json.escape s
-  | Trace.Int i -> string_of_int i
-  | Trace.Float f -> Json.number f
-  | Trace.Bool b -> if b then "true" else "false"
+  | Trace.Str s -> Json.Str s
+  | Trace.Int i -> int i
+  | Trace.Float f -> Json.Num f
+  | Trace.Bool b -> Json.Bool b
+
+let status_member = function
+  | Some st -> [ ("status", Json.Str st) ]
+  | None -> []
 
 let args_json attrs status =
-  Json.obj
-    ((match status with
-     | Some st -> [ ("status", Json.escape st) ]
-     | None -> [])
-    @ List.rev_map (fun (k, v) -> (k, attr_json v)) attrs)
+  Json.Obj
+    (status_member status @ List.rev_map (fun (k, v) -> (k, attr_json v)) attrs)
 
 (* Category: the dotted prefix of the span name ("engine.solve" ->
    "engine"), which Perfetto uses for colouring and filtering. *)
@@ -53,15 +56,15 @@ let chrome c =
   let span_events =
     List.map
       (fun (s : Trace.span) ->
-        Json.obj
+        Json.Obj
           [
-            ("name", Json.escape s.name);
-            ("cat", Json.escape (category s.name));
-            ("ph", Json.escape "X");
-            ("ts", Json.number (us t0 s.start_s));
-            ("dur", Json.number (Float.max 0.0 s.dur_s *. 1e6));
-            ("pid", "1");
-            ("tid", "1");
+            ("name", Json.Str s.name);
+            ("cat", Json.Str (category s.name));
+            ("ph", Json.Str "X");
+            ("ts", Json.Num (us t0 s.start_s));
+            ("dur", Json.Num (Float.max 0.0 s.dur_s *. 1e6));
+            ("pid", int 1);
+            ("tid", int 1);
             ( "args",
               args_json
                 (("span_id", Trace.Int s.id)
@@ -74,29 +77,29 @@ let chrome c =
   let instant_events =
     List.map
       (fun (e : Trace.event) ->
-        Json.obj
+        Json.Obj
           [
-            ("name", Json.escape e.ename);
-            ("cat", Json.escape "event");
-            ("ph", Json.escape "i");
-            ("ts", Json.number (us t0 e.ts_s));
-            ("s", Json.escape "t");
-            ("pid", "1");
-            ("tid", "1");
+            ("name", Json.Str e.ename);
+            ("cat", Json.Str "event");
+            ("ph", Json.Str "i");
+            ("ts", Json.Num (us t0 e.ts_s));
+            ("s", Json.Str "t");
+            ("pid", int 1);
+            ("tid", int 1);
             ("args", args_json (("span_id", Trace.Int e.span_id) :: e.eattrs) None);
           ])
       (Trace.events c)
   in
-  Json.obj
+  Json.Obj
     [
-      ("traceEvents", Json.arr (span_events @ instant_events));
-      ("displayTimeUnit", Json.escape "ms");
+      ("traceEvents", Json.Arr (span_events @ instant_events));
+      ("displayTimeUnit", Json.Str "ms");
       ("otherData",
-       Json.obj
+       Json.Obj
          [
-           ("spans", string_of_int (Trace.span_count c));
-           ("events_retained", string_of_int (List.length (Trace.events c)));
-           ("events_dropped", string_of_int (Trace.dropped_events c));
+           ("spans", int (Trace.span_count c));
+           ("events_retained", int (List.length (Trace.events c)));
+           ("events_dropped", int (Trace.dropped_events c));
          ]);
     ]
 
@@ -104,39 +107,35 @@ let chrome c =
    "status"?, ...attrs}. Events follow as {"event":...} lines. *)
 let jsonl c =
   let t0 = epoch c in
-  let b = Buffer.create 1024 in
-  List.iter
+  List.map
     (fun (s : Trace.span) ->
-      Buffer.add_string b
-        (Json.obj
-           ([
-              ("name", Json.escape s.name);
-              ("span_id", string_of_int s.id);
-              ("parent_id", string_of_int s.parent);
-              ("start_us", Json.number (us t0 s.start_s));
-              ("dur_us", Json.number (Float.max 0.0 s.dur_s *. 1e6));
-            ]
-           @ (match s.status with
-             | Some st -> [ ("status", Json.escape st) ]
-             | None -> [])
-           @ List.rev_map (fun (k, v) -> (k, attr_json v)) s.attrs));
-      Buffer.add_char b '\n')
-    (Trace.spans c);
-  List.iter
-    (fun (e : Trace.event) ->
-      Buffer.add_string b
-        (Json.obj
-           ([
-              ("event", Json.escape e.ename);
-              ("span_id", string_of_int e.span_id);
-              ("ts_us", Json.number (us t0 e.ts_s));
-            ]
-           @ List.map (fun (k, v) -> (k, attr_json v)) e.eattrs));
-      Buffer.add_char b '\n')
-    (Trace.events c);
-  Buffer.contents b
+      Json.Obj
+        ([
+           ("name", Json.Str s.name);
+           ("span_id", int s.id);
+           ("parent_id", int s.parent);
+           ("start_us", Json.Num (us t0 s.start_s));
+           ("dur_us", Json.Num (Float.max 0.0 s.dur_s *. 1e6));
+         ]
+        @ status_member s.status
+        @ List.rev_map (fun (k, v) -> (k, attr_json v)) s.attrs))
+    (Trace.spans c)
+  @ List.map
+      (fun (e : Trace.event) ->
+        Json.Obj
+          ([
+             ("event", Json.Str e.ename);
+             ("span_id", int e.span_id);
+             ("ts_us", Json.Num (us t0 e.ts_s));
+           ]
+          @ List.map (fun (k, v) -> (k, attr_json v)) e.eattrs))
+      (Trace.events c)
 
-let render = function Chrome -> chrome | Jsonl -> jsonl
+let render fmt c =
+  match fmt with
+  | Chrome -> Json.render (chrome c)
+  | Jsonl ->
+      String.concat "" (List.map (fun j -> Json.render j ^ "\n") (jsonl c))
 
 let to_file fmt c path =
   let oc = open_out path in

@@ -13,12 +13,13 @@ val format_of_string : string -> format option
     [status] — and one instant ("i") event per retained ring-buffer
     event. Timestamps are microseconds from the collector's earliest
     record. *)
-val chrome : Trace.t -> string
+val chrome : Trace.t -> Json.t
 
-(** One JSON object per line: spans first (in opening order), then the
-    retained events. *)
-val jsonl : Trace.t -> string
+(** One JSON object per span (in opening order), then one per retained
+    event; the [Jsonl] rendering puts each on its own line. *)
+val jsonl : Trace.t -> Json.t list
 
+(** The file contents in the given format. *)
 val render : format -> Trace.t -> string
 
 (** Render and write to [path]. *)

@@ -1,13 +1,27 @@
-(** Minimal JSON rendering for the exporters. *)
+(** JSON values with a total parser — the toolchain ships no JSON
+    library, so this is the repository's one representation. Emitters
+    (the wire protocol, trace and metric exporters, logs, the telemetry
+    dump) build {!t} values and render them once, at the edge;
+    {!Omq.Protocol.Json} re-exports this module. *)
 
-(** A JSON string literal (quoted, escaped). *)
-val escape : string -> string
+type t =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string
+  | Arr of t list
+  | Obj of (string * t) list  (** member order is preserved *)
 
-(** An object from already-rendered member values. *)
-val obj : (string * string) list -> string
+(** Compact one-line rendering (no spaces); integral numbers render
+    without a fraction, others with ["%.17g"] (round-trip exact). NaN
+    and infinities, which JSON cannot express, render as [null]. *)
+val render : t -> string
 
-(** An array from already-rendered items. *)
-val arr : string list -> string
+(** Parse one JSON document; trailing garbage, unterminated input and
+    nesting deeper than 512 are errors ([Error "offset N: msg"]). *)
+val parse : string -> (t, string) result
 
-(** A JSON number (integral floats render without a fraction). *)
-val number : float -> string
+(** Member of an object, if present ([None] on non-objects too). *)
+val member : string -> t -> t option
+
+val equal : t -> t -> bool

@@ -1,9 +1,10 @@
 (* Leveled structured logging for the long-lived processes (the serve
    daemon). Records go to one out_channel (stderr by default) in either
-   human text or newline-JSON; the JSON path reuses Obs.Json so records
-   are parseable with the same tooling as the wire protocol. A single
-   mutex serializes emission — logging is cold-path by design (the hot
-   request path records metrics/spans, not log lines). *)
+   human text or newline-JSON; the JSON path renders Obs.Json values
+   so records are parseable with the same tooling as the wire
+   protocol. A single mutex serializes emission — logging is cold-path
+   by design (the hot request path records metrics/spans, not log
+   lines). *)
 
 type level = Debug | Info | Warn | Error
 type format = Text | Json
@@ -51,10 +52,10 @@ let level () = cfg.min_level
 let enabled l = severity l >= severity cfg.min_level
 
 let field_json = function
-  | Str (k, v) -> (k, Json.escape v)
-  | Int (k, v) -> (k, string_of_int v)
-  | Float (k, v) -> (k, Json.number v)
-  | Bool (k, v) -> (k, string_of_bool v)
+  | Str (k, v) -> (k, Json.Str v)
+  | Int (k, v) -> (k, Json.Num (float_of_int v))
+  | Float (k, v) -> (k, Json.Num v)
+  | Bool (k, v) -> (k, Json.Bool v)
 
 let field_text = function
   | Str (k, v) ->
@@ -67,13 +68,12 @@ let field_text = function
 let render level msg fields =
   match cfg.fmt with
   | Json ->
-      let members =
-        ("ts", Json.number (Clock.now ()))
-        :: ("level", Json.escape (level_to_string level))
-        :: ("msg", Json.escape msg)
-        :: List.map field_json fields
-      in
-      Json.obj members
+      Json.render
+        (Json.Obj
+           (("ts", Json.Num (Clock.now ()))
+           :: ("level", Json.Str (level_to_string level))
+           :: ("msg", Json.Str msg)
+           :: List.map field_json fields))
   | Text ->
       let parts =
         Printf.sprintf "omqd: [%s] %s" (level_to_string level) msg

@@ -216,30 +216,26 @@ let merge_snapshots snaps =
 (* Rendering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* %.17g round-trips every float; counters stay integers. *)
 let json_of_metric = function
-  | Counter r -> string_of_int !r
-  | Gauge r -> Printf.sprintf "%.17g" !r
+  | Counter r -> Json.Num (float_of_int !r)
+  | Gauge r -> Json.Num !r
   | Histogram h ->
-      if h.count = 0 then "{\"count\":0,\"sum\":0}"
-      else
-        Printf.sprintf
-          "{\"count\":%d,\"sum\":%.17g,\"min\":%.17g,\"max\":%.17g,\"mean\":%.17g}"
-          h.count h.sum h.min_v h.max_v
-          (h.sum /. float_of_int h.count)
+      Json.Obj
+        (if h.count = 0 then [ ("count", Json.Num 0.); ("sum", Json.Num 0.) ]
+         else
+           [
+             ("count", Json.Num (float_of_int h.count));
+             ("sum", Json.Num h.sum);
+             ("min", Json.Num h.min_v);
+             ("max", Json.Num h.max_v);
+             ("mean", Json.Num (h.sum /. float_of_int h.count));
+           ])
 
 let to_json t =
-  let b = Buffer.create 256 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i name ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Json.escape name);
-      Buffer.add_char b ':';
-      Buffer.add_string b (json_of_metric (Hashtbl.find t.table name)))
-    (names t);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.Obj
+    (List.map
+       (fun name -> (name, json_of_metric (Hashtbl.find t.table name)))
+       (names t))
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a@]"

@@ -81,8 +81,9 @@ val names : t -> string list
 
 val is_empty : t -> bool
 
-(** One flat JSON object; counters are integers, gauges numbers,
-    histograms [{"count","sum","min","max","mean"}] sub-objects. *)
-val to_json : t -> string
+(** One flat JSON object keyed by metric name (sorted); counters are
+    integers, gauges numbers, histograms
+    [{"count","sum","min","max","mean"}] sub-objects. *)
+val to_json : t -> Json.t
 
 val pp : t Fmt.t

@@ -136,10 +136,11 @@ let explain inst q =
   let plan = Structure.Eval.make_plan idx body.body_atoms in
   let vars = Array.make (SMap.cardinal body.var_ix) "" in
   SMap.iter (fun v i -> vars.(i) <- v) body.var_ix;
-  Obs.Json.obj
+  Obs.Json.Obj
     [
-      ("query", Obs.Json.escape q.name);
-      ("vars", Obs.Json.arr (Array.to_list (Array.map Obs.Json.escape vars)));
+      ("query", Obs.Json.Str q.name);
+      ( "vars",
+        Obs.Json.Arr (List.map (fun v -> Obs.Json.Str v) (Array.to_list vars)) );
       ("plan", Structure.Eval.explain_json plan);
     ]
 

@@ -45,7 +45,7 @@ val answers : Structure.Instance.t -> t -> Structure.Element.t list list
 
 (** The join plan the planner would choose for [q]'s body over [inst],
     as a JSON object (see [Structure.Eval.explain_json]). *)
-val explain : Structure.Instance.t -> t -> string
+val explain : Structure.Instance.t -> t -> Obs.Json.t
 
 (** Connectedness of the canonical database. *)
 val is_connected : t -> bool

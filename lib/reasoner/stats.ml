@@ -116,16 +116,26 @@ let pp ppf t =
 
 (* Field order and key names are the documented schema (stats.mli):
    keep both stable — bench/CI consumers select keys with jq. *)
-let to_json t =
-  Printf.sprintf
-    "{\"groundings\":%d,\"solves\":%d,\"decisions\":%d,\"propagations\":%d,\
-     \"conflicts\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\
-     \"memo_hits\":%d,\"memo_misses\":%d,\
-     \"budget_timeouts\":%d,\"budget_fuel_trips\":%d,\
-     \"ground_seconds\":%.6f,\"solve_seconds\":%.6f}"
-    t.groundings t.solves t.decisions t.propagations t.conflicts t.cache_hits
-    t.cache_misses t.memo_hits t.memo_misses t.budget_timeouts
-    t.budget_fuel_trips t.ground_seconds t.solve_seconds
+let json t =
+  let int i = Obs.Json.Num (float_of_int i) in
+  Obs.Json.Obj
+    [
+      ("groundings", int t.groundings);
+      ("solves", int t.solves);
+      ("decisions", int t.decisions);
+      ("propagations", int t.propagations);
+      ("conflicts", int t.conflicts);
+      ("cache_hits", int t.cache_hits);
+      ("cache_misses", int t.cache_misses);
+      ("memo_hits", int t.memo_hits);
+      ("memo_misses", int t.memo_misses);
+      ("budget_timeouts", int t.budget_timeouts);
+      ("budget_fuel_trips", int t.budget_fuel_trips);
+      ("ground_seconds", Obs.Json.Num t.ground_seconds);
+      ("solve_seconds", Obs.Json.Num t.solve_seconds);
+    ]
+
+let to_json t = Obs.Json.render (json t)
 
 (* Publish a snapshot into a metrics registry under [prefix].<field>,
    with the same snake_case field names as the JSON schema. Absolute

@@ -43,7 +43,7 @@ val timed : (float -> unit) -> (unit -> 'a) -> 'a
 
 val pp : t Fmt.t
 
-(** One-line JSON object with every field of {!t}.
+(** Every field of {!t} as one JSON object.
 
     The schema is stable — bench and CI consumers select keys with jq,
     so adding a field is fine but renaming or removing one is a
@@ -54,8 +54,13 @@ val pp : t Fmt.t
     - ["cache_hits"], ["cache_misses"] : integers
     - ["memo_hits"], ["memo_misses"] : integers (grounding-memo traffic)
     - ["budget_timeouts"], ["budget_fuel_trips"] : integers
-    - ["ground_seconds"], ["solve_seconds"] : numbers (seconds, 6
-      decimal places) *)
+    - ["ground_seconds"], ["solve_seconds"] : numbers (seconds)
+
+    The wire protocol carries this value as-is (eval [stats], server
+    stats [reasoner]). *)
+val json : t -> Obs.Json.t
+
+(** [Obs.Json.render (json t)]: the one-line rendering of {!json}. *)
 val to_json : t -> string
 
 (** [publish ?prefix ?into t] writes a snapshot of [t] into an

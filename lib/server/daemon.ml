@@ -294,11 +294,6 @@ let budget_of_spec (spec : P.budget_spec) =
   | { timeout_s; fuel; max_clauses } ->
       Reasoner.Budget.create ?timeout:timeout_s ?fuel ?max_clauses ()
 
-(* Stats cross the wire as the Stats.to_json object, re-parsed into the
-   protocol's Json so responses round-trip exactly. *)
-let stats_json st =
-  match P.Json.parse (S.to_json st) with Ok j -> j | Error _ -> P.Json.Null
-
 (* ------------------------------------------------------------------ *)
 (* Worker jobs. Each returns (response, session-table effect); raising
    is reserved for bugs and is mapped to a typed Internal response by
@@ -424,7 +419,7 @@ let eval_job st (se : sess) (want : P.budget_spec) want_stats () =
   let boolean = Query.Ucq.is_boolean se.omq.Omq.query in
   let names = List.map (List.map element_name) in
   let stats () =
-    if want_stats then Some (stats_json (S.diff g before))
+    if want_stats then Some (S.json (S.diff g before))
     else None
   in
   let partial reason (p : Omq.Session.partial_answers) =
@@ -593,6 +588,8 @@ let replay_pending sid =
       message = Printf.sprintf "session %d is being replayed; retry" sid;
     }
 
+let jint i = P.Json.Num (float_of_int i)
+
 (* The daemon-side serve.* counters (journal, shed, supervision, chaos)
    as one flat JSON object, read out of the loop registry. *)
 let serve_counters () =
@@ -602,7 +599,7 @@ let serve_counters () =
       (fun name ->
         if String.length name >= 6 && String.sub name 0 6 = "serve." then
           match Obs.Metrics.counter_value g name with
-          | Some v -> Some (name, P.Json.Num (float_of_int v))
+          | Some v -> Some (name, jint v)
           | None -> None
         else None)
       (Obs.Metrics.names g)
@@ -628,7 +625,7 @@ let server_stats st =
         (match st.journal with Some j -> Journal.size j | None -> 0);
       journal_entries = journal_entry_count ();
       counters = serve_counters ();
-      reasoner = stats_json total;
+      reasoner = S.json total;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -654,24 +651,22 @@ let quantile_ms name q =
   Obs.Metrics.quantile (Obs.Metrics.global ()) name q
   |> Option.map (fun s -> s *. 1000.0)
 
-let jnum_opt = function
-  | Some v -> Obs.Json.number v
-  | None -> "null"
+let jnum_opt = function Some v -> P.Json.Num v | None -> P.Json.Null
 
 let telemetry_json st =
   let now = Obs.Clock.now () in
   let jobs = Parallel.Service.jobs st.service in
   let worker_row w =
     let snap = st.worker_msnaps.(w) in
-    Obs.Json.obj
+    P.Json.Obj
       [
-        ("domain", string_of_int w);
-        ("sessions", string_of_int (worker_sessions st w));
-        ("requests", string_of_int st.served_by_worker.(w));
+        ("domain", jint w);
+        ("sessions", jint (worker_sessions st w));
+        ("requests", jint st.served_by_worker.(w));
         ( "busy_s",
-          match Parallel.Service.busy_since st.service ~worker:w with
-          | Some t -> Obs.Json.number (now -. t)
-          | None -> "null" );
+          jnum_opt
+            (Option.map (fun t -> now -. t)
+               (Parallel.Service.busy_since st.service ~worker:w)) );
         ("gc_major_words", jnum_opt (snap_gauge snap "gc.major_words"));
         ( "gc_minor_collections",
           jnum_opt (snap_gauge snap "gc.minor_collections") );
@@ -679,21 +674,20 @@ let telemetry_json st =
   in
   let extra =
     [
-      ("ts", Obs.Json.number now);
-      ("version", Obs.Json.escape version);
-      ("uptime_s", Obs.Json.number (now -. st.start_s));
-      ("sessions", string_of_int (Hashtbl.length st.sessions));
-      ("inflight", string_of_int (Parallel.Service.in_flight st.service));
-      ("served", string_of_int st.served);
-      ("errors", string_of_int st.errors);
+      ("ts", P.Json.Num now);
+      ("version", P.Json.Str version);
+      ("uptime_s", P.Json.Num (now -. st.start_s));
+      ("sessions", jint (Hashtbl.length st.sessions));
+      ("inflight", jint (Parallel.Service.in_flight st.service));
+      ("served", jint st.served);
+      ("errors", jint st.errors);
       ("journal_bytes",
-       string_of_int
-         (match st.journal with Some j -> Journal.size j | None -> 0));
-      ("journal_entries", string_of_int (journal_entry_count ()));
+       jint (match st.journal with Some j -> Journal.size j | None -> 0));
+      ("journal_entries", jint (journal_entry_count ()));
       ("p50_ms", jnum_opt (quantile_ms "serve.request.seconds" 0.50));
       ("p95_ms", jnum_opt (quantile_ms "serve.request.seconds" 0.95));
       ("p99_ms", jnum_opt (quantile_ms "serve.request.seconds" 0.99));
-      ("workers", Obs.Json.arr (List.init jobs worker_row));
+      ("workers", P.Json.Arr (List.init jobs worker_row));
     ]
   in
   Telemetry.to_json ~extra st.flight
@@ -788,7 +782,7 @@ let http_route st line =
           ~content_type:"text/plain; version=0.0.4; charset=utf-8" (scrape st)
       else if path = "/telemetry" then
         http_response ~status:"200 OK" ~content_type:"application/json"
-          (telemetry_json st ^ "\n")
+          (P.Json.render (telemetry_json st) ^ "\n")
       else
         http_response ~status:"404 Not Found" ~content_type:"text/plain"
           "not found; try /metrics or /telemetry\n"
@@ -914,12 +908,7 @@ let dispatch st conn rid (req : P.request) =
                 ~op:"retract_facts" (retract_job se session facts))
   | P.Stats -> respond st conn rid (server_stats st)
   | P.Dump_telemetry ->
-      let telemetry =
-        match P.Json.parse (telemetry_json st) with
-        | Ok j -> j
-        | Error _ -> P.Json.Null
-      in
-      respond st conn rid (P.Telemetry { telemetry })
+      respond st conn rid (P.Telemetry { telemetry = telemetry_json st })
   | P.Shutdown ->
       st.shutting <- true;
       st.shut_deadline <- Obs.Clock.now () +. st.cfg.shutdown_grace;
@@ -1410,7 +1399,7 @@ let run ?(ready = fun () -> ()) cfg =
       (* The flight dump: to --flight-dump when set (write-whole-file;
          a dump is small and rare), else one JSON line on stderr. *)
       let dump_flight () =
-        let doc = telemetry_json st ^ "\n" in
+        let doc = P.Json.render (telemetry_json st) ^ "\n" in
         match cfg.flight_dump with
         | Some path -> (
             try

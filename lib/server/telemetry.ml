@@ -57,24 +57,26 @@ let records t =
 let total t = t.total
 let dropped t = max 0 (t.total - Array.length t.ring)
 
+let int i = Obs.Json.Num (float_of_int i)
+
 let record_json r =
-  Obs.Json.obj
+  Obs.Json.Obj
     [
-      ("ts", Obs.Json.number r.ts_s);
-      ("op", Obs.Json.escape r.op);
-      ("outcome", Obs.Json.escape r.outcome);
-      ("worker", string_of_int r.worker);
-      ("session", string_of_int r.session);
-      ("dur_ms", Obs.Json.number (r.dur_s *. 1000.0));
+      ("ts", Obs.Json.Num r.ts_s);
+      ("op", Obs.Json.Str r.op);
+      ("outcome", Obs.Json.Str r.outcome);
+      ("worker", int r.worker);
+      ("session", int r.session);
+      ("dur_ms", Obs.Json.Num (r.dur_s *. 1000.0));
     ]
 
 (* The dump is one object so extra context (per-worker rows, quantiles)
-   can ride along: callers pass pre-rendered extra members. *)
+   can ride along as leading members. *)
 let to_json ?(extra = []) t =
-  Obs.Json.obj
+  Obs.Json.Obj
     (extra
     @ [
-        ("flight_total", string_of_int t.total);
-        ("flight_dropped", string_of_int (dropped t));
-        ("flight", Obs.Json.arr (List.map record_json (records t)));
+        ("flight_total", int t.total);
+        ("flight_dropped", int (dropped t));
+        ("flight", Obs.Json.Arr (List.map record_json (records t)));
       ])

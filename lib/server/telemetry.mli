@@ -35,8 +35,10 @@ val total : t -> int
 (** Records lost to eviction ([total - capacity], floored at 0). *)
 val dropped : t -> int
 
-val record_json : record -> string
+(** One record as a JSON object: ["ts"], ["op"], ["outcome"],
+    ["worker"], ["session"], ["dur_ms"]. *)
+val record_json : record -> Obs.Json.t
 
-(** One JSON object: [extra] members first (pre-rendered values), then
-    ["flight_total"], ["flight_dropped"] and the ["flight"] array. *)
-val to_json : ?extra:(string * string) list -> t -> string
+(** One JSON object: [extra] members first, then ["flight_total"],
+    ["flight_dropped"] and the ["flight"] array of {!record_json}s. *)
+val to_json : ?extra:(string * Obs.Json.t) list -> t -> Obs.Json.t

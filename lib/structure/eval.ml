@@ -165,7 +165,7 @@ let make_plan idx ?(bound = []) atoms =
   plan
 
 let explain_json plan =
-  let int = string_of_int in
+  let int i = Obs.Json.Num (float_of_int i) in
   let step_json s =
     let a = plan.atoms.(s.atom_ix) in
     let bound =
@@ -173,22 +173,22 @@ let explain_json plan =
         (fun p -> s.mask land (1 lsl p) <> 0)
         (List.init (Array.length a.args) Fun.id)
     in
-    Obs.Json.obj
+    Obs.Json.Obj
       [
         ("atom", int s.atom_ix);
-        ("body", Obs.Json.escape (Fmt.str "%a" pp_atom a));
-        ("rel", Obs.Json.escape a.rel);
-        ("access", Obs.Json.escape (access_label s.access));
-        ("bound", Obs.Json.arr (List.map int bound));
-        ("est_rows", Printf.sprintf "%g" s.est);
+        ("body", Obs.Json.Str (Fmt.str "%a" pp_atom a));
+        ("rel", Obs.Json.Str a.rel);
+        ("access", Obs.Json.Str (access_label s.access));
+        ("bound", Obs.Json.Arr (List.map int bound));
+        ("est_rows", Obs.Json.Num s.est);
         ("rel_size", int s.rel_size);
       ]
   in
-  Obs.Json.obj
+  Obs.Json.Obj
     [
       ("nvars", int plan.nvars);
       ("atoms", int (Array.length plan.atoms));
-      ("order", Obs.Json.arr (List.map step_json plan.order));
+      ("order", Obs.Json.Arr (List.map step_json plan.order));
     ]
 
 exception Stop

@@ -79,3 +79,11 @@ let o_horn =
             ( atom "R" [ v "x"; v "y" ],
               F.Implies (atom "B" [ v "y" ], atom "C" [ v "x" ]) ) );
     ]
+
+(* Reasoner.Stats.json's keys in emission order: the documented jq
+   contract of stats.mli. *)
+let stats_keys =
+  [ "groundings"; "solves"; "decisions"; "propagations"; "conflicts";
+    "cache_hits"; "cache_misses"; "memo_hits"; "memo_misses";
+    "budget_timeouts"; "budget_fuel_trips"; "ground_seconds";
+    "solve_seconds" ]

@@ -252,16 +252,17 @@ let test_plan_deterministic () =
       Structure.Eval.atom "A" [ Structure.Eval.Var 1 ];
     ]
   in
-  let j1 = Structure.Eval.explain_json (Structure.Eval.make_plan idx atoms) in
-  let j2 = Structure.Eval.explain_json (Structure.Eval.make_plan idx atoms) in
+  let module J = Obs.Json in
+  let explain idx = J.render (Structure.Eval.explain_json (Structure.Eval.make_plan idx atoms)) in
+  let j1 = explain idx in
+  let j2 = explain idx in
   Alcotest.(check string) "same plan twice" j1 j2;
-  let j3 = Structure.Eval.explain_json (Structure.Eval.make_plan (Structure.Relindex.build d) atoms) in
+  let j3 = explain (Structure.Relindex.build d) in
   Alcotest.(check string) "fresh index, same plan" j1 j3;
   (* Names are escaped: a query named with a quote and a backslash
      still explains to a well-formed object. *)
   let q = cq ~name:"q\"\\x" ~answer:[ "x" ] [ ("R", [ v "x"; v "y" ]) ] in
-  let module J = Omq.Protocol.Json in
-  match J.parse (Query.Cq.explain d q) with
+  match J.parse (J.render (Query.Cq.explain d q)) with
   | Error msg -> Alcotest.failf "Cq.explain is not JSON: %s" msg
   | Ok j ->
       Alcotest.(check bool) "query name round-trips" true

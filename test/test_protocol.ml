@@ -221,10 +221,10 @@ let test_json_roundtrip =
               ]))
   in
   QCheck.Test.make ~name:"Json render/parse round-trip" ~count:500
-    (QCheck.make gen_json ~print:P.Json.render)
+    (QCheck.make gen_json ~print:Obs.Json.render)
     (fun j ->
-      match P.Json.parse (P.Json.render j) with
-      | Ok j' -> P.Json.equal j j'
+      match Obs.Json.parse (Obs.Json.render j) with
+      | Ok j' -> Obs.Json.equal j j'
       | Error _ -> false)
 
 (* ---------------------------------------------------------------- *)

@@ -273,6 +273,30 @@ let test_close_and_stats () =
   | r -> Alcotest.failf "stats failed: %s" (P.render_response r));
   Omqd.Client.close c
 
+(* Engine counters ride the wire as Reasoner.Stats.json: an eval with
+   want_stats and the server's reasoner totals both carry every key of
+   the documented schema, in emission order. *)
+let test_eval_stats_shape () =
+  with_daemon @@ fun addr ->
+  let c = connect_exn addr in
+  let sid = open_exn c in
+  let keys what = function
+    | Some (P.Json.Obj fields) ->
+        Alcotest.(check (list string)) what Helpers.stats_keys (List.map fst fields)
+    | _ -> Alcotest.failf "%s: not an object" what
+  in
+  (match call_exn c (P.Eval { session = sid; budget = P.no_budget; want_stats = true }) with
+  | P.Evaled { result; stats } ->
+      check_str "answers unchanged by want_stats"
+        (P.render_response (direct_eval ()))
+        (P.render_response (P.Evaled { result; stats = None }));
+      keys "eval stats keys" stats
+  | r -> Alcotest.failf "eval failed: %s" (P.render_response r));
+  (match call_exn c P.Stats with
+  | P.Server_stats { reasoner; _ } -> keys "server reasoner keys" (Some reasoner)
+  | r -> Alcotest.failf "stats failed: %s" (P.render_response r));
+  Omqd.Client.close c
+
 let test_clean_shutdown () =
   with_daemon @@ fun addr ->
   let c = connect_exn addr in
@@ -348,6 +372,8 @@ let suite =
       test_unknown_session_and_bad_input;
     Alcotest.test_case "close_session and server stats" `Quick
       test_close_and_stats;
+    Alcotest.test_case "eval stats carry the Stats.json keys in order" `Quick
+      test_eval_stats_shape;
     Alcotest.test_case "clean shutdown" `Quick test_clean_shutdown;
     Alcotest.test_case "loadgen drives concurrent clients" `Quick test_loadgen;
     Alcotest.test_case "loadgen counts per-client failures" `Quick

@@ -382,7 +382,10 @@ let test_flight_eviction () =
   Omqd.Telemetry.record t (rec_i 10);
   check Alcotest.int "disabled: no record" 10 (Omqd.Telemetry.total t);
   (* the dump is one parseable JSON object with the documented keys *)
-  match P.Json.parse (Omqd.Telemetry.to_json ~extra:[ ("x", "1") ] t) with
+  match
+    P.Json.parse
+      (P.Json.render (Omqd.Telemetry.to_json ~extra:[ ("x", P.Json.Num 1.) ] t))
+  with
   | Error m -> Alcotest.failf "dump does not parse: %s" m
   | Ok j ->
       check Alcotest.bool "extra member" true (P.Json.member "x" j <> None);
