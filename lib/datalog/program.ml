@@ -59,9 +59,6 @@ let make ?(goal = "goal") rules =
   { rules; goal }
 
 (* Intensional relations: those occurring in a rule head. *)
-let intensional t =
-  List.fold_left (fun s r -> SSet.add (fst r.head) s) SSet.empty t.rules
-
 let uses_inequality t =
   List.exists
     (fun r -> List.exists (function Neq _ -> true | Pos _ -> false) r.body)

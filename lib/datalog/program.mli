@@ -28,7 +28,6 @@ val make : ?goal:string -> rule list -> t
 
 val atom_vars : atom -> Logic.Names.SSet.t
 val positive_atoms : literal list -> atom list
-val intensional : t -> Logic.Names.SSet.t
 val uses_inequality : t -> bool
 val arity_of_goal : t -> int option
 val pp_rule : rule Fmt.t

@@ -29,14 +29,12 @@ type rel = {
 }
 
 type t = {
-  for_uid : int;
   elems : Element.t array;  (* dense id -> element, in Element.compare order *)
   ids : int Element.Tbl.t;
   rels : (string, rel) Hashtbl.t;
   mutable tables_built : int;
 }
 
-let for_uid t = t.for_uid
 let tables_built t = t.tables_built
 
 let build inst =
@@ -91,7 +89,7 @@ let build inst =
       Hashtbl.replace rels rname
         { arity; ntuples; rows; distinct; patterns = Hashtbl.create 4 })
     groups;
-  { for_uid = Instance.uid inst; elems; ids; rels; tables_built = 0 }
+  { elems; ids; rels; tables_built = 0 }
 
 (* Bounded per-domain cache keyed by [Instance.uid] (globally unique, so
    there is no cross-domain aliasing even though each domain caches
@@ -114,140 +112,6 @@ let of_instance inst =
 
 let cached inst =
   Hashtbl.find_opt (Domain.DLS.get cache_key) (Instance.uid inst)
-
-(* Incremental refresh: the index for an instance that differs from
-   [t]'s by a few facts. Only the touched relations' row arrays are
-   rebuilt (from [inst], so the caller's added/removed lists need not be
-   exact — they only say which relations changed); the interned-element
-   tables and every untouched relation are shared with [t]. Sharing the
-   intern table is what makes this cheap, and also what makes it refuse
-   facts over elements [t] never interned ([None]: fall back to a full
-   [build]). Elements that vanish from the instance stay interned — a
-   dense id without rows can never match, so lookups behave as for a
-   fresh build. The result is registered in the domain's cache, so a
-   later [of_instance] on [inst] hits. *)
-let update t ~added ~removed inst =
-  let interned (f : Instance.fact) =
-    List.for_all (fun e -> Element.Tbl.mem t.ids e) f.args
-  in
-  let valid =
-    List.for_all
-      (fun (f : Instance.fact) -> interned f && Instance.mem f inst)
-      added
-    && List.for_all
-         (fun (f : Instance.fact) -> not (Instance.mem f inst))
-         removed
-  in
-  if not valid then None
-  else begin
-    (* Group the change per relation. *)
-    let by_rel fs =
-      let tbl : (string, Instance.fact list ref) Hashtbl.t =
-        Hashtbl.create 4
-      in
-      List.iter
-        (fun (f : Instance.fact) ->
-          match Hashtbl.find_opt tbl f.rel with
-          | Some l -> l := f :: !l
-          | None -> Hashtbl.add tbl f.rel (ref [ f ]))
-        fs;
-      tbl
-    in
-    let adds = by_rel added and rems = by_rel removed in
-    let touched = Hashtbl.create 4 in
-    Hashtbl.iter (fun r _ -> Hashtbl.replace touched r ()) adds;
-    Hashtbl.iter (fun r _ -> Hashtbl.replace touched r ()) rems;
-    let rels = Hashtbl.copy t.rels in
-    let nelems = Array.length t.elems in
-    let seen = Array.make (max 1 nelems) 0 in
-    let stamp = ref 0 in
-    Hashtbl.iter
-      (fun rname () ->
-        let of_tbl tbl =
-          match Hashtbl.find_opt tbl rname with Some l -> !l | None -> []
-        in
-        let radds = of_tbl adds and rrems = of_tbl rems in
-        let old_rows, old_n, arity =
-          match Hashtbl.find_opt t.rels rname with
-          | Some r -> (r.rows, r.ntuples, r.arity)
-          | None -> (
-              ( [||],
-                0,
-                match radds with
-                | f :: _ -> List.length f.Instance.args
-                | [] -> 0 ))
-        in
-        (* Mark removed rows (each removed fact matches at most one row:
-           instances are fact sets). *)
-        let keep = Array.make (max 1 old_n) true in
-        let removed_count = ref 0 in
-        List.iter
-          (fun (f : Instance.fact) ->
-            match
-              List.map (fun e -> Element.Tbl.find_opt t.ids e) f.args
-            with
-            | key when List.for_all Option.is_some key ->
-                let key = Array.of_list (List.map Option.get key) in
-                if Array.length key = arity then begin
-                  let r = ref 0 and found = ref false in
-                  while (not !found) && !r < old_n do
-                    let base = !r * arity in
-                    let eq = ref keep.(!r) in
-                    for p = 0 to arity - 1 do
-                      if old_rows.(base + p) <> key.(p) then eq := false
-                    done;
-                    if !eq then begin
-                      keep.(!r) <- false;
-                      incr removed_count;
-                      found := true
-                    end;
-                    incr r
-                  done
-                end
-            | _ -> () (* never interned: cannot be a row *))
-          rrems;
-        let ntuples = old_n - !removed_count + List.length radds in
-        if ntuples = 0 then Hashtbl.remove rels rname
-        else begin
-          let rows = Array.make (max 1 (ntuples * arity)) (-1) in
-          let w = ref 0 in
-          for r = 0 to old_n - 1 do
-            if keep.(r) then begin
-              Array.blit old_rows (r * arity) rows (!w * arity) arity;
-              incr w
-            end
-          done;
-          List.iter
-            (fun (f : Instance.fact) ->
-              let base = !w * arity in
-              List.iteri
-                (fun p e -> rows.(base + p) <- Element.Tbl.find t.ids e)
-                f.args;
-              incr w)
-            radds;
-          let distinct = Array.make (max 1 arity) 0 in
-          for p = 0 to arity - 1 do
-            incr stamp;
-            let count = ref 0 in
-            for r = 0 to ntuples - 1 do
-              let id = rows.((r * arity) + p) in
-              if seen.(id) <> !stamp then begin
-                seen.(id) <- !stamp;
-                incr count
-              end
-            done;
-            distinct.(p) <- !count
-          done;
-          Hashtbl.replace rels rname
-            { arity; ntuples; rows; distinct; patterns = Hashtbl.create 4 }
-        end)
-      touched;
-    let t' = { t with for_uid = Instance.uid inst; rels } in
-    let cache = Domain.DLS.get cache_key in
-    if Hashtbl.length cache >= cache_capacity then Hashtbl.reset cache;
-    Hashtbl.replace cache t'.for_uid t';
-    Some t'
-  end
 
 (* id of an element, or -2 when it does not occur in the instance (no
    row can ever match -2: all row entries are >= 0). *)

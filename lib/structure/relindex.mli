@@ -27,25 +27,6 @@ val build : Instance.t -> t
     without building one. *)
 val cached : Instance.t -> t option
 
-(** [update t ~added ~removed inst] is the index for [inst], an instance
-    differing from the one [t] indexes by the given facts: only the
-    touched relations are rebuilt (from [inst]), the interned-element
-    tables and untouched relations are shared with [t]. [None] when an
-    added fact mentions an element [t] never interned — fall back to a
-    full build. The result is registered in the calling domain's cache,
-    so a subsequent {!of_instance} on [inst] hits. This is what keeps
-    the incremental Datalog rounds from paying an O(instance) index
-    rebuild per round. *)
-val update :
-  t ->
-  added:Instance.fact list ->
-  removed:Instance.fact list ->
-  Instance.t ->
-  t option
-
-(** The {!Instance.uid} this index was built from. *)
-val for_uid : t -> int
-
 (** Number of pattern hash tables built so far — observable measure of
     the adaptive scan→hash switchover. *)
 val tables_built : t -> int

@@ -271,57 +271,6 @@ let test_plan_deterministic () =
         (J.member "vars" j = Some (J.Arr [ J.Str "x"; J.Str "y" ])
         && Option.is_some (J.member "plan" j))
 
-(* Incremental index refresh: an index obtained through a chain of
-   [Relindex.update]s must answer every query exactly like a fresh
-   build of the final instance (row order may differ — answers are
-   compared as sets via the sorted [Cq.answers]). *)
-let test_relindex_update_equiv =
-  QCheck.Test.make ~name:"Relindex.update = fresh build" ~count:60
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let d0 = rand_instance seed in
-      let idx = ref (Structure.Relindex.build d0) in
-      let d = ref d0 in
-      let ok = ref true in
-      for _ = 1 to 5 do
-        (* random small change over the already-interned domain *)
-        let dom = Array.of_list (Structure.Instance.domain_list !d) in
-        if Array.length dom > 0 then begin
-          let el () = dom.(Random.State.int rng (Array.length dom)) in
-          let cand =
-            if Random.State.bool rng then
-              Structure.Instance.fact "R" [ el (); el () ]
-            else Structure.Instance.fact "A" [ el () ]
-          in
-          let added, removed, d' =
-            if Structure.Instance.mem cand !d then
-              ([], [ cand ], Structure.Instance.remove_fact cand !d)
-            else ([ cand ], [], Structure.Instance.add_fact cand !d)
-          in
-          (* removal may vacate an element the update keeps interned —
-             that is the documented behaviour, answers must not care *)
-          match Structure.Relindex.update !idx ~added ~removed d' with
-          | None -> ok := false
-          | Some idx' ->
-              idx := idx';
-              d := d';
-              let fresh = Structure.Relindex.build d' in
-              ok :=
-                !ok
-                && Structure.Relindex.for_uid idx' = Structure.Instance.uid d'
-                && List.for_all
-                     (fun r ->
-                       Structure.Relindex.cardinality idx' r
-                       = Structure.Relindex.cardinality fresh r)
-                     [ "R"; "S"; "A"; "B" ]
-                && List.for_all
-                     (fun q -> Query.Cq.answers d' q = naive_answers d' q)
-                     cqs
-        end
-      done;
-      !ok)
-
 let test_randgen_large_deterministic () =
   let gen () =
     Structure.Randgen.large
@@ -343,7 +292,6 @@ let suite =
     QCheck_alcotest.to_alcotest test_seminaive_equiv;
     Alcotest.test_case "adaptive_switchover" `Quick test_adaptive_switchover;
     Alcotest.test_case "plan_deterministic" `Quick test_plan_deterministic;
-    QCheck_alcotest.to_alcotest test_relindex_update_equiv;
     Alcotest.test_case "randgen_large_deterministic" `Quick
       test_randgen_large_deterministic;
   ]

@@ -1,159 +1,16 @@
 (* The incremental update engine, at every layer:
 
-   - Datalog≠: random insert/retract interleavings on random instances,
-     the delta-maintained state must answer identically to [evaluate]
-     from scratch after every step, for counting (nonrecursive) and
-     DRed (recursive) deletion strategies alike.
    - Reasoner.Engine: dynamic (assumption-backed) engines answer like a
      fresh engine after each delta, and refuse ([`Needs_rebuild]) the
      cases the grounding cannot absorb.
    - Omq.Session: updatable sessions delta-maintain or reopen, and
-     either way answer like a session opened cold on the net instance. *)
+     either way answer like a session opened cold on the net instance —
+     on fixed cases and on random insert/retract interleavings. *)
 
 open Helpers
 
-module S = Datalog.Seminaive
-
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* ---------------------------------------------------------------- *)
-(* Programs spanning both deletion strategies *)
-
-let nonrec_join =
-  (* goal(x) <- E(x,y), A(y), x != y : two-stage, nonrecursive *)
-  Datalog.Program.make ~goal:"goal"
-    [
-      Datalog.Program.rule
-        ~head:("S", [ v "x"; v "y" ])
-        ~body:
-          [
-            Datalog.Program.Pos ("E", [ v "x"; v "y" ]);
-            Datalog.Program.Pos ("A", [ v "y" ]);
-          ];
-      Datalog.Program.rule
-        ~head:("goal", [ v "x" ])
-        ~body:
-          [
-            Datalog.Program.Pos ("S", [ v "x"; v "y" ]);
-            Datalog.Program.Neq (v "x", v "y");
-          ];
-    ]
-
-let tc =
-  (* transitive closure: linear recursion *)
-  Datalog.Program.make ~goal:"goal"
-    [
-      Datalog.Program.rule
-        ~head:("T", [ v "x"; v "y" ])
-        ~body:[ Datalog.Program.Pos ("E", [ v "x"; v "y" ]) ];
-      Datalog.Program.rule
-        ~head:("T", [ v "x"; v "z" ])
-        ~body:
-          [
-            Datalog.Program.Pos ("T", [ v "x"; v "y" ]);
-            Datalog.Program.Pos ("E", [ v "y"; v "z" ]);
-          ];
-      Datalog.Program.rule
-        ~head:("goal", [ v "x"; v "y" ])
-        ~body:[ Datalog.Program.Pos ("T", [ v "x"; v "y" ]) ];
-    ]
-
-let sg =
-  (* same-generation: nonlinear recursion *)
-  Datalog.Program.make ~goal:"goal"
-    [
-      Datalog.Program.rule
-        ~head:("SG", [ v "x"; v "x" ])
-        ~body:[ Datalog.Program.Pos ("A", [ v "x" ]) ];
-      Datalog.Program.rule
-        ~head:("SG", [ v "x"; v "y" ])
-        ~body:
-          [
-            Datalog.Program.Pos ("E", [ v "x"; v "u" ]);
-            Datalog.Program.Pos ("SG", [ v "u"; v "w" ]);
-            Datalog.Program.Pos ("E", [ v "y"; v "w" ]);
-          ];
-      Datalog.Program.rule
-        ~head:("goal", [ v "x"; v "y" ])
-        ~body:[ Datalog.Program.Pos ("SG", [ v "x"; v "y" ]) ];
-    ]
-
-let test_strategy_dispatch () =
-  check "join is nonrecursive" false (S.recursive nonrec_join);
-  check "tc is recursive" true (S.recursive tc);
-  check "sg is recursive" true (S.recursive sg);
-  let d = inst [ ("E", [ "a"; "b" ]); ("A", [ "b" ]) ] in
-  check "join counts" true (S.state_strategy (S.prepare nonrec_join d) = S.Counting);
-  check "tc dreds" true (S.state_strategy (S.prepare tc d) = S.Dred)
-
-(* ---------------------------------------------------------------- *)
-(* Equivalence property: incremental == from-scratch after every step *)
-
-let universe = Array.init 5 (fun i -> Printf.sprintf "n%d" i)
-
-let gen_fact rng : Structure.Instance.fact =
-  let el () = e universe.(Random.State.int rng (Array.length universe)) in
-  if Random.State.bool rng then { rel = "E"; args = [ el (); el () ] }
-  else { rel = "A"; args = [ el () ] }
-
-(* One step: insert or retract a small batch of random facts (retracts
-   are drawn half from the current EDB so they actually hit). *)
-let step rng st edb =
-  let batch = List.init (1 + Random.State.int rng 3) (fun _ -> gen_fact rng) in
-  if Random.State.bool rng then
-    let st, _ = S.insert st batch in
-    (st, List.fold_left (fun d f -> Structure.Instance.add_fact f d) edb batch)
-  else
-    let present = Structure.Instance.facts edb in
-    let batch =
-      if present = [] || Random.State.bool rng then batch
-      else List.nth present (Random.State.int rng (List.length present)) :: batch
-    in
-    let st, _ = S.retract st batch in
-    (st, List.fold_left (fun d f -> Structure.Instance.remove_fact f d) edb batch)
-
-let interleaving_agrees program =
-  QCheck.Test.make ~count:60
-    ~name:
-      (Printf.sprintf "insert/retract interleaving (%s)"
-         (if S.recursive program then "recursive" else "nonrecursive"))
-    QCheck.(int_bound 100000)
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let edb0 =
-        Structure.Instance.of_facts
-          (List.init (Random.State.int rng 8) (fun _ -> gen_fact rng))
-      in
-      let st = ref (S.prepare program edb0) in
-      let edb = ref edb0 in
-      let ok = ref true in
-      for _ = 1 to 6 do
-        let st', edb' = step rng !st !edb in
-        st := st';
-        edb := edb';
-        ok :=
-          !ok
-          && Structure.Instance.equal (S.state_edb st') edb'
-          && Structure.Instance.equal (S.state_derived st')
-               (S.evaluate program edb')
-          && S.state_answers st' = S.answers program edb'
-      done;
-      !ok)
-
-(* The changed flag must be exact: it is what tells a caller whether
-   cached answers can be kept. *)
-let test_changed_flag () =
-  let d = inst [ ("E", [ "a"; "b" ]); ("A", [ "b" ]) ] in
-  let st = S.prepare nonrec_join d in
-  let st, changed = S.insert st [ { rel = "E"; args = [ e "b"; e "a" ] } ] in
-  check "E(b,a) alone adds no answer (A(a) missing)" false changed;
-  let st, changed = S.insert st [ { rel = "A"; args = [ e "a" ] } ] in
-  check "A(a) completes goal(b)" true changed;
-  let st, changed = S.retract st [ { rel = "A"; args = [ e "a" ] } ] in
-  check "retracting A(a) loses goal(b)" true changed;
-  let _, changed = S.retract st [ { rel = "A"; args = [ e "zzz" ] } ] in
-  check "absent fact is a no-op" false changed
 
 (* ---------------------------------------------------------------- *)
 (* Reasoner.Engine: dynamic sessions *)
@@ -256,16 +113,67 @@ let test_session_retract_to_empty () =
   check "empty instance answers" true
     (Omq.Session.certain_answers s = [])
 
+(* Random insert/retract interleavings on an updatable session: after
+   every step it answers like a cold evaluation of the net instance, and
+   a step that neither introduces nor vacates a domain element is
+   absorbed as a delta. Inserts draw elements n0..n5 but the base
+   instance only n0..n3, and retracts mostly hit present facts, so both
+   reopen triggers occur. *)
+let random_fact rng ~within : Structure.Instance.fact =
+  let el () = e (Printf.sprintf "n%d" (Random.State.int rng within)) in
+  match Random.State.int rng 3 with
+  | 0 -> { rel = "A"; args = [ el () ] }
+  | 1 -> { rel = "B"; args = [ el () ] }
+  | _ -> { rel = "R"; args = [ el (); el () ] }
+
+let test_session_interleaving =
+  QCheck.Test.make ~count:40 ~name:"session insert/retract interleaving"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let any_fact () = random_fact rng ~within:6 in
+      let batch pick = List.init (1 + Random.State.int rng 3) (fun _ -> pick ()) in
+      let step s d =
+        if Random.State.bool rng then
+          let facts = batch any_fact in
+          ( Omq.Session.insert_facts s facts,
+            List.fold_left (fun d f -> Structure.Instance.add_fact f d) d facts )
+        else
+          let present = Array.of_list (Structure.Instance.facts d) in
+          let pick () =
+            if present = [||] || Random.State.int rng 4 = 0 then any_fact ()
+            else present.(Random.State.int rng (Array.length present))
+          in
+          let facts = batch pick in
+          ( Omq.Session.retract_facts s facts,
+            List.fold_left (fun d f -> Structure.Instance.remove_fact f d) d facts )
+      in
+      let d0 =
+        Structure.Instance.of_facts
+          (List.init (2 + Random.State.int rng 6) (fun _ ->
+               random_fact rng ~within:4))
+      in
+      let s0 = Omq.open_session ~max_extra:2 ~updatable:true omq_c d0 in
+      let rec go k s d =
+        k = 0
+        ||
+        let (s', how), d' = step s d in
+        let same_domain =
+          Structure.Element.Set.equal (Structure.Instance.domain d)
+            (Structure.Instance.domain d')
+        in
+        session_agrees s' d'
+        && ((not same_domain) || how = `Delta)
+        && go (k - 1) s' d'
+      in
+      session_agrees s0 d0 && go 5 s0 d0)
+
 let suite =
   [
-    Alcotest.test_case "strategy dispatch" `Quick test_strategy_dispatch;
-    QCheck_alcotest.to_alcotest (interleaving_agrees nonrec_join);
-    QCheck_alcotest.to_alcotest (interleaving_agrees tc);
-    QCheck_alcotest.to_alcotest (interleaving_agrees sg);
-    Alcotest.test_case "changed flag" `Quick test_changed_flag;
     Alcotest.test_case "engine delta" `Quick test_engine_delta;
     Alcotest.test_case "engine needs_rebuild" `Quick test_engine_needs_rebuild;
     Alcotest.test_case "session updates" `Quick test_session_updates;
     Alcotest.test_case "session retract to empty" `Quick
       test_session_retract_to_empty;
+    QCheck_alcotest.to_alcotest test_session_interleaving;
   ]
