@@ -15,6 +15,23 @@ open Bench_support
 
 let section title = Fmt.pr "@.== %s ==@." title
 
+(* The reasoner work of the smoke tables — their engine sessions,
+   corpus reports and incremental sessions — summed, for the
+   bench.total.* rows. *)
+let total = Reasoner.Stats.create ()
+
+(* Every member of [st]'s Stats.json as the metric [prefix].<key>. *)
+let record_stats prefix st =
+  match Reasoner.Stats.json st with
+  | Obs.Json.Obj members ->
+      List.iter
+        (function
+          | k, Obs.Json.Num v ->
+              Obs.Metrics.set (Obs.Metrics.global ()) (prefix ^ "." ^ k) v
+          | _ -> ())
+        members
+  | _ -> ()
+
 let fig1_table () =
   section "Figure 1: the complexity landscape";
   Fmt.pr "%-18s %-14s %-14s@." "fragment" "computed" "paper";
@@ -143,13 +160,14 @@ let engine_table () =
               candidates)
       in
       let omq = Omq.of_cq o_horn q2 in
-      let eng_answers, t_eng =
+      let (eng_answers, session), t_eng =
         best (fun () ->
             Reasoner.Engine.clear_cache ();
-            Reasoner.Stats.reset (Reasoner.Stats.global ());
-            Omq.certain_answers ~max_extra omq d)
+            let s = Omq.open_session ~max_extra omq d in
+            (Omq.Session.certain_answers s, s))
       in
-      let st = Reasoner.Stats.global () in
+      let st = Omq.Session.stats session in
+      Reasoner.Stats.add ~into:total st;
       let agree =
         List.sort compare seed_answers = List.sort compare eng_answers
       in
@@ -159,7 +177,7 @@ let engine_table () =
         (if agree then "" else "MISMATCH");
       Fmt.pr "         stats: %s@." (Reasoner.Stats.to_json st);
       let prefix = Fmt.str "bench.engine.chain%d" n in
-      Reasoner.Stats.publish ~prefix st;
+      record_stats prefix st;
       Obs.Metrics.set (Obs.Metrics.global ()) (prefix ^ ".speedup") (t_seed /. t_eng))
     [ 4; 8 ];
   Reasoner.Ground.set_memo_capacity 256
@@ -207,6 +225,7 @@ let parallel_corpus_table () =
       List.iter
         (fun jobs ->
           let rep = if jobs = 1 then baseline else run jobs in
+          Reasoner.Stats.add ~into:total rep.Omq.Corpus.total;
           let speedup = baseline.Omq.Corpus.seconds /. rep.Omq.Corpus.seconds in
           Fmt.pr "%-6d %-12.3f %-10s %s@." jobs rep.Omq.Corpus.seconds
             (Fmt.str "%.2fx" speedup)
@@ -395,6 +414,7 @@ let incremental_table ?(rounds = 30) () =
           c)
     in
     let expected, t_rest = time (fun () -> Omq.Session.certain_answers fresh) in
+    Reasoner.Stats.add ~into:total (Omq.Session.stats fresh);
     reopen := t_reopen :: !reopen;
     cold := (t_reopen +. t_rest) :: !cold;
     identical := !identical && after = expected;
@@ -403,6 +423,7 @@ let incremental_table ?(rounds = 30) () =
     ans_del := t_after :: !ans_del;
     identical := !identical && after = base
   done;
+  Reasoner.Stats.add ~into:total (Omq.Session.stats !s);
   let p50 ts =
     let a = Array.of_list ts in
     Array.sort compare a;
@@ -546,8 +567,8 @@ let telemetry_overhead_table () =
      times: one discarded warmup, then telemetry on and telemetry off.
      What's being priced is the whole per-request hot path the flight
      recorder adds — latency observation into the bucketed histogram,
-     the worker-side GC sample + registry snapshot shipped with each
-     completion, and the ring write. The budget is < 5% of throughput;
+     the worker-side GC sample shipped with each completion, and the
+     ring write. The budget is < 5% of throughput;
      the number lands in BENCH_omq.json so CI can watch it drift. *)
   let module P = Omq.Protocol in
   let read_file path =
@@ -1024,7 +1045,7 @@ let () =
     eval_table ~sizes:[ 10_000 ] ();
     incremental_table ();
     meta_metrics ();
-    Reasoner.Stats.publish ~prefix:"bench.total" (Reasoner.Stats.global ());
+    record_stats "bench.total" total;
     write_metrics "BENCH_smoke.json"
   end
   else begin
@@ -1047,7 +1068,7 @@ let () =
     unravel_table ();
     run_benchmarks ();
     meta_metrics ();
-    Reasoner.Stats.publish ~prefix:"bench.total" (Reasoner.Stats.global ());
+    record_stats "bench.total" total;
     write_metrics "BENCH_omq.json"
   end;
   Fmt.pr "@.done.@."

@@ -340,13 +340,14 @@ let eval_cmd =
                     (List.map (Query.Cq.explain d) (Query.Ucq.disjuncts q)) );
               ]));
     let omq = Omq.of_tbox tbox q in
-    Reasoner.Stats.reset (Reasoner.Stats.global ());
     let budget = budget_of c in
     let session = Omq.open_session ~max_extra omq d in
-    let global = Reasoner.Stats.global () in
     let boolean = Query.Ucq.is_boolean q in
     let names = List.map (List.map element_name) in
-    let proto_stats () = if stats then Some (Reasoner.Stats.json global) else None in
+    let proto_stats () =
+      if stats then Some (Reasoner.Stats.json (Omq.Session.stats session))
+      else None
+    in
     (* A tripped budget: report what was certified before exhaustion and
        where to resume, then exit with the reason's code. *)
     let partial reason (p : Omq.Session.partial_answers) =
@@ -378,7 +379,7 @@ let eval_cmd =
               Fmt.(list ~sep:comma Structure.Element.pp)
               t
         | None -> ());
-        if stats then Fmt.pr "%a@." Reasoner.Stats.pp global
+        if stats then Fmt.pr "%a@." Reasoner.Stats.pp (Omq.Session.stats session)
       end;
       Ok (reason_code reason)
     in
@@ -402,7 +403,7 @@ let eval_cmd =
               Fmt.pr "  (%a)@." Fmt.(list ~sep:comma Structure.Element.pp) t)
             answers
         end;
-        if stats then Fmt.pr "%a@." Reasoner.Stats.pp global
+        if stats then Fmt.pr "%a@." Reasoner.Stats.pp (Omq.Session.stats session)
       end;
       Ok 0
     in

@@ -44,6 +44,10 @@ type session = {
      each beside its stats baseline at acquisition, so the session
      reports its own work, not the cached engine's lifetime *)
   engines : (Reasoner.Engine.t * Reasoner.Stats.t) option ref array;
+  (* budget trips of this session's [_within] calls (only the two trip
+     counters are used); shared by the delta-updated sessions derived
+     from this one, fresh on a reopen *)
+  trips : Reasoner.Stats.t;
 }
 
 let open_session ?(max_extra = Reasoner.Problem.default_max_extra)
@@ -55,6 +59,7 @@ let open_session ?(max_extra = Reasoner.Problem.default_max_extra)
     updatable;
     extra_signature = Query.Ucq.signature omq.query;
     engines = Array.init (max_extra + 1) (fun _ -> ref None);
+    trips = Reasoner.Stats.create ();
   }
 
 module Session = struct
@@ -152,10 +157,23 @@ module Session = struct
     undecided : Structure.Element.t list Seq.t;
   }
 
-  (* The root span opens OUTSIDE Budget.protect: when a trip unwinds,
-     the inner spans close with the classifier label and protect's
-     handler stamps the trip status on this still-open root — so a
-     budget-tripped trace exports with a closed, labelled root. *)
+  (* Budget.protect, with the trip counted into the session. The root
+     span opens OUTSIDE it: when a trip unwinds, the inner spans close
+     with the classifier label and protect's handler stamps the trip
+     status on this still-open root — so a budget-tripped trace exports
+     with a closed, labelled root. *)
+  let protect s budget ~partial f =
+    let o = Reasoner.Budget.protect budget ~partial f in
+    (match Reasoner.Budget.outcome_reason o with
+    | Some Reasoner.Budget.Timeout ->
+        s.trips.Reasoner.Stats.budget_timeouts <-
+          s.trips.Reasoner.Stats.budget_timeouts + 1
+    | Some Reasoner.Budget.Fuel ->
+        s.trips.Reasoner.Stats.budget_fuel_trips <-
+          s.trips.Reasoner.Stats.budget_fuel_trips + 1
+    | None -> ());
+    o
+
   let certain_answers_within budget s =
     Obs.Trace.with_span
       ~attrs:[ ("op", Obs.Trace.Str "certain_answers_within") ]
@@ -163,7 +181,7 @@ module Session = struct
     @@ fun () ->
     let certified = ref [] in
     let cursor = ref (candidates s) in
-    Reasoner.Budget.protect budget
+    protect s budget
       ~partial:(fun () ->
         { certified = List.rev !certified; undecided = !cursor })
       (fun () ->
@@ -183,7 +201,7 @@ module Session = struct
       ~attrs:[ ("op", Obs.Trace.Str "certain_within") ]
       "omq.query"
     @@ fun () ->
-    Reasoner.Budget.protect budget
+    protect s budget
       ~partial:(fun () -> ())
       (fun () -> certain ~budget s tuple)
 
@@ -192,14 +210,14 @@ module Session = struct
       ~attrs:[ ("op", Obs.Trace.Str "is_consistent_within") ]
       "omq.query"
     @@ fun () ->
-    Reasoner.Budget.protect budget
+    protect s budget
       ~partial:(fun () -> ())
       (fun () -> is_consistent ~budget s)
 
   (* The work this session drove through its engines since acquiring
-     them, summed over bounds. *)
+     them, summed over bounds, plus its budget trips. *)
   let stats s =
-    let acc = Reasoner.Stats.create () in
+    let acc = Reasoner.Stats.copy s.trips in
     Array.iter
       (fun cell ->
         match !cell with
@@ -335,9 +353,10 @@ let pp ppf omq =
    Parallel.Pool — the paper's own workload shape (411 BioPortal
    ontologies) rather than one session at a time. Corpus items are
    independent, so the fan-out is shared-nothing: each worker domain
-   grows its own engine registry, grounding memo and Stats record
-   (Domain.DLS), and the only cross-domain artifacts are the per-item
-   results, assembled in submission order. That assembly (plus
+   grows its own engine registry and grounding memo (Domain.DLS), each
+   item counts its work in its own session's stats, and the only
+   cross-domain artifacts are the per-item results (those stats
+   included), assembled in submission order. That assembly (plus
    per-item budgets and traces) is what makes [--jobs n] output
    bit-identical to [--jobs 1]. *)
 module Corpus = struct

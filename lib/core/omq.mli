@@ -110,9 +110,12 @@ module Session : sig
 
   (** The work this session drove through the engines it forced, summed
       over bounds: each engine's {!Reasoner.Stats} less its snapshot at
-      acquisition ({!Reasoner.Engine.acquire}). A session that borrows a
-      cached engine reports its cache hit and its own solves, not the
-      grounding or solves of earlier sessions. *)
+      acquisition ({!Reasoner.Engine.acquire}), plus the budget trips of
+      its [_within] calls. A session that borrows a cached engine
+      reports its cache hit and its own solves, not the grounding or
+      solves of earlier sessions. A session returned by a [`Delta]
+      update keeps counting where its predecessor left off; a [`Reopen]
+      counts from zero. *)
   val stats : t -> Reasoner.Stats.t
 end
 

@@ -6,8 +6,7 @@
 
 (* Log-spaced bucket upper bounds shared by every histogram: 1-2.5-5
    steps over nine decades, 1e-6 .. 1e3. Latencies are seconds, so this
-   spans a microsecond to a quarter hour; the shared static layout is
-   what makes cross-domain merge an elementwise sum. *)
+   spans a microsecond to a quarter hour. *)
 let bucket_bounds =
   let bounds = ref [] in
   for e = 2 downto -6 do
@@ -46,12 +45,12 @@ type t = { table : (string, metric) Hashtbl.t }
 
 let create () = { table = Hashtbl.create 32 }
 
-(* The default registry, one per domain: Stats publication and the
-   bench harness both write here by default. A registry is a plain
-   hashtable of mutable cells, so sharing one across domains would race
-   on every write; giving each domain its own (merged explicitly by
-   whoever joins the domains, if they care) keeps the hot increment
-   path lock-free. *)
+(* The default registry, one per domain: the daemon's loop and the bench
+   harness write here. A registry is a plain hashtable of mutable cells,
+   so sharing one across domains would race on every write; giving each
+   domain its own keeps the hot increment path lock-free. Work done on
+   another domain reaches a registry as values the owning domain writes
+   itself. *)
 let global_key = Domain.DLS.new_key create
 let global () = Domain.DLS.get global_key
 
@@ -162,55 +161,6 @@ let names t =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.table [])
 
 let is_empty t = Hashtbl.length t.table = 0
-
-(* ------------------------------------------------------------------ *)
-(* Snapshots and cross-domain merge                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* A snapshot is a deep copy taken on the owning domain; once taken it
-   is immutable by convention (nothing in this module mutates one), so
-   it can be handed to another domain — e.g. shipped in a completion
-   message from a worker to the select loop — without racing the DLS
-   registry it came from. *)
-type snapshot = (string * metric) list
-
-let snapshot t =
-  List.map
-    (fun name ->
-      let copy =
-        match Hashtbl.find t.table name with
-        | Counter r -> Counter (ref !r)
-        | Gauge r -> Gauge (ref !r)
-        | Histogram h ->
-            Histogram { h with buckets = Array.copy h.buckets }
-      in
-      (name, copy))
-    (names t)
-
-let merge_into t (snap : snapshot) =
-  List.iter
-    (fun (name, m) ->
-      match m with
-      | Counter r -> incr ~by:!r t name
-      | Gauge r -> set t name !r
-      | Histogram h -> (
-          match find_or_add t name new_histogram with
-          | Histogram dst ->
-              dst.count <- dst.count + h.count;
-              dst.sum <- dst.sum +. h.sum;
-              if h.min_v < dst.min_v then dst.min_v <- h.min_v;
-              if h.max_v > dst.max_v then dst.max_v <- h.max_v;
-              Array.iteri
-                (fun i n -> dst.buckets.(i) <- dst.buckets.(i) + n)
-                h.buckets
-          | Counter _ | Gauge _ ->
-              invalid_arg ("Metrics.merge: " ^ name ^ " is not a histogram")))
-    snap
-
-let merge_snapshots snaps =
-  let t = create () in
-  List.iter (merge_into t) snaps;
-  t
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)

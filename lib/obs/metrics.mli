@@ -14,10 +14,12 @@ type t
 
 val create : unit -> t
 
-(** The default registry — one per domain ({!Reasoner.Stats}
-    publication and the bench harness write here by default). Being
-    domain-local keeps writes race-free without a lock; a parallel
-    runner that wants one view merges per-domain snapshots itself. *)
+(** The default registry — one per domain (the daemon's event loop and
+    the bench harness write here). Being domain-local keeps writes
+    race-free without a lock. Registries are never merged: work done on
+    another domain is written here by the owning domain, from values
+    handed to it (the daemon's completions carry a worker's GC sample
+    and its session's {!Reasoner.Stats} delta to the loop). *)
 val global : unit -> t
 
 val reset : t -> unit
@@ -43,8 +45,7 @@ val gauge_value : t -> string -> float option
 val histogram_stats : t -> string -> (int * float * float * float) option
 
 (** The static log-spaced bucket upper bounds shared by every histogram
-    (1-2.5-5 steps per decade over 1e-6 .. 1e3, seconds). The shared
-    layout is what makes {!merge_snapshots} an elementwise sum. *)
+    (1-2.5-5 steps per decade over 1e-6 .. 1e3, seconds). *)
 val bucket_bounds : float array
 
 (** Per-bucket observation counts of a histogram (a fresh copy; index
@@ -57,24 +58,6 @@ val histogram_buckets : t -> string -> int array option
     q-rank observation, clamped to the recorded min/max. [None] if the
     name is not a histogram or has no observations. *)
 val quantile : t -> string -> float -> float option
-
-(** An immutable deep copy of a registry, safe to hand across domains.
-    Take it on the domain that owns the registry (e.g. inside a worker
-    job) and merge it wherever the aggregate view lives. *)
-type snapshot
-
-val snapshot : t -> snapshot
-
-(** Merge one snapshot into an existing registry: counters add, gauges
-    take the snapshot's value, histograms sum count/sum/buckets and
-    widen min/max. *)
-val merge_into : t -> snapshot -> unit
-
-(** Fold a list of snapshots into a fresh registry ([merge_into] left
-    to right, so later gauges win). Equivalent to having replayed all
-    the underlying operations into one registry, for every metric kind
-    except gauges (last write wins by list order). *)
-val merge_snapshots : snapshot list -> t
 
 (** Registered metric names, sorted. *)
 val names : t -> string list

@@ -92,7 +92,7 @@ let type_str = function
 
 (* One exposition document over several registries distinguished by
    label sets (the daemon scrapes its loop registry unlabelled and one
-   snapshot-merged registry per worker as domain="i"). All samples of
+   GC-gauge registry per worker as domain="i"). All samples of
    a name are grouped under a single HELP/TYPE block, as the format
    requires. *)
 let render ?(help = fun _ -> None) sources =

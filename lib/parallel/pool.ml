@@ -20,8 +20,10 @@
    variable between batches; batches are numbered so a worker never
    re-enters a batch it has already drained. Worker domains inherit
    nothing: every Domain.DLS-backed structure of the reasoning stack
-   (session registry, grounding memo, Stats.global (), ambient trace
-   collector) starts fresh per domain and stays warm across batches. *)
+   (session registry, grounding memo, ambient trace collector) starts
+   fresh per domain and stays warm across batches. Reasoner counters
+   are not domain state: each item's work is counted in its own
+   session's stats and travels back in the item's result. *)
 
 type batch = {
   gen : int;  (* batch number, > 0 *)

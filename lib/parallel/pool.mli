@@ -16,10 +16,12 @@
 
     Worker-local state: domains carry their own {!Domain.DLS} slots, so
     every domain-local structure of the reasoning stack (the engine
-    session registry, the grounding circuit memo, [Stats.global ()],
-    the ambient trace collector) is automatically per-worker. Workers
-    are reused across batches of the same pool, so that state stays
-    warm from batch to batch.
+    session registry, the grounding circuit memo, the ambient trace
+    collector) is automatically per-worker. Workers are reused across
+    batches of the same pool, so that state stays warm from batch to
+    batch. Reasoner counters are not domain state: an item's work is
+    counted in its own session's [Reasoner.Stats] and returned with
+    its result.
 
     Exceptions: an item that raises does not poison its siblings — the
     remaining items still run. After the batch, the exception of the

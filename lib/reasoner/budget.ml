@@ -112,7 +112,6 @@ type ('a, 'p) outcome = [ `Ok of 'a | `Timeout of 'p | `Out_of_fuel of 'p ]
 let protect t ~partial f =
   try `Ok (f ())
   with Exhausted r when t.tripped = Some r ->
-    let s = Stats.global () in
     (* The inner spans already unwound (closed with the classifier
        label); the event and status land on the still-open enclosing
        span — for a traced query, its root. *)
@@ -120,13 +119,9 @@ let protect t ~partial f =
       ~attrs:[ ("reason", Obs.Trace.Str (label_of_reason r)) ]
       "budget_trip";
     Obs.Trace.set_status (label_of_reason r);
-    (match r with
-    | Timeout ->
-        s.Stats.budget_timeouts <- s.Stats.budget_timeouts + 1;
-        `Timeout (partial ())
-    | Fuel ->
-        s.Stats.budget_fuel_trips <- s.Stats.budget_fuel_trips + 1;
-        `Out_of_fuel (partial ()))
+    match r with
+    | Timeout -> `Timeout (partial ())
+    | Fuel -> `Out_of_fuel (partial ())
 
 let map f = function
   | `Ok v -> `Ok (f v)

@@ -78,8 +78,9 @@ val tripped : t -> reason option
 type ('a, 'p) outcome = [ `Ok of 'a | `Timeout of 'p | `Out_of_fuel of 'p ]
 
 (** [protect t ~partial f] runs [f], converting an {!Exhausted} trip of
-    this budget into [`Timeout (partial ())] or [`Out_of_fuel (partial ())]
-    and crediting the trip to {!Stats.global}. *)
+    this budget into [`Timeout (partial ())] or [`Out_of_fuel (partial ())].
+    Counting the trip is the caller's business: the [Omq] session layer
+    counts it into the session's stats. *)
 val protect : t -> partial:(unit -> 'p) -> (unit -> 'a) -> ('a, 'p) outcome
 
 (** Map the success value of an outcome. *)

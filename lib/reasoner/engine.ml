@@ -58,12 +58,15 @@ type t = {
 }
 
 let instance t = t.instance
-let stats t = t.stats
 
-(* Every update lands in the session's own record and in the global one. *)
-let tally t f =
-  f t.stats;
-  f (Stats.global ())
+(* The grounder counts its own memo traffic (also on a budget trip, so
+   partial groundings stay accounted for); it is folded into the
+   engine's record whenever the record is read. *)
+let stats t =
+  let hits, misses = Ground.memo_counts t.ground in
+  t.stats.Stats.memo_hits <- hits;
+  t.stats.Stats.memo_misses <- misses;
+  t.stats
 
 (* Run [f] with [b] installed as the session budget (both here and on
    the grounder), restoring the unlimited budget afterwards — including
@@ -107,19 +110,6 @@ let sync t =
     Obs.Trace.add_attr "vars" (Obs.Trace.Int fresh)
   end
 
-(* The grounding memo counts its traffic in [Stats.global] directly
-   (it is process-wide, not per-session); [f]'s delta is mirrored into
-   the per-session record here — also on a budget trip, so partial
-   groundings stay accounted for. *)
-let with_memo_delta st f =
-  let g = Stats.global () in
-  let h0 = g.Stats.memo_hits and m0 = g.Stats.memo_misses in
-  Fun.protect
-    ~finally:(fun () ->
-      st.Stats.memo_hits <- st.Stats.memo_hits + (g.Stats.memo_hits - h0);
-      st.Stats.memo_misses <- st.Stats.memo_misses + (g.Stats.memo_misses - m0))
-    f
-
 let create ?(extra_signature = Logic.Signature.empty) ?(budget = Budget.unlimited)
     ?(dynamic = false) ~extra o d =
   let st = Stats.create () in
@@ -130,9 +120,8 @@ let create ?(extra_signature = Logic.Signature.empty) ?(budget = Budget.unlimite
     (fun () ->
       let t0 = Obs.Clock.now () in
       let g =
-        with_memo_delta st (fun () ->
-            Problem.build ~budget ~extra_signature ~assert_facts:(not dynamic)
-              ~extra o d)
+        Problem.build ~budget ~extra_signature ~assert_facts:(not dynamic)
+          ~extra o d
       in
       let assumed = Hashtbl.create (if dynamic then 64 else 1) in
       let fact_assumptions =
@@ -170,9 +159,8 @@ let create ?(extra_signature = Logic.Signature.empty) ?(budget = Budget.unlimite
           Ground.set_budget g Budget.unlimited)
         (fun () -> sync t);
       let dt = Obs.Clock.now () -. t0 in
-      tally t (fun s ->
-          s.Stats.groundings <- s.Stats.groundings + 1;
-          s.Stats.ground_seconds <- s.Stats.ground_seconds +. dt);
+      st.Stats.groundings <- st.Stats.groundings + 1;
+      st.Stats.ground_seconds <- st.Stats.ground_seconds +. dt;
       if Obs.Trace.enabled () then
         Obs.Trace.add_attr "vars" (Obs.Trace.Int (Ground.nvars g));
       t)
@@ -190,12 +178,12 @@ let instrumented t n_assumptions f =
         ~finally:(fun () ->
           let dt = Obs.Clock.now () -. t0 in
           let d1, p1, c1 = Dpll.counters t.solver in
-          tally t (fun s ->
-              s.Stats.solves <- s.Stats.solves + 1;
-              s.Stats.decisions <- s.Stats.decisions + (d1 - d0);
-              s.Stats.propagations <- s.Stats.propagations + (p1 - p0);
-              s.Stats.conflicts <- s.Stats.conflicts + (c1 - c0);
-              s.Stats.solve_seconds <- s.Stats.solve_seconds +. dt);
+          let s = t.stats in
+          s.Stats.solves <- s.Stats.solves + 1;
+          s.Stats.decisions <- s.Stats.decisions + (d1 - d0);
+          s.Stats.propagations <- s.Stats.propagations + (p1 - p0);
+          s.Stats.conflicts <- s.Stats.conflicts + (c1 - c0);
+          s.Stats.solve_seconds <- s.Stats.solve_seconds +. dt;
           if Obs.Trace.enabled () then begin
             Obs.Trace.add_attr "decisions" (Obs.Trace.Int (d1 - d0));
             Obs.Trace.add_attr "conflicts" (Obs.Trace.Int (c1 - c0))
@@ -233,7 +221,7 @@ let reified_lit ?(env = SMap.empty) t f =
         Ground.ensure_signature t.ground (Logic.Signature.of_formula f);
         t.signed <- f :: t.signed
       end;
-      let l = with_memo_delta t.stats (fun () -> Ground.reify ~env t.ground f) in
+      let l = Ground.reify ~env t.ground f in
       sync t;
       Hashtbl.replace t.reified key l;
       l
@@ -319,9 +307,6 @@ let certain_disjunction ?budget t pointed = certain_pointed ?budget t pointed
 
 let is_dynamic t = t.dynamic
 
-let delta_metric ?(by = 1) name =
-  Obs.Metrics.incr ~by (Obs.Metrics.global ()) name
-
 (* [insert_facts t facts] admits new facts into a dynamic session as
    additional assumptions. New relations are registered on demand
    (their variable blocks append after the existing ones); a fact over
@@ -335,10 +320,7 @@ let insert_facts ?(budget = Budget.unlimited) t facts =
     ~attrs:[ ("facts", Obs.Trace.Int (List.length facts)) ]
     "engine.delta.insert"
     (fun () ->
-      if not t.dynamic then begin
-        delta_metric "engine.delta.rebuilds";
-        `Needs_rebuild
-      end
+      if not t.dynamic then `Needs_rebuild
       else
         with_budget t budget @@ fun () ->
         let fresh =
@@ -359,9 +341,7 @@ let insert_facts ?(budget = Budget.unlimited) t facts =
                   (f, Ground.fact_var t.ground f))
             fresh
         with
-        | exception Invalid_argument _ ->
-            delta_metric "engine.delta.rebuilds";
-            `Needs_rebuild
+        | exception Invalid_argument _ -> `Needs_rebuild
         | vars ->
             sync t;
             List.iter
@@ -381,7 +361,6 @@ let insert_facts ?(budget = Budget.unlimited) t facts =
                 ()
             | Some _ -> t.witness <- None
             | None -> ());
-            delta_metric ~by:(List.length vars) "engine.delta.inserts";
             `Delta)
 
 (* [retract_facts t facts] drops facts from a dynamic session by
@@ -397,10 +376,7 @@ let retract_facts ?(budget = Budget.unlimited) t facts =
     ~attrs:[ ("facts", Obs.Trace.Int (List.length facts)) ]
     "engine.delta.retract"
     (fun () ->
-      if not t.dynamic then begin
-        delta_metric "engine.delta.rebuilds";
-        `Needs_rebuild
-      end
+      if not t.dynamic then `Needs_rebuild
       else
         with_budget t budget @@ fun () ->
         let present =
@@ -417,10 +393,7 @@ let retract_facts ?(budget = Budget.unlimited) t facts =
             (Structure.Element.Set.equal
                (Structure.Instance.domain shrunk)
                (Structure.Instance.domain t.instance))
-        then begin
-          delta_metric "engine.delta.rebuilds";
-          `Needs_rebuild
-        end
+        then `Needs_rebuild
         else begin
           List.iter (fun f -> Hashtbl.remove t.assumed f) present;
           if present <> [] then begin
@@ -431,7 +404,6 @@ let retract_facts ?(budget = Budget.unlimited) t facts =
             | Some false -> t.consistent <- None
             | _ -> ()
           end;
-          delta_metric ~by:(List.length present) "engine.delta.retracts";
           `Delta
         end)
 
@@ -515,14 +487,14 @@ let acquire ?extra_signature ?budget ~extra o d =
   | Some e ->
       e.stamp <- r.clock;
       let t = e.engine in
-      let baseline = Stats.copy t.stats in
-      tally t (fun s -> s.Stats.cache_hits <- s.Stats.cache_hits + 1);
+      let baseline = Stats.copy (stats t) in
+      t.stats.Stats.cache_hits <- t.stats.Stats.cache_hits + 1;
       Obs.Trace.event ~attrs:[ ("extra", Obs.Trace.Int extra) ] "engine.cache_hit";
       (t, baseline)
   | None ->
       Obs.Trace.event ~attrs:[ ("extra", Obs.Trace.Int extra) ] "engine.cache_miss";
       let t = create ?extra_signature ?budget ~extra o d in
-      tally t (fun s -> s.Stats.cache_misses <- s.Stats.cache_misses + 1);
+      t.stats.Stats.cache_misses <- t.stats.Stats.cache_misses + 1;
       if r.capacity > 0 then begin
         Hashtbl.replace r.sessions key { engine = t; stamp = r.clock };
         evict_to r r.capacity

@@ -21,8 +21,8 @@ type t
 (** Ground (O, D) with exactly [extra] fresh nulls. [extra_signature]
     pre-registers further relations (query relations are also admitted
     on demand later). Each engine counts into its own fresh {!stats}
-    record; every update is mirrored into {!Stats.global}. May raise
-    {!Budget.Exhausted} while grounding when budgeted.
+    record, and nowhere else. May raise {!Budget.Exhausted} while
+    grounding when budgeted.
 
     With [~dynamic:true] the instance's facts are carried as persistent
     solver assumptions (their dense-rank fact variables) instead of unit
@@ -39,6 +39,9 @@ val create :
   t
 
 val instance : t -> Structure.Instance.t
+
+(** The engine's lifetime counters: its grounding, solves, cache
+    lookups and the circuit-memo traffic of its grounder. *)
 val stats : t -> Stats.t
 
 (** Memoized: solved once per session (only a completed verdict is
@@ -76,7 +79,7 @@ val certain_disjunction :
     domain, so shrinking it requires a reopen to keep verdicts identical
     to a fresh session). On [`Delta] the engine's instance, memoized
     consistency verdict and cached witness are all kept consistent, and
-    [engine.delta.*] spans and metrics are emitted. *)
+    an [engine.delta.*] span is emitted. *)
 
 val is_dynamic : t -> bool
 

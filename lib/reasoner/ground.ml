@@ -48,6 +48,8 @@ type t = {
   mutable pending_pos : int;  (* arena offset of the first undrained clause *)
   mutable known : Logic.Signature.t;  (* relations with registered facts *)
   mutable budget : Budget.t;  (* checked per relation, subformula, clause *)
+  mutable memo_hits : int;  (* circuits this grounding replayed from the memo *)
+  mutable memo_misses : int;  (* circuits it expanded and recorded *)
 }
 
 type env = Structure.Element.t SMap.t
@@ -104,12 +106,15 @@ let create ?(budget = Budget.unlimited) ~domain ~signature () =
       pending_pos = 0;
       known = Logic.Signature.empty;
       budget;
+      memo_hits = 0;
+      memo_misses = 0;
     }
   in
   register_signature t signature;
   t
 
 let set_budget t b = t.budget <- b
+let memo_counts t = (t.memo_hits, t.memo_misses)
 
 (* Admit further relations after creation (for sessions that must answer
    queries whose signature was unknown at grounding time). The new
@@ -676,8 +681,9 @@ let memo_replay t e =
 
 (* Ground via the memo: replay on a hit, otherwise run [expand] (which
    evaluates and emits, returning the reified literal or 0) and record
-   the emitted slice. Hits and misses are counted in [Stats.global] and
-   appear in the profile table via the two span names. *)
+   the emitted slice. Hits and misses are counted on [t], the grounding
+   that replayed or expanded, and appear in the profile table via the
+   two span names. *)
 let memoized t op cf expand =
   let m = memo_state () in
   if m.capacity = 0 then expand ()
@@ -687,12 +693,10 @@ let memoized t op cf expand =
     match MemoTbl.find_opt m.table key with
     | Some e ->
         e.stamp <- m.clock;
-        let g = Stats.global () in
-        g.Stats.memo_hits <- g.Stats.memo_hits + 1;
+        t.memo_hits <- t.memo_hits + 1;
         Obs.Trace.with_span "ground.memo_replay" (fun () -> memo_replay t e)
     | None ->
-        let g = Stats.global () in
-        g.Stats.memo_misses <- g.Stats.memo_misses + 1;
+        t.memo_misses <- t.memo_misses + 1;
         Obs.Trace.with_span "ground.memo_expand" (fun () ->
             let boundary = t.nvars in
             let start = t.arena_len in

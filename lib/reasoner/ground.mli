@@ -43,6 +43,10 @@ val create :
     one query under a deadline against a long-lived session). *)
 val set_budget : t -> Budget.t -> unit
 
+(** [(hits, misses)] of the circuit memo on this grounding's lifetime:
+    circuits it replayed, and circuits it expanded and recorded. *)
+val memo_counts : t -> int * int
+
 (** SAT variable of a possible fact (pure arithmetic: no hashing of the
     fact itself).
     @raise Invalid_argument for facts outside the signature/domain. *)
@@ -108,10 +112,10 @@ val enumerate_projections : ?limit:int -> t -> int list -> bool list list
     (operation, domain size, compiled sentence), and replayed — clause
     slice appended, auxiliary variables shifted to fresh ones — when a
     structurally identical grounding recurs in any session. Replay
-    still charges the budget per clause. Hits and misses are counted in
-    {!Stats.global} ([memo_hits]/[memo_misses]) and show up in the
-    profile table as the [ground.memo_replay]/[ground.memo_expand]
-    spans. *)
+    still charges the budget per clause. Hits and misses are counted on
+    the grounding that replayed or expanded ({!memo_counts}) and show
+    up in the profile table as the
+    [ground.memo_replay]/[ground.memo_expand] spans. *)
 
 (** Maximum number of memoized circuits on the calling domain (default
     256; least recently used evicted). [set_memo_capacity 0] disables

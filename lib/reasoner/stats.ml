@@ -1,9 +1,10 @@
-(* Instrumentation counters for the reasoner. One record is threaded
-   through the incremental engine (and mirrored into [global]) so that
+(* Instrumentation counters for the reasoner. Each engine counts into
+   its own record, and a session sums its engines' records, so that
    callers — the CLI's --stats flag, the bench harness, tests — can see
    how much work a workload really did: groundings built, solver
    invocations, raw CDCL effort, session-cache effectiveness, and wall
-   time split by phase. *)
+   time split by phase. Every event is written once, into the record of
+   the engine or session that did the work. *)
 
 type t = {
   mutable groundings : int;
@@ -37,30 +38,6 @@ let create () =
     ground_seconds = 0.0;
     solve_seconds = 0.0;
   }
-
-(* The default record, one per domain: every engine operation on that
-   domain is mirrored here so a front end can report totals without
-   holding every session. Domain-local (rather than one process-wide
-   record) because the counters are plain mutable ints — concurrent
-   workers would tear and lose updates; the corpus runner instead sums
-   per-item snapshots in submission order at join. *)
-let global_key = Domain.DLS.new_key create
-let global () = Domain.DLS.get global_key
-
-let reset t =
-  t.groundings <- 0;
-  t.solves <- 0;
-  t.decisions <- 0;
-  t.propagations <- 0;
-  t.conflicts <- 0;
-  t.cache_hits <- 0;
-  t.cache_misses <- 0;
-  t.memo_hits <- 0;
-  t.memo_misses <- 0;
-  t.budget_timeouts <- 0;
-  t.budget_fuel_trips <- 0;
-  t.ground_seconds <- 0.0;
-  t.solve_seconds <- 0.0
 
 let copy t = { t with groundings = t.groundings }
 
@@ -97,13 +74,6 @@ let diff b a =
     solve_seconds = b.solve_seconds -. a.solve_seconds;
   }
 
-let now = Obs.Clock.now
-
-(* Run [f], crediting its wall time via [credit]. *)
-let timed credit f =
-  let t0 = now () in
-  Fun.protect ~finally:(fun () -> credit (now () -. t0)) f
-
 let pp ppf t =
   Fmt.pf ppf
     "@[<v>groundings:   %d (%.4fs)@ solves:       %d (%.4fs)@ decisions:    \
@@ -136,22 +106,3 @@ let json t =
     ]
 
 let to_json t = Obs.Json.render (json t)
-
-(* Publish a snapshot into a metrics registry under [prefix].<field>,
-   with the same snake_case field names as the JSON schema. Absolute
-   writes, so re-publication is idempotent. *)
-let publish ?(prefix = "reasoner") ?(into = Obs.Metrics.global ()) t =
-  let count name v = Obs.Metrics.set_count into (prefix ^ "." ^ name) v in
-  count "groundings" t.groundings;
-  count "solves" t.solves;
-  count "decisions" t.decisions;
-  count "propagations" t.propagations;
-  count "conflicts" t.conflicts;
-  count "cache_hits" t.cache_hits;
-  count "cache_misses" t.cache_misses;
-  count "memo_hits" t.memo_hits;
-  count "memo_misses" t.memo_misses;
-  count "budget_timeouts" t.budget_timeouts;
-  count "budget_fuel_trips" t.budget_fuel_trips;
-  Obs.Metrics.set into (prefix ^ ".ground_seconds") t.ground_seconds;
-  Obs.Metrics.set into (prefix ^ ".solve_seconds") t.solve_seconds

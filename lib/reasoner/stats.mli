@@ -21,14 +21,6 @@ type t = {
 
 val create : unit -> t
 
-(** The calling domain's default record; every engine operation run on
-    that domain is mirrored here. Domain-local so parallel workers never
-    contend (or tear) on the counters — aggregate across workers by
-    summing per-item snapshots ({!add}) at join, as the corpus runner
-    does. *)
-val global : unit -> t
-
-val reset : t -> unit
 val copy : t -> t
 
 (** [add ~into t] accumulates [t]'s counters into [into]. *)
@@ -37,9 +29,6 @@ val add : into:t -> t -> unit
 (** [diff b a] is the field-wise difference [b - a] as a fresh record:
     the work done between snapshot [a] and the later snapshot [b]. *)
 val diff : t -> t -> t
-
-(** [timed credit f] runs [f], passing its wall time to [credit]. *)
-val timed : (float -> unit) -> (unit -> 'a) -> 'a
 
 val pp : t Fmt.t
 
@@ -62,10 +51,3 @@ val json : t -> Obs.Json.t
 
 (** [Obs.Json.render (json t)]: the one-line rendering of {!json}. *)
 val to_json : t -> string
-
-(** [publish ?prefix ?into t] writes a snapshot of [t] into an
-    {!Obs.Metrics} registry (default {!Obs.Metrics.global}) as
-    [<prefix>.<field>] — e.g. ["reasoner.cache_hits"] — using the same
-    snake_case field names as {!to_json}. Writes are absolute, so
-    publishing repeatedly is idempotent rather than accumulating. *)
-val publish : ?prefix:string -> ?into:Obs.Metrics.t -> t -> unit

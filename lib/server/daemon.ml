@@ -115,16 +115,26 @@ type sess = {
    resurrect it. *)
 type reg = New of int * sess | Refresh of int * sess
 
-type completion = {
-  token : int;
+(* What a worker job hands back to the loop. *)
+type reply = {
   resp : P.response;
   register : reg option;
+  work : S.t option;
+      (** the Stats delta of the session the job touched, summed into
+          the loop's [reasoner] record *)
+  delta : [ `Insert | `Retract | `Reopen ] option;
+      (** the path an update took, counted as serve.delta.* on the loop *)
+}
+
+let reply ?register ?work ?delta resp = { resp; register; work; delta }
+
+type completion = {
+  token : int;
+  reply : reply;
   worker : int;
-  wstats : S.t;  (** cumulative snapshot of the worker's Stats.global *)
-  msnap : Obs.Metrics.snapshot option;
-      (** the worker's metrics registry (GC gauges included), snapshot
-          at completion on the worker — the loop merges it at scrape
-          time instead of racing the worker's DLS *)
+  gc : (float * float) option;
+      (** the worker's major words and minor collections, when this job
+          sampled them *)
   trace : Obs.Trace.t option;
 }
 
@@ -175,9 +185,9 @@ type state = {
   replaying : (int, unit) Hashtbl.t;
       (** sids being rebuilt after a quarantine or at startup; requests
           for them are rejected with the retryable [Worker_lost] *)
-  worker_stats : S.t array;
-  worker_msnaps : Obs.Metrics.snapshot option array;
-      (** latest per-worker metrics snapshot (GC gauges etc.) *)
+  reasoner : S.t;  (** the work of every completed job, summed *)
+  worker_gc : Obs.Metrics.t array;
+      (** per worker: its last sampled GC gauges, empty until sampled *)
   served_by_worker : int array;
   flight : Telemetry.t;
   http : (int, hconn) Hashtbl.t;
@@ -350,12 +360,11 @@ let submit_raw st ~conn_id ~rid ~worker ~replay_sid ?(sid = -1) ~op make =
   in
   Parallel.Service.submit st.service ~worker (fun () ->
       let job () =
-        try make () with
-        | e ->
-            ( P.Rejected { kind = P.Internal; message = Printexc.to_string e },
-              None )
+        try make ()
+        with e ->
+          reply (P.Rejected { kind = P.Internal; message = Printexc.to_string e })
       in
-      let (resp, register), trace =
+      let reply, trace =
         if tracing then
           let r, col =
             Obs.Trace.collect (fun () ->
@@ -363,34 +372,28 @@ let submit_raw st ~conn_id ~rid ~worker ~replay_sid ?(sid = -1) ~op make =
                   ~attrs:[ ("op", Obs.Trace.Str op) ]
                   "serve.request"
                   (fun () ->
-                    let ((resp, _) as r) = job () in
+                    let r = job () in
                     Obs.Trace.add_attr "outcome"
-                      (Obs.Trace.Str (outcome_of resp));
+                      (Obs.Trace.Str (outcome_of r.resp));
                     r))
           in
           (r, Some col)
         else (job (), None)
       in
-      (* Per-request-batch GC sampling (the instrument ROADMAP item 3
-         asks for): quick_stat is cheap and runs on the worker, so the
-         gauges land in the worker's own DLS registry; the snapshot
-         ships the whole registry to the loop in the completion.
-         Sampling every completion would tax the hot path (and, on
-         starved hosts, amplify domain thrash), so each worker samples
-         its first job and then every [gc_sample_every]th; the loop
-         keeps the last shipped snapshot in between. *)
-      let msnap =
-        if telemetry && tick_gc_sample () then begin
-          let g = Obs.Metrics.global () in
+      (* Per-request-batch GC sampling: quick_stat is cheap and must run
+         on the worker, whose heap it reads; the two numbers ride the
+         completion to the loop. Sampling every completion would tax the
+         hot path (and, on starved hosts, amplify domain thrash), so
+         each worker samples its first job and then every
+         [gc_sample_every]th; the loop keeps the last sample in
+         between. *)
+      let gc =
+        if telemetry && tick_gc_sample () then
           let q = Gc.quick_stat () in
-          Obs.Metrics.set g "gc.major_words" q.Gc.major_words;
-          Obs.Metrics.set g "gc.minor_collections"
-            (float_of_int q.Gc.minor_collections);
-          Some (Obs.Metrics.snapshot g)
-        end
+          Some (q.Gc.major_words, float_of_int q.Gc.minor_collections)
         else None
       in
-      { token; resp; register; worker; wstats = S.copy (S.global ()); msnap; trace })
+      { token; reply; worker; gc; trace })
 
 let submit_job st conn rid ~worker ?sid ~op make =
   submit_raw st ~conn_id:conn.id ~rid ~worker ~replay_sid:None ?sid ~op make
@@ -399,7 +402,7 @@ let open_job ~sid ~worker ~ontology ~data ~query ~max_extra () =
   let ( let* ) r f =
     match r with
     | Ok v -> f v
-    | Error msg -> (P.Rejected { kind = P.Bad_request; message = msg }, None)
+    | Error msg -> reply (P.Rejected { kind = P.Bad_request; message = msg })
   in
   let* tbox = load_tbox_text ontology in
   let* inst = load_instance_text "data" data in
@@ -409,18 +412,21 @@ let open_job ~sid ~worker ~ontology ~data ~query ~max_extra () =
      so insert_facts/retract_facts delta-maintain instead of reopening. *)
   let session = Omq.open_session ~max_extra ~updatable:true omq inst in
   let log = [ Journal.Open { sid; ontology; data; query; max_extra } ] in
-  ( P.Opened { session = sid },
-    Some (New (sid, { omq; session; worker; max_extra; log })) )
+  reply
+    ~register:(New (sid, { omq; session; worker; max_extra; log }))
+    (P.Opened { session = sid })
 
+(* The work an eval charges to its session is the session's Stats delta
+   across the job: the eval's [want_stats] object and the loop's
+   [reasoner] share it. *)
 let eval_job st (se : sess) (want : P.budget_spec) want_stats () =
   let budget = budget_of_spec (clamp st.cfg.caps want) in
-  let g = S.global () in
-  let before = S.copy g in
+  let before = Omq.Session.stats se.session in
+  let work = lazy (S.diff (Omq.Session.stats se.session) before) in
   let boolean = Query.Ucq.is_boolean se.omq.Omq.query in
   let names = List.map (List.map element_name) in
   let stats () =
-    if want_stats then Some (S.json (S.diff g before))
-    else None
+    if want_stats then Some (S.json (Lazy.force work)) else None
   in
   let partial reason (p : Omq.Session.partial_answers) =
     let resume_from =
@@ -455,16 +461,17 @@ let eval_job st (se : sess) (want : P.budget_spec) want_stats () =
         | `Timeout p -> partial Reasoner.Budget.Timeout p
         | `Out_of_fuel p -> partial Reasoner.Budget.Fuel p)
   in
-  (resp, None)
+  reply ~work:(Lazy.force work) resp
 
 let classify_job ontology () =
   match load_tbox_text ontology with
-  | Error msg -> (P.Rejected { kind = P.Bad_request; message = msg }, None)
+  | Error msg -> reply (P.Rejected { kind = P.Bad_request; message = msg })
   | Ok tbox ->
       let o = Dl.Translate.tbox tbox in
       let fragment = Option.map Gf.Fragment.name (Gf.Fragment.of_ontology o) in
       let ev = Classify.Landscape.of_tbox tbox in
-      ( P.Classified
+      reply
+        (P.Classified
           {
             dl_name = Dl.Tbox.name tbox;
             depth = Dl.Tbox.depth tbox;
@@ -472,59 +479,46 @@ let classify_job ontology () =
             status = Fmt.str "%a" Classify.Landscape.pp_status ev.status;
             evidence_fragment = ev.Classify.Landscape.fragment;
             source = ev.Classify.Landscape.source;
-          },
-        None )
+          })
 
 (* Insert/retract delta-maintain the session's engines where possible
-   (Omq.Session falls back to a reopen when not); the strategy taken is
-   counted on the worker's registry and ships with the completion
-   snapshot. *)
-let insert_job (se : sess) sid facts () =
+   (Omq.Session falls back to a reopen when not). The strategy taken
+   rides the reply to the loop, which counts it; a delta-maintained
+   session reports the work the update charged to it, a reopened one
+   starts counting from zero. *)
+let update_job (se : sess) sid facts ~apply ~delta ~entry ~ack () =
   match load_instance_text "facts" facts with
-  | Error msg -> (P.Rejected { kind = P.Bad_request; message = msg }, None)
-  | Ok extra ->
+  | Error msg -> reply (P.Rejected { kind = P.Bad_request; message = msg })
+  | Ok inst ->
+      let before = Omq.Session.stats se.session in
       let session, strategy =
-        Omq.Session.insert_facts se.session (Structure.Instance.facts extra)
+        apply se.session (Structure.Instance.facts inst)
       in
-      (match strategy with
-      | `Delta -> metric "serve.delta.inserts"
-      | `Reopen -> metric "serve.delta.reopens");
-      ( P.Inserted
-          {
-            session = sid;
-            total_facts =
-              Structure.Instance.cardinal (Omq.Session.instance session);
-          },
-        Some
-          (Refresh
-             ( sid,
-               { se with session; log = Journal.Insert { sid; facts } :: se.log }
-             )) )
+      let work, delta =
+        match strategy with
+        | `Delta ->
+            (Some (S.diff (Omq.Session.stats session) before), delta)
+        | `Reopen -> (None, `Reopen)
+      in
+      reply ?work ~delta
+        ~register:(Refresh (sid, { se with session; log = entry :: se.log }))
+        (ack
+           ~total_facts:
+             (Structure.Instance.cardinal (Omq.Session.instance session)))
 
-let retract_job (se : sess) sid facts () =
-  match load_instance_text "facts" facts with
-  | Error msg -> (P.Rejected { kind = P.Bad_request; message = msg }, None)
-  | Ok gone ->
-      let session, strategy =
-        Omq.Session.retract_facts se.session (Structure.Instance.facts gone)
-      in
-      (match strategy with
-      | `Delta -> metric "serve.delta.retracts"
-      | `Reopen -> metric "serve.delta.reopens");
-      ( P.Retracted
-          {
-            session = sid;
-            total_facts =
-              Structure.Instance.cardinal (Omq.Session.instance session);
-          },
-        Some
-          (Refresh
-             ( sid,
-               {
-                 se with
-                 session;
-                 log = Journal.Retract { sid; facts } :: se.log;
-               } )) )
+let insert_job se sid facts =
+  update_job se sid facts
+    ~apply:Omq.Session.insert_facts
+    ~delta:`Insert
+    ~entry:(Journal.Insert { sid; facts })
+    ~ack:(fun ~total_facts -> P.Inserted { session = sid; total_facts })
+
+let retract_job se sid facts =
+  update_job se sid facts
+    ~apply:Omq.Session.retract_facts
+    ~delta:`Retract
+    ~entry:(Journal.Retract { sid; facts })
+    ~ack:(fun ~total_facts -> P.Retracted { session = sid; total_facts })
 
 (* ------------------------------------------------------------------ *)
 (* Journal plumbing (all on the loop domain) *)
@@ -611,8 +605,6 @@ let journal_entry_count () =
     (Obs.Metrics.counter_value (Obs.Metrics.global ()) "serve.journal.appends")
 
 let server_stats st =
-  let total = S.create () in
-  Array.iter (fun w -> S.add ~into:total w) st.worker_stats;
   P.Server_stats
     {
       uptime_s = Obs.Clock.now () -. st.start_s;
@@ -625,27 +617,19 @@ let server_stats st =
         (match st.journal with Some j -> Journal.size j | None -> 0);
       journal_entries = journal_entry_count ();
       counters = serve_counters ();
-      reasoner = S.json total;
+      reasoner = S.json st.reasoner;
     }
 
 (* ------------------------------------------------------------------ *)
 (* Live telemetry: the dump payload (SIGUSR1 + dump_telemetry) and the
    Prometheus scrape. Both run on the loop domain over loop-owned
-   state; worker registries enter only as completion-shipped
-   snapshots, never by touching another domain's DLS. *)
+   state; a worker's GC gauges enter only as completion-shipped
+   samples, never by touching another domain's DLS. *)
 
 let worker_sessions st w =
   Hashtbl.fold
     (fun _ (se : sess) n -> if se.worker = w then n + 1 else n)
     st.sessions 0
-
-(* Gauge lookup inside a shipped snapshot: merge it into a scratch
-   registry (snapshots are tiny — a handful of gauges). *)
-let snap_gauge snap name =
-  match snap with
-  | None -> None
-  | Some snap ->
-      Obs.Metrics.gauge_value (Obs.Metrics.merge_snapshots [ snap ]) name
 
 let quantile_ms name q =
   Obs.Metrics.quantile (Obs.Metrics.global ()) name q
@@ -657,7 +641,7 @@ let telemetry_json st =
   let now = Obs.Clock.now () in
   let jobs = Parallel.Service.jobs st.service in
   let worker_row w =
-    let snap = st.worker_msnaps.(w) in
+    let gauge = Obs.Metrics.gauge_value st.worker_gc.(w) in
     P.Json.Obj
       [
         ("domain", jint w);
@@ -667,9 +651,8 @@ let telemetry_json st =
           jnum_opt
             (Option.map (fun t -> now -. t)
                (Parallel.Service.busy_since st.service ~worker:w)) );
-        ("gc_major_words", jnum_opt (snap_gauge snap "gc.major_words"));
-        ( "gc_minor_collections",
-          jnum_opt (snap_gauge snap "gc.minor_collections") );
+        ("gc_major_words", jnum_opt (gauge "gc.major_words"));
+        ("gc_minor_collections", jnum_opt (gauge "gc.minor_collections"));
       ]
   in
   let extra =
@@ -693,9 +676,9 @@ let telemetry_json st =
   Telemetry.to_json ~extra st.flight
 
 (* The exposition: the loop registry (request counters/latency
-   histogram, shed/journal/supervision counters, loop GC) unlabelled,
-   plus each worker's last snapshot as domain="i". Point-in-time
-   gauges are refreshed here, at scrape time. *)
+   histogram, shed/journal/supervision/delta counters, loop GC)
+   unlabelled, plus each sampled worker's GC gauges as domain="i".
+   Point-in-time gauges are refreshed here, at scrape time. *)
 let scrape st =
   let g = Obs.Metrics.global () in
   let now = Obs.Clock.now () in
@@ -709,15 +692,11 @@ let scrape st =
   Obs.Metrics.set g "gc.major_words" q.Gc.major_words;
   Obs.Metrics.set g "gc.minor_collections" (float_of_int q.Gc.minor_collections);
   let workers =
-    List.filter_map
-      (fun w ->
-        match st.worker_msnaps.(w) with
-        | None -> None
-        | Some snap ->
-            Some
-              ( [ ("domain", string_of_int w) ],
-                Obs.Metrics.merge_snapshots [ snap ] ))
-      (List.init (Array.length st.worker_msnaps) Fun.id)
+    List.filter
+      (fun (_, reg) -> not (Obs.Metrics.is_empty reg))
+      (List.mapi
+         (fun w reg -> ([ ("domain", string_of_int w) ], reg))
+         (Array.to_list st.worker_gc))
   in
   Obs.Prometheus.render (([], g) :: workers)
 
@@ -1021,9 +1000,15 @@ let handle_completion st (c : completion) =
   | None -> () (* already failed by a quarantine; drop the late result *)
   | Some p -> (
       Hashtbl.remove st.pending c.token;
-      st.worker_stats.(c.worker) <- c.wstats;
+      Option.iter (S.add ~into:st.reasoner) c.reply.work;
+      Option.iter
+        (function
+          | `Insert -> metric "serve.delta.inserts"
+          | `Retract -> metric "serve.delta.retracts"
+          | `Reopen -> metric "serve.delta.reopens")
+        c.reply.delta;
       (* One load + branch when telemetry is off; otherwise the flight
-         record, the latency histogram and the per-worker snapshot. *)
+         record, the latency histogram and the worker's GC sample. *)
       if Telemetry.enabled st.flight then begin
         let now = Obs.Clock.now () in
         let dur_s = now -. p.submitted_s in
@@ -1031,14 +1016,17 @@ let handle_completion st (c : completion) =
         Obs.Metrics.incr g "serve.requests";
         Obs.Metrics.observe g "serve.request.seconds" dur_s;
         st.served_by_worker.(c.worker) <- st.served_by_worker.(c.worker) + 1;
-        (match c.msnap with
-        | Some _ -> st.worker_msnaps.(c.worker) <- c.msnap
+        (match c.gc with
+        | Some (major, minor) ->
+            let reg = st.worker_gc.(c.worker) in
+            Obs.Metrics.set reg "gc.major_words" major;
+            Obs.Metrics.set reg "gc.minor_collections" minor
         | None -> ());
         Telemetry.record st.flight
           {
             Telemetry.ts_s = now;
             op = (if p.replay_sid <> None then "recovery" else p.op);
-            outcome = outcome_of c.resp;
+            outcome = outcome_of c.reply.resp;
             worker = c.worker;
             session = p.sid;
             dur_s;
@@ -1055,7 +1043,7 @@ let handle_completion st (c : completion) =
       match p.replay_sid with
       | Some sid -> (
           Hashtbl.remove st.replaying sid;
-          match c.register with
+          match c.reply.register with
           | Some (New (s, se)) -> Hashtbl.replace st.sessions s se
           | Some (Refresh _) | None ->
               (* replay failed: the session is gone for good *)
@@ -1068,7 +1056,7 @@ let handle_completion st (c : completion) =
                       Obs.Log.Int ("session", sid);
                       Obs.Log.Str
                         ( "error",
-                          match c.resp with
+                          match c.reply.resp with
                           | P.Rejected { message; _ } -> message
                           | _ -> "unexpected response" );
                     ])
@@ -1077,8 +1065,8 @@ let handle_completion st (c : completion) =
              change (the head of the registered session's log) must be
              durable before the response bytes exist. On journal
              failure the op is not applied and not acked. *)
-          let resp = ref c.resp in
-          (match c.register with
+          let resp = ref c.reply.resp in
+          (match c.reply.register with
           | Some reg -> (
               let se = match reg with New (_, se) | Refresh (_, se) -> se in
               match journal_append st (List.hd se.log) with
@@ -1298,8 +1286,8 @@ let run ?(ready = fun () -> ()) cfg =
           conns = Hashtbl.create 31;
           pending = Hashtbl.create 31;
           replaying = Hashtbl.create 7;
-          worker_stats = Array.init jobs (fun _ -> S.create ());
-          worker_msnaps = Array.make jobs None;
+          reasoner = S.create ();
+          worker_gc = Array.init jobs (fun _ -> Obs.Metrics.create ());
           served_by_worker = Array.make jobs 0;
           flight =
             (let f = Telemetry.create ~capacity:cfg.flight_capacity () in

@@ -91,27 +91,32 @@ let test_inject_timeout_reason () =
   | `Ok _ -> Alcotest.fail "expected a trip"
   | `Out_of_fuel _ -> Alcotest.fail "expected a Timeout trip"
 
+(* A trip is counted once, in the stats of the session it tripped. *)
 let test_expired_deadline () =
   Reasoner.Engine.clear_cache ();
-  let trips0 = (Reasoner.Stats.global ()).Reasoner.Stats.budget_timeouts in
-  (match eval (Budget.create ~timeout:0.0 ()) with
+  let s = Omq.open_session ~max_extra:1 omq_disj d_disj in
+  (match Omq.Session.certain_answers_within (Budget.create ~timeout:0.0 ()) s with
   | `Timeout p ->
       check Alcotest.bool "nothing certified under a dead deadline" true
         (p.Omq.Session.certified = [])
   | `Ok _ -> Alcotest.fail "a 0-second deadline must trip"
   | `Out_of_fuel _ -> Alcotest.fail "deadline trips are Timeout");
-  check Alcotest.bool "timeout trip counted in stats" true
-    ((Reasoner.Stats.global ()).Reasoner.Stats.budget_timeouts > trips0)
+  let st = Omq.Session.stats s in
+  check Alcotest.int "timeout trip counted in stats" 1
+    st.Reasoner.Stats.budget_timeouts;
+  check Alcotest.int "no fuel trip" 0 st.Reasoner.Stats.budget_fuel_trips
 
 let test_fuel_exhaustion () =
   Reasoner.Engine.clear_cache ();
-  let trips0 = (Reasoner.Stats.global ()).Reasoner.Stats.budget_fuel_trips in
-  (match eval (Budget.create ~fuel:1 ()) with
+  let s = Omq.open_session ~max_extra:1 omq_disj d_disj in
+  (match Omq.Session.certain_answers_within (Budget.create ~fuel:1 ()) s with
   | `Out_of_fuel _ -> ()
   | `Ok _ -> Alcotest.fail "1 unit of fuel must not complete the eval"
   | `Timeout _ -> Alcotest.fail "fuel trips are Out_of_fuel");
-  check Alcotest.bool "fuel trip counted in stats" true
-    ((Reasoner.Stats.global ()).Reasoner.Stats.budget_fuel_trips > trips0)
+  let st = Omq.Session.stats s in
+  check Alcotest.int "fuel trip counted in stats" 1
+    st.Reasoner.Stats.budget_fuel_trips;
+  check Alcotest.int "no timeout trip" 0 st.Reasoner.Stats.budget_timeouts
 
 let test_clause_cap () =
   Reasoner.Engine.clear_cache ();

@@ -77,26 +77,28 @@ let test_engine_vs_bounded =
 let test_cache_accounting () =
   let d = inst [ ("A", [ "a" ]); ("R", [ "a"; "b" ]) ] in
   Reasoner.Engine.clear_cache ();
-  Reasoner.Stats.reset (Reasoner.Stats.global ());
   let eng = Reasoner.Engine.session ~extra:1 o_horn d in
-  check_int "first lookup misses" 1 (Reasoner.Stats.global ()).cache_misses;
-  check_int "no hit yet" 0 (Reasoner.Stats.global ()).cache_hits;
-  check_int "one grounding" 1 (Reasoner.Stats.global ()).groundings;
+  let st = Reasoner.Engine.stats eng in
+  check_int "first lookup misses" 1 st.cache_misses;
+  check_int "no hit yet" 0 st.cache_hits;
+  check_int "one grounding" 1 st.groundings;
   let eng' = Reasoner.Engine.session ~extra:1 o_horn d in
   check "second lookup returns the same engine" true (eng == eng');
-  check_int "second lookup hits" 1 (Reasoner.Stats.global ()).cache_hits;
-  check_int "still one grounding" 1 (Reasoner.Stats.global ()).groundings;
-  (* a different bound is a different session *)
-  let _ = Reasoner.Engine.session ~extra:0 o_horn d in
-  check_int "new bound misses" 2 (Reasoner.Stats.global ()).cache_misses;
+  check_int "second lookup hits" 1 (Reasoner.Engine.stats eng).cache_hits;
+  check_int "still one grounding" 1 (Reasoner.Engine.stats eng).groundings;
+  (* a different bound is a different session, with its own counters *)
+  let eng0 = Reasoner.Engine.session ~extra:0 o_horn d in
+  check "new bound is a new engine" true (eng0 != eng);
+  check_int "new bound misses" 1 (Reasoner.Engine.stats eng0).cache_misses;
+  check_int "new bound grounds" 1 (Reasoner.Engine.stats eng0).groundings;
   check_int "two cached sessions" 2 (Reasoner.Engine.cached_sessions ());
   (* many tuple checks, still one grounding per session *)
   List.iter
     (fun el -> ignore (Reasoner.Engine.certain_cq eng qc [ el ]))
     (Structure.Instance.domain_list d);
-  check_int "tuple checks reuse the grounding" 2
-    (Reasoner.Stats.global ()).groundings;
-  check "solver was invoked" true ((Reasoner.Stats.global ()).solves > 0)
+  check_int "tuple checks reuse the grounding" 1
+    (Reasoner.Engine.stats eng).groundings;
+  check "solver was invoked" true ((Reasoner.Engine.stats eng).solves > 0)
 
 (* 3. The LRU cache evicts beyond its capacity. *)
 let test_cache_eviction () =
@@ -124,7 +126,8 @@ let test_session_stats () =
 
 (* 4b. A session borrowing a cached engine reports its own work: its
    cache hit and its own solves, not the grounding and solves of the
-   session that built the engine. *)
+   session that built the engine. Cross-checked against the cached
+   engines' own lifetime counters, which see both sessions. *)
 let test_borrowed_session_stats () =
   Omq.clear_caches ();
   let omq = Omq.of_cq o_horn qc in
@@ -134,10 +137,23 @@ let test_borrowed_session_stats () =
     ignore (Omq.Session.certain_answers s);
     Omq.Session.stats s
   in
+  let engines () =
+    List.map
+      (fun extra ->
+        Reasoner.Stats.copy
+          (Reasoner.Engine.stats (Reasoner.Engine.session ~extra o_horn d)))
+      [ 0; 1 ]
+  in
   let first = run () in
-  let g0 = Reasoner.Stats.copy (Reasoner.Stats.global ()) in
+  let e0 = engines () in
   let second = run () in
-  let spent = Reasoner.Stats.diff (Reasoner.Stats.global ()) g0 in
+  let spent =
+    List.fold_left2
+      (fun acc after before ->
+        Reasoner.Stats.add ~into:acc (Reasoner.Stats.diff after before);
+        acc)
+      (Reasoner.Stats.create ()) (engines ()) e0
+  in
   check_int "first session grounds both bounds" 2 first.groundings;
   check_int "second session grounds nothing" 0 second.groundings;
   check_int "second session hits the cache per bound" 2 second.cache_hits;

@@ -192,6 +192,18 @@ let cold_run ?fuel () =
   Omq.clear_caches ();
   Corpus.run ?fuel ~jobs:2 mixed_task mixed_items
 
+(* Every tripped item's session counted its trip, on whichever domain
+   ran it, so the report's total holds one trip per [Error] item. *)
+let check_trips_counted (report : Corpus.report) =
+  let errors =
+    List.length
+      (List.filter (fun r -> Result.is_error r.Corpus.outcome) report.results)
+  in
+  let total = report.Corpus.total in
+  check Alcotest.int "one counted trip per tripped item" errors
+    (total.Reasoner.Stats.budget_fuel_trips
+    + total.Reasoner.Stats.budget_timeouts)
+
 let test_fuel_trips_only_the_expensive_item () =
   let unbudgeted = projected (cold_run ()) in
   let rec sweep fuel =
@@ -204,6 +216,7 @@ let test_fuel_trips_only_the_expensive_item () =
       | _ -> sweep (fuel * 2)
   in
   let report = sweep 64 in
+  check_trips_counted report;
   let cheap l = [ List.nth l 0; List.nth l 2 ] in
   check projection "siblings unaffected by the trip" (cheap unbudgeted)
     (cheap (projected report))
@@ -244,6 +257,7 @@ let timeout_task =
 
 let test_timeout_trips_only_the_expensive_item () =
   let report = Corpus.run ~timeout:0.1 ~jobs:2 timeout_task timeout_items in
+  check_trips_counted report;
   (match (List.nth report.Corpus.results 1).Corpus.outcome with
   | Error { reason = Reasoner.Budget.Timeout; _ } -> ()
   | Ok _ -> Alcotest.fail "heavy item finished under the deadline"

@@ -297,6 +297,45 @@ let test_eval_stats_shape () =
   | r -> Alcotest.failf "stats failed: %s" (P.render_response r));
   Omqd.Client.close c
 
+(* The stats op's reasoner totals are exactly the work the served evals
+   reported: each eval's want_stats object is the Stats delta of its
+   session, and the loop sums those deltas — across both workers, and
+   including the fuel trip of a cold session. *)
+let test_reasoner_totals_sum_evals () =
+  with_daemon @@ fun addr ->
+  let c = connect_exn addr in
+  let s0 = open_exn c in
+  let s1 = open_exn c in
+  let eval ?(budget = P.no_budget) session =
+    match call_exn c (P.Eval { session; budget; want_stats = true }) with
+    | P.Evaled { stats = Some st; _ } | P.Partial { stats = Some st; _ } -> st
+    | r -> Alcotest.failf "eval failed: %s" (P.render_response r)
+  in
+  let reported =
+    [
+      eval ~budget:{ P.no_budget with fuel = Some 1 } s1;
+      eval s0;
+      eval s1;
+      eval s0;
+    ]
+  in
+  let num k j =
+    match P.Json.member k j with
+    | Some (P.Json.Num v) -> int_of_float v
+    | _ -> Alcotest.failf "%s missing" k
+  in
+  match call_exn c P.Stats with
+  | P.Server_stats { reasoner; _ } ->
+      List.iter
+        (fun k ->
+          Alcotest.(check int) k
+            (List.fold_left (fun acc j -> acc + num k j) 0 reported)
+            (num k reasoner))
+        [ "groundings"; "solves"; "budget_fuel_trips" ];
+      Alcotest.(check bool) "the evals grounded" true (num "groundings" reasoner > 0);
+      Alcotest.(check int) "the cold fuel trip" 1 (num "budget_fuel_trips" reasoner)
+  | r -> Alcotest.failf "stats failed: %s" (P.render_response r)
+
 let test_clean_shutdown () =
   with_daemon @@ fun addr ->
   let c = connect_exn addr in
@@ -374,6 +413,8 @@ let suite =
       test_close_and_stats;
     Alcotest.test_case "eval stats carry the Stats.json keys in order" `Quick
       test_eval_stats_shape;
+    Alcotest.test_case "stats reasoner totals sum the evals' stats" `Quick
+      test_reasoner_totals_sum_evals;
     Alcotest.test_case "clean shutdown" `Quick test_clean_shutdown;
     Alcotest.test_case "loadgen drives concurrent clients" `Quick test_loadgen;
     Alcotest.test_case "loadgen counts per-client failures" `Quick

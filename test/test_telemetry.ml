@@ -1,12 +1,9 @@
 (* The telemetry plane: bucketed histograms with quantile estimation,
-   cross-domain snapshot merging, the Prometheus text exposition, the
-   flight-recorder ring, and the daemon's live endpoints.
+   the Prometheus text exposition, the flight-recorder ring, and the
+   daemon's live endpoints.
 
    The load-bearing properties:
 
-   - merging per-registry snapshots is equivalent to applying the same
-     operation stream to one registry sequentially (what makes the
-     loop's scrape of worker-shipped snapshots honest);
    - the histogram quantile estimate always lands inside the bucket
      that holds the exact empirical quantile, and inside [min, max];
    - the exposition output obeys the 0.0.4 text grammar (checked by a
@@ -14,75 +11,14 @@
    - the flight ring keeps the newest [capacity] records, oldest
      first, and counts what it dropped;
    - a live daemon's /metrics endpoint advances serve_requests_total
-     between scrapes, and the dump_telemetry wire op returns the
-     documented shape. *)
+     between scrapes, counts every acknowledged update in its
+     serve_delta_* series and the stats op's counters exactly, and the
+     dump_telemetry wire op returns the documented shape. *)
 
 module P = Omq.Protocol
 module Metrics = Obs.Metrics
 
 let check = Alcotest.check
-
-(* ------------------------------------------------------------------ *)
-(* Merge-of-snapshots = sequential application.
-
-   Each metric name is pinned to one of [k] registries (as each daemon
-   metric lives on one domain), the op stream is applied in order, and
-   the merged snapshots must equal the registry that saw the whole
-   stream sequentially. Observation values are dyadic rationals so
-   sums are exact in any association order. *)
-
-type op = Incr of int | Set of float | Observe of float
-
-let gen_ops =
-  QCheck.Gen.(
-    let name =
-      oneofl
-        [ "c.a"; "c.b"; "c.c"; "g.a"; "g.b"; "g.c"; "h.a"; "h.b"; "h.c" ]
-    in
-    let op kind =
-      match kind with
-      | 'c' -> map (fun n -> Incr n) (int_range 0 5)
-      | 'g' -> map (fun n -> Set (float_of_int n *. 0.5)) (int_range (-4) 9)
-      | _ -> map (fun n -> Observe (float_of_int n *. 0.25)) (int_range 0 16)
-    in
-    list_size (int_range 0 60)
-      (name >>= fun n -> map (fun o -> (n, o)) (op n.[0])))
-
-let apply reg (name, o) =
-  match o with
-  | Incr n -> Metrics.incr ~by:n reg name
-  | Set v -> Metrics.set reg name v
-  | Observe v -> Metrics.observe reg name v
-
-let registries_equal a b =
-  let names r = Metrics.names r in
-  names a = names b
-  && List.for_all
-       (fun n ->
-         Metrics.counter_value a n = Metrics.counter_value b n
-         && Metrics.gauge_value a n = Metrics.gauge_value b n
-         && Metrics.histogram_stats a n = Metrics.histogram_stats b n
-         && Metrics.histogram_buckets a n = Metrics.histogram_buckets b n)
-       (names a)
-
-let test_merge_equiv =
-  QCheck.Test.make ~name:"merge of per-domain snapshots = sequential"
-    ~count:300
-    (QCheck.make gen_ops)
-    (fun ops ->
-      let k = 3 in
-      let shards = Array.init k (fun _ -> Metrics.create ()) in
-      let seq = Metrics.create () in
-      List.iter
-        (fun ((name, _) as o) ->
-          apply shards.(Hashtbl.hash name mod k) o;
-          apply seq o)
-        ops;
-      let merged =
-        Metrics.merge_snapshots
-          (Array.to_list (Array.map Metrics.snapshot shards))
-      in
-      registries_equal merged seq)
 
 (* ------------------------------------------------------------------ *)
 (* Quantile estimate vs exact sort. *)
@@ -409,6 +345,11 @@ let open_req = P.Open_session { ontology = onto; data; query; max_extra = 2 }
 let eval_req session =
   P.Eval { session; budget = P.no_budget; want_stats = false }
 
+(* Facts over the session's own elements, so every update takes the
+   delta path rather than a reopen. *)
+let update_facts =
+  [ "Thumb(h)"; "Hand(t)"; "hasFinger(t, h)"; "hasFinger(h, h)"; "hasFinger(t, t)" ]
+
 let http_get ~port path =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -515,6 +456,64 @@ let test_daemon_scrape () =
               check Alcotest.bool "per-domain gc gauge" true
                 (find_sample samples "gc_major_words" [ ("domain", "0") ]
                 <> None);
+              (* every acked update is counted on the loop before its
+                 ack is written: n delta inserts and n delta retracts
+                 (facts over the session's own elements) advance both
+                 views by exactly n. The loop registry is the calling
+                 domain's, shared with earlier tests in this process,
+                 so the views are compared before and after. *)
+              let n = List.length update_facts in
+              let scraped () =
+                let _, samples =
+                  parse_exposition (snd (http_get ~port "/metrics"))
+                in
+                fun name ->
+                  match find_sample samples name [] with
+                  | Some s -> int_of_float s.v
+                  | None -> 0
+              in
+              let counted () =
+                match Omqd.Client.call c P.Stats with
+                | Ok (P.Server_stats s) -> (
+                    fun name ->
+                      match P.Json.member name s.counters with
+                      | Some (P.Json.Num v) -> int_of_float v
+                      | _ -> 0)
+                | Ok r -> Alcotest.failf "stats: %s" (P.render_response r)
+                | Error m -> Alcotest.failf "stats: %s" m
+              in
+              let scraped0 = scraped () and counted0 = counted () in
+              List.iter
+                (fun facts ->
+                  match
+                    Omqd.Client.call c (P.Insert_facts { session; facts })
+                  with
+                  | Ok (P.Inserted _) -> ()
+                  | Ok r -> Alcotest.failf "insert: %s" (P.render_response r)
+                  | Error m -> Alcotest.failf "insert: %s" m)
+                update_facts;
+              List.iter
+                (fun facts ->
+                  match
+                    Omqd.Client.call c (P.Retract_facts { session; facts })
+                  with
+                  | Ok (P.Retracted _) -> ()
+                  | Ok r -> Alcotest.failf "retract: %s" (P.render_response r)
+                  | Error m -> Alcotest.failf "retract: %s" m)
+                update_facts;
+              let scraped1 = scraped () and counted1 = counted () in
+              List.iter
+                (fun (what, name, want) ->
+                  check Alcotest.int ("scraped " ^ what) want
+                    (scraped1 (Obs.Prometheus.counter_name name)
+                    - scraped0 (Obs.Prometheus.counter_name name));
+                  check Alcotest.int ("stats counters " ^ what) want
+                    (counted1 name - counted0 name))
+                [
+                  ("delta inserts", "serve.delta.inserts", n);
+                  ("delta retracts", "serve.delta.retracts", n);
+                  ("reopens", "serve.delta.reopens", 0);
+                ];
               (* 404 and 405 are real responses, not dropped conns *)
               let status404, _ = http_get ~port "/nope" in
               check Alcotest.bool "404 on unknown path" true
@@ -552,7 +551,6 @@ let test_daemon_scrape () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest test_merge_equiv;
     QCheck_alcotest.to_alcotest test_quantile_bounds;
     Alcotest.test_case "exposition grammar + value round-trip" `Quick
       test_exposition_round_trip;
