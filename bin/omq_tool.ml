@@ -1277,8 +1277,7 @@ let top_cmd =
           | [] -> ()
           | xs -> pr "%s: %s\n" label (String.concat "  " xs)
         in
-        line "supervision" "serve.supervision.";
-        line "chaos" "serve.chaos."
+        line "supervision" "serve.supervision."
     | _ -> pr "omq_tool top — stats unavailable\n");
     (match telemetry with
     | Some (P.Telemetry { telemetry = t }) ->
@@ -1350,7 +1349,7 @@ let top_cmd =
          "Live view of a running $(b,serve) daemon: polls $(b,stats) and \
           $(b,dump_telemetry) over the wire protocol and renders uptime, \
           throughput (derived from the served delta between polls), \
-          latency quantiles, supervision/chaos counters and a per-worker \
+          latency quantiles, supervision counters and a per-worker \
           table (sessions, requests, busy time, GC). Use $(b,--once) for \
           a single machine-greppable frame.")
     Term.(

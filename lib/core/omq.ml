@@ -196,15 +196,6 @@ module Session = struct
         go ();
         List.rev !certified)
 
-  let certain_within budget s tuple =
-    Obs.Trace.with_span
-      ~attrs:[ ("op", Obs.Trace.Str "certain_within") ]
-      "omq.query"
-    @@ fun () ->
-    protect s budget
-      ~partial:(fun () -> ())
-      (fun () -> certain ~budget s tuple)
-
   let is_consistent_within budget s =
     Obs.Trace.with_span
       ~attrs:[ ("op", Obs.Trace.Str "is_consistent_within") ]
@@ -284,20 +275,11 @@ let certain ?budget ?max_extra omq d tuple =
 let certain_answers ?budget ?max_extra omq d =
   Session.certain_answers ?budget (open_session ?max_extra omq d)
 
-let certain_answers_seq ?budget ?max_extra omq d =
-  Session.certain_answers_seq ?budget (open_session ?max_extra omq d)
-
 let is_consistent ?budget ?max_extra omq d =
   Session.is_consistent ?budget (open_session ?max_extra omq d)
 
-let certain_within budget ?max_extra omq d tuple =
-  Session.certain_within budget (open_session ?max_extra omq d) tuple
-
 let certain_answers_within budget ?max_extra omq d =
   Session.certain_answers_within budget (open_session ?max_extra omq d)
-
-let is_consistent_within budget ?max_extra omq d =
-  Session.is_consistent_within budget (open_session ?max_extra omq d)
 
 (* Drop every process-wide cache the answering stack keeps: the engine's
    session registry and the grounder's cross-session circuit memo. For

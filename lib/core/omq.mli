@@ -99,12 +99,6 @@ module Session : sig
     t ->
     (Structure.Element.t list list, partial_answers) Reasoner.Budget.outcome
 
-  val certain_within :
-    Reasoner.Budget.t ->
-    t ->
-    Structure.Element.t list ->
-    (bool, unit) Reasoner.Budget.outcome
-
   val is_consistent_within :
     Reasoner.Budget.t -> t -> (bool, unit) Reasoner.Budget.outcome
 
@@ -137,27 +131,10 @@ val certain_answers :
   Structure.Instance.t ->
   Structure.Element.t list list
 
-(** Streaming variant of {!certain_answers}. *)
-val certain_answers_seq :
-  ?budget:Reasoner.Budget.t ->
-  ?max_extra:int ->
-  t ->
-  Structure.Instance.t ->
-  Structure.Element.t list Seq.t
-
 val is_consistent :
   ?budget:Reasoner.Budget.t -> ?max_extra:int -> t -> Structure.Instance.t -> bool
 
-(** Typed-outcome shorthands over a fresh session. *)
-
-val certain_within :
-  Reasoner.Budget.t ->
-  ?max_extra:int ->
-  t ->
-  Structure.Instance.t ->
-  Structure.Element.t list ->
-  (bool, unit) Reasoner.Budget.outcome
-
+(** Typed-outcome shorthand over a fresh session. *)
 val certain_answers_within :
   Reasoner.Budget.t ->
   ?max_extra:int ->
@@ -165,13 +142,6 @@ val certain_answers_within :
   Structure.Instance.t ->
   (Structure.Element.t list list, Session.partial_answers)
   Reasoner.Budget.outcome
-
-val is_consistent_within :
-  Reasoner.Budget.t ->
-  ?max_extra:int ->
-  t ->
-  Structure.Instance.t ->
-  (bool, unit) Reasoner.Budget.outcome
 
 (** Figure 1 classification of the ontology. *)
 val classify : t -> Classify.Landscape.evidence

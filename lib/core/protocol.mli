@@ -158,7 +158,7 @@ type response =
       journal_bytes : int;  (** 0 when serving without [--journal] *)
       journal_entries : int;  (** entries appended since this start *)
       counters : Json.t;
-          (** daemon-side [serve.*] counters (supervision, chaos, shed,
+          (** daemon-side [serve.*] counters (supervision, shed, delta,
               journal) as one flat object; [Null] from old daemons *)
       reasoner : Json.t;  (** summed per-worker {!Reasoner.Stats} *)
     }

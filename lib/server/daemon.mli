@@ -1,14 +1,21 @@
 (** The long-lived OMQ daemon behind [omq_tool serve].
 
-    One event-loop domain owns every socket and every piece of serving
-    state; [jobs] worker domains own the reasoning. Requests are
+    [run] is a thin shell around {!Core}: it owns the sockets,
+    [select], the worker domains ({!Parallel.Service}), the journal
+    file, the signals and the clock, turns each syscall result into a
+    {!Core.event} and performs the {!Core.action}s [Core.step] returns.
+    Every serving decision — framing, dispatch, admission, the pending
+    tokens, journal-before-ack, replay, quarantine, drain, the
+    [/metrics] routes — is the core's.
+
+    [jobs] worker domains own the reasoning. Requests are
     newline-delimited {!Omq.Protocol} frames; sessions are routed
     {e sticky}: a session is pinned at open to one worker (round-robin)
     and every later request for it runs on that same worker, so the
     engines it grounded, the circuit memo and the rest of the worker's
     {!Domain.DLS} state stay hot — and are never touched from two
-    domains (the engines are single-domain mutable state; stickiness is
-    a correctness invariant, not just a cache policy).
+    domains (stickiness is a correctness invariant, not just a cache
+    policy).
 
     Resource governance: each request runs under a fresh
     {!Reasoner.Budget} built from the request's {!Omq.Protocol.budget_spec}
@@ -21,12 +28,12 @@
 
     Fault tolerance (see DESIGN.md for the invariants):
     - {e journal-before-ack}: with [journal] set, every open / insert /
-      close is appended to the {!Journal} and fsync'd before its
-      acknowledgement is queued; on startup the journal's live sessions
-      are replayed before the first accept, so a killed-and-restarted
-      daemon answers every acknowledged session identically. The
-      journal is compacted to one open per live session past
-      [journal_compact] bytes.
+      retract / close is appended to the {!Journal} and fsync'd before
+      its acknowledgement is written; on startup the journal's live
+      sessions are replayed before the first accept, so a
+      killed-and-restarted daemon answers every acknowledged session
+      identically. The journal is compacted to one open per live
+      session past [journal_compact] bytes.
     - {e supervision}: with [supervise] set, a worker whose current job
       has run longer than the deadline is quarantined
       ({!Parallel.Service.replace}); its in-flight requests fail with
@@ -38,9 +45,6 @@
       the retryable [overloaded]; a connection whose unsent output
       exceeds [max_outbuf] bytes (a reader that stopped reading) is
       disconnected.
-    - {e chaos}: a {!Chaos} plan, if given, injects deterministic
-      faults at the read/write/accept boundary and can poison worker
-      jobs — test/bench only.
 
     Observability: when [trace] is set, every request runs under a
     private collector on its worker, absorbed into the daemon's ambient
@@ -74,7 +78,6 @@ type config = {
   signals : bool;
       (** route SIGTERM/SIGINT through graceful shutdown, and dump the
           flight recorder on SIGUSR1 *)
-  chaos : Chaos.t option;
   metrics_addr : addr option;
       (** serve Prometheus text exposition on [GET /metrics] (and the
           telemetry dump on [GET /telemetry]) at this address, plain
@@ -95,7 +98,7 @@ val version : string
     ([jobs = 1], no caps, {!default_max_frame}, no trace, quiet, no
     journal, {!default_journal_compact}, no supervision, unbounded
     admission, {!default_max_outbuf}, {!default_shutdown_grace}, no
-    signal handlers, no chaos, no metrics endpoint, telemetry on,
+    signal handlers, no metrics endpoint, telemetry on,
     flight dump to stderr, {!Telemetry.default_capacity}). *)
 val config :
   addr:addr ->
@@ -111,7 +114,6 @@ val config :
   ?max_outbuf:int ->
   ?shutdown_grace:float ->
   ?signals:bool ->
-  ?chaos:Chaos.t ->
   ?metrics_addr:addr ->
   ?telemetry:bool ->
   ?flight_dump:string ->

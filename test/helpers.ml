@@ -87,3 +87,52 @@ let stats_keys =
     "cache_hits"; "cache_misses"; "memo_hits"; "memo_misses";
     "budget_timeouts"; "budget_fuel_trips"; "ground_seconds";
     "solve_seconds" ]
+
+(* ---------------------------------------------------------------- *)
+(* Raw-socket plumbing for daemon framing and pipelining tests.       *)
+(* ---------------------------------------------------------------- *)
+
+let raw_connect addr =
+  let path = match addr with Omqd.Daemon.Unix_path p -> p | _ -> assert false in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rec go n =
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> ()
+    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
+      when n < 200 ->
+        Unix.sleepf 0.01;
+        go (n + 1)
+  in
+  go 0;
+  fd
+
+let write_all fd s =
+  let len = String.length s in
+  let rec go pos =
+    if pos < len then
+      match Unix.write_substring fd s pos (len - pos) with
+      | n -> go (pos + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
+  in
+  go 0
+
+(* Blocking read of the next newline-terminated frame; [buf] carries
+   bytes already read past earlier frames. *)
+let read_line fd buf =
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    let s = Buffer.contents buf in
+    match String.index_opt s '\n' with
+    | Some i ->
+        Buffer.clear buf;
+        Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
+        String.sub s 0 i
+    | None -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Alcotest.fail "unexpected EOF from daemon"
+        | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            go ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
+  in
+  go ()

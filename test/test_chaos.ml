@@ -1,14 +1,20 @@
-(* The self-healing serving layer, driven through deterministic fault
-   injection (Omqd.Chaos), the session journal (Omqd.Journal) and
-   worker supervision (Parallel.Service.replace).
+(* The self-healing serving layer: the session journal (Omqd.Journal),
+   worker supervision (Parallel.Service.replace), and faults at the
+   socket boundary.
 
-   The load-bearing assertions: after any injected fault — torn frames,
-   short writes, dropped connections, a wedged worker, a kill of the
-   whole daemon — every *acknowledged* session answers byte-identically
-   to the sequential evaluation, and nothing that was never acked is
-   resurrected. No test sleeps as synchronisation: clients block on
-   typed responses, and the only polling loops wait on an observable
-   predicate with a deadline. *)
+   The load-bearing assertions: after any fault — torn frames, short
+   writes, dropped connections, a wedged worker, a kill of the whole
+   daemon — every *acknowledged* session answers byte-identically to
+   the sequential evaluation, and nothing that was never acked is
+   resurrected. Socket and worker faults are event sequences fed to
+   Omqd.Core through the simulated shell (sim.ml): a torn read is a
+   split input, a dropped read or accept a hangup, a short or stalled
+   write a small or zero flush, a poisoned job a completion that never
+   arrives while the clock passes the supervision deadline. Framing,
+   journal restarts and signals also run against a live daemon. No test
+   sleeps as synchronisation: clients block on typed responses, and the
+   only polling loops wait on an observable predicate with a
+   deadline. *)
 
 module P = Omq.Protocol
 module Journal = Omqd.Journal
@@ -16,41 +22,19 @@ module Journal = Omqd.Journal
 let check_str = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 
-let onto = "Hand << exists hasFinger . Thumb"
-let data = "Hand(h)\nThumb(t)\nhasFinger(h, t)"
-let query = "q(x) <- Thumb(x)"
-
-let open_req =
-  P.Open_session { ontology = onto; data; query; max_extra = 2 }
-
-let eval_req session = P.Eval { session; budget = P.no_budget; want_stats = false }
+let onto = Sim.onto
+let data = Sim.data
+let query = Sim.query
+let open_req = Sim.open_req
+let eval_req = Sim.eval_req
 
 (* The sequential ground truth, rendered through the same codec the
    daemon uses — recovered and fault-ridden responses must equal this
    byte for byte. *)
-let direct_eval ?(extra = "") () =
-  let tbox = Dl.Parser.parse_tbox onto in
-  let d = Structure.Parse.instance_of_string (data ^ "\n" ^ extra) in
-  let q = Query.Parse.ucq_of_string query in
-  let session = Omq.open_session ~max_extra:2 (Omq.of_tbox tbox q) d in
-  let answers = Omq.Session.certain_answers session in
-  P.Evaled
-    {
-      result =
-        {
-          P.consistent = true;
-          boolean = false;
-          tuples =
-            List.map
-              (List.map (fun e -> Fmt.str "%a" Structure.Element.pp e))
-              answers;
-        };
-      stats = None;
-    }
+let direct_eval = Sim.direct_eval
 
 (* ---------------------------------------------------------------- *)
-(* Harness: daemon on a thread, with a shutdown loop that survives a
-   chaos plan eating the shutdown request itself. *)
+(* Harness: daemon on a thread *)
 
 let counter = ref 0
 
@@ -60,36 +44,18 @@ let fresh_name tag =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "omqd-chaos-%s-%d-%d" tag (Unix.getpid ()) !counter)
 
-let with_daemon ?journal ?supervise ?max_inflight ?max_outbuf ?shutdown_grace
-    ?chaos ?(jobs = 2) f =
+let with_daemon ?journal ?(jobs = 2) f =
   let path = fresh_name "sock" in
   let addr = Omqd.Daemon.Unix_path path in
-  let cfg =
-    Omqd.Daemon.config ~addr ~jobs ?journal ?supervise ?max_inflight
-      ?max_outbuf ?shutdown_grace ?chaos ()
-  in
+  let cfg = Omqd.Daemon.config ~addr ~jobs ?journal () in
   let result = ref (Ok ()) in
-  let finished = ref false in
-  let th =
-    Thread.create
-      (fun () ->
-        result := Omqd.Daemon.run cfg;
-        finished := true)
-      ()
-  in
+  let th = Thread.create (fun () -> result := Omqd.Daemon.run cfg) () in
   let out = try Ok (f addr) with e -> Error e in
-  (* Under a fault plan any one shutdown round trip may be torn or
-     dropped; keep asking until the daemon actually exits. *)
-  let tries = ref 0 in
-  while (not !finished) && !tries < 30 do
-    incr tries;
-    (match Omqd.Client.connect ~attempts:3 ~base_delay:0.005 addr with
-    | Error _ -> ()
-    | Ok c ->
-        ignore (Omqd.Client.call c P.Shutdown);
-        Omqd.Client.close c);
-    if not !finished then Thread.yield ()
-  done;
+  (match Omqd.Client.connect ~attempts:3 ~base_delay:0.005 addr with
+  | Error _ -> ()
+  | Ok c ->
+      ignore (Omqd.Client.call c P.Shutdown);
+      Omqd.Client.close c);
   Thread.join th;
   (match !result with
   | Ok () -> ()
@@ -101,8 +67,8 @@ let connect_exn addr =
   | Ok c -> c
   | Error m -> Alcotest.failf "connect: %s" m
 
-let call_exn ?retries c req =
-  match Omqd.Client.call ?retries ~base_delay:0.05 c req with
+let call_exn c req =
+  match Omqd.Client.call c req with
   | Ok r -> r
   | Error m -> Alcotest.failf "call: %s" m
 
@@ -110,53 +76,6 @@ let open_exn c =
   match call_exn c open_req with
   | P.Opened { session } -> session
   | r -> Alcotest.failf "open failed: %s" (P.render_response r)
-
-(* Raw-socket plumbing for framing and pipelining tests. *)
-
-let raw_connect addr =
-  let path = match addr with Omqd.Daemon.Unix_path p -> p | _ -> assert false in
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let rec go n =
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> ()
-    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
-      when n < 200 ->
-        Unix.sleepf 0.01;
-        go (n + 1)
-  in
-  go 0;
-  fd
-
-let write_all fd s =
-  let len = String.length s in
-  let rec go pos =
-    if pos < len then
-      match Unix.write_substring fd s pos (len - pos) with
-      | n -> go (pos + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
-  in
-  go 0
-
-(* Blocking read of the next newline-terminated frame; [buf] carries
-   bytes already read past earlier frames. *)
-let read_line fd buf =
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    let s = Buffer.contents buf in
-    match String.index_opt s '\n' with
-    | Some i ->
-        Buffer.clear buf;
-        Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-        String.sub s 0 i
-    | None -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> Alcotest.fail "unexpected EOF from daemon"
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
-  in
-  go ()
 
 (* ---------------------------------------------------------------- *)
 (* Parallel.Service supervision primitives, tested directly *)
@@ -372,14 +291,14 @@ let replay_equivalence =
 
 let test_byte_at_a_time () =
   with_daemon @@ fun addr ->
-  let fd = raw_connect addr in
+  let fd = Helpers.raw_connect addr in
   let buf = Buffer.create 256 in
   let frame = P.render_request ~id:1 open_req ^ "\n" in
-  String.iter (fun ch -> write_all fd (String.make 1 ch)) frame;
-  (match P.parse_response (read_line fd buf) with
+  String.iter (fun ch -> Helpers.write_all fd (String.make 1 ch)) frame;
+  (match P.parse_response (Helpers.read_line fd buf) with
   | Ok (Some 1, P.Opened { session }) ->
-      write_all fd (P.render_request ~id:2 (eval_req session) ^ "\n");
-      (match P.parse_response (read_line fd buf) with
+      Helpers.write_all fd (P.render_request ~id:2 (eval_req session) ^ "\n");
+      (match P.parse_response (Helpers.read_line fd buf) with
       | Ok (Some 2, resp) ->
           check_str "byte-dripped open still answers identically"
             (P.render_response (direct_eval ()))
@@ -397,7 +316,7 @@ let chunked_framing_cases daemon_addr sid =
   QCheck.Test.make ~count:25 ~name:"arbitrary chunking reassembles"
     QCheck.(pair (list_of_size Gen.(1 -- 8) (int_range 1 40)) bool)
     (fun (cuts, with_junk) ->
-      let fd = raw_connect daemon_addr in
+      let fd = Helpers.raw_connect daemon_addr in
       let buf = Buffer.create 256 in
       let stream =
         (if with_junk then "not json at all\n" else "")
@@ -413,19 +332,19 @@ let chunked_framing_cases daemon_addr sid =
         (fun k ->
           let n = min k (String.length stream - !pos) in
           if n > 0 then begin
-            write_all fd (String.sub stream !pos n);
+            Helpers.write_all fd (String.sub stream !pos n);
             pos := !pos + n
           end)
         cuts;
       if !pos < String.length stream then
-        write_all fd (String.sub stream !pos (String.length stream - !pos));
+        Helpers.write_all fd (String.sub stream !pos (String.length stream - !pos));
       (* the eval is answered from a worker, stats inline: responses to
          pipelined requests may interleave — match them up by id *)
       let junk_rejected = ref (not with_junk) in
       let by_id = Hashtbl.create 4 in
       let expected_lines = 2 + if with_junk then 1 else 0 in
       for _ = 1 to expected_lines do
-        match P.parse_response (read_line fd buf) with
+        match P.parse_response (Helpers.read_line fd buf) with
         | Ok (None, P.Rejected { kind = P.Bad_frame; _ }) ->
             junk_rejected := true
         | Ok (Some id, resp) -> Hashtbl.replace by_id id resp
@@ -451,54 +370,6 @@ let test_chunked_framing () =
   let sid = open_exn c in
   QCheck.Test.check_exn (chunked_framing_cases addr sid);
   Omqd.Client.close c
-
-(* Torn reads and short writes from a seeded plan: the daemon's framing
-   and flush paths absorb them; every answer stays byte-identical. *)
-let test_torn_and_short () =
-  let chaos = Omqd.Chaos.create ~seed:7 ~torn_read:0.35 ~short_write:0.35 () in
-  with_daemon ~chaos @@ fun addr ->
-  let c = connect_exn addr in
-  let sid = open_exn c in
-  (match call_exn c (P.Insert_facts { session = sid; facts = "Thumb(u)" }) with
-  | P.Inserted _ -> ()
-  | r -> Alcotest.failf "insert failed: %s" (P.render_response r));
-  let expected = P.render_response (direct_eval ~extra:"Thumb(u)" ()) in
-  for _ = 1 to 8 do
-    check_str "answer identical under torn frames and short writes" expected
-      (P.render_response (call_exn c (eval_req sid)))
-  done;
-  Omqd.Client.close c;
-  let torn, _, short, _, _, _ = Omqd.Chaos.injected chaos in
-  Alcotest.(check bool) "the plan actually injected faults" true
-    (torn + short > 0)
-
-(* Dropped reads and accepts kill individual connections, never the
-   daemon: the harness's clean-shutdown assertion is the test. *)
-let test_drops_survived () =
-  let chaos = Omqd.Chaos.create ~seed:42 ~drop_read:0.15 ~drop_accept:0.1 () in
-  with_daemon ~chaos @@ fun addr ->
-  let expected = P.render_response (direct_eval ()) in
-  let full_rounds = ref 0 in
-  for _ = 1 to 20 do
-    match Omqd.Client.connect ~attempts:2 ~base_delay:0.005 addr with
-    | Error _ -> ()
-    | Ok c ->
-        (match Omqd.Client.call c open_req with
-        | Ok (P.Opened { session }) -> (
-            match Omqd.Client.call c (eval_req session) with
-            | Ok resp when P.render_response resp = expected ->
-                incr full_rounds
-            | Ok r ->
-                Alcotest.failf "delivered answer differs: %s"
-                  (P.render_response r)
-            | Error _ -> (* connection dropped mid-request *) ())
-        | Ok _ | Error _ -> ());
-        Omqd.Client.close c
-  done;
-  Alcotest.(check bool) "some rounds completed" true (!full_rounds >= 1);
-  let _, drop_r, _, _, drop_a, _ = Omqd.Chaos.injected chaos in
-  Alcotest.(check bool) "the plan actually dropped something" true
-    (drop_r + drop_a > 0)
 
 (* ---------------------------------------------------------------- *)
 (* Crash recovery from the journal *)
@@ -574,102 +445,208 @@ let test_torn_journal_tail () =
   Omqd.Client.close c
 
 (* ---------------------------------------------------------------- *)
-(* Worker supervision end to end *)
+(* Socket and worker faults, as event sequences over the core *)
 
-(* Worker 0's second job (the first eval of the first session) wedges
-   forever. Supervision quarantines the domain, fails the eval with the
-   retryable worker_lost, and replays the session on the replacement;
-   the client's same-frame retries end in a byte-identical answer. A
-   session pinned to the healthy worker is untouched throughout. *)
+let render = P.render_response
+
+(* No action writes to a connection after the core closed it. *)
+let check_no_write_after_close sim =
+  let closed = Hashtbl.create 7 in
+  List.iter
+    (function
+      | Sim.Act (Omqd.Core.Close c) -> Hashtbl.replace closed c ()
+      | Sim.Act (Omqd.Core.Write (c, _)) when Hashtbl.mem closed c ->
+          Alcotest.failf "wrote to conn %d after closing it" c
+      | _ -> ())
+    (Sim.events sim)
+
+(* Torn reads and short writes: each request reaches the core in seeded
+   random pieces, and the socket takes a seeded random share of every
+   flush (often nothing, until it is writable again). Every answer stays
+   byte-identical. *)
+let test_torn_and_short () =
+  let expected = render (direct_eval ~extra:"Thumb(u)" ()) in
+  let torn = ref 0 and short = ref 0 in
+  for seed = 1 to 10 do
+    let rng = Random.State.make [| seed |] in
+    let sim = Sim.create ~jobs:2 () in
+    sim.Sim.take <-
+      (fun _ n ->
+        let k = Random.State.int rng (n + 1) in
+        if k < n then incr short;
+        k);
+    Sim.connect sim 0;
+    let call id req =
+      let f = Sim.frame ~id req in
+      let rec pieces pos =
+        if pos < String.length f then begin
+          let k = 1 + Random.State.int rng (String.length f - pos) in
+          if k < String.length f then incr torn;
+          Sim.send sim 0 (String.sub f pos k);
+          pieces (pos + k)
+        end
+      in
+      pieces 0;
+      Sim.settle sim;
+      while Sim.unsent sim 0 > 0 do
+        Sim.writable sim
+      done;
+      Sim.response sim 0 id
+    in
+    (match call 1 open_req with
+    | P.Opened { session = 1 } -> ()
+    | r -> Alcotest.failf "open failed: %s" (render r));
+    (match call 2 (P.Insert_facts { session = 1; facts = "Thumb(u)" }) with
+    | P.Inserted _ -> ()
+    | r -> Alcotest.failf "insert failed: %s" (render r));
+    for id = 3 to 10 do
+      check_str "answer identical under torn frames and short writes" expected
+        (render (call id (eval_req 1)))
+    done
+  done;
+  Alcotest.(check bool) "frames were torn and writes cut short" true
+    (!torn > 0 && !short > 0)
+
+(* Dropped accepts and reads (a hangup right after connecting, mid-frame
+   or with a job in flight) end one connection each, never the daemon:
+   the survivors' answers stay identical and nothing is written to a
+   dropped connection. *)
+let test_drops_survived () =
+  let expected = render (direct_eval ()) in
+  let rng = Random.State.make [| 42 |] in
+  let sim = Sim.create ~jobs:2 () in
+  let full = ref 0 and dropped = ref 0 in
+  let f = Sim.frame ~id:1 open_req in
+  for c = 0 to 19 do
+    Sim.connect sim c;
+    match Random.State.int rng 4 with
+    | 0 ->
+        Sim.hangup sim c;
+        incr dropped
+    | 1 ->
+        Sim.send sim c (String.sub f 0 (String.length f / 2));
+        Sim.hangup sim c;
+        incr dropped
+    | 2 ->
+        Sim.send sim c f;
+        Sim.hangup sim c;
+        Sim.settle sim;
+        incr dropped
+    | _ -> (
+        Sim.send sim c f;
+        Sim.settle sim;
+        match Sim.response sim c 1 with
+        | P.Opened { session } ->
+            Sim.send sim c (Sim.frame ~id:2 (eval_req session));
+            Sim.settle sim;
+            check_str "delivered answer identical" expected
+              (render (Sim.response sim c 2));
+            incr full
+        | r -> Alcotest.failf "open failed: %s" (render r))
+  done;
+  Alcotest.(check bool) "some rounds completed, some dropped" true
+    (!full >= 1 && !dropped >= 1);
+  check_no_write_after_close sim;
+  Sim.connect sim 99;
+  Sim.send sim 99 (Sim.frame ~id:1 P.Stats);
+  match Sim.response sim 99 1 with
+  | P.Server_stats _ -> ()
+  | r -> Alcotest.failf "daemon stopped serving: %s" (render r)
+
+(* Worker 0 wedges on the first session's eval: its completion never
+   arrives while the clock passes the supervision deadline. The worker
+   is quarantined, the eval fails with the retryable worker_lost, a
+   retry during the replay is turned away retryably, and once the
+   replay lands the retry answers identically. The session pinned to
+   the healthy worker is untouched throughout, and the wedged job's late
+   result is dropped. *)
 let test_poisoned_worker_replayed () =
-  let chaos = Omqd.Chaos.create ~seed:3 ~poison:(1, 0) () in
-  with_daemon ~jobs:2 ~supervise:0.2 ~chaos @@ fun addr ->
-  let c = connect_exn addr in
-  let s0 = open_exn c in
-  let s1 = open_exn c in
-  let expected = P.render_response (direct_eval ()) in
-  let c2 = connect_exn addr in
+  let expected = render (direct_eval ()) in
+  let sim = Sim.create ~jobs:2 ~supervise:0.2 () in
+  Sim.connect sim 0;
+  Sim.connect sim 1;
+  Sim.send sim 0 (Sim.frame ~id:1 open_req ^ Sim.frame ~id:2 open_req);
+  Sim.settle sim;
+  Sim.send sim 0 (Sim.frame ~id:3 (eval_req 1));
+  Sim.send sim 1 (Sim.frame ~id:4 (eval_req 2));
+  Sim.complete sim 1;
   check_str "healthy worker's session answers while the other wedges"
     expected
-    (P.render_response (call_exn c2 (eval_req s1)));
-  check_str "retried eval lands on the replayed session identically"
-    expected
-    (P.render_response (call_exn ~retries:8 c (eval_req s0)));
-  let _, _, _, _, _, poisoned = Omqd.Chaos.injected chaos in
-  check_int "exactly one job was poisoned" 1 poisoned;
-  Omqd.Client.close c2;
-  Omqd.Client.close c
+    (render (Sim.response sim 1 4));
+  Sim.tick sim 0.1;
+  check_int "not quarantined before the deadline" 2
+    (List.length (Sim.responses sim 0));
+  Sim.tick sim 0.2;
+  (match Sim.response sim 0 3 with
+  | P.Rejected { kind = P.Worker_lost; _ } -> ()
+  | r -> Alcotest.failf "expected worker_lost: %s" (render r));
+  Sim.send sim 0 (Sim.frame ~id:5 (eval_req 1));
+  (match Sim.response sim 0 5 with
+  | P.Rejected { kind; _ } when P.retryable kind -> ()
+  | r -> Alcotest.failf "expected a retryable rejection: %s" (render r));
+  Sim.complete sim 0;
+  Sim.send sim 0 (Sim.frame ~id:6 (eval_req 1));
+  Sim.complete sim 0;
+  check_str "retried eval lands on the replayed session identically" expected
+    (render (Sim.response sim 0 6));
+  check_int "the wedged job's late result is dropped" 0
+    (List.length (Sim.complete_lost sim))
 
-(* Deterministic shed + supervision, pipelined on one connection:
-   eval A wedges (poison), eval B arrives while A holds the only
-   in-flight slot and is shed with the typed, retryable [overloaded];
-   supervision then fails A with [worker_lost]; resending the same
-   eval eventually gets the byte-identical answer from the replayed
-   session. *)
+(* Shed + supervision, pipelined on one connection: eval 2 wedges and
+   holds the only in-flight slot, so eval 3 is shed with the typed,
+   retryable [overloaded] and never submitted; supervision then fails
+   eval 2 with [worker_lost]; a retry during the replay is turned away,
+   and the next one gets the byte-identical answer. *)
 let test_overload_shed_and_worker_lost () =
-  let chaos = Omqd.Chaos.create ~seed:5 ~poison:(1, 0) () in
-  with_daemon ~jobs:1 ~max_inflight:1 ~supervise:0.2 ~chaos @@ fun addr ->
-  let fd = raw_connect addr in
-  let buf = Buffer.create 256 in
-  write_all fd (P.render_request ~id:1 open_req ^ "\n");
-  let sid =
-    match P.parse_response (read_line fd buf) with
-    | Ok (Some 1, P.Opened { session }) -> session
-    | _ -> Alcotest.fail "open failed"
-  in
-  (* both evals in one write: arrival order is the wire order *)
-  write_all fd
-    (P.render_request ~id:2 (eval_req sid)
-    ^ "\n"
-    ^ P.render_request ~id:3 (eval_req sid)
-    ^ "\n");
-  (match P.parse_response (read_line fd buf) with
-  | Ok (Some 3, P.Rejected { kind = P.Overloaded; _ }) ->
-      Alcotest.(check bool) "overloaded is retryable" true
-        (P.retryable P.Overloaded)
-  | Ok (_, r) ->
-      Alcotest.failf "expected overloaded shed: %s" (P.render_response r)
-  | Error _ -> Alcotest.fail "undecodable shed response");
-  (match P.parse_response (read_line fd buf) with
-  | Ok (Some 2, P.Rejected { kind = P.Worker_lost; _ }) ->
-      Alcotest.(check bool) "worker_lost is retryable" true
-        (P.retryable P.Worker_lost)
-  | Ok (_, r) ->
-      Alcotest.failf "expected worker_lost: %s" (P.render_response r)
-  | Error _ -> Alcotest.fail "undecodable worker_lost response");
-  (* same frame, resent until the replayed session answers *)
-  let expected = P.render_response (direct_eval ()) in
-  let rec retry n =
-    if n > 50 then Alcotest.fail "replayed session never answered";
-    write_all fd (P.render_request ~id:4 (eval_req sid) ^ "\n");
-    match P.parse_response (read_line fd buf) with
-    | Ok (Some 4, P.Rejected { kind; _ }) when P.retryable kind ->
-        retry (n + 1)
-    | Ok (Some 4, resp) ->
-        check_str "post-recovery answer byte-identical" expected
-          (P.render_response resp)
-    | _ -> Alcotest.fail "bad retry response"
-  in
-  retry 0;
-  Unix.close fd
+  let sim = Sim.create ~jobs:1 ~max_inflight:1 ~supervise:0.2 () in
+  Sim.connect sim 0;
+  Sim.send sim 0 (Sim.frame ~id:1 open_req);
+  Sim.settle sim;
+  Sim.send sim 0 (Sim.frame ~id:2 (eval_req 1) ^ Sim.frame ~id:3 (eval_req 1));
+  check_int "the shed eval was never submitted" 1
+    (Omqd.Core.in_flight sim.Sim.core);
+  Sim.tick sim 0.3;
+  Sim.send sim 0 (Sim.frame ~id:4 (eval_req 1));
+  Sim.complete sim 0;
+  Sim.send sim 0 (Sim.frame ~id:5 (eval_req 1));
+  Sim.complete sim 0;
+  match Sim.responses sim 0 with
+  | [
+   (Some 1, P.Opened _);
+   (Some 3, P.Rejected { kind = P.Overloaded; _ });
+   (Some 2, P.Rejected { kind = P.Worker_lost; _ });
+   (Some 4, P.Rejected { kind = P.Worker_lost; _ });
+   (Some 5, resp);
+  ] ->
+      Alcotest.(check bool) "both rejections are retryable" true
+        (P.retryable P.Overloaded && P.retryable P.Worker_lost);
+      check_str "post-recovery answer byte-identical" (render (direct_eval ()))
+        (render resp)
+  | rs ->
+      Alcotest.failf "unexpected responses: %s"
+        (String.concat "; " (List.map (fun (_, r) -> render r) rs))
 
-(* ---------------------------------------------------------------- *)
-(* Hardened edges *)
-
-(* A reader that never drains (every flush stalls) trips the bounded
-   output buffer and is disconnected; the daemon itself shuts down
-   cleanly within the grace period. *)
+(* A reader that never drains (every flush takes 0 bytes) trips the
+   bounded output buffer and is disconnected; its session stays live.
+   Shutdown then waits for a wedged job only until the grace passes. *)
 let test_slow_reader_disconnected () =
-  let chaos = Omqd.Chaos.create ~seed:13 ~stall_write:1.0 () in
-  with_daemon ~jobs:1 ~max_outbuf:16 ~shutdown_grace:0.2 ~chaos
-  @@ fun addr ->
-  let c = connect_exn addr in
-  (match Omqd.Client.call c open_req with
-  | Error _ -> (* disconnected: the response could never be drained *) ()
-  | Ok r ->
-      Alcotest.failf "stalled response was delivered: %s"
-        (P.render_response r));
-  Omqd.Client.close c
+  let sim = Sim.create ~jobs:1 ~max_outbuf:16 ~shutdown_grace:0.2 () in
+  sim.Sim.take <- (fun c n -> if c = 0 then 0 else n);
+  Sim.connect sim 0;
+  Sim.send sim 0 (Sim.frame ~id:1 open_req);
+  Sim.settle sim;
+  Alcotest.(check bool) "stalled reader disconnected" true
+    (Hashtbl.mem sim.Sim.closed 0);
+  check_int "nothing delivered to it" 0 (List.length (Sim.responses sim 0));
+  check_int "its session stays live" 1
+    (List.length (Omqd.Core.live sim.Sim.core));
+  Sim.connect sim 1;
+  Sim.send sim 1 (Sim.frame ~id:1 (eval_req 1) ^ Sim.frame ~id:2 P.Shutdown);
+  Sim.tick sim 0.1;
+  Alcotest.(check (list bool)) "no stop while the eval runs" [] sim.Sim.stops;
+  Sim.tick sim 0.2;
+  Alcotest.(check (list bool)) "stop once the grace passed" [ true ]
+    sim.Sim.stops
 
 (* SIGTERM routes through the graceful path: in-flight work answered,
    run returns Ok. *)

@@ -34,4 +34,5 @@ let () =
       ("server", Test_server.suite);
       ("telemetry", Test_telemetry.suite);
       ("chaos", Test_chaos.suite);
+      ("core", Test_core.suite);
     ]

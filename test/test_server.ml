@@ -58,7 +58,7 @@ let shutdown_daemon addr =
       Omqd.Client.close c
 
 let with_daemon ?(caps = P.no_budget)
-    ?(max_frame = Omqd.Daemon.default_max_frame) ?(jobs = 2) f =
+    ?(max_frame = Omqd.Daemon.default_max_frame) ?journal ?(jobs = 2) f =
   incr counter;
   let path =
     Filename.concat
@@ -66,7 +66,7 @@ let with_daemon ?(caps = P.no_budget)
       (Printf.sprintf "omqd-test-%d-%d.sock" (Unix.getpid ()) !counter)
   in
   let addr = Omqd.Daemon.Unix_path path in
-  let cfg = Omqd.Daemon.config ~addr ~jobs ~caps ~max_frame () in
+  let cfg = Omqd.Daemon.config ~addr ~jobs ~caps ~max_frame ?journal () in
   let result = ref (Ok ()) in
   let th = Thread.create (fun () -> result := Omqd.Daemon.run cfg) () in
   let out = try Ok (f addr) with e -> Error e in
@@ -336,6 +336,88 @@ let test_reasoner_totals_sum_evals () =
       Alcotest.(check int) "the cold fuel trip" 1 (num "budget_fuel_trips" reasoner)
   | r -> Alcotest.failf "stats failed: %s" (P.render_response r)
 
+(* An insert pipelined with a close of its session in one write: the
+   close is answered inline while the insert runs on the worker, so the
+   insert must not be acknowledged after the close, and the journal must
+   not hold it after the close line. *)
+let test_insert_racing_close () =
+  incr counter;
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "omqd-test-journal-%d-%d" (Unix.getpid ()) !counter)
+  in
+  with_daemon ~jobs:1 ~journal:dir @@ fun addr ->
+  let c = connect_exn addr in
+  let sid = open_exn c in
+  Omqd.Client.close c;
+  let fd = Helpers.raw_connect addr in
+  Helpers.write_all fd
+    (P.render_request ~id:1 (P.Insert_facts { session = sid; facts = "Thumb(u)" })
+    ^ "\n"
+    ^ P.render_request ~id:2 (P.Close_session { session = sid })
+    ^ "\n");
+  let buf = Buffer.create 256 in
+  let next () =
+    match P.parse_response (Helpers.read_line fd buf) with
+    | Ok (_, r) -> r
+    | Error _ -> Alcotest.fail "undecodable response"
+  in
+  let first = next () in
+  let second = next () in
+  Unix.close fd;
+  (match (first, second) with
+  | P.Closed _, P.Inserted _ ->
+      Alcotest.fail "insert_facts acked after its session was closed"
+  | P.Closed _, P.Rejected { kind = P.Unknown_session; _ }
+  | P.Inserted _, P.Closed _ ->
+      ()
+  | a, b ->
+      Alcotest.failf "unexpected responses: %s / %s" (P.render_response a)
+        (P.render_response b));
+  let entries, _ = Omqd.Journal.load dir in
+  match List.rev entries with
+  | Omqd.Journal.Close _ :: _ -> ()
+  | _ -> Alcotest.fail "the journal does not end with the close"
+
+(* Updates pipelined in one write build on each other, and an eval
+   behind them sees both: every job reads the session as the jobs
+   queued before it on its worker left it. *)
+let test_pipelined_updates () =
+  with_daemon ~jobs:1 @@ fun addr ->
+  let c = connect_exn addr in
+  let sid = open_exn c in
+  Omqd.Client.close c;
+  let fd = Helpers.raw_connect addr in
+  Helpers.write_all fd
+    (String.concat ""
+       (List.map
+          (fun (id, req) -> P.render_request ~id req ^ "\n")
+          [
+            (1, P.Insert_facts { session = sid; facts = "Thumb(a)" });
+            (2, P.Insert_facts { session = sid; facts = "Thumb(b)" });
+            (3, eval_req sid);
+          ]));
+  let buf = Buffer.create 256 in
+  let next () =
+    match P.parse_response (Helpers.read_line fd buf) with
+    | Ok (_, r) -> P.render_response r
+    | Error _ -> Alcotest.fail "undecodable response"
+  in
+  let r1 = next () in
+  let r2 = next () in
+  let r3 = next () in
+  Unix.close fd;
+  check_str "first insert"
+    (P.render_response (P.Inserted { session = sid; total_facts = 4 }))
+    r1;
+  check_str "second insert builds on the first"
+    (P.render_response (P.Inserted { session = sid; total_facts = 5 }))
+    r2;
+  check_str "the eval sees both inserts"
+    (P.render_response (direct_eval ~extra:"Thumb(a)\nThumb(b)" ()))
+    r3
+
 let test_clean_shutdown () =
   with_daemon @@ fun addr ->
   let c = connect_exn addr in
@@ -415,6 +497,10 @@ let suite =
       test_eval_stats_shape;
     Alcotest.test_case "stats reasoner totals sum the evals' stats" `Quick
       test_reasoner_totals_sum_evals;
+    Alcotest.test_case "an insert racing a close is not acked" `Quick
+      test_insert_racing_close;
+    Alcotest.test_case "pipelined updates build on each other" `Quick
+      test_pipelined_updates;
     Alcotest.test_case "clean shutdown" `Quick test_clean_shutdown;
     Alcotest.test_case "loadgen drives concurrent clients" `Quick test_loadgen;
     Alcotest.test_case "loadgen counts per-client failures" `Quick
