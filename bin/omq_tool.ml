@@ -61,36 +61,13 @@ let run_result f =
       1
 
 (* ------------------------------------------------------------------ *)
-(* Hand-rolled JSON for the commands with bespoke shapes (fig1, corpus);
-   classify/eval/decide render through Omq.Protocol instead. *)
+(* The commands with bespoke --json shapes (fig1, corpus, loadgen) build
+   Obs.Json values and render them once; classify/eval/decide render
+   through Omq.Protocol instead. *)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+module J = Obs.Json
 
-(* [fields] are already-rendered JSON values. *)
-let json_obj fields =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> json_string k ^ ": " ^ v) fields)
-  ^ "}"
-
-let json_list items = "[" ^ String.concat ", " items ^ "]"
-let json_bool b = if b then "true" else "false"
+let json_int n = J.Num (float_of_int n)
 
 let status_name (s : Classify.Landscape.status) =
   Fmt.str "%a" Classify.Landscape.pp_status s
@@ -332,11 +309,11 @@ let eval_cmd =
     let* q = load_query query in
     if explain then
       Fmt.pr "%s@."
-        (P.Json.render
-           (P.Json.Obj
+        (J.render
+           (J.Obj
               [
                 ( "plans",
-                  P.Json.Arr
+                  J.Arr
                     (List.map (Query.Cq.explain d) (Query.Ucq.disjuncts q)) );
               ]));
     let omq = Omq.of_tbox tbox q in
@@ -519,17 +496,18 @@ let fig1_cmd =
   let run json =
     if json then
       Fmt.pr "%s@."
-        (json_list
-           (List.map
-              (fun (name, (ev : Classify.Landscape.evidence), expected) ->
-                json_obj
-                  [
-                    ("fragment", json_string name);
-                    ("computed", json_string (status_name ev.status));
-                    ("paper", json_string (status_name expected));
-                    ("match", json_bool (ev.status = expected));
-                  ])
-              Classify.Landscape.figure1))
+        (J.render
+           (J.Arr
+              (List.map
+                 (fun (name, (ev : Classify.Landscape.evidence), expected) ->
+                   J.Obj
+                     [
+                       ("fragment", J.Str name);
+                       ("computed", J.Str (status_name ev.status));
+                       ("paper", J.Str (status_name expected));
+                       ("match", J.Bool (ev.status = expected));
+                     ])
+                 Classify.Landscape.figure1)))
     else begin
       Fmt.pr "%-18s %-14s %-14s@." "fragment" "computed" "paper";
       List.iter
@@ -620,41 +598,42 @@ let corpus_cmd =
     | Some reason -> reason_code reason
   in
   let failure_fields (f : Omq.Corpus.failure) =
-    [ ("outcome", json_string (reason_name f.reason)) ]
+    [ ("outcome", J.Str (reason_name f.reason)) ]
   in
   let render_classify json report =
     if json then
       Fmt.pr "%s@."
-        (json_obj
-           [
-             ("task", json_string "classify");
-             ("count", string_of_int (List.length report.Omq.Corpus.results));
-             ( "items",
-               json_list
-                 (List.map
-                    (fun (r : Omq.Corpus.result_one) ->
-                      json_obj
-                        (("name", json_string r.item_name)
-                         ::
-                         (match r.outcome with
-                         | Error f -> failure_fields f
-                         | Ok (Omq.Corpus.Evaluated _) -> assert false
-                         | Ok (Omq.Corpus.Classified c) ->
-                             [
-                               ("outcome", json_string "ok");
-                               ("dl_name", json_string c.dl_name);
-                               ("depth", string_of_int c.depth);
-                               ( "fragment",
-                                 match c.fragment with
-                                 | Some d -> json_string (Gf.Fragment.name d)
-                                 | None -> "null" );
-                               ( "status",
-                                 json_string
-                                   (status_name c.evidence.Classify.Landscape.status)
-                               );
-                             ])))
-                    report.Omq.Corpus.results) );
-           ])
+        (J.render
+           (J.Obj
+              [
+                ("task", J.Str "classify");
+                ("count", json_int (List.length report.Omq.Corpus.results));
+                ( "items",
+                  J.Arr
+                    (List.map
+                       (fun (r : Omq.Corpus.result_one) ->
+                         J.Obj
+                           (("name", J.Str r.item_name)
+                            ::
+                            (match r.outcome with
+                            | Error f -> failure_fields f
+                            | Ok (Omq.Corpus.Evaluated _) -> assert false
+                            | Ok (Omq.Corpus.Classified c) ->
+                                [
+                                  ("outcome", J.Str "ok");
+                                  ("dl_name", J.Str c.dl_name);
+                                  ("depth", json_int c.depth);
+                                  ( "fragment",
+                                    match c.fragment with
+                                    | Some d -> J.Str (Gf.Fragment.name d)
+                                    | None -> J.Null );
+                                  ( "status",
+                                    J.Str
+                                      (status_name
+                                         c.evidence.Classify.Landscape.status) );
+                                ])))
+                       report.Omq.Corpus.results) );
+              ]))
     else
       List.iter
         (fun (r : Omq.Corpus.result_one) ->
@@ -675,44 +654,44 @@ let corpus_cmd =
   let render_eval json q report =
     let boolean = Query.Ucq.is_boolean q in
     let json_answers answers =
-      json_list
+      J.Arr
         (List.map
-           (fun t ->
-             json_list (List.map (fun e -> json_string (element_name e)) t))
+           (fun t -> J.Arr (List.map (fun e -> J.Str (element_name e)) t))
            answers)
     in
     if json then
       Fmt.pr "%s@."
-        (json_obj
-           [
-             ("task", json_string "eval");
-             ("boolean", json_bool boolean);
-             ("count", string_of_int (List.length report.Omq.Corpus.results));
-             ( "items",
-               json_list
-                 (List.map
-                    (fun (r : Omq.Corpus.result_one) ->
-                      json_obj
-                        (("name", json_string r.item_name)
-                         ::
-                         (match r.outcome with
-                         | Error f -> failure_fields f
-                         | Ok (Omq.Corpus.Classified _) -> assert false
-                         | Ok (Omq.Corpus.Evaluated e) ->
-                             ("outcome", json_string "ok")
-                             :: ("consistent", json_bool e.consistent)
-                             ::
-                             (if not e.consistent then []
-                              else if boolean then
-                                [ ("certain", json_bool (e.answers <> [])) ]
-                              else
-                                [
-                                  ( "answer_count",
-                                    string_of_int (List.length e.answers) );
-                                  ("answers", json_answers e.answers);
-                                ]))))
-                    report.Omq.Corpus.results) );
-           ])
+        (J.render
+           (J.Obj
+              [
+                ("task", J.Str "eval");
+                ("boolean", J.Bool boolean);
+                ("count", json_int (List.length report.Omq.Corpus.results));
+                ( "items",
+                  J.Arr
+                    (List.map
+                       (fun (r : Omq.Corpus.result_one) ->
+                         J.Obj
+                           (("name", J.Str r.item_name)
+                            ::
+                            (match r.outcome with
+                            | Error f -> failure_fields f
+                            | Ok (Omq.Corpus.Classified _) -> assert false
+                            | Ok (Omq.Corpus.Evaluated e) ->
+                                ("outcome", J.Str "ok")
+                                :: ("consistent", J.Bool e.consistent)
+                                ::
+                                (if not e.consistent then []
+                                 else if boolean then
+                                   [ ("certain", J.Bool (e.answers <> [])) ]
+                                 else
+                                   [
+                                     ( "answer_count",
+                                       json_int (List.length e.answers) );
+                                     ("answers", json_answers e.answers);
+                                   ]))))
+                       report.Omq.Corpus.results) );
+              ]))
     else
       List.iter
         (fun (r : Omq.Corpus.result_one) ->
@@ -1170,22 +1149,23 @@ let loadgen_cmd =
     let* s = Omqd.Loadgen.run addr (List.init (max clients 1) (fun _ -> spec)) ~queries in
     if c.json then
       print_endline
-        (json_obj
-           [
-             ("clients", string_of_int s.Omqd.Loadgen.clients);
-             ("queries_per_client", string_of_int s.queries_per_client);
-             ("total", string_of_int s.total);
-             ("ok", string_of_int s.ok);
-             ("tripped", string_of_int s.tripped);
-             ("errors", string_of_int s.errors);
-             ("mismatches", string_of_int s.mismatches);
-             ("connect_failures", string_of_int s.connect_failures);
-             ("io_failures", string_of_int s.io_failures);
-             ("seconds", Printf.sprintf "%.6f" s.seconds);
-             ("throughput_rps", Printf.sprintf "%.3f" s.throughput_rps);
-             ("p50_ms", Printf.sprintf "%.3f" s.p50_ms);
-             ("p99_ms", Printf.sprintf "%.3f" s.p99_ms);
-           ])
+        (J.render
+           (J.Obj
+              [
+                ("clients", json_int s.Omqd.Loadgen.clients);
+                ("queries_per_client", json_int s.queries_per_client);
+                ("total", json_int s.total);
+                ("ok", json_int s.ok);
+                ("tripped", json_int s.tripped);
+                ("errors", json_int s.errors);
+                ("mismatches", json_int s.mismatches);
+                ("connect_failures", json_int s.connect_failures);
+                ("io_failures", json_int s.io_failures);
+                ("seconds", J.Num s.seconds);
+                ("throughput_rps", J.Num s.throughput_rps);
+                ("p50_ms", J.Num s.p50_ms);
+                ("p99_ms", J.Num s.p99_ms);
+              ]))
     else Fmt.pr "%a@." Omqd.Loadgen.pp_summary s;
     Ok 0
   in
@@ -1226,7 +1206,6 @@ let top_cmd =
       & info [ "once" ]
           ~doc:"Print a single frame and exit (no screen clearing).")
   in
-  let module J = P.Json in
   let jnum ?(default = Float.nan) name j =
     match J.member name j with Some (J.Num n) -> n | _ -> default
   in

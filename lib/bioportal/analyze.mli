@@ -4,8 +4,6 @@
 (** Remove constructors outside ALCHIF (the paper's preprocessing). *)
 val to_alchif : Dl.Concept.t -> Dl.Concept.t
 
-val tbox_to_alchif : Dl.Tbox.t -> Dl.Tbox.t
-
 type report = {
   name : string;
   depth : int;

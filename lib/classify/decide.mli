@@ -9,10 +9,6 @@ type verdict =
   | Ptime_evidence of int
   | Conp_hard of Structure.Instance.t
 
-(** The structured bouquet family over sig(O). *)
-val structured_bouquets :
-  Logic.Ontology.t -> max_outdegree:int -> Structure.Instance.t list
-
 (** Bouquets failing at the base bounds are re-checked with
     [verify_extra] more domain elements to filter bound artifacts.
     [on_checked] is called after each fully checked bouquet (progress

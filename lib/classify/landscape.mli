@@ -15,10 +15,6 @@ type evidence = {
 val pp_status : status Fmt.t
 val pp_evidence : evidence Fmt.t
 
-(** Classify a fragment descriptor: containment in a dichotomy fragment
-    first, then inclusion of a no-dichotomy / CSP-hard fragment. *)
-val of_fragment : Gf.Fragment.t -> evidence
-
 (** Classify a concrete ontology by its minimal fragment; ontologies in
     full GF report CSP-hardness of the language. *)
 val of_ontology : Logic.Ontology.t -> evidence

@@ -66,7 +66,6 @@ module Session = struct
   type t = session
 
   let instance s = s.instance
-  let max_extra s = s.max_extra
   let updatable s = s.updatable
 
   (* The engine at bound k, grounded on first use under [budget]. A
@@ -312,16 +311,10 @@ let rewritten_certain ?budget ?extra omq d tuple =
       match Rewriting.Typeprog.entails ?budget ?extra omq.ontology cq d tuple with
       | b -> Ok b
       | exception Rewriting.Typeprog.Not_two_variable msg ->
-          Error (`Not_two_variable msg))
+          Error (`Not_two_variable msg)
+      | exception Rewriting.Typeprog.Too_many_types limit ->
+          Error (`Too_many_types limit))
   | _ -> Error `Not_single_cq
-
-(* Theorem 13: decide PTIME query evaluation by bouquet
-   materializability. *)
-let decide_ptime ?budget ?seed ?max_outdegree ?samples omq =
-  Classify.Decide.decide ?budget ?seed ?max_outdegree ?samples omq.ontology
-
-let try_decide_ptime budget ?seed ?max_outdegree ?samples omq =
-  Classify.Decide.try_decide budget ?seed ?max_outdegree ?samples omq.ontology
 
 let pp ppf omq =
   Fmt.pf ppf "@[<v>ontology:@ %a@ query:@ %a@]" Logic.Ontology.pp omq.ontology

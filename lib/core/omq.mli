@@ -47,7 +47,6 @@ module Session : sig
   type t = session
 
   val instance : t -> Structure.Instance.t
-  val max_extra : t -> int
   val updatable : t -> bool
 
   (** [insert_facts s facts] returns the session for D ∪ facts, either
@@ -161,33 +160,20 @@ val materializable_on :
 (** The Theorem 5 type-based evaluation; [Error `Not_single_cq] when the
     query has more than one disjunct, [Error (`Not_two_variable _)] when
     the (O, q) pair leaves the binary/two-variable setting the procedure
-    supports. *)
+    supports, [Error (`Too_many_types limit)] when more realizable types
+    exist than the enumeration limit (see
+    {!Rewriting.Typeprog.Too_many_types}). *)
 val rewritten_certain :
   ?budget:Reasoner.Budget.t ->
   ?extra:int ->
   t ->
   Structure.Instance.t ->
   Structure.Element.t list ->
-  (bool, [ `Not_single_cq | `Not_two_variable of string ]) result
+  ( bool,
+    [ `Not_single_cq | `Not_two_variable of string | `Too_many_types of int ]
+  )
+  result
 
-(** Theorem 13: decide PTIME query evaluation. *)
-val decide_ptime :
-  ?budget:Reasoner.Budget.t ->
-  ?seed:int ->
-  ?max_outdegree:int ->
-  ?samples:int ->
-  t ->
-  Classify.Decide.verdict
-
-(** Typed form of {!decide_ptime}; the partial payload is the number of
-    bouquets fully checked before the trip. *)
-val try_decide_ptime :
-  Reasoner.Budget.t ->
-  ?seed:int ->
-  ?max_outdegree:int ->
-  ?samples:int ->
-  t ->
-  (Classify.Decide.verdict, int) Reasoner.Budget.outcome
 
 (** Drop every cache the answering stack keeps on the calling domain
     (the engine session registry and the grounder's circuit memo), for
@@ -220,9 +206,6 @@ module Corpus : sig
       [Error] on an unreadable directory, an unparsable file, or no
       [.dl] files at all. *)
   val load_dir : string -> (item list, string) result
-
-  (** One [.dl] file; the caller picks the item name. *)
-  val load_file : string -> (Dl.Tbox.t, string) result
 
   type task =
     | Classify  (** Figure 1 landscape classification, per ontology *)

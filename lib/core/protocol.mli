@@ -115,7 +115,6 @@ type error_kind =
   | Internal
 
 val error_kind_name : error_kind -> string
-val error_kind_of_name : string -> error_kind option
 
 (** Whether a rejection of this kind is safe to retry by resending the
     same frame (same ["id"]): [true] exactly for {!Overloaded} and
@@ -174,20 +173,13 @@ val reason_name : Reasoner.Budget.reason -> string
 (** {1 Codec}
 
     Renderings are deterministic: fixed member order, ["v"] first, then
-    ["id"] when given. [*_of_json] validates the version before
-    anything else. Decode errors carry the frame's ["id"] when one was
-    recoverable, so servers can echo it on the error response. *)
+    ["id"] when given. [parse_*] validates the version before anything
+    else. Decode errors carry the frame's ["id"] when one was
+    recoverable, so servers can echo it on the error response.
+    [render_*] append no newline; a [parse_*] frame that is not JSON is
+    [Bad_frame]. *)
 
 type 'a decoded = (int option * 'a, int option * (error_kind * string)) result
-
-val request_to_json : ?id:int -> request -> Json.t
-val request_of_json : Json.t -> request decoded
-val response_to_json : ?id:int -> response -> Json.t
-val response_of_json : Json.t -> response decoded
-
-(** One-line string forms ([render_*] append no newline; [parse_*]
-    combine {!Json.parse} — a parse failure is [Bad_frame] — with
-    [*_of_json]). *)
 
 val render_request : ?id:int -> request -> string
 val parse_request : string -> request decoded

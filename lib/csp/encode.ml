@@ -149,9 +149,6 @@ let lift_instance (t : Template.t) d =
       | _ -> inst)
     d (Structure.Instance.facts d)
 
-(* The goal query q ← N(x) with N fresh. *)
-let goal_query = Query.Cq.make ~name:"q" ~answer:[] [ ("N", [ T.Var "x" ]) ]
-
 (* D ↦ D•: reduct to sig(A) plus precoloring facts recovered from
    non-loop Ra edges; D is consistent w.r.t. O iff D• → A. *)
 let consistency_reduct (t : Template.t) d =

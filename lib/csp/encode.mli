@@ -12,24 +12,12 @@ type variant =
   | Func
   | Alcfl
 
-(** Relation R{_a} carrying the marker for template element [a]. *)
-val color_relation : Structure.Element.t -> string
-
-(** The marker formula φ{^ ≠}{_a} with free variable [at]. *)
-val phi_neq : ?at:string -> variant -> Structure.Element.t -> Logic.Formula.t
-
-val phi_eq : variant -> Structure.Element.t -> Logic.Formula.t
-
 (** The encoding ontology; apply {!Precolor.closure} to the template
     first if pinning is wanted. *)
 val ontology : ?variant:variant -> Template.t -> Logic.Ontology.t
 
 (** D ↦ D′: turn precoloring pins P{_a}(d) into marker edges. *)
 val lift_instance : Template.t -> Structure.Instance.t -> Structure.Instance.t
-
-(** q ← N(x) with N fresh: certain iff the lifted instance is
-    inconsistent with the encoding, i.e. iff D does not map to A. *)
-val goal_query : Query.Cq.t
 
 (** D ↦ D•: the consistency-to-CSP direction. *)
 val consistency_reduct :

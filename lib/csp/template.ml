@@ -8,13 +8,6 @@ type t = {
   instance : Structure.Instance.t;
 }
 
-exception Bad_template of string
-
-let of_instance ~name instance =
-  if Logic.Signature.max_arity (Structure.Instance.signature instance) > 2
-  then raise (Bad_template "template relations must have arity <= 2");
-  { name; instance }
-
 let domain t = Structure.Instance.domain_list t.instance
 let signature t = Structure.Instance.signature t.instance
 
@@ -32,22 +25,3 @@ let k_colouring n =
       vertices
   in
   { name = Printf.sprintf "K%d" n; instance = Structure.Instance.of_facts facts }
-
-(* A template whose CSP is solvable in PTIME by arc consistency:
-   directed reachability to a sink ("Horn-like"). *)
-let implication_template =
-  let t = Structure.Element.Const "t" and f = Structure.Element.Const "f" in
-  let facts =
-    [
-      Structure.Instance.fact "Imp" [ f; f ];
-      Structure.Instance.fact "Imp" [ f; t ];
-      Structure.Instance.fact "Imp" [ t; t ];
-      Structure.Instance.fact "T" [ t ];
-      Structure.Instance.fact "F" [ f ];
-    ]
-  in
-  { name = "implication"; instance = Structure.Instance.of_facts facts }
-
-let pp ppf t =
-  Fmt.pf ppf "template %s over %d elements" t.name
-    (Structure.Instance.domain_size t.instance)

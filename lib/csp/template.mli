@@ -7,19 +7,9 @@ type t = {
   instance : Structure.Instance.t;
 }
 
-exception Bad_template of string
-
-(** @raise Bad_template when a relation has arity > 2. *)
-val of_instance : name:string -> Structure.Instance.t -> t
-
 val domain : t -> Structure.Element.t list
 val signature : t -> Logic.Signature.t
 
 (** K{_n}: the n-colourability template (NP-hard for n ≥ 3, PTIME for
     n ≤ 2). *)
 val k_colouring : int -> t
-
-(** A PTIME template solved by arc consistency (implication graph). *)
-val implication_template : t
-
-val pp : t Fmt.t

@@ -58,7 +58,7 @@ let make ?(goal = "goal") rules =
   List.iter check_rule rules;
   { rules; goal }
 
-(* Intensional relations: those occurring in a rule head. *)
+(* Datalog≠ proper: some rule body has an inequality. *)
 let uses_inequality t =
   List.exists
     (fun r -> List.exists (function Neq _ -> true | Pos _ -> false) r.body)

@@ -3,7 +3,6 @@ type role =
   | Inv of string
 
 let role_name = function Name r | Inv r -> r
-let invert = function Name r -> Inv r | Inv r -> Name r
 
 let pp_role ppf = function
   | Name r -> Fmt.string ppf r

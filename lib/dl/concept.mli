@@ -7,7 +7,6 @@ type role =
   | Inv of string
 
 val role_name : role -> string
-val invert : role -> role
 val pp_role : role Fmt.t
 
 type t =

@@ -2,11 +2,7 @@
     interpretations (Appendix A). Used to cross-validate the FO
     translation {!Translate}. *)
 
-val role_successors :
-  Structure.Instance.t -> Concept.role -> Structure.Element.t -> Structure.Element.Set.t
-
 (** C{^ A}: the extension of a concept. *)
 val extension : Structure.Instance.t -> Concept.t -> Structure.Element.Set.t
 
-val satisfies_axiom : Structure.Instance.t -> Tbox.axiom -> bool
 val is_model : Structure.Instance.t -> Tbox.t -> bool

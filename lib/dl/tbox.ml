@@ -5,7 +5,6 @@ type axiom =
 
 type t = axiom list
 
-let subsumption c d = Sub (c, d)
 let equivalence c d = [ Sub (c, d); Sub (d, c) ]
 
 let concepts t =

@@ -8,7 +8,6 @@ type axiom =
 
 type t = axiom list
 
-val subsumption : Concept.t -> Concept.t -> axiom
 val equivalence : Concept.t -> Concept.t -> axiom list
 val concepts : t -> Concept.t list
 

@@ -7,13 +7,6 @@
 (** C*(cur), alternating between the variables "x" and "y". *)
 val concept_formula : Concept.t -> string -> Logic.Formula.t
 
-(** The sentence of one axiom; [None] for [Func] (handled separately)
-    and for trivial inclusions. *)
-val axiom_sentence : Tbox.axiom -> Logic.Formula.t option
-
-(** ∀x y1 y2 (R(y1,x) ∧ R(y2,x) → y1 = y2). *)
-val inverse_functionality_axiom : string -> Logic.Formula.t
-
 (** Translate a whole TBox; [Func (Name r)] becomes a functional
     declaration, [Func (Inv r)] an explicit inverse-functionality
     axiom. *)

@@ -17,14 +17,7 @@ val check_pair :
   Structure.Instance.t ->
   counterexample option
 
-(** Randomised search for a violation over small interpretations. *)
-val find_counterexample :
-  ?seed:int ->
-  ?samples:int ->
-  ?size:int ->
-  ?p:float ->
-  Logic.Formula.t ->
-  counterexample option
-
+(** Randomised search for a violation over small interpretations;
+    [true] when none is found. *)
 val appears_invariant :
   ?seed:int -> ?samples:int -> ?size:int -> ?p:float -> Logic.Formula.t -> bool

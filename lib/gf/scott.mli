@@ -8,13 +8,6 @@
     extension: every model of the original expands to a model of the
     result, and reducts of models of the result satisfy the original. *)
 
-(** Structural quantifier depth (guarded and counting quantifiers). *)
-val qdepth : Logic.Formula.t -> int
-
-(** Reduce one sentence, returning the rewritten sentence and residual
-    definitional sentences (possibly still deep). *)
-val reduce_sentence : Logic.Formula.t -> Logic.Formula.t * Logic.Formula.t list
-
-(** Iterate {!reduce_sentence} to a fixpoint: all sentences of the result
-    have depth ≤ 1. *)
+(** Reduce sentence by sentence to a fixpoint: all sentences of the
+    result have quantifier depth ≤ 1. *)
 val reduce_ontology : Logic.Ontology.t -> Logic.Ontology.t

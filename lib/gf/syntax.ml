@@ -113,11 +113,6 @@ and counting_quantifier _n v body =
       { ga with depth = 1; counting = true; vars = SSet.add v ga.vars }
   | _ -> fail "counting quantifier must be guarded by a binary atom"
 
-let is_open_gf f =
-  match analyze_open f with
-  | a -> (not a.counting) && not a.eq_nonguard
-  | exception Not_guarded _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* uGF / uGC2 sentences                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -147,13 +142,6 @@ let analyze_sentence f =
 let is_ugf_sentence f =
   match analyze_sentence f with
   | a -> (not a.body.counting)
-  | exception Not_guarded _ -> false
-
-let is_ugc2_sentence f =
-  match analyze_sentence f with
-  | a ->
-      a.body.max_arity <= 2 && SSet.cardinal a.body.vars <= 2
-      (* outer guard variables included via check above *)
   | exception Not_guarded _ -> false
 
 (* Depth of a uGF sentence: the depth of its body (the outermost

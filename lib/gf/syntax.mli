@@ -7,14 +7,6 @@
 
 exception Not_guarded of string
 
-type guard =
-  | Guard_atom of string * Logic.Term.t list
-  | Guard_eq of Logic.Term.t * Logic.Term.t
-
-val guard_vars : guard -> Logic.Names.SSet.t
-val guard_of_formula : Logic.Formula.t -> guard option
-val is_eq_guard : guard -> bool
-
 type analysis = {
   depth : int;
   eq_nonguard : bool;
@@ -22,13 +14,6 @@ type analysis = {
   vars : Logic.Names.SSet.t;
   max_arity : int;
 }
-
-(** Analyse an openGF / openGC2 formula.
-    @raise Not_guarded when the formula is outside the fragment. *)
-val analyze_open : Logic.Formula.t -> analysis
-
-(** [is_open_gf f]: openGF membership (no counting, no equality). *)
-val is_open_gf : Logic.Formula.t -> bool
 
 type sentence_analysis = {
   outer_eq : bool;
@@ -41,9 +26,6 @@ type sentence_analysis = {
 val analyze_sentence : Logic.Formula.t -> sentence_analysis
 
 val is_ugf_sentence : Logic.Formula.t -> bool
-
-(** Two-variable with counting: arity ≤ 2 and at most two variables. *)
-val is_ugc2_sentence : Logic.Formula.t -> bool
 
 (** Depth of a uGF sentence = quantifier depth of its body (the outermost
     universal quantifier is not counted). *)

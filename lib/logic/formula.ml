@@ -111,22 +111,6 @@ let rec relations = function
       SMap.union (fun _ x _ -> Some x) (relations a) (relations b)
   | Forall (_, f) | Exists (_, f) | CountGeq (_, _, f) -> relations f
 
-let rec uses_equality = function
-  | True | False | Atom _ -> false
-  | Eq _ -> true
-  | Not f -> uses_equality f
-  | And (a, b) | Or (a, b) | Implies (a, b) ->
-      uses_equality a || uses_equality b
-  | Forall (_, f) | Exists (_, f) | CountGeq (_, _, f) -> uses_equality f
-
-let rec uses_counting = function
-  | True | False | Atom _ | Eq _ -> false
-  | Not f -> uses_counting f
-  | And (a, b) | Or (a, b) | Implies (a, b) ->
-      uses_counting a || uses_counting b
-  | Forall (_, f) | Exists (_, f) -> uses_counting f
-  | CountGeq _ -> true
-
 let rec subformulas f =
   f
   ::

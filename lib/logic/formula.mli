@@ -58,12 +58,6 @@ val size : t -> int
     arity. *)
 val relations : t -> int Names.SMap.t
 
-(** [uses_equality f] holds iff [f] contains an equality atom. *)
-val uses_equality : t -> bool
-
-(** [uses_counting f] holds iff [f] contains a counting quantifier. *)
-val uses_counting : t -> bool
-
 (** All subformulas of [f], including [f] itself (with duplicates). *)
 val subformulas : t -> t list
 

@@ -7,7 +7,6 @@ let empty = SMap.empty
 let of_list l = SMap.of_seq (List.to_seq l)
 let singleton v t = SMap.singleton v t
 let add v t s = SMap.add v t s
-let find_opt v s = SMap.find_opt v s
 
 let apply_term s = function
   | Term.Var v as t -> ( match SMap.find_opt v s with Some u -> u | None -> t)
@@ -61,5 +60,3 @@ and binder s vs g =
   let _, ren, rev_vs = List.fold_left rename (avoid, SMap.empty, []) vs in
   let g = if SMap.is_empty ren then g else apply ren g in
   (List.rev rev_vs, apply s g)
-
-let rename_var ~from ~into f = apply (singleton from (Term.Var into)) f

@@ -6,14 +6,7 @@ val empty : t
 val of_list : (string * Term.t) list -> t
 val singleton : string -> Term.t -> t
 val add : string -> Term.t -> t -> t
-val find_opt : string -> t -> Term.t option
-
-(** [apply_term s t] replaces [t] if it is a variable bound by [s]. *)
-val apply_term : t -> Term.t -> Term.t
 
 (** [apply s f] substitutes in [f], renaming bound variables as needed to
     avoid capture. *)
 val apply : t -> Formula.t -> Formula.t
-
-(** [rename_var ~from ~into f] renames free occurrences of [from]. *)
-val rename_var : from:string -> into:string -> Formula.t -> Formula.t

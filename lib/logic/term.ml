@@ -5,12 +5,6 @@ type t =
 let compare = Stdlib.compare
 let equal a b = compare a b = 0
 
-let is_var = function Var _ -> true | Const _ -> false
-
-let var_name = function
-  | Var v -> Some v
-  | Const _ -> None
-
 let pp ppf = function
   | Var v -> Fmt.string ppf v
   | Const c -> Fmt.pf ppf "'%s'" c

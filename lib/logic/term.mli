@@ -10,12 +10,6 @@ type t =
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
-(** [is_var t] holds iff [t] is a variable. *)
-val is_var : t -> bool
-
-(** [var_name t] is [Some v] when [t = Var v]. *)
-val var_name : t -> string option
-
 val pp : t Fmt.t
 val to_string : t -> string
 

@@ -9,16 +9,6 @@ type witness = {
   pointed : pointed list;
 }
 
-let pp_witness ppf w =
-  Fmt.pf ppf "@[<v>instance %a@ entails the disjunction of:@ %a@]"
-    Structure.Instance.pp w.instance
-    Fmt.(
-      list ~sep:cut (fun ppf (q, t) ->
-          Fmt.pf ppf "  %a @@ (%a)" Query.Cq.pp q
-            (list ~sep:comma Structure.Element.pp)
-            t))
-    w.pointed
-
 (* Check one candidate disjunction: [`Fails w] means the disjunction is
    certain but no disjunct is — the disjunction property fails. *)
 let check ?budget ?max_extra o d pointed =

@@ -9,8 +9,6 @@ type witness = {
   pointed : pointed list;
 }
 
-val pp_witness : witness Fmt.t
-
 (** Check one candidate disjunction on an instance, on the cached
     {!Reasoner.Engine} sessions of (O, D). A [?budget] is threaded into
     the engine; a trip raises {!Reasoner.Budget.Exhausted}. *)

@@ -3,13 +3,6 @@
     dom(D). Checked over the enumerated bounded models, so verdicts are
     relative to the bounds. *)
 
-(** A model mapping into every enumerated bounded model. *)
-val find_hom_universal :
-  ?extra:int ->
-  ?limit:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  Structure.Instance.t option
-
+(** Some model maps into every enumerated bounded model. *)
 val admits_hom_universal :
   ?extra:int -> ?limit:int -> Logic.Ontology.t -> Structure.Instance.t -> bool

@@ -13,11 +13,6 @@
 
 type format = Chrome | Jsonl
 
-let format_of_string = function
-  | "chrome" -> Some Chrome
-  | "jsonl" -> Some Jsonl
-  | _ -> None
-
 let int i = Json.Num (float_of_int i)
 
 let attr_json = function

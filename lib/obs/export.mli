@@ -4,9 +4,6 @@ type format =
   | Chrome  (** Chrome trace-event JSON: chrome://tracing, Perfetto *)
   | Jsonl  (** one span (then one event) per line *)
 
-(** ["chrome"] / ["jsonl"]. *)
-val format_of_string : string -> format option
-
 (** The Chrome trace-event rendering: a JSON object whose
     ["traceEvents"] array holds one complete ("X") event per span —
     [args] carrying [span_id], [parent_id], the span attributes and

@@ -1,10 +1,9 @@
 (* Leveled structured logging for the long-lived processes (the serve
-   daemon). Records go to one out_channel (stderr by default) in either
-   human text or newline-JSON; the JSON path renders Obs.Json values
-   so records are parseable with the same tooling as the wire
-   protocol. A single mutex serializes emission — logging is cold-path
-   by design (the hot request path records metrics/spans, not log
-   lines). *)
+   daemon). Records go to stderr in either human text or newline-JSON;
+   the JSON path renders Obs.Json values so records are parseable with
+   the same tooling as the wire protocol. A single mutex serializes
+   emission — logging is cold-path by design (the hot request path
+   records metrics/spans, not log lines). *)
 
 type level = Debug | Info | Warn | Error
 type format = Text | Json
@@ -28,26 +27,18 @@ let level_of_string = function
   | "error" -> Some Error
   | _ -> None
 
-let format_of_string = function
-  | "text" -> Some Text
-  | "json" -> Some Json
-  | _ -> None
-
 let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
 type config = {
   mutable min_level : level;
   mutable fmt : format;
-  mutable out : out_channel;
 }
 
-let cfg = { min_level = Info; fmt = Text; out = stderr }
+let cfg = { min_level = Info; fmt = Text }
 let mutex = Mutex.create ()
 
 let set_level l = cfg.min_level <- l
 let set_format f = cfg.fmt <- f
-let set_out oc = cfg.out <- oc
-let level () = cfg.min_level
 
 let enabled l = severity l >= severity cfg.min_level
 
@@ -88,12 +79,11 @@ let log ?(fields = []) level msg =
     Fun.protect
       ~finally:(fun () -> Mutex.unlock mutex)
       (fun () ->
-        output_string cfg.out line;
-        output_char cfg.out '\n';
-        flush cfg.out)
+        output_string stderr line;
+        output_char stderr '\n';
+        flush stderr)
   end
 
-let debug ?fields msg = log ?fields Debug msg
 let info ?fields msg = log ?fields Info msg
 let warn ?fields msg = log ?fields Warn msg
 let error ?fields msg = log ?fields Error msg

@@ -1,6 +1,6 @@
 (** Leveled structured logging for long-lived processes.
 
-    One process-global sink (stderr by default), two formats: [Text]
+    One process-global sink (stderr), two formats: [Text]
     (["omqd: [level] msg k=v ..."]) and [Json] (one object per line:
     [{"ts":..,"level":..,"msg":..,<fields>}], rendered with
     {!Obs.Json} so ["--log-format json"] stderr is machine-parseable
@@ -16,23 +16,11 @@ type field =
   | Float of string * float
   | Bool of string * bool
 
-val level_to_string : level -> string
 val level_of_string : string -> level option
-val format_of_string : string -> format option
 
 val set_level : level -> unit
 val set_format : format -> unit
 
-(** Redirect records (tests). *)
-val set_out : out_channel -> unit
-
-val level : unit -> level
-
-(** [enabled l] — would a record at level [l] be emitted? *)
-val enabled : level -> bool
-
-val log : ?fields:field list -> level -> string -> unit
-val debug : ?fields:field list -> string -> unit
 val info : ?fields:field list -> string -> unit
 val warn : ?fields:field list -> string -> unit
 val error : ?fields:field list -> string -> unit

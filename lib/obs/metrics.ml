@@ -54,8 +54,6 @@ let create () = { table = Hashtbl.create 32 }
 let global_key = Domain.DLS.new_key create
 let global () = Domain.DLS.get global_key
 
-let reset t = Hashtbl.reset t.table
-
 let find_or_add t name build =
   match Hashtbl.find_opt t.table name with
   | Some m -> m

@@ -22,7 +22,6 @@ val create : unit -> t
     and its session's {!Reasoner.Stats} delta to the loop). *)
 val global : unit -> t
 
-val reset : t -> unit
 
 (** Add to a counter (created at 0 on first use). *)
 val incr : ?by:int -> t -> string -> unit

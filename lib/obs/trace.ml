@@ -21,12 +21,6 @@ type attr =
   | Float of float
   | Bool of bool
 
-let pp_attr ppf = function
-  | Str s -> Fmt.string ppf s
-  | Int i -> Fmt.int ppf i
-  | Float f -> Fmt.pf ppf "%g" f
-  | Bool b -> Fmt.bool ppf b
-
 type span = {
   id : int;
   parent : int;  (* -1 for roots *)

@@ -18,8 +18,6 @@
 
 type attr = Str of string | Int of int | Float of float | Bool of bool
 
-val pp_attr : attr Fmt.t
-
 type span = {
   id : int;
   parent : int;  (** -1 for roots *)

@@ -148,10 +148,6 @@ let explain inst q =
 (* Shape analysis                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let is_connected q =
-  Structure.Gaifman.is_connected
-    (Structure.Gaifman.of_instance (canonical_db q))
-
 (* Rooted acyclic queries (Section 2.2): non-Boolean, and D_q has a
    cg-tree decomposition rooted at a bag whose domain is exactly the set
    of answer variables. *)

@@ -19,13 +19,10 @@ val make : ?name:string -> answer:string list -> atom list -> t
 val arity : t -> int
 val is_boolean : t -> bool
 val variables : t -> Logic.Names.SSet.t
-val existential_variables : t -> Logic.Names.SSet.t
 val signature : t -> Logic.Signature.t
 
 (** The canonical constant a{_y} representing variable [y]. *)
 val var_element : string -> Structure.Element.t
-
-val term_element : Logic.Term.t -> Structure.Element.t
 
 (** The canonical database D{_q}. *)
 val canonical_db : t -> Structure.Instance.t
@@ -46,9 +43,6 @@ val answers : Structure.Instance.t -> t -> Structure.Element.t list list
 (** The join plan the planner would choose for [q]'s body over [inst],
     as a JSON object (see [Structure.Eval.explain_json]). *)
 val explain : Structure.Instance.t -> t -> Obs.Json.t
-
-(** Connectedness of the canonical database. *)
-val is_connected : t -> bool
 
 (** Rooted acyclic queries: non-Boolean and D{_q} admits a cg-tree
     decomposition rooted at the answer variables (Section 2.2). *)

@@ -88,14 +88,3 @@ let ucq_of_string s =
   Ucq.make (List.map parse_cq parts)
 
 let cq_of_string s = parse_cq s
-
-(* Non-raising forms: malformed input is data, not an exception. *)
-let cq_of_string_result s =
-  match cq_of_string s with
-  | q -> Ok q
-  | exception Parse_error m -> Error m
-
-let ucq_of_string_result s =
-  match ucq_of_string s with
-  | q -> Ok q
-  | exception Parse_error m -> Error m

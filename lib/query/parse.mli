@@ -6,8 +6,3 @@ exception Parse_error of string
 
 val cq_of_string : string -> Cq.t
 val ucq_of_string : string -> Ucq.t
-
-(** Non-raising forms; [Error] carries the parse message. *)
-
-val cq_of_string_result : string -> (Cq.t, string) result
-val ucq_of_string_result : string -> (Ucq.t, string) result

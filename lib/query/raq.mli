@@ -1,7 +1,5 @@
 (** Builders for rooted acyclic queries and common query shapes. *)
 
-val var_of_element : Structure.Element.t -> string
-
 (** View an instance as a CQ over its elements with the given answer
     elements; [None] if the result is not an rAQ. *)
 val of_instance :

@@ -670,8 +670,6 @@ let solve_assuming ?budget s assumptions =
     Sat (Array.init s.nvars (fun v -> s.assign.(v) = 1))
   else Unsat
 
-let is_broken s = s.broken
-
 (* ------------------------------------------------------------------ *)
 (* One-shot interface (bounded model finder, tests)                     *)
 (* ------------------------------------------------------------------ *)

@@ -40,16 +40,14 @@ val assert_clause_slice : t -> int array -> int -> int -> unit
     decided anyway, so a model always assigns every variable. *)
 val set_decision_var : t -> int -> bool -> unit
 
-(** Seed branching activity from a clause (Jeroslow-Wang-ish weights);
-    call before {!assert_clause} when building a solver incrementally.
+(** Seed branching activity from the clause in an arena slice
+    (Jeroslow-Wang-ish weights); call before {!assert_clause_slice} when
+    building a solver incrementally.
     Seeding only raises activities, so each literal's variable is
     bumped and sifted up in the order heap in place (MiniSat's
     discipline): the heap stays valid and no solve pays a rebuild over
     every variable, however many clauses arrive between solves.
     Registers unseen variables. *)
-val seed_clause : t -> int list -> unit
-
-(** {!seed_clause} for an arena slice. *)
 val seed_clause_slice : t -> int array -> int -> int -> unit
 
 (** Solve the accumulated clauses under temporary assumption literals.
@@ -63,10 +61,6 @@ val solve_assuming : ?budget:Budget.t -> t -> int list -> result
     that only need the verdict (the engine's per-tuple certainty path),
     saving an O(nvars) array per call. *)
 val sat_assuming : ?budget:Budget.t -> t -> int list -> bool
-
-(** The solver derived a contradiction at level 0: unsatisfiable no
-    matter the assumptions, permanently. *)
-val is_broken : t -> bool
 
 (** Cumulative (decisions, propagations, conflicts). *)
 val counters : t -> int * int * int

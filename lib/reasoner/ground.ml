@@ -621,14 +621,10 @@ let memo_state () = Domain.DLS.get memo_key
 
 let clear_memo () = MemoTbl.reset (memo_state ()).table
 
-let memo_size () = MemoTbl.length (memo_state ()).table
-
 let set_memo_capacity n =
   let m = memo_state () in
   m.capacity <- max n 0;
   if m.capacity = 0 then MemoTbl.reset m.table
-
-let memo_capacity () = (memo_state ()).capacity
 
 (* Batch eviction: when the table crosses capacity, drop the oldest
    tenth in one stamp-ordered sweep, so workloads with more distinct

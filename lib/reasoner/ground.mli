@@ -122,12 +122,6 @@ val enumerate_projections : ?limit:int -> t -> int list -> bool list list
     and clears the memo. *)
 val set_memo_capacity : int -> unit
 
-(** The calling domain's memo capacity. *)
-val memo_capacity : unit -> int
-
 (** Drop every memoized circuit (for benchmarks and deterministic
     tests). *)
 val clear_memo : unit -> unit
-
-(** Number of circuits currently memoized. *)
-val memo_size : unit -> int

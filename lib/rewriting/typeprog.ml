@@ -37,6 +37,7 @@ type closure = {
 }
 
 exception Not_two_variable of string
+exception Too_many_types of int
 
 let swap_formula f =
   Logic.Subst.apply
@@ -89,11 +90,8 @@ let closure o (q : Query.Cq.t) =
     | Some fv ->
         let g = swap_formula f in
         let gfv = match fv with FX -> FY | FY -> FX | FXY -> FXY in
-        let i = add f fv in
-        let j = add g gfv in
-        let arr = () in
-        ignore arr;
-        ignore (i, j)
+        ignore (add f fv);
+        ignore (add g gfv)
   in
   (* subformulas of the ontology *)
   List.iter
@@ -161,6 +159,15 @@ let enumerate_types ?budget ?(extra = 2) ?(limit = 32768) cl =
     List.iter (Reasoner.Ground.assert_formula g) (Logic.Ontology.all_sentences o);
     g
   in
+  (* Ask for one type past the limit: getting it means the enumeration
+     would be truncated, which is a failure, not a smaller answer. *)
+  let projections g lits =
+    let cap = if limit = max_int then limit else limit + 1 in
+    let found = Reasoner.Ground.enumerate_projections ~limit:cap g lits in
+    if List.compare_length_with found limit > 0 then
+      raise (Too_many_types limit);
+    List.map Array.of_list found
+  in
   (* binary types *)
   let g2 = base extra [ ea; eb ] in
   let env2 = SMap.of_seq (List.to_seq [ ("x", ea); ("y", eb) ]) in
@@ -168,17 +175,13 @@ let enumerate_types ?budget ?(extra = 2) ?(limit = 32768) cl =
     Array.to_list
       (Array.map (fun e -> Reasoner.Ground.reify ~env:env2 g2 e.formula) cl.entries)
   in
-  let binary =
-    Reasoner.Ground.enumerate_projections ~limit g2 lits2
-    |> List.map Array.of_list
-  in
+  let binary = projections g2 lits2 in
   (* unary types over FX entries *)
   let x_entries =
     Array.of_list
-      (List.filteri (fun _ _ -> true)
-         (List.filter_map
-            (fun (i, e) -> if e.fv = FX then Some i else None)
-            (Array.to_list (Array.mapi (fun i e -> (i, e)) cl.entries))))
+      (List.filter_map
+         (fun (i, e) -> if e.fv = FX then Some i else None)
+         (Array.to_list (Array.mapi (fun i e -> (i, e)) cl.entries)))
   in
   let g1 = base extra [ ea ] in
   let env1 = SMap.singleton "x" ea in
@@ -188,10 +191,7 @@ let enumerate_types ?budget ?(extra = 2) ?(limit = 32768) cl =
          (fun i -> Reasoner.Ground.reify ~env:env1 g1 cl.entries.(i).formula)
          x_entries)
   in
-  let unary =
-    Reasoner.Ground.enumerate_projections ~limit g1 lits1
-    |> List.map Array.of_list
-  in
+  let unary = projections g1 lits1 in
   { cl; binary; unary; x_entries }
 
 (* Projection of a binary type onto x / y, as an array over FX entries. *)
@@ -454,67 +454,3 @@ let statistics state =
   ( Array.length state.tuples,
     Array.fold_left (fun acc s -> acc + List.length s) 0 state.sets )
 
-(* Human-readable dump of the surviving sets (debugging aid). *)
-let debug_dump state =
-  let b = Buffer.create 256 in
-  Array.iteri
-    (fun i tu ->
-      let name =
-        match tu with
-        | Pair (u, v) ->
-            Printf.sprintf "(%s,%s)" (Structure.Element.to_string u)
-              (Structure.Element.to_string v)
-        | Single a -> Structure.Element.to_string a
-      in
-      Buffer.add_string b
-        (Printf.sprintf "%s: %d types; q@x true in all: %b; q-swap true in all: %b\n"
-           name (List.length state.sets.(i))
-           (state.sets.(i) <> []
-           && List.for_all (fun (th : ty) ->
-               match tu with
-               | Pair _ -> th.(state.t.cl.q_x)
-               | Single _ -> (
-                   let rec find k = if k >= Array.length state.t.x_entries then None
-                     else if state.t.x_entries.(k) = state.t.cl.q_x then Some k else find (k+1) in
-                   match find 0 with Some k -> th.(k) | None -> false))
-             state.sets.(i))
-           (state.sets.(i) <> []
-           && List.for_all (fun (th : ty) ->
-               match tu with
-               | Pair _ -> th.(state.t.cl.entries.(state.t.cl.q_x).swap)
-               | Single _ -> false)
-             state.sets.(i))))
-    state.tuples;
-  Buffer.add_string b
-    (Printf.sprintf "binary types: %d, unary types: %d, entries: %d\n"
-       (List.length state.t.binary) (List.length state.t.unary)
-       (Array.length state.t.cl.entries));
-  Buffer.contents b
-
-(* More debugging aids. *)
-let dump_closure cl =
-  String.concat "\n"
-    (Array.to_list
-       (Array.mapi
-          (fun i (e : entry) ->
-            Printf.sprintf "%2d [%s] swap=%d  %s" i
-              (match e.fv with FX -> "x " | FY -> "y " | FXY -> "xy")
-              e.swap
-              (F.to_string e.formula))
-          cl.entries))
-
-let binary_types t = t.binary
-
-let forced_dump cl d =
-  List.map
-    (fun tu ->
-      let forced = forced_entries cl d tu in
-      Printf.sprintf "%s: %s"
-        (match tu with
-        | Pair (u, v) ->
-            Printf.sprintf "(%s,%s)" (Structure.Element.to_string u)
-              (Structure.Element.to_string v)
-        | Single a -> Structure.Element.to_string a)
-        (String.concat ","
-           (List.map (fun (i, b) -> Printf.sprintf "%d=%b" i b) forced)))
-    (tuples_of_instance d)

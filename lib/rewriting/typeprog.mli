@@ -11,6 +11,13 @@
 
 exception Not_two_variable of string
 
+(** More than [limit] realizable types exist (the payload is [limit]).
+    The enumeration stopped short, and pruning over a truncated type set
+    could claim "certain" or "inconsistent" wrongly, so {!run} and
+    {!entails} give no verdict. Exactly [limit] types is not a
+    truncation. *)
+exception Too_many_types of int
+
 type closure
 
 (** cl(O, q): subformulas of O, atomic formulas over the joint
@@ -21,19 +28,17 @@ val closure : Logic.Ontology.t -> Query.Cq.t -> closure
 (** Number of closure entries. *)
 val size : closure -> int
 
-type types
-
-(** Realizable types, enumerated as projections of bounded models of O
-    onto the reified closure ([extra] fresh witness elements). May raise
-    {!Reasoner.Budget.Exhausted} when budgeted. *)
-val enumerate_types :
-  ?budget:Reasoner.Budget.t -> ?extra:int -> ?limit:int -> closure -> types
-
 type state
 
-(** Assign initial type sets to the instance's guarded tuples and prune
+(** Enumerate the realizable types over the closure, as projections of
+    bounded models of O ([extra] fresh witness elements, default 2; at
+    most [limit] binary and [limit] unary types, default 32768), then
+    assign initial type sets to the instance's guarded tuples and prune
     to the fixpoint. Budget checkpoints sit between pruning passes,
-    where the surviving sets are a sound over-approximation. *)
+    where the surviving sets are a sound over-approximation; a trip
+    raises {!Reasoner.Budget.Exhausted}.
+    @raise Too_many_types when more than [limit] binary or unary types
+    exist. *)
 val run :
   ?budget:Reasoner.Budget.t ->
   ?extra:int ->
@@ -43,7 +48,8 @@ val run :
   Structure.Instance.t ->
   state
 
-(** The rewritten evaluation of q(ā) on D. *)
+(** The rewritten evaluation of q(ā) on D.
+    @raise Too_many_types as {!run}. *)
 val entails :
   ?budget:Reasoner.Budget.t ->
   ?extra:int ->
@@ -56,11 +62,3 @@ val entails :
 
 (** (number of guarded tuples, total surviving types). *)
 val statistics : state -> int * int
-
-(** Debugging dump of surviving sets. *)
-val debug_dump : state -> string
-
-val dump_closure : closure -> string
-val binary_types : types -> bool array list
-
-val forced_dump : closure -> Structure.Instance.t -> string list

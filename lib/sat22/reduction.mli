@@ -19,10 +19,8 @@ type witness = {
 
 exception Bad_witness of string
 
-(** The gadget copy of the base instance for variable [p]. *)
-val gadget : witness -> string -> Structure.Instance.t
-
-(** D{_φ}: the disjoint union of the variable gadgets. *)
+(** D{_φ}: the disjoint union of the variable gadgets, one copy of the
+    base instance per variable of φ. *)
 val instance : witness -> Twotwosat.t -> Structure.Instance.t
 
 (** q{_φ}; [None] when no clause is falsifiable (φ trivially

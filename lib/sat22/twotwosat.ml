@@ -55,16 +55,6 @@ let solve f =
 
 let satisfiable f = Option.is_some (solve f)
 
-let pp_literal ppf = function
-  | Var x -> Fmt.string ppf x
-  | Truth b -> Fmt.bool ppf b
-
-let pp_clause ppf cl =
-  Fmt.pf ppf "(%a | %a | ~%a | ~%a)" pp_literal cl.p1 pp_literal cl.p2
-    pp_literal cl.n1 pp_literal cl.n2
-
-let pp = Fmt.(list ~sep:(any " & ") pp_clause)
-
 (* Random instances for scaling experiments. *)
 let random ~rng ~nvars ~nclauses =
   let var () = Var (Printf.sprintf "p%d" (Random.State.int rng nvars)) in

@@ -23,8 +23,6 @@ val eval : bool Logic.Names.SMap.t -> t -> bool
 val solve : t -> bool Logic.Names.SMap.t option
 
 val satisfiable : t -> bool
-val pp_clause : clause Fmt.t
-val pp : t Fmt.t
 
 (** Seeded random formulas for scaling experiments. *)
 val random : rng:Random.State.t -> nvars:int -> nclauses:int -> t

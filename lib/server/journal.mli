@@ -25,7 +25,6 @@ type entry =
   | Retract of { sid : int; facts : string }
   | Close of { sid : int }
 
-val sid_of : entry -> int
 val render : entry -> string
 
 (** Parse one journal line. [Error] covers both unparsable lines and

@@ -35,10 +35,8 @@ val total : t -> int
 (** Records lost to eviction ([total - capacity], floored at 0). *)
 val dropped : t -> int
 
-(** One record as a JSON object: ["ts"], ["op"], ["outcome"],
-    ["worker"], ["session"], ["dur_ms"]. *)
-val record_json : record -> Obs.Json.t
-
 (** One JSON object: [extra] members first, then ["flight_total"],
-    ["flight_dropped"] and the ["flight"] array of {!record_json}s. *)
+    ["flight_dropped"] and the ["flight"] array, one object per record
+    with ["ts"], ["op"], ["outcome"], ["worker"], ["session"] and
+    ["dur_ms"]. *)
 val to_json : ?extra:(string * Obs.Json.t) list -> t -> Obs.Json.t

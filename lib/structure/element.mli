@@ -7,7 +7,6 @@ type t =
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val is_null : t -> bool
 val is_const : t -> bool
 val pp : t Fmt.t
 val to_string : t -> string

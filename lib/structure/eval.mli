@@ -78,5 +78,3 @@ val fold_body :
   (Element.t array -> 'a -> bool * 'a) ->
   'a ->
   'a
-
-val pp_atom : atom Fmt.t

@@ -67,16 +67,3 @@ let connected_components g =
 
 let is_connected g =
   match connected_components g with [] | [ _ ] -> true | _ -> false
-
-(* Distance from set [xs] to set [ys] (Definition 6). *)
-let set_distance g xs ys =
-  if ESet.is_empty xs || ESet.is_empty ys then None
-  else
-    let dist = bfs_distances g (ESet.elements xs) in
-    ESet.fold
-      (fun y best ->
-        match (Hashtbl.find_opt dist y, best) with
-        | None, b -> b
-        | Some d, None -> Some d
-        | Some d, Some b -> Some (min d b))
-      ys None

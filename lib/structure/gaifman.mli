@@ -11,7 +11,3 @@ val distance : t -> Element.t -> Element.t -> int option
 
 val connected_components : t -> Element.Set.t list
 val is_connected : t -> bool
-
-(** [set_distance g xs ys] is the minimum distance between a member of
-    [xs] and a member of [ys]. *)
-val set_distance : t -> Element.Set.t -> Element.Set.t -> int option

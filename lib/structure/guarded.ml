@@ -15,8 +15,6 @@ let is_guarded t g =
               ESet.subset g (ESet.of_list f.args))
             (Instance.incident e t))
 
-let is_guarded_tuple t args = is_guarded t (ESet.of_list args)
-
 (* All guarded sets arising from facts (argument sets), plus singletons. *)
 let all_guarded_sets t =
   let from_facts =
@@ -41,29 +39,6 @@ let maximal_guarded_sets t =
            (fun g' -> (not (ESet.equal g g')) && ESet.subset g g')
            sets))
     sets
-
-(* The 1-neighbourhood of [a]: union of all guarded sets containing [a]
-   (used for bouquets, Section 8). *)
-let one_neighbourhood t a =
-  let union_sets =
-    List.fold_left
-      (fun acc (f : Instance.fact) -> ESet.union acc (ESet.of_list f.args))
-      (ESet.singleton a) (Instance.incident a t)
-  in
-  Instance.restrict union_sets t
-
-(* A bouquet with root [a] is an instance equal to the 1-neighbourhood of
-   its root. *)
-let is_bouquet t a =
-  Instance.equal t (one_neighbourhood t a)
-  && ESet.mem a (Instance.domain t)
-
-let is_irreflexive t =
-  not
-    (List.exists
-       (fun (f : Instance.fact) ->
-         match f.args with [ x; y ] -> Element.equal x y | _ -> false)
-       (Instance.facts t))
 
 (* Outdegree of a binary-signature instance viewed as an undirected
    graph: maximum number of distinct neighbours of an element. *)

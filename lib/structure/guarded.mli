@@ -1,27 +1,12 @@
-(** Guarded sets, maximal guarded sets, bouquets (Sections 2.2 and 8). *)
+(** Guarded sets, maximal guarded sets and outdegree (Sections 2.2 and 8). *)
 
 (** [is_guarded t g] holds iff [g] is a singleton subset of the domain or
     is contained in the argument set of some fact of [t]. *)
 val is_guarded : Instance.t -> Element.Set.t -> bool
 
-val is_guarded_tuple : Instance.t -> Element.t list -> bool
-
-(** Guarded sets arising as fact argument sets, plus all singletons. *)
-val all_guarded_sets : Instance.t -> Element.Set.t list
-
 (** Maximal guarded sets under inclusion; these are the bags used by
     unravellings and forest models. *)
 val maximal_guarded_sets : Instance.t -> Element.Set.t list
-
-(** [one_neighbourhood t a] is the subinterpretation induced by the union
-    of all guarded sets containing [a] (written B{^ ≤1}{_a}). *)
-val one_neighbourhood : Instance.t -> Element.t -> Instance.t
-
-(** [is_bouquet t a] holds iff [t] equals the 1-neighbourhood of [a]. *)
-val is_bouquet : Instance.t -> Element.t -> bool
-
-(** No fact of the form R(b, b). *)
-val is_irreflexive : Instance.t -> bool
 
 (** Maximum number of distinct neighbours of an element. *)
 val outdegree : Instance.t -> int

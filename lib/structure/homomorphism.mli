@@ -3,9 +3,6 @@
 
 type map = Element.t Element.Map.t
 
-(** [apply m e] looks up [e], defaulting to [e] itself. *)
-val apply : map -> Element.t -> Element.t
-
 (** [is_homomorphism m ~source ~target] checks that [m] maps every fact of
     [source] to a fact of [target]. *)
 val is_homomorphism : map -> source:Instance.t -> target:Instance.t -> bool

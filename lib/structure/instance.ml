@@ -144,15 +144,6 @@ let union a b =
 
 let subset a b = FactSet.subset a.facts b.facts
 
-let restrict elems t =
-  let keep f = List.for_all (fun e -> Element.Set.mem e elems) f.args in
-  let base =
-    mk ~facts:FactSet.empty
-      ~domain:(Element.Set.inter elems t.domain)
-      ~incidence:Element.Map.empty ~signature:Logic.Signature.empty
-  in
-  FactSet.fold (fun f acc -> if keep f then add_fact f acc else acc) t.facts base
-
 let map_elements h t =
   let base =
     mk ~facts:FactSet.empty

@@ -66,23 +66,13 @@ val union : t -> t -> t
     (i.e. [b] is a model of the instance [a]). *)
 val subset : t -> t -> bool
 
-(** [restrict s t] is the subinterpretation of [t] induced by [s]. *)
-val restrict : Element.Set.t -> t -> t
-
 (** [map_elements h t] applies [h] to every element. *)
 val map_elements : (Element.t -> Element.t) -> t -> t
-
-(** Largest null index occurring in the domain, or [-1]. *)
-val max_null : t -> int
 
 (** [fresh_nulls n t] returns [n] nulls not occurring in [t]. *)
 val fresh_nulls : int -> t -> Element.t list
 
 val constants : t -> Element.Set.t
-
-(** [shift_nulls_away ~from:a b] renames the nulls of [b] apart from
-    those of [a]. *)
-val shift_nulls_away : from:t -> t -> t
 
 (** Model-theoretic disjoint union: domains are made disjoint by tagging
     constants with ["l:"] / ["r:"] and shifting nulls. *)

@@ -1,8 +1,5 @@
 (** Seeded random instance generation for tests and experiments. *)
 
-(** [elements n] is the constants c0 … c{n-1}. *)
-val elements : int -> Element.t list
-
 (** All [k]-tuples over a domain. *)
 val tuples : Element.t list -> int -> Element.t list list
 

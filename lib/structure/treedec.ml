@@ -1,25 +1,19 @@
 module ESet = Element.Set
 
 (* --------------------------------------------------------------------- *)
-(* Hypergraph acyclicity via the GYO reduction, and join trees.           *)
+(* Hypergraph acyclicity via the GYO reduction.                          *)
 (* Bags of connected guarded tree decompositions (Section 2.2) are the    *)
 (* argument sets of facts; an instance is guarded-tree-decomposable iff   *)
 (* its hypergraph of fact argument sets is alpha-acyclic.                 *)
 (* --------------------------------------------------------------------- *)
 
-type join_tree = {
-  bags : ESet.t array;
-  parents : int option array;  (** [parents.(i) = None] iff root *)
-}
-
 (* One GYO pass: remove vertices that occur in exactly one edge, then
-   remove edges contained in other edges (recording the witness for the
-   join tree). Returns when a fixpoint is reached. *)
+   remove edges contained in other edges. Returns when a fixpoint is
+   reached. *)
 let gyo edges =
   let n = Array.length edges in
   let current = Array.copy edges in
   let alive = Array.make n true in
-  let absorbed_into = Array.make n None in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -48,59 +42,31 @@ let gyo edges =
     (* Edge absorption. *)
     Array.iteri
       (fun i e ->
-        if alive.(i) then
-          let j =
-            let rec find k =
-              if k >= n then None
-              else if k <> i && alive.(k) && ESet.subset e current.(k) then
-                Some k
-              else find (k + 1)
-            in
-            find 0
-          in
-          match j with
-          | Some j ->
-              alive.(i) <- false;
-              absorbed_into.(i) <- Some j;
-              changed := true
-          | None -> ())
+        let rec absorbed k =
+          k < n
+          && ((k <> i && alive.(k) && ESet.subset e current.(k))
+             || absorbed (k + 1))
+        in
+        if alive.(i) && absorbed 0 then begin
+          alive.(i) <- false;
+          changed := true
+        end)
       current
   done;
-  (alive, current, absorbed_into)
+  (alive, current)
 
 let is_alpha_acyclic edges =
   match edges with
   | [] -> true
   | _ ->
       let arr = Array.of_list edges in
-      let alive, current, _ = gyo arr in
+      let alive, current = gyo arr in
       let live =
         Array.to_list
           (Array.mapi (fun i e -> if alive.(i) then Some e else None) current)
       in
       let live = List.filter_map Fun.id live in
       List.for_all ESet.is_empty live
-
-(* Build a join tree when acyclic: follow absorption chains. After GYO on
-   an acyclic hypergraph, exactly one edge remains alive per connected
-   component (its vertex set emptied); absorption edges give the tree. *)
-let join_tree edges =
-  match edges with
-  | [] -> Some { bags = [||]; parents = [||] }
-  | _ ->
-      let arr = Array.of_list edges in
-      let alive, current, absorbed = gyo arr in
-      let acyclic =
-        Array.for_all2
-          (fun a e -> (not a) || ESet.is_empty e)
-          alive current
-      in
-      if not acyclic then None
-      else
-        let n = Array.length arr in
-        let parents = Array.make n None in
-        Array.iteri (fun i j -> parents.(i) <- j) absorbed;
-        Some { bags = arr; parents }
 
 (* The hyperedges of an instance: distinct fact argument sets. *)
 let edges_of_instance inst =

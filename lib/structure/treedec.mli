@@ -2,20 +2,6 @@
     (Section 2.2). An instance has a guarded tree decomposition iff the
     hypergraph of its fact argument sets is alpha-acyclic (GYO). *)
 
-type join_tree = {
-  bags : Element.Set.t array;
-  parents : int option array;
-}
-
-(** Alpha-acyclicity of a hypergraph by the GYO reduction. *)
-val is_alpha_acyclic : Element.Set.t list -> bool
-
-(** A join tree over the given edges, or [None] when cyclic. *)
-val join_tree : Element.Set.t list -> join_tree option
-
-(** Distinct fact argument sets of an instance. *)
-val edges_of_instance : Instance.t -> Element.Set.t list
-
 val is_guarded_tree_decomposable : Instance.t -> bool
 
 (** Guarded tree decomposable with a connected Gaifman graph. *)

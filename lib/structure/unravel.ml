@@ -85,6 +85,3 @@ let unravel ?(variant = UGF) ~depth d =
     expand 0 i copies None
   done;
   { result = !result; up = !up; root_copies = List.rev !root_copies }
-
-(* The homomorphism e |-> e^ from the unravelling onto D. *)
-let up_homomorphism t = t.up

@@ -20,11 +20,9 @@ val unravel : ?variant:variant -> depth:int -> Instance.t -> t
 (** The unravelled instance D{^u}. *)
 val instance : t -> Instance.t
 
-(** The map e ↦ e{^ ↑} from copies back to original elements. *)
+(** The map e ↦ e{^ ↑} from copies back to original elements; it is a
+    homomorphism from D{^u} onto D. *)
 val up_map : t -> Element.t Element.Map.t
-
-(** Same as {!up_map}; it is a homomorphism from D{^u} onto D. *)
-val up_homomorphism : t -> Element.t Element.Map.t
 
 (** [root_copy t g] is the original→copy bijection of the root bag for
     the maximal guarded set [g] (Definition 3 evaluates queries at the

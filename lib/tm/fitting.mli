@@ -20,10 +20,6 @@ val parse : Machine.t -> string list -> partial_run
 (** Does the configuration match the partial configuration? *)
 val matches : Machine.config -> partial_config -> bool
 
-(** All configurations of string length [n] matching the partial
-    configuration. *)
-val completions : Machine.t -> int -> partial_config -> Machine.config list
-
 (** An accepting run matching the partial run, if any. *)
 val solve : Machine.t -> partial_run -> Machine.config list option
 

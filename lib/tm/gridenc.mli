@@ -7,11 +7,6 @@ type letter = LX | LY | LXi | LYi
 
 type word = letter list
 
-val word_name : word -> string
-
-(** The auxiliary relation R{^ W}{_i}. *)
-val marker_rel : int -> word -> string
-
 (** (= 1 R): "exactly one R-successor". *)
 val eq_one : string -> Dl.Concept.t
 
@@ -33,10 +28,6 @@ val ontology_undecidability : Tiling.t -> Dl.Tbox.t
 
 (** D ⊨ grid(d): [d] roots a closed, properly tiled grid in D. *)
 val grid_holds : Tiling.t -> Structure.Instance.t -> Structure.Element.t -> bool
-
-(** The (≥ 2 S) marker for run cells (Lemma 4): presettable positively
-    but not negatively, matching the run fitting problem. *)
-val geq2 : string -> Dl.Concept.t
 
 (** The Lemma 4 ontology O{_M}: O{_P} plus a grid-borne simulation of
     the machine's runs; reaching the accepting state triggers the

@@ -5,11 +5,6 @@
 
 type enumeration = int -> string -> bool
 
-val ilog2 : int -> int
-
-(** All strings over the alphabet of length ≤ l. *)
-val strings_up_to : char list -> int -> string list
-
 (** H(n) = min \{ i < log log n | M{_i} agrees with the oracle on all
     strings of length ≤ log n \}, else log log n. *)
 val h_function :

@@ -23,20 +23,6 @@ type t = {
   accept : string;
 }
 
-exception Bad_machine of string
-
-(** @raise Bad_machine on undeclared symbols or an accepting state with
-    successors. *)
-val make :
-  name:string ->
-  states:string list ->
-  alphabet:string list ->
-  blank:string ->
-  delta:transition list ->
-  start:string ->
-  accept:string ->
-  t
-
 type config = {
   tape : string array;
   head : int;

@@ -76,6 +76,28 @@ let test_statistics () =
   Alcotest.(check int) "one guarded pair" 1 tuples;
   check "some survivors" true (survivors > 0)
 
+(* o_horn has 644 realizable types at extra 1 (the larger of its binary
+   and unary counts). A limit of exactly 644 is not a truncation and
+   answers as usual. A smaller one drops types, and pruning over the
+   rest can claim a wrong "certain" (unchecked, limit 4 makes C(b)
+   certain), so reaching the limit is a typed failure instead of a
+   verdict. *)
+let test_type_limit () =
+  let entails ~limit el =
+    Rewriting.Typeprog.entails ~extra:1 ~limit o_horn qc d_horn [ e el ]
+  in
+  check "limit = type count: C(a)" true (entails ~limit:644 "a");
+  check "limit = type count: not C(b)" false (entails ~limit:644 "b");
+  List.iter
+    (fun (limit, el) ->
+      check
+        (Printf.sprintf "limit %d fails on C(%s)" limit el)
+        true
+        (match entails ~limit el with
+        | _ -> false
+        | exception Rewriting.Typeprog.Too_many_types l -> l = limit))
+    [ (4, "b"); (643, "a"); (643, "b") ]
+
 let suite =
   [
     Alcotest.test_case "closure" `Quick test_closure;
@@ -83,4 +105,5 @@ let suite =
     Alcotest.test_case "inconsistency_answers_all" `Quick test_inconsistency_answers_all;
     Alcotest.test_case "example6_unravelling_side" `Quick test_example6_unravelling_side;
     Alcotest.test_case "statistics" `Quick test_statistics;
+    Alcotest.test_case "type_limit" `Quick test_type_limit;
   ]
