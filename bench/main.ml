@@ -67,12 +67,11 @@ let hand_table () =
   Fmt.pr "%-28s %-22s %-18s %-16s@." "ontology" "thumb disj. certain" "disjunct certain" "materializable";
   List.iter
     (fun (name, o) ->
-      let disj = Reasoner.Engine.certain_disjunction_upto ~max_extra:1 o hand pointed in
-      let single =
-        Reasoner.Engine.certain_cq_upto ~max_extra:1 o hand thumb [ e "h0_f0" ]
-      in
+      let eng = Reasoner.Engine.create o hand in
+      let disj = Reasoner.Engine.certain_disjunction ~max_extra:1 eng pointed in
+      let single = Reasoner.Engine.certain_cq ~max_extra:1 eng thumb [ e "h0_f0" ] in
       let mat =
-        Material.Materializability.materializable_on ~max_model_extra:1 ~max_extra:1 o hand
+        Material.Materializability.materializable_on ~max_model_extra:1 ~max_extra:1 eng
       in
       let agrees =
         Bool.equal disj (Reasoner.Bounded.certain_disjunction ~max_extra:1 o hand pointed)
@@ -83,8 +82,7 @@ let hand_table () =
     cases;
   (* scaling: certain-answer cost as hands are added (shape: the union
      pays for countermodel search, the PTIME ontologies stay cheap). Each
-     timed check starts from an empty session cache, so it pays its
-     grounding. *)
+     timed check starts from a fresh engine, so it pays its grounding. *)
   Fmt.pr "@.%-8s %-14s %-14s %-14s  (seconds per disjunction check)@." "hands"
     "O1" "O2" "O1+O2";
   List.iter
@@ -96,8 +94,8 @@ let hand_table () =
       let run o =
         let verdict, secs =
           time (fun () ->
-              Reasoner.Engine.clear_cache ();
-              Reasoner.Engine.certain_disjunction_upto ~max_extra:1 o d pointed)
+              Reasoner.Engine.certain_disjunction ~max_extra:1
+                (Reasoner.Engine.create o d) pointed)
         in
         (secs, Bool.equal verdict (Reasoner.Bounded.certain_disjunction ~max_extra:1 o d pointed))
       in
@@ -119,7 +117,8 @@ let example1_table () =
   (* OMat/PTime is not materializable *)
   let d = Structure.Parse.instance_of_string "D(c)" in
   Fmt.pr "OMat/PTime materializable on {D(c)}: %b (paper: false)@."
-    (Material.Materializability.materializable_on ~max_model_extra:1 o_mat_ptime d);
+    (Material.Materializability.materializable_on ~max_model_extra:1
+       (Reasoner.Engine.create o_mat_ptime d));
   (* OUCQ/CQ: the Boolean UCQ A(x) | B(x) | E(x) is certain on any
      instance (it restates the ontology), while no single disjunct is —
      the UCQ/CQ gap behind Lemma 3 *)
@@ -129,14 +128,15 @@ let example1_table () =
   let d = Structure.Parse.instance_of_string "F(a)" in
   let ucq = Query.Ucq.make [ qa; qb; qe ] in
   (* (Engine verdict, Bounded verdict) *)
+  let eng = Reasoner.Engine.create o_ucq_cq d in
   let union =
-    ( Reasoner.Engine.certain_ucq_upto ~max_extra:1 o_ucq_cq d ucq [],
+    ( Reasoner.Engine.certain_ucq ~max_extra:1 eng ucq [],
       Reasoner.Bounded.certain_ucq ~max_extra:1 o_ucq_cq d ucq [] )
   in
   let each =
     List.map
       (fun q ->
-        ( Reasoner.Engine.certain_cq_upto ~max_extra:1 o_ucq_cq d q [],
+        ( Reasoner.Engine.certain_cq ~max_extra:1 eng q [],
           Reasoner.Bounded.certain_cq ~max_extra:1 o_ucq_cq d q [] ))
       [ qa; qb; qe ]
   in
@@ -172,8 +172,8 @@ let engine_table () =
       in
       (* Sub-millisecond single-shot timings swing by 2-3x with GC and
          scheduler state; report the best of a few repetitions instead.
-         The session side clears the engine cache inside the timed
-         thunk, so every repetition pays the full ground-once cost. *)
+         The session side opens a fresh session inside the timed thunk,
+         so every repetition pays the full ground-once cost. *)
       let reps = 5 in
       let best f =
         let result = ref None in
@@ -194,7 +194,6 @@ let engine_table () =
       let omq = Omq.of_cq o_horn q2 in
       let (eng_answers, session), t_eng =
         best (fun () ->
-            Reasoner.Engine.clear_cache ();
             let s = Omq.open_session ~max_extra omq d in
             (Omq.Session.certain_answers s, s))
       in
@@ -267,9 +266,9 @@ let parallel_corpus_table () =
             rep.Omq.Corpus.seconds;
           Obs.Metrics.set (Obs.Metrics.global ()) (prefix ^ ".speedup") speedup;
           (* Per-domain engine-counter context (ROADMAP item 3): how the
-             grounding-memo and session-cache traffic distributes over
-             the worker domains — cold per-domain memos are the leading
-             suspect for the recorded slowdowns. *)
+             grounding-memo traffic distributes over the worker domains —
+             cold per-domain memos are the leading suspect for the
+             recorded slowdowns. *)
           let byw = Hashtbl.create 8 in
           List.iter
             (fun (r : Omq.Corpus.result_one) ->
@@ -289,10 +288,8 @@ let parallel_corpus_table () =
           List.iter
             (fun w ->
               let st = Hashtbl.find byw w in
-              Fmt.pr
-                "       domain %d: memo %d/%d, cache %d/%d (hits/misses)@." w
-                st.Reasoner.Stats.memo_hits st.Reasoner.Stats.memo_misses
-                st.Reasoner.Stats.cache_hits st.Reasoner.Stats.cache_misses)
+              Fmt.pr "       domain %d: memo %d/%d (hits/misses)@." w
+                st.Reasoner.Stats.memo_hits st.Reasoner.Stats.memo_misses)
             workers;
           let m = Obs.Metrics.global () in
           let total = rep.Omq.Corpus.total in
@@ -300,10 +297,6 @@ let parallel_corpus_table () =
             total.Reasoner.Stats.memo_hits;
           Obs.Metrics.set_count m (prefix ^ ".memo_misses")
             total.Reasoner.Stats.memo_misses;
-          Obs.Metrics.set_count m (prefix ^ ".cache_hits")
-            total.Reasoner.Stats.cache_hits;
-          Obs.Metrics.set_count m (prefix ^ ".cache_misses")
-            total.Reasoner.Stats.cache_misses;
           Obs.Metrics.set_count m (prefix ^ ".domains_used")
             (List.length workers))
         [ 1; 2; 4 ]
@@ -834,8 +827,8 @@ let thm5_table () =
       in
       let r2, t2 =
         time (fun () ->
-            Reasoner.Engine.clear_cache ();
-            Reasoner.Engine.certain_cq_upto ~max_extra:2 o_horn d qc [ e "n0" ])
+            Reasoner.Engine.certain_cq ~max_extra:2
+              (Reasoner.Engine.create o_horn d) qc [ e "n0" ])
       in
       let r3 = Reasoner.Bounded.certain_cq ~max_extra:2 o_horn d qc [ e "n0" ] in
       Fmt.pr "%-8d %-10b %-10b %-12.3f %-12.3f %s@." n r1 r2 t1 t2
@@ -853,9 +846,14 @@ let thm8_table () =
       let g = random_graph ~rng ~n ~p:0.35 in
       let direct = Csp.Solve.solvable template g in
       let lifted = Csp.Encode.lift_instance template g in
-      let consistent = Reasoner.Bounded.is_consistent ~max_extra:2 o lifted in
-      Fmt.pr "%-6d %-6d %-12b %-12b %-12b@." k n direct consistent
-        (Bool.equal direct consistent))
+      let consistent =
+        Reasoner.Engine.is_consistent ~max_extra:2 (Reasoner.Engine.create o lifted)
+      in
+      Fmt.pr "%-6d %-6d %-12b %-12b %-12b %s@." k n direct consistent
+        (Bool.equal direct consistent)
+        (oracle
+           (Bool.equal consistent
+              (Reasoner.Bounded.is_consistent ~max_extra:2 o lifted))))
     [ (2, 4); (2, 6); (3, 4); (3, 6) ]
 
 let thm10_table () =
@@ -868,12 +866,19 @@ let thm10_table () =
   let proper = Tm.Tiling.grid_instance (Option.get (Tm.Tiling.solve_fixed p 1 0)) in
   let broken = Structure.Parse.instance_of_string "B(g_0_0)\nF(g_1_0)\nX(g_0_0, g_1_0)" in
   Fmt.pr "%-14s %-10s %-20s@." "instance" "grid(d)" "B1|B2 certain";
+  let pointed = [ (qb1, [ corner ]); (qb2, [ corner ]) ] in
   List.iter
     (fun (name, d) ->
-      Fmt.pr "%-14s %-10b %-20b@." name
+      let certain =
+        Reasoner.Engine.certain_disjunction ~max_extra:0
+          (Reasoner.Engine.create o d) pointed
+      in
+      Fmt.pr "%-14s %-10b %-20b %s@." name
         (Tm.Gridenc.grid_holds p d corner)
-        (Reasoner.Bounded.certain_disjunction ~max_extra:0 o d
-           [ (qb1, [ corner ]); (qb2, [ corner ]) ]))
+        certain
+        (oracle
+           (Bool.equal certain
+              (Reasoner.Bounded.certain_disjunction ~max_extra:0 o d pointed))))
     [ ("proper grid", proper); ("broken grid", broken) ];
   Fmt.pr "unsolvable problem admits a tiling: %b (paper: false)@."
     (Tm.Tiling.admits_tiling Tm.Tiling.unsolvable)
@@ -980,16 +985,20 @@ let tests =
         Bioportal.Analyze.tabulate
           (List.map Bioportal.Analyze.analyze (Lazy.force corpus20))));
     Test.make ~name:"hand_finger" (Staged.stage (fun () ->
-        Reasoner.Bounded.certain_disjunction ~max_extra:1 o_union hand pointed));
+        Reasoner.Engine.certain_disjunction ~max_extra:1
+          (Reasoner.Engine.create o_union hand) pointed));
     Test.make ~name:"example1_limits" (Staged.stage (fun () ->
-        Material.Materializability.materializable_on ~max_model_extra:1 o_mat_ptime
-          (Structure.Parse.instance_of_string "D(c)")));
+        Material.Materializability.materializable_on ~max_model_extra:1
+          (Reasoner.Engine.create o_mat_ptime
+             (Structure.Parse.instance_of_string "D(c)"))));
     Test.make ~name:"thm5_rewriting" (Staged.stage (fun () ->
         Rewriting.Typeprog.entails ~extra:1 o_horn qc chain3 [ e "n0" ]));
     Test.make ~name:"thm8_csp" (Staged.stage (fun () ->
-        Reasoner.Bounded.is_consistent ~max_extra:1 o_k2 g6l));
+        Reasoner.Engine.is_consistent ~max_extra:1
+          (Reasoner.Engine.create o_k2 g6l)));
     Test.make ~name:"thm10_tiling" (Staged.stage (fun () ->
-        Reasoner.Bounded.certain_disjunction ~max_extra:0 o_p grid
+        Reasoner.Engine.certain_disjunction ~max_extra:0
+          (Reasoner.Engine.create o_p grid)
           [ (qb1, [ e "g_0_0" ]); (qb2, [ e "g_0_0" ]) ]));
     Test.make ~name:"thm13_decide" (Staged.stage (fun () ->
         Classify.Decide.decide ~samples:0 ~max_outdegree:2 o2));

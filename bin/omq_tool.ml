@@ -290,7 +290,7 @@ let eval_cmd =
     Arg.(
       value & flag
       & info [ "stats" ]
-          ~doc:"Report engine counters (groundings, solves, cache traffic).")
+          ~doc:"Report engine counters (groundings, solves, memo traffic).")
   in
   let explain_arg =
     Arg.(

@@ -46,7 +46,8 @@ let () =
 
   (* 3. hence no materialization exists *)
   Fmt.pr "  materializable on this instance: %b@."
-    (Material.Materializability.materializable_on ~max_model_extra:1 ~max_extra:1 union hand);
+    (Material.Materializability.materializable_on ~max_model_extra:1 ~max_extra:1
+       (Reasoner.Engine.create union hand));
 
   (* 4. and the Theorem 13 decision finds the witness *)
   Fmt.pr "@.Theorem 13 decision for the union:@.";

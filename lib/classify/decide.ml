@@ -137,15 +137,19 @@ let decide ?(budget = Reasoner.Budget.unlimited) ?(on_checked = ignore)
           (Structure.Instance.domain_size b, Structure.Instance.cardinal b))
       candidates
   in
+  (* One engine per bouquet, shared by the consistency check and both
+     materializability checks: the re-check at the larger bounds reuses
+     every bound the first check grounded. *)
   let non_materializable b =
-    Reasoner.Engine.is_consistent_upto ~budget ~max_extra o b
+    let eng = Reasoner.Engine.create o b in
+    Reasoner.Engine.is_consistent ~budget ~max_extra eng
     && (not
           (Material.Materializability.materializable_on ~budget
-             ~max_model_extra ~max_extra o b))
+             ~max_model_extra ~max_extra eng))
     && not
          (Material.Materializability.materializable_on ~budget
             ~max_model_extra:(max_model_extra + verify_extra)
-            ~max_extra:(max_extra + verify_extra) o b)
+            ~max_extra:(max_extra + verify_extra) eng)
   in
   Obs.Trace.with_span
     ~attrs:[ ("candidates", Obs.Trace.Int (List.length candidates)) ]

@@ -2,10 +2,11 @@
    the paper develops for them. Examples and the command-line tool only
    use this module.
 
-   Evaluation runs on the incremental Reasoner.Engine: a session grounds
-   (O, D) once per countermodel bound and answers every tuple by
-   assumption solving, so asking for all certain answers of an n-ary
-   query costs one grounding per bound instead of |dom|^n of them.
+   Evaluation runs on the incremental Reasoner.Engine: a session holds
+   the one engine of (O, D), which grounds once per countermodel bound
+   and answers every tuple by assumption solving, so asking for all
+   certain answers of an n-ary query costs one grounding per bound
+   instead of |dom|^n of them.
 
    Every evaluation entry accepts a [?budget]; the [_within] forms
    return typed outcomes instead of raising, and certain_answers_within
@@ -30,20 +31,12 @@ let of_tbox tbox query = { ontology = Dl.Translate.tbox tbox; query }
 
 type session = {
   omq : t;
-  instance : Structure.Instance.t;
   max_extra : int;
-  (* updatable sessions ground dynamic engines (facts as solver
-     assumptions, bypassing the keyed LRU cache — a dynamic engine's
-     instance mutates in place) so insert_facts/retract_facts can
-     delta-maintain them instead of reopening *)
-  updatable : bool;
-  extra_signature : Logic.Signature.t;
-  (* one engine per countermodel bound 0..max_extra, grounded on first
-     use (memo cells rather than Lazy.t so a per-call budget governs the
-     grounding too) and shared through the Reasoner.Engine LRU cache;
-     each beside its stats baseline at acquisition, so the session
-     reports its own work, not the cached engine's lifetime *)
-  engines : (Reasoner.Engine.t * Reasoner.Stats.t) option ref array;
+  (* the one engine of (O, D): it grounds each countermodel bound
+     0..max_extra on first use and walks them; updatable sessions hold
+     a dynamic engine (facts as solver assumptions) so insert_facts /
+     retract_facts can delta-maintain it instead of reopening *)
+  engine : Reasoner.Engine.t;
   (* budget trips of this session's [_within] calls (only the two trip
      counters are used); shared by the delta-updated sessions derived
      from this one, fresh on a reopen *)
@@ -54,41 +47,19 @@ let open_session ?(max_extra = Reasoner.Problem.default_max_extra)
     ?(updatable = false) omq d =
   {
     omq;
-    instance = d;
     max_extra;
-    updatable;
-    extra_signature = Query.Ucq.signature omq.query;
-    engines = Array.init (max_extra + 1) (fun _ -> ref None);
+    engine =
+      Reasoner.Engine.create
+        ~extra_signature:(Query.Ucq.signature omq.query)
+        ~dynamic:updatable omq.ontology d;
     trips = Reasoner.Stats.create ();
   }
 
 module Session = struct
   type t = session
 
-  let instance s = s.instance
-  let updatable s = s.updatable
-
-  (* The engine at bound k, grounded on first use under [budget]. A
-     budget trip during grounding leaves the cell unset (and the engine
-     cache unpolluted), so the next call grounds afresh. *)
-  let engine ?budget s k =
-    let cell = s.engines.(k) in
-    match !cell with
-    | Some (eng, _) -> eng
-    | None ->
-        let acquired =
-          if s.updatable then
-            ( Reasoner.Engine.create ?budget ~dynamic:true
-                ~extra_signature:s.extra_signature ~extra:k s.omq.ontology
-                s.instance,
-              Reasoner.Stats.create () )
-          else
-            Reasoner.Engine.acquire ?budget
-              ~extra_signature:s.extra_signature ~extra:k s.omq.ontology
-              s.instance
-        in
-        cell := Some acquired;
-        fst acquired
+  let instance s = Reasoner.Engine.instance s.engine
+  let updatable s = Reasoner.Engine.is_dynamic s.engine
 
   (* O,D ⊨ q(ā): no countermodel at any bound 0..max_extra. Bounds are
      visited in order, so a refuted tuple never grounds deeper bounds. *)
@@ -98,28 +69,20 @@ module Session = struct
       Obs.Trace.add_attr "tuple"
         (Obs.Trace.Str
            (String.concat "," (List.map Structure.Element.to_string tuple)));
-    let refuted k =
-      let eng = engine ?budget s k in
-      if Reasoner.Engine.certain_ucq ?budget eng s.omq.query tuple then None
-      else Some ()
-    in
     let r =
-      Option.is_none (Reasoner.Problem.deepen ~max_extra:s.max_extra refuted)
+      Reasoner.Engine.certain_ucq ?budget ~max_extra:s.max_extra s.engine
+        s.omq.query tuple
     in
     if Obs.Trace.enabled () then
       Obs.Trace.add_attr "certain" (Obs.Trace.Bool r);
     r
 
   let is_consistent ?budget s =
-    Option.is_some
-      (Reasoner.Problem.deepen ~max_extra:s.max_extra (fun k ->
-           if Reasoner.Engine.is_consistent ?budget (engine ?budget s k) then
-             Some ()
-           else None))
+    Reasoner.Engine.is_consistent ?budget ~max_extra:s.max_extra s.engine
 
   (* Candidate tuples over the active domain, lazily. *)
   let candidates s =
-    let dom = Structure.Instance.domain_list s.instance in
+    let dom = Structure.Instance.domain_list (instance s) in
     let rec tuples k =
       if k = 0 then Seq.return []
       else
@@ -204,60 +167,43 @@ module Session = struct
       ~partial:(fun () -> ())
       (fun () -> is_consistent ~budget s)
 
-  (* The work this session drove through its engines since acquiring
-     them, summed over bounds, plus its budget trips. *)
+  (* The work of this session's engine, plus its budget trips. *)
   let stats s =
     let acc = Reasoner.Stats.copy s.trips in
-    Array.iter
-      (fun cell ->
-        match !cell with
-        | Some (eng, baseline) ->
-            Reasoner.Stats.add ~into:acc
-              (Reasoner.Stats.diff (Reasoner.Engine.stats eng) baseline)
-        | None -> ())
-      s.engines;
+    Reasoner.Stats.add ~into:acc (Reasoner.Engine.stats s.engine);
     acc
 
   (* ---------------------------------------------------------------- *)
   (* Updates                                                            *)
   (* ---------------------------------------------------------------- *)
 
-  let reopen s d = open_session ~max_extra:s.max_extra ~updatable:s.updatable s.omq d
+  let reopen s d =
+    open_session ~max_extra:s.max_extra ~updatable:(updatable s) s.omq d
 
-  let forced_engines s =
-    Array.to_list s.engines
-    |> List.filter_map (fun cell -> Option.map fst !cell)
-
-  (* Delta-update every engine this session has grounded; if any of them
-     needs a rebuild (static engine, new domain element, vacated domain
-     element) fall back to reopening the whole session on the updated
-     instance — never a mix, so all bounds keep answering over the same
-     D. Unforced bounds stay lazy and ground on the updated instance. *)
+  (* Delta-update the engine (every bound it has grounded); if it needs
+     a rebuild (static engine, new domain element, vacated domain
+     element) fall back to reopening the session on the updated
+     instance. A refused delta leaves the engine untouched, so all
+     bounds keep answering over the same D. *)
   let insert_facts ?budget s facts =
-    let instance =
-      List.fold_left (fun i f -> Structure.Instance.add_fact f i) s.instance
-        facts
-    in
-    if not s.updatable then (reopen s instance, `Reopen)
-    else if
-      List.for_all
-        (fun eng -> Reasoner.Engine.insert_facts ?budget eng facts = `Delta)
-        (forced_engines s)
-    then ({ s with instance }, `Delta)
-    else (reopen s instance, `Reopen)
+    if Reasoner.Engine.insert_facts ?budget s.engine facts = `Delta then
+      (s, `Delta)
+    else
+      ( reopen s
+          (List.fold_left
+             (fun i f -> Structure.Instance.add_fact f i)
+             (instance s) facts),
+        `Reopen )
 
-  let retract_facts ?budget s facts =
-    let instance =
-      List.fold_left (fun i f -> Structure.Instance.remove_fact f i) s.instance
-        facts
-    in
-    if not s.updatable then (reopen s instance, `Reopen)
-    else if
-      List.for_all
-        (fun eng -> Reasoner.Engine.retract_facts ?budget eng facts = `Delta)
-        (forced_engines s)
-    then ({ s with instance }, `Delta)
-    else (reopen s instance, `Reopen)
+  (* Retraction does no budgeted work. *)
+  let retract_facts ?budget:_ s facts =
+    if Reasoner.Engine.retract_facts s.engine facts = `Delta then (s, `Delta)
+    else
+      ( reopen s
+          (List.fold_left
+             (fun i f -> Structure.Instance.remove_fact f i)
+             (instance s) facts),
+        `Reopen )
 end
 
 (* ------------------------------------------------------------------ *)
@@ -280,12 +226,10 @@ let is_consistent ?budget ?max_extra omq d =
 let certain_answers_within budget ?max_extra omq d =
   Session.certain_answers_within budget (open_session ?max_extra omq d)
 
-(* Drop every process-wide cache the answering stack keeps: the engine's
-   session registry and the grounder's cross-session circuit memo. For
+(* Drop the one process-wide cache the answering stack keeps: the
+   grounder's cross-session circuit memo (of the calling domain). For
    benchmarking cold paths and bounding long-process memory. *)
-let clear_caches () =
-  Reasoner.Engine.clear_cache ();
-  Reasoner.Ground.clear_memo ()
+let clear_caches () = Reasoner.Ground.clear_memo ()
 
 (* ------------------------------------------------------------------ *)
 (* Analyses                                                             *)
@@ -300,7 +244,8 @@ let fragment omq = Gf.Fragment.of_ontology omq.ontology
 (* Materializability of the ontology on a concrete instance. *)
 let materializable_on ?budget ?max_model_extra ?max_extra omq d =
   Material.Materializability.materializable_on ?budget ?max_model_extra
-    ?max_extra omq.ontology d
+    ?max_extra
+    (Reasoner.Engine.create omq.ontology d)
 
 (* The Theorem 5 type-based evaluation (binary signatures). The
    procedure's applicability failures surface as typed errors, not
@@ -328,8 +273,8 @@ let pp ppf omq =
    Parallel.Pool — the paper's own workload shape (411 BioPortal
    ontologies) rather than one session at a time. Corpus items are
    independent, so the fan-out is shared-nothing: each worker domain
-   grows its own engine registry and grounding memo (Domain.DLS), each
-   item counts its work in its own session's stats, and the only
+   grows its own grounding memo (Domain.DLS), each item grounds and
+   counts its work in its own session's engine, and the only
    cross-domain artifacts are the per-item results (those stats
    included), assembled in submission order. That assembly (plus
    per-item budgets and traces) is what makes [--jobs n] output
@@ -422,7 +367,7 @@ module Corpus = struct
     item_name : string;
     outcome : outcome;
     seconds : float;  (* wall time of this item, on its worker *)
-    stats : Reasoner.Stats.t;  (* engines this item's session forced *)
+    stats : Reasoner.Stats.t;  (* the work of this item's session *)
     worker : int;  (* pool domain index that processed the item *)
   }
 

@@ -3,9 +3,9 @@
     the examples and the command-line tool.
 
     Evaluation runs on the incremental {!Reasoner.Engine}: open a
-    {!session} to ground (O, D) once and answer many tuples against it;
-    the tuple-at-a-time entry points below are shorthands that fetch the
-    same cached sessions.
+    {!session} to ground (O, D) once per countermodel bound and answer
+    many tuples against it; the tuple-at-a-time entry points below are
+    shorthands that open a fresh session per call.
 
     Every evaluation entry accepts a [?budget] (default
     {!Reasoner.Budget.unlimited}). The plain forms raise
@@ -30,16 +30,17 @@ val of_cq : Logic.Ontology.t -> Query.Cq.t -> t
 (** Build from a DL TBox via the standard translation. *)
 val of_tbox : Dl.Tbox.t -> Query.Ucq.t -> t
 
-(** An evaluation session for one (O, q, D): one engine per countermodel
-    bound 0..max_extra, grounded on first use and shared through the
-    engine's LRU session cache. *)
+(** An evaluation session for one (O, q, D): the one
+    {!Reasoner.Engine} of (O, D), which grounds each countermodel bound
+    0..max_extra on first use, plus candidate streaming, partial answers
+    and budget-trip counting. *)
 type session
 
 (** [open_session ?updatable omq d] opens an evaluation session.
-    Updatable sessions ground {e dynamic} engines — instance facts are
-    carried as solver assumptions, bypassing the keyed engine cache — so
-    {!Session.insert_facts} / {!Session.retract_facts} can delta-maintain
-    them instead of regrounding. *)
+    Updatable sessions hold a {e dynamic} engine — instance facts are
+    carried as solver assumptions — so {!Session.insert_facts} /
+    {!Session.retract_facts} can delta-maintain it instead of
+    regrounding. *)
 val open_session :
   ?max_extra:int -> ?updatable:bool -> t -> Structure.Instance.t -> session
 
@@ -50,7 +51,8 @@ module Session : sig
   val updatable : t -> bool
 
   (** [insert_facts s facts] returns the session for D ∪ facts, either
-      by delta-maintaining every engine [s] has grounded ([`Delta]) or
+      by delta-maintaining every bound [s]'s engine has grounded
+      ([`Delta]) or
       by reopening on the union ([`Reopen]: non-updatable session, a
       fact over a new domain element, or a static engine). Both results
       answer identically to a fresh session on the updated instance. *)
@@ -101,14 +103,11 @@ module Session : sig
   val is_consistent_within :
     Reasoner.Budget.t -> t -> (bool, unit) Reasoner.Budget.outcome
 
-  (** The work this session drove through the engines it forced, summed
-      over bounds: each engine's {!Reasoner.Stats} less its snapshot at
-      acquisition ({!Reasoner.Engine.acquire}), plus the budget trips of
-      its [_within] calls. A session that borrows a cached engine
-      reports its cache hit and its own solves, not the grounding or
-      solves of earlier sessions. A session returned by a [`Delta]
-      update keeps counting where its predecessor left off; a [`Reopen]
-      counts from zero. *)
+  (** The work of this session's engine, summed over the bounds it
+      grounded ({!Reasoner.Engine.stats}), plus the budget trips of its
+      [_within] calls. A session returned by a [`Delta] update keeps
+      counting where its predecessor left off; a [`Reopen] counts from
+      zero. *)
   val stats : t -> Reasoner.Stats.t
 end
 
@@ -175,11 +174,11 @@ val rewritten_certain :
   result
 
 
-(** Drop every cache the answering stack keeps on the calling domain
-    (the engine session registry and the grounder's circuit memo), for
-    cold-path measurements and bounding long-process memory. Caches are
-    domain-local, so this clears the calling domain only — worker
-    domains of a {!Corpus} run keep (and reuse) their own. *)
+(** Drop the one cache the answering stack keeps across sessions, the
+    grounder's circuit memo, for cold-path measurements and bounding
+    long-process memory. The memo is domain-local, so this clears the
+    calling domain's only — worker domains of a {!Corpus} run keep (and
+    reuse) their own. *)
 val clear_caches : unit -> unit
 
 (** Batch classification / evaluation of a corpus of ontologies on a
@@ -188,11 +187,11 @@ val clear_caches : unit -> unit
 
     Corpus items are independent and every mutable structure of the
     answering stack is domain-local, so the fan-out is shared-nothing:
-    each worker domain keeps its own engine session registry, grounding
-    memo and stats record, and results are assembled in submission
-    order. Consequently a run's results (and any rendering that omits
-    timings and cache counters) are bit-identical for every [jobs]
-    count. *)
+    each worker domain keeps its own grounding memo, each item holds
+    its own session engine and stats record, and results are assembled
+    in submission order. Consequently a run's results (and any
+    rendering that omits timings and memo counters) are bit-identical
+    for every [jobs] count. *)
 module Corpus : sig
   type item = { name : string; tbox : Dl.Tbox.t }
 
@@ -244,7 +243,7 @@ module Corpus : sig
     item_name : string;
     outcome : outcome;
     seconds : float;  (** wall time of this item, on its worker *)
-    stats : Reasoner.Stats.t;  (** engines this item's session forced *)
+    stats : Reasoner.Stats.t;  (** the work of this item's session *)
     worker : int;  (** pool domain index that processed the item *)
   }
 

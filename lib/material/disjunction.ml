@@ -9,33 +9,45 @@ type witness = {
   pointed : pointed list;
 }
 
-(* Check one candidate disjunction: [`Fails w] means the disjunction is
-   certain but no disjunct is — the disjunction property fails. *)
-let check ?budget ?max_extra o d pointed =
+(* Check one candidate disjunction on the engine of (O, D): [`Fails w]
+   means the disjunction is certain but no disjunct is — the
+   disjunction property fails. *)
+let check ?budget ?max_extra eng pointed =
   Obs.Trace.with_span
     ~attrs:[ ("disjuncts", Obs.Trace.Int (List.length pointed)) ]
     "material.disjunction_check"
   @@ fun () ->
-  if
-    not (Reasoner.Engine.certain_disjunction_upto ?budget ?max_extra o d pointed)
+  if not (Reasoner.Engine.certain_disjunction ?budget ?max_extra eng pointed)
   then `Disjunction_not_certain
   else
     match
       List.find_opt
-        (fun (q, t) -> Reasoner.Engine.certain_cq_upto ?budget ?max_extra o d q t)
+        (fun (q, t) -> Reasoner.Engine.certain_cq ?budget ?max_extra eng q t)
         pointed
     with
     | Some _ -> `Holds
-    | None -> `Fails { instance = d; pointed }
+    | None -> `Fails { instance = Reasoner.Engine.instance eng; pointed }
 
 (* Search a list of candidate (instance, disjunction) pairs for a
-   violation. *)
+   violation, on one engine per instance: candidates that share an
+   instance (physically, as {!default_candidates} builds them) share its
+   engine. *)
 let find_violation ?budget ?max_extra o candidates =
+  let engines = ref [] in
+  let engine d =
+    match List.assq_opt d !engines with
+    | Some eng -> eng
+    | None ->
+        let eng = Reasoner.Engine.create o d in
+        engines := (d, eng) :: !engines;
+        eng
+  in
   List.find_map
     (fun (d, pointed) ->
-      if not (Reasoner.Engine.is_consistent_upto ?budget ?max_extra o d) then None
+      let eng = engine d in
+      if not (Reasoner.Engine.is_consistent ?budget ?max_extra eng) then None
       else
-        match check ?budget ?max_extra o d pointed with
+        match check ?budget ?max_extra eng pointed with
         | `Fails w -> Some w
         | `Holds | `Disjunction_not_certain -> None)
     candidates

@@ -9,19 +9,19 @@ type witness = {
   pointed : pointed list;
 }
 
-(** Check one candidate disjunction on an instance, on the cached
-    {!Reasoner.Engine} sessions of (O, D). A [?budget] is threaded into
-    the engine; a trip raises {!Reasoner.Budget.Exhausted}. *)
+(** Check one candidate disjunction on the caller's {!Reasoner.Engine}
+    of (O, D). A [?budget] is threaded into the engine; a trip raises
+    {!Reasoner.Budget.Exhausted}. *)
 val check :
   ?budget:Reasoner.Budget.t ->
   ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
+  Reasoner.Engine.t ->
   pointed list ->
   [ `Holds | `Fails of witness | `Disjunction_not_certain ]
 
 (** First violation among candidate (instance, disjunction) pairs;
-    inconsistent instances are skipped. *)
+    inconsistent instances are skipped. Candidates sharing one instance
+    value share its engine. *)
 val find_violation :
   ?budget:Reasoner.Budget.t ->
   ?max_extra:int ->

@@ -5,10 +5,11 @@
     ([max_extra]), both defaulting to
     {!Reasoner.Problem.default_max_extra}, and the query pool.
 
-    Everything runs on the cached {!Reasoner.Engine} sessions of (O, D):
+    Every entry point takes the caller's {!Reasoner.Engine} of (O, D):
     the certainty labels share one grounding per countermodel bound
     across the whole pool, and the materialization itself is one
-    {!Reasoner.Engine.signed_model} query per model bound. *)
+    {!Reasoner.Engine.signed_model} query per model bound on the same
+    engine. *)
 
 type pointed = Query.Cq.t * Structure.Element.t list
 
@@ -17,26 +18,25 @@ type pointed = Query.Cq.t * Structure.Element.t list
 val default_pool :
   Logic.Ontology.t -> Structure.Instance.t -> pointed list
 
-(** Is [b] a materialization of O and [d] w.r.t. the pool? All entry
-    points accept a [?budget] threaded into the underlying engine; a
-    trip raises {!Reasoner.Budget.Exhausted}. *)
+(** Is [b] a materialization of the engine's O and D w.r.t. the pool?
+    All entry points accept a [?budget] threaded into the engine; a trip
+    raises {!Reasoner.Budget.Exhausted}. *)
 val is_materialization_for :
   ?budget:Reasoner.Budget.t ->
   ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
+  Reasoner.Engine.t ->
   pointed list ->
   Structure.Instance.t ->
   bool
 
-(** Search the bounded models for a materialization. *)
+(** Search the bounded models for a materialization; the pool defaults
+    to {!default_pool}. *)
 val find_materialization :
   ?budget:Reasoner.Budget.t ->
   ?max_model_extra:int ->
   ?max_extra:int ->
   ?pool:pointed list ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
+  Reasoner.Engine.t ->
   Structure.Instance.t option
 
 (** Inconsistent instances count as trivially materializable. *)
@@ -45,6 +45,5 @@ val materializable_on :
   ?max_model_extra:int ->
   ?max_extra:int ->
   ?pool:pointed list ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
+  Reasoner.Engine.t ->
   bool

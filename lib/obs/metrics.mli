@@ -1,7 +1,7 @@
 (** A named counter/gauge/histogram registry.
 
     Metric names are stable snake_case with dots for namespacing (e.g.
-    ["engine.cache_hits"], ["bench.engine.chain8.speedup"]) — they
+    ["serve.requests"], ["bench.engine.chain8.speedup"]) — they
     become the keys of the exported JSON objects ([BENCH_omq.json]),
     so renaming one is a schema change for downstream consumers.
 

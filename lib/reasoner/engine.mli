@@ -1,85 +1,106 @@
-(** The certain-answer engine, and the only one library code calls:
-    ground (O, D, extra fresh nulls) once into a persistent CDCL solver,
-    then answer per-tuple certainty queries by solving under assumption
-    literals (the signed reified query instantiations). Learned clauses
-    and query reifications are kept for the session's lifetime, so
-    batches of tuple checks over the same (O, D) pay for one grounding.
+(** The certain-answer engine of one (O, D), and the only one library
+    code calls. A certain answer is decided by searching countermodels
+    over dom(D) plus 0, 1, …, [max_extra] fresh labelled nulls (default
+    {!Problem.default_max_extra}); the engine owns one grounding per
+    bound, builds each on first use into a persistent CDCL solver, and
+    walks the bounds in order with {!Problem.deepen}. Per-tuple queries
+    are answered by solving under assumption literals (the signed reified
+    query instantiations); learned clauses and query reifications are
+    kept for the engine's lifetime, so batches of tuple checks over the
+    same (O, D) pay for one grounding per bound. Callers hold one engine
+    per (O, D) for as long as they ask about it.
 
-    Semantics match the {!Bounded} reference exactly: a session at bound
-    [extra] searches countermodels over dom(D) plus [extra] labelled
-    nulls; the [_upto] forms walk the bounds with {!Problem.deepen}.
+    Semantics match the {!Bounded} reference exactly, at every
+    [max_extra].
 
     Every operation accepts a [?budget] (default {!Budget.unlimited})
-    and raises {!Budget.Exhausted} on a trip. A trip never corrupts a
-    session: cancellation points sit where the solver's invariants hold
-    and partially-emitted reifications are unreferenced definitional
-    fragments, so the session keeps answering later queries exactly like
-    a fresh engine. *)
+    and raises {!Budget.Exhausted} on a trip. A trip never corrupts the
+    engine: a bound whose grounding tripped stays unbuilt and the next
+    call grounds it again, cancellation points sit where the solver's
+    invariants hold, and partially-emitted reifications are unreferenced
+    definitional fragments, so the engine keeps answering later queries
+    exactly like a fresh one. *)
 
 type t
 
-(** Ground (O, D) with exactly [extra] fresh nulls. [extra_signature]
-    pre-registers further relations (query relations are also admitted
-    on demand later). Each engine counts into its own fresh {!stats}
-    record, and nowhere else. May raise {!Budget.Exhausted} while
-    grounding when budgeted.
+(** The engine of (O, D); grounds nothing. [extra_signature]
+    pre-registers further relations in every bound (query relations are
+    also admitted on demand later).
 
     With [~dynamic:true] the instance's facts are carried as persistent
     solver assumptions (their dense-rank fact variables) instead of unit
     clauses, enabling {!insert_facts} / {!retract_facts} without a
-    solver rebuild. Dynamic engines mutate their instance in place and
-    must not enter the keyed {!session} cache. *)
+    solver rebuild. *)
 val create :
   ?extra_signature:Logic.Signature.t ->
-  ?budget:Budget.t ->
   ?dynamic:bool ->
-  extra:int ->
   Logic.Ontology.t ->
   Structure.Instance.t ->
   t
 
+val ontology : t -> Logic.Ontology.t
 val instance : t -> Structure.Instance.t
 
-(** The engine's lifetime counters: its grounding, solves, cache
-    lookups and the circuit-memo traffic of its grounder. *)
+(** The engine's lifetime counters, summed over the bounds it has
+    grounded: groundings, solves and the circuit-memo traffic of its
+    grounders. Each engine counts into its own record, and nowhere
+    else. *)
 val stats : t -> Stats.t
 
-(** Memoized: solved once per session (only a completed verdict is
-    memoized), sound because query reifications are definitional
-    extensions. *)
-val is_consistent : ?budget:Budget.t -> t -> bool
+(** O and D have a model within the bounds. Memoized per bound (only a
+    completed verdict is memoized), sound because query reifications
+    are definitional extensions. *)
+val is_consistent : ?budget:Budget.t -> ?max_extra:int -> t -> bool
 
-(** A model of O and D over the session domain in which each pointed CQ
-    [(q, ā, wanted)] holds iff [wanted], if any: the reified
+(** A model of O and D at the first bound that has one in which each
+    pointed CQ [(q, ā, wanted)] holds iff [wanted], if any: the reified
     instantiations are assumed positively or negatively. A countermodel
     to O,D ⊨ q₁(ā₁) ∨ … ∨ qₙ(āₙ) is the all-unwanted case. *)
 val signed_model :
   ?budget:Budget.t ->
+  ?max_extra:int ->
   t ->
   (Query.Cq.t * Structure.Element.t list * bool) list ->
   Structure.Instance.t option
 
-(** Certainty at this session's exact domain bound. *)
+(** No bound refutes q(ā). *)
 val certain_ucq :
-  ?budget:Budget.t -> t -> Query.Ucq.t -> Structure.Element.t list -> bool
+  ?budget:Budget.t ->
+  ?max_extra:int ->
+  t ->
+  Query.Ucq.t ->
+  Structure.Element.t list ->
+  bool
 
 val certain_cq :
-  ?budget:Budget.t -> t -> Query.Cq.t -> Structure.Element.t list -> bool
+  ?budget:Budget.t ->
+  ?max_extra:int ->
+  t ->
+  Query.Cq.t ->
+  Structure.Element.t list ->
+  bool
 
-(** O,D ⊨ q₁(ā₁) ∨ … ∨ qₙ(āₙ) at this session's bound. *)
+(** O,D ⊨ q₁(ā₁) ∨ … ∨ qₙ(āₙ) at every bound. *)
 val certain_disjunction :
-  ?budget:Budget.t -> t -> (Query.Cq.t * Structure.Element.t list) list -> bool
+  ?budget:Budget.t ->
+  ?max_extra:int ->
+  t ->
+  (Query.Cq.t * Structure.Element.t list) list ->
+  bool
 
 (** {2 Delta maintenance}
 
     Only engines created with [~dynamic:true] maintain deltas; both
-    operations answer [`Needs_rebuild] on static engines, on facts over
-    elements outside the grounded domain, and on retractions that would
-    vacate a domain element (the grounding quantifies over the original
-    domain, so shrinking it requires a reopen to keep verdicts identical
-    to a fresh session). On [`Delta] the engine's instance, memoized
-    consistency verdict and cached witness are all kept consistent, and
-    an [engine.delta.*] span is emitted. *)
+    operations answer [`Needs_rebuild] on static engines. On a dynamic
+    engine a delta is applied to every grounded bound, and bounds not
+    grounded yet ground later on the updated instance. Once a bound is
+    grounded, facts over elements outside its domain and retractions
+    that would vacate a domain element answer [`Needs_rebuild] (the
+    grounding quantifies over the original domain, so changing it
+    requires a new engine to keep verdicts identical to a fresh one);
+    such a refusal leaves the engine as it was. On [`Delta] the engine's
+    instance, memoized consistency verdicts and cached witnesses are all
+    kept consistent, and an [engine.delta.*] span is emitted. *)
 
 val is_dynamic : t -> bool
 
@@ -94,87 +115,4 @@ val insert_facts :
 (** Drop facts by forgetting their assumptions. Absent facts are
     ignored. *)
 val retract_facts :
-  ?budget:Budget.t ->
-  t ->
-  Structure.Instance.fact list ->
-  [ `Delta | `Needs_rebuild ]
-
-(** {2 The session cache}
-
-    The registry is domain-local: an engine holds single-writer solver
-    and grounder state, so engines are never shared across domains —
-    each worker domain keeps its own LRU, and {!set_cache_capacity} /
-    {!clear_cache} act on the calling domain only.
-
-    Sessions are cached LRU, keyed by (ontology digest, instance digest,
-    extra bound); hits and misses are recorded in the stats records. A
-    session enters the cache only after its grounding completed, so a
-    budget trip during construction never caches a half-built engine. *)
-
-(** Fetch or build the session for (O, D, extra). *)
-val session :
-  ?extra_signature:Logic.Signature.t ->
-  ?budget:Budget.t ->
-  extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  t
-
-(** {!session}, paired with a snapshot of the engine's {!stats} taken
-    before this lookup (all zero when the lookup grounded the engine).
-    [Stats.diff (stats t) baseline] is then the work done since the
-    borrower acquired it — its own grounding or cache hit, solves and
-    memo traffic — rather than the lifetime counters of a cached engine
-    that earlier borrowers also drove. *)
-val acquire :
-  ?extra_signature:Logic.Signature.t ->
-  ?budget:Budget.t ->
-  extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  t * Stats.t
-
-val set_cache_capacity : int -> unit
-val clear_cache : unit -> unit
-
-(** Number of currently cached sessions. *)
-val cached_sessions : unit -> int
-
-(** {2 Iterative deepening}
-
-    Same verdicts as the corresponding {!Bounded} entry points: every
-    bound k in 0..[max_extra] (default {!Problem.default_max_extra}) runs
-    on a cached {!session}, walked in order by {!Problem.deepen}. *)
-
-val is_consistent_upto :
-  ?budget:Budget.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  bool
-
-val certain_ucq_upto :
-  ?budget:Budget.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  Query.Ucq.t ->
-  Structure.Element.t list ->
-  bool
-
-val certain_cq_upto :
-  ?budget:Budget.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  Query.Cq.t ->
-  Structure.Element.t list ->
-  bool
-
-val certain_disjunction_upto :
-  ?budget:Budget.t ->
-  ?max_extra:int ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  (Query.Cq.t * Structure.Element.t list) list ->
-  bool
+  t -> Structure.Instance.fact list -> [ `Delta | `Needs_rebuild ]

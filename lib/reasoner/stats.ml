@@ -1,10 +1,10 @@
 (* Instrumentation counters for the reasoner. Each engine counts into
-   its own record, and a session sums its engines' records, so that
-   callers — the CLI's --stats flag, the bench harness, tests — can see
-   how much work a workload really did: groundings built, solver
-   invocations, raw CDCL effort, session-cache effectiveness, and wall
-   time split by phase. Every event is written once, into the record of
-   the engine or session that did the work. *)
+   its own record, and a session adds its budget trips to its engine's
+   record, so that callers — the CLI's --stats flag, the bench harness,
+   tests — can see how much work a workload really did: groundings
+   built, solver invocations, raw CDCL effort, grounding-memo traffic,
+   budget trips and wall time split by phase. Every event is written
+   once, into the record of the engine or session that did the work. *)
 
 type t = {
   mutable groundings : int;
@@ -12,8 +12,6 @@ type t = {
   mutable decisions : int;
   mutable propagations : int;
   mutable conflicts : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
   mutable memo_hits : int;
   mutable memo_misses : int;
   mutable budget_timeouts : int;
@@ -29,8 +27,6 @@ let create () =
     decisions = 0;
     propagations = 0;
     conflicts = 0;
-    cache_hits = 0;
-    cache_misses = 0;
     memo_hits = 0;
     memo_misses = 0;
     budget_timeouts = 0;
@@ -47,8 +43,6 @@ let add ~into t =
   into.decisions <- into.decisions + t.decisions;
   into.propagations <- into.propagations + t.propagations;
   into.conflicts <- into.conflicts + t.conflicts;
-  into.cache_hits <- into.cache_hits + t.cache_hits;
-  into.cache_misses <- into.cache_misses + t.cache_misses;
   into.memo_hits <- into.memo_hits + t.memo_hits;
   into.memo_misses <- into.memo_misses + t.memo_misses;
   into.budget_timeouts <- into.budget_timeouts + t.budget_timeouts;
@@ -64,8 +58,6 @@ let diff b a =
     decisions = b.decisions - a.decisions;
     propagations = b.propagations - a.propagations;
     conflicts = b.conflicts - a.conflicts;
-    cache_hits = b.cache_hits - a.cache_hits;
-    cache_misses = b.cache_misses - a.cache_misses;
     memo_hits = b.memo_hits - a.memo_hits;
     memo_misses = b.memo_misses - a.memo_misses;
     budget_timeouts = b.budget_timeouts - a.budget_timeouts;
@@ -77,12 +69,11 @@ let diff b a =
 let pp ppf t =
   Fmt.pf ppf
     "@[<v>groundings:   %d (%.4fs)@ solves:       %d (%.4fs)@ decisions:    \
-     %d@ propagations: %d@ conflicts:    %d@ cache:        %d hit(s), %d \
-     miss(es)@ ground memo:  %d hit(s), %d miss(es)@ budget trips: %d \
-     timeout(s), %d fuel@]"
+     %d@ propagations: %d@ conflicts:    %d@ ground memo:  %d hit(s), %d \
+     miss(es)@ budget trips: %d timeout(s), %d fuel@]"
     t.groundings t.ground_seconds t.solves t.solve_seconds t.decisions
-    t.propagations t.conflicts t.cache_hits t.cache_misses t.memo_hits
-    t.memo_misses t.budget_timeouts t.budget_fuel_trips
+    t.propagations t.conflicts t.memo_hits t.memo_misses t.budget_timeouts
+    t.budget_fuel_trips
 
 (* Field order and key names are the documented schema (stats.mli):
    keep both stable — bench/CI consumers select keys with jq. *)
@@ -95,8 +86,6 @@ let json t =
       ("decisions", int t.decisions);
       ("propagations", int t.propagations);
       ("conflicts", int t.conflicts);
-      ("cache_hits", int t.cache_hits);
-      ("cache_misses", int t.cache_misses);
       ("memo_hits", int t.memo_hits);
       ("memo_misses", int t.memo_misses);
       ("budget_timeouts", int t.budget_timeouts);

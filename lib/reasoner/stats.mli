@@ -1,7 +1,7 @@
 (** Instrumentation counters threaded through the incremental engine:
     groundings built, solver invocations, CDCL effort
-    (decisions/propagations/conflicts), session-cache hits/misses, and
-    wall time per phase. *)
+    (decisions/propagations/conflicts), grounding-memo traffic, budget
+    trips, and wall time per phase. *)
 
 type t = {
   mutable groundings : int;  (** SAT groundings built from scratch *)
@@ -9,8 +9,6 @@ type t = {
   mutable decisions : int;
   mutable propagations : int;
   mutable conflicts : int;
-  mutable cache_hits : int;  (** session-cache lookups that reused an engine *)
-  mutable cache_misses : int;  (** lookups that had to ground *)
   mutable memo_hits : int;  (** grounding-memo replays of a compiled circuit *)
   mutable memo_misses : int;  (** grounding-memo expansions from scratch *)
   mutable budget_timeouts : int;  (** budget trips on a wall-clock deadline *)
@@ -40,7 +38,6 @@ val pp : t Fmt.t
 
     - ["groundings"], ["solves"], ["decisions"], ["propagations"],
       ["conflicts"] : integers
-    - ["cache_hits"], ["cache_misses"] : integers
     - ["memo_hits"], ["memo_misses"] : integers (grounding-memo traffic)
     - ["budget_timeouts"], ["budget_fuel_trips"] : integers
     - ["ground_seconds"], ["solve_seconds"] : numbers (seconds)

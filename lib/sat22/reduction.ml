@@ -113,5 +113,7 @@ let unsat_iff_certain ?(max_extra = 1) o w f =
   | None -> (not (Twotwosat.satisfiable f), false)
   | Some q ->
       let d = instance w f in
-      let certain = Reasoner.Engine.certain_ucq_upto ~max_extra o d q [] in
+      let certain =
+        Reasoner.Engine.certain_ucq ~max_extra (Reasoner.Engine.create o d) q []
+      in
       (not (Twotwosat.satisfiable f), certain)

@@ -84,9 +84,8 @@ let o_horn =
    contract of stats.mli. *)
 let stats_keys =
   [ "groundings"; "solves"; "decisions"; "propagations"; "conflicts";
-    "cache_hits"; "cache_misses"; "memo_hits"; "memo_misses";
-    "budget_timeouts"; "budget_fuel_trips"; "ground_seconds";
-    "solve_seconds" ]
+    "memo_hits"; "memo_misses"; "budget_timeouts"; "budget_fuel_trips";
+    "ground_seconds"; "solve_seconds" ]
 
 (* ---------------------------------------------------------------- *)
 (* Raw-socket plumbing for daemon framing and pipelining tests.       *)

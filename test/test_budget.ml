@@ -2,8 +2,8 @@
    injection. The central property: tripping a budget at ANY
    cancellation point (a) surfaces as a typed outcome, never an escaped
    exception, and (b) never corrupts shared state — re-solving with the
-   same (possibly cached, possibly mid-trip interrupted) sessions and no
-   budget gives exactly the unbudgeted verdict. *)
+   same (possibly mid-trip interrupted) session or engine and no budget
+   gives exactly the unbudgeted verdict. *)
 
 open Helpers
 module Budget = Reasoner.Budget
@@ -22,9 +22,7 @@ let d_disj = inst [ ("D", [ "a" ]); ("D", [ "b" ]); ("A", [ "c" ]) ]
 let eval budget =
   Omq.certain_answers_within budget ~max_extra:1 omq_disj d_disj
 
-let fresh_expected () =
-  Reasoner.Engine.clear_cache ();
-  Omq.certain_answers ~max_extra:1 omq_disj d_disj
+let fresh_expected () = Omq.certain_answers ~max_extra:1 omq_disj d_disj
 
 let subset_of ~expected certified =
   List.for_all (fun t -> List.mem t expected) certified
@@ -34,13 +32,11 @@ let subset_of ~expected certified =
 let test_unbudgeted_unchanged () =
   let expected = fresh_expected () in
   check Alcotest.bool "has answers" true (expected <> []);
-  Reasoner.Engine.clear_cache ();
   match eval Budget.unlimited with
   | `Ok a -> check answers "unlimited budget = plain run" expected a
   | `Timeout _ | `Out_of_fuel _ -> Alcotest.fail "unlimited budget tripped"
 
 let test_observer_counts () =
-  Reasoner.Engine.clear_cache ();
   let obs = Budget.observer () in
   (match eval obs with
   | `Ok _ -> ()
@@ -52,23 +48,22 @@ let test_observer_counts () =
 
 (* THE sweep: inject exhaustion at every cancellation point the
    workload passes. Each injection must (a) produce a typed outcome
-   whose certified tuples are sound, and (b) leave every shared
-   structure (engine LRU cache, solver state, grounder tables) able to
-   answer the unbudgeted query exactly. *)
+   whose certified tuples are sound, and (b) leave every structure the
+   session shares (its engine's bounds, solver state, grounder tables)
+   able to answer the unbudgeted query exactly. *)
 let test_inject_everywhere () =
   let expected = fresh_expected () in
-  Reasoner.Engine.clear_cache ();
   let obs = Budget.observer () in
   ignore (eval obs);
   let n = Budget.checkpoints obs in
   check Alcotest.bool "enough checkpoints to sweep" true (n > 10);
   for i = 0 to n - 1 do
-    Reasoner.Engine.clear_cache ();
+    let s = Omq.open_session ~max_extra:1 omq_disj d_disj in
     let b = Budget.inject_after i in
-    (match eval b with
+    (match Omq.Session.certain_answers_within b s with
     | `Ok a ->
-        (* the trip can only be missed if caching shifted the path;
-           the answer must still be exact *)
+        (* the trip can only be missed if the grounding memo shifted
+           the path; the answer must still be exact *)
         check answers (Printf.sprintf "inject %d completed" i) expected a
     | `Timeout _ -> Alcotest.failf "inject %d tripped with Timeout" i
     | `Out_of_fuel p ->
@@ -76,16 +71,15 @@ let test_inject_everywhere () =
           (Printf.sprintf "inject %d: certified sound" i)
           true
           (subset_of ~expected p.Omq.Session.certified));
-    (* session reuse AFTER the trip, without clearing the cache: the
-       interrupted engines must answer like fresh ones *)
-    let after = Omq.certain_answers ~max_extra:1 omq_disj d_disj in
+    (* session reuse AFTER the trip: the interrupted engine must answer
+       like a fresh one *)
+    let after = Omq.Session.certain_answers s in
     check answers
       (Printf.sprintf "inject %d: post-trip resolve exact" i)
       expected after
   done
 
 let test_inject_timeout_reason () =
-  Reasoner.Engine.clear_cache ();
   match eval (Budget.inject_after ~reason:Budget.Timeout 5) with
   | `Timeout _ -> ()
   | `Ok _ -> Alcotest.fail "expected a trip"
@@ -93,7 +87,6 @@ let test_inject_timeout_reason () =
 
 (* A trip is counted once, in the stats of the session it tripped. *)
 let test_expired_deadline () =
-  Reasoner.Engine.clear_cache ();
   let s = Omq.open_session ~max_extra:1 omq_disj d_disj in
   (match Omq.Session.certain_answers_within (Budget.create ~timeout:0.0 ()) s with
   | `Timeout p ->
@@ -107,7 +100,6 @@ let test_expired_deadline () =
   check Alcotest.int "no fuel trip" 0 st.Reasoner.Stats.budget_fuel_trips
 
 let test_fuel_exhaustion () =
-  Reasoner.Engine.clear_cache ();
   let s = Omq.open_session ~max_extra:1 omq_disj d_disj in
   (match Omq.Session.certain_answers_within (Budget.create ~fuel:1 ()) s with
   | `Out_of_fuel _ -> ()
@@ -119,47 +111,45 @@ let test_fuel_exhaustion () =
   check Alcotest.int "no timeout trip" 0 st.Reasoner.Stats.budget_timeouts
 
 let test_clause_cap () =
-  Reasoner.Engine.clear_cache ();
   match eval (Budget.create ~max_clauses:5 ()) with
   | `Out_of_fuel _ -> ()
   | `Ok _ -> Alcotest.fail "a 5-clause cap must not fit the grounding"
   | `Timeout _ -> Alcotest.fail "clause-cap trips are Out_of_fuel"
 
 (* --------------------------------------------------------------- *)
-(* Material verdicts share the engine LRU: a trip anywhere in a
-   disjunction-property check leaves the cached sessions answering the
-   next unbudgeted check exactly. *)
+(* Material verdicts run on the caller's engine: a trip anywhere in a
+   disjunction-property check leaves that engine answering the next
+   unbudgeted check exactly. *)
 
 let qa = cq ~answer:[ "x" ] [ ("A", [ v "x" ]) ]
 let qb = cq ~answer:[ "x" ] [ ("B", [ v "x" ]) ]
 
 let test_material_try () =
   let d = inst [ ("D", [ "a" ]) ] in
-  let disj budget =
+  let fresh () = Reasoner.Engine.create o_disj d in
+  let disj eng budget =
     match
-      Material.Disjunction.check ~budget ~max_extra:1 o_disj d
+      Material.Disjunction.check ~budget ~max_extra:1 eng
         [ (qa, [ e "a" ]); (qb, [ e "a" ]) ]
     with
     | `Holds -> "holds"
     | `Fails _ -> "fails"
     | `Disjunction_not_certain -> "not certain"
   in
-  Reasoner.Engine.clear_cache ();
-  let expected = disj Budget.unlimited in
+  let expected = disj (fresh ()) Budget.unlimited in
   check Alcotest.string "A ∨ B certain, neither disjunct" "fails" expected;
-  Reasoner.Engine.clear_cache ();
   let obs = Budget.observer () in
-  check Alcotest.string "observer run" expected (disj obs);
+  check Alcotest.string "observer run" expected (disj (fresh ()) obs);
   let n = Budget.checkpoints obs in
   check Alcotest.bool "material workload passes checkpoints" true (n > 0);
   for i = 0 to n - 1 do
-    Reasoner.Engine.clear_cache ();
-    (match disj (Budget.inject_after i) with
+    let eng = fresh () in
+    (match disj eng (Budget.inject_after i) with
     | v -> check Alcotest.string (Printf.sprintf "inject %d: verdict" i) expected v
     | exception Budget.Exhausted _ -> ());
     check Alcotest.string
       (Printf.sprintf "inject %d: next unbudgeted check" i)
-      expected (disj Budget.unlimited)
+      expected (disj eng Budget.unlimited)
   done
 
 (* --------------------------------------------------------------- *)

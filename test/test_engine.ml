@@ -1,6 +1,7 @@
 (* The incremental engine (Reasoner.Engine) must be observationally
-   equivalent to the one-shot Bounded reference, and its session cache
-   and stats record must account traffic faithfully. *)
+   equivalent to the one-shot Bounded reference at every bound, ground
+   each bound once and only on demand, and account its work faithfully
+   in its stats record. *)
 
 open Helpers
 
@@ -49,72 +50,124 @@ let test_engine_vs_bounded =
       let wide = Structure.Randgen.nonempty_instance ~rng ~signature ~size:7 ~p:0.35 in
       List.for_all
         (fun (o, d) ->
+          (* one engine answers everything, as callers use it *)
+          let eng = Reasoner.Engine.create o d in
           let dom = Structure.Instance.domain_list d in
           Bool.equal
-            (Reasoner.Engine.is_consistent_upto ~max_extra o d)
+            (Reasoner.Engine.is_consistent ~max_extra eng)
             (Reasoner.Bounded.is_consistent ~max_extra o d)
           && List.for_all
                (fun el ->
                  List.for_all
                    (fun q ->
                      Bool.equal
-                       (Reasoner.Engine.certain_cq_upto ~max_extra o d q [ el ])
+                       (Reasoner.Engine.certain_cq ~max_extra eng q [ el ])
                        (Reasoner.Bounded.certain_cq ~max_extra o d q [ el ]))
                    [ qc; qa; qb ]
                  && Bool.equal
-                      (Reasoner.Engine.certain_ucq_upto ~max_extra o d qab [ el ])
+                      (Reasoner.Engine.certain_ucq ~max_extra eng qab [ el ])
                       (Reasoner.Bounded.certain_ucq ~max_extra o d qab [ el ])
                  &&
                  let pointed = [ (qa, [ el ]); (qb, [ el ]) ] in
                  Bool.equal
-                   (Reasoner.Engine.certain_disjunction_upto ~max_extra o d pointed)
+                   (Reasoner.Engine.certain_disjunction ~max_extra eng pointed)
                    (Reasoner.Bounded.certain_disjunction ~max_extra o d pointed))
                dom)
         [ (o_horn, d); (o_disj, d); (o_count, wide) ])
 
-(* 2. A session grounds once and answers many: repeated tuple checks on
-   the same (O, D, extra) reuse the cached engine. *)
-let test_cache_accounting () =
+(* 2. One engine grounds each bound once, on first use, whatever entry
+   point asks: consistency (decided at bound 0), every element's
+   certainty (a certain C walks all bounds up to 1), a disjunction and a
+   signed model at ~max_extra:2 (which grounds bound 2) share the
+   engine's bounds 0, 1 and 2. *)
+let test_grounds_each_bound_once () =
   let d = inst [ ("A", [ "a" ]); ("R", [ "a"; "b" ]) ] in
-  Reasoner.Engine.clear_cache ();
-  let eng = Reasoner.Engine.session ~extra:1 o_horn d in
-  let st = Reasoner.Engine.stats eng in
-  check_int "first lookup misses" 1 st.cache_misses;
-  check_int "no hit yet" 0 st.cache_hits;
-  check_int "one grounding" 1 st.groundings;
-  let eng' = Reasoner.Engine.session ~extra:1 o_horn d in
-  check "second lookup returns the same engine" true (eng == eng');
-  check_int "second lookup hits" 1 (Reasoner.Engine.stats eng).cache_hits;
-  check_int "still one grounding" 1 (Reasoner.Engine.stats eng).groundings;
-  (* a different bound is a different session, with its own counters *)
-  let eng0 = Reasoner.Engine.session ~extra:0 o_horn d in
-  check "new bound is a new engine" true (eng0 != eng);
-  check_int "new bound misses" 1 (Reasoner.Engine.stats eng0).cache_misses;
-  check_int "new bound grounds" 1 (Reasoner.Engine.stats eng0).groundings;
-  check_int "two cached sessions" 2 (Reasoner.Engine.cached_sessions ());
-  (* many tuple checks, still one grounding per session *)
+  let eng = Reasoner.Engine.create o_horn d in
+  let groundings () = (Reasoner.Engine.stats eng).groundings in
+  check_int "create grounds nothing" 0 (groundings ());
+  check "consistent" true (Reasoner.Engine.is_consistent eng);
+  check_int "consistency is decided at bound 0" 1 (groundings ());
   List.iter
-    (fun el -> ignore (Reasoner.Engine.certain_cq eng qc [ el ]))
+    (fun el -> ignore (Reasoner.Engine.certain_cq ~max_extra:1 eng qc [ el ]))
     (Structure.Instance.domain_list d);
-  check_int "tuple checks reuse the grounding" 1
-    (Reasoner.Engine.stats eng).groundings;
+  check "C(a) certain" true (Reasoner.Engine.certain_cq ~max_extra:1 eng qc [ e "a" ]);
+  check_int "certainty walked bounds 0 and 1" 2 (groundings ());
+  check "A(a) or B(a) certain" true
+    (Reasoner.Engine.certain_disjunction ~max_extra:1 eng
+       [ (qa, [ e "a" ]); (qb, [ e "a" ]) ]);
+  check "a model without C(a) exists nowhere" true
+    (Option.is_none
+       (Reasoner.Engine.signed_model ~max_extra:2 eng [ (qc, [ e "a" ], false) ]));
+  check_int "exactly 3 groundings" 3 (groundings ());
   check "solver was invoked" true ((Reasoner.Engine.stats eng).solves > 0)
 
-(* 3. The LRU cache evicts beyond its capacity. *)
-let test_cache_eviction () =
-  Reasoner.Engine.clear_cache ();
-  Reasoner.Engine.set_cache_capacity 2;
-  let d i = inst [ ("A", [ Printf.sprintf "a%d" i ]) ] in
-  List.iter
-    (fun i -> ignore (Reasoner.Engine.session ~extra:0 o_horn (d i)))
-    [ 0; 1; 2; 3 ];
-  check_int "capacity bounds the cache" 2 (Reasoner.Engine.cached_sessions ());
-  Reasoner.Engine.set_cache_capacity 16;
-  Reasoner.Engine.clear_cache ()
+(* 3. A fuel trip while bound 1 is grounding leaves bound 1 unbuilt: the
+   engine keeps answering like a fresh one, and the next call grounds
+   bound 1 exactly once. *)
+let test_trip_while_grounding () =
+  let d = inst [ ("D", [ "a" ]); ("D", [ "b" ]) ] in
+  let pointed = [ (qa, [ e "a" ]); (qb, [ e "a" ]) ] in
+  let fresh = Reasoner.Engine.create o_disj d in
+  let expected = Reasoner.Engine.certain_disjunction ~max_extra:1 fresh pointed in
+  check "A(a) or B(a) certain" true expected;
+  (* the checkpoints the walk passes before it reaches bound 1 *)
+  let eng = Reasoner.Engine.create o_disj d in
+  let obs = Reasoner.Budget.observer () in
+  ignore (Reasoner.Engine.certain_disjunction ~budget:obs ~max_extra:0 eng pointed);
+  let at_bound_1 = Reasoner.Budget.checkpoints obs in
+  let eng = Reasoner.Engine.create o_disj d in
+  (match
+     Reasoner.Engine.certain_disjunction
+       ~budget:(Reasoner.Budget.inject_after at_bound_1)
+       ~max_extra:1 eng pointed
+   with
+  | _ -> Alcotest.fail "the injected budget must trip while grounding bound 1"
+  | exception Reasoner.Budget.Exhausted _ -> ());
+  check_int "only bound 0 was grounded" 1 (Reasoner.Engine.stats eng).groundings;
+  check "answers like a fresh engine" expected
+    (Reasoner.Engine.certain_disjunction ~max_extra:1 eng pointed);
+  check_int "bound 1 grounded exactly once" 2
+    (Reasoner.Engine.stats eng).groundings;
+  check "consistency like a fresh engine" true
+    (Reasoner.Engine.is_consistent ~max_extra:1 eng)
 
-(* 4. Session stats aggregate only the engines the session forced. *)
+(* 3b. A delta reaches every bound the engine has grounded, and a bound
+   first grounded after the delta sees the updated instance: the dynamic
+   engine answers like a fresh engine on the net instance at every
+   ceiling, without regrounding a bound. *)
+let test_delta_reaches_every_bound () =
+  let d = inst [ ("A", [ "a" ]); ("R", [ "b"; "a" ]) ] in
+  let b_fact : Structure.Instance.fact = { rel = "A"; args = [ e "b" ] } in
+  let answers ~max_extra eng =
+    List.filter
+      (fun el -> Reasoner.Engine.certain_cq ~max_extra eng qc [ el ])
+      (Structure.Instance.domain_list (Reasoner.Engine.instance eng))
+  in
+  let fresh ~max_extra d = answers ~max_extra (Reasoner.Engine.create o_horn d) in
+  let eng = Reasoner.Engine.create ~dynamic:true o_horn d in
+  let groundings () = (Reasoner.Engine.stats eng).groundings in
+  check "C(a) only" true (answers ~max_extra:1 eng = [ e "a" ]);
+  check_int "bounds 0 and 1 grounded" 2 (groundings ());
+  check "insert A(b) is a delta" true
+    (Reasoner.Engine.insert_facts eng [ b_fact ] = `Delta);
+  let grown = Structure.Instance.add_fact b_fact d in
+  check "both grounded bounds see A(b)" true
+    (answers ~max_extra:1 eng = fresh ~max_extra:1 grown
+    && answers ~max_extra:1 eng = [ e "a"; e "b" ]);
+  check_int "no bound regrounded" 2 (groundings ());
+  check "bound 2 grounds on the grown instance" true
+    (answers ~max_extra:2 eng = fresh ~max_extra:2 grown);
+  check_int "bound 2 grounded once" 3 (groundings ());
+  check "retract A(b) is a delta" true
+    (Reasoner.Engine.retract_facts eng [ b_fact ] = `Delta);
+  check "all three bounds forget A(b)" true
+    (answers ~max_extra:2 eng = fresh ~max_extra:2 d
+    && answers ~max_extra:2 eng = [ e "a" ]);
+  check_int "still three groundings" 3 (groundings ())
+
+(* 4. Session stats count only the bounds the session's engine
+   grounded. *)
 let test_session_stats () =
-  Reasoner.Engine.clear_cache ();
   let omq = Omq.of_cq o_horn qc in
   let d = inst [ ("A", [ "a" ]); ("R", [ "a"; "b" ]) ] in
   let s = Omq.open_session ~max_extra:2 omq d in
@@ -123,43 +176,6 @@ let test_session_stats () =
   let answers = Omq.Session.certain_answers s in
   check "certain C at the chain head" true (List.mem [ e "a" ] answers);
   check "grounded at least one bound" true ((Omq.Session.stats s).groundings > 0)
-
-(* 4b. A session borrowing a cached engine reports its own work: its
-   cache hit and its own solves, not the grounding and solves of the
-   session that built the engine. Cross-checked against the cached
-   engines' own lifetime counters, which see both sessions. *)
-let test_borrowed_session_stats () =
-  Omq.clear_caches ();
-  let omq = Omq.of_cq o_horn qc in
-  let d = inst [ ("A", [ "a" ]); ("R", [ "a"; "b" ]) ] in
-  let run () =
-    let s = Omq.open_session ~max_extra:1 omq d in
-    ignore (Omq.Session.certain_answers s);
-    Omq.Session.stats s
-  in
-  let engines () =
-    List.map
-      (fun extra ->
-        Reasoner.Stats.copy
-          (Reasoner.Engine.stats (Reasoner.Engine.session ~extra o_horn d)))
-      [ 0; 1 ]
-  in
-  let first = run () in
-  let e0 = engines () in
-  let second = run () in
-  let spent =
-    List.fold_left2
-      (fun acc after before ->
-        Reasoner.Stats.add ~into:acc (Reasoner.Stats.diff after before);
-        acc)
-      (Reasoner.Stats.create ()) (engines ()) e0
-  in
-  check_int "first session grounds both bounds" 2 first.groundings;
-  check_int "second session grounds nothing" 0 second.groundings;
-  check_int "second session hits the cache per bound" 2 second.cache_hits;
-  check "second session solved" true (second.solves > 0);
-  check_int "second session reports only its own solves" spent.solves
-    second.solves
 
 (* 4c. Witness quality on a Horn input (the bulk-eval ontology and query
    shape over a fixed random instance): the solver branches on facts
@@ -213,10 +229,12 @@ let test_streaming () =
 let suite =
   [
     QCheck_alcotest.to_alcotest test_engine_vs_bounded;
-    Alcotest.test_case "cache_accounting" `Quick test_cache_accounting;
-    Alcotest.test_case "cache_eviction" `Quick test_cache_eviction;
+    Alcotest.test_case "grounds_each_bound_once" `Quick
+      test_grounds_each_bound_once;
+    Alcotest.test_case "trip_while_grounding" `Quick test_trip_while_grounding;
+    Alcotest.test_case "delta_reaches_every_bound" `Quick
+      test_delta_reaches_every_bound;
     Alcotest.test_case "session_stats" `Quick test_session_stats;
-    Alcotest.test_case "borrowed_session_stats" `Quick test_borrowed_session_stats;
     Alcotest.test_case "horn_witness_refutes_in_bulk" `Quick
       test_horn_witness_refutes_in_bulk;
     Alcotest.test_case "rewritten_result" `Quick test_rewritten_result;

@@ -340,7 +340,6 @@ let test_certain_agreement =
       let qf = Query.Cq.to_formula q in
       List.for_all
         (fun (_, o) ->
-          Reasoner.Engine.clear_cache ();
           List.for_all
             (fun el ->
               let reference =

@@ -22,17 +22,16 @@ let horn_data = inst [ ("A", [ "a" ]); ("R", [ "a"; "b" ]) ]
 
 let engine_answers eng =
   List.filter
-    (fun x -> Reasoner.Engine.certain_ucq eng qc [ x ])
+    (fun x -> Reasoner.Engine.certain_ucq ~max_extra:2 eng qc [ x ])
     (List.map e [ "a"; "b" ])
 
-let fresh_answers d =
-  engine_answers (Reasoner.Engine.create ~extra:2 o_horn d)
+let fresh_answers d = engine_answers (Reasoner.Engine.create o_horn d)
 
 let test_engine_delta () =
-  let eng = Reasoner.Engine.create ~dynamic:true ~extra:2 o_horn horn_data in
+  let eng = Reasoner.Engine.create ~dynamic:true o_horn horn_data in
   check "dynamic" true (Reasoner.Engine.is_dynamic eng);
   check "static by default" false
-    (Reasoner.Engine.is_dynamic (Reasoner.Engine.create ~extra:2 o_horn horn_data));
+    (Reasoner.Engine.is_dynamic (Reasoner.Engine.create o_horn horn_data));
   check "base answers agree" true
     (engine_answers eng = fresh_answers horn_data);
   (* insert over the existing domain: delta *)
@@ -51,15 +50,16 @@ let test_engine_delta () =
   check "consistent throughout" true (Reasoner.Engine.is_consistent eng)
 
 let test_engine_needs_rebuild () =
-  let eng = Reasoner.Engine.create ~dynamic:true ~extra:2 o_horn horn_data in
+  let eng = Reasoner.Engine.create ~dynamic:true o_horn horn_data in
+  (* a grounded bound fixes the domain *)
+  check "consistent" true (Reasoner.Engine.is_consistent eng);
   check "new element forces rebuild" true
     (Reasoner.Engine.insert_facts eng [ fact "A" [ "fresh" ] ] = `Needs_rebuild);
   check "vacating retraction forces rebuild" true
-    (Reasoner.Engine.retract_facts eng [ fact "R" [ "a"; "b" ] ]
-    = `Needs_rebuild);
+    (Reasoner.Engine.retract_facts eng [ fact "R" [ "a"; "b" ] ] = `Needs_rebuild);
   check "rebuild refusals leave the engine intact" true
     (Structure.Instance.equal (Reasoner.Engine.instance eng) horn_data);
-  let static = Reasoner.Engine.create ~extra:2 o_horn horn_data in
+  let static = Reasoner.Engine.create o_horn horn_data in
   check "static engines never delta" true
     (Reasoner.Engine.insert_facts static [ fact "B" [ "b" ] ] = `Needs_rebuild)
 

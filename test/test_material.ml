@@ -12,62 +12,70 @@ let test_disjunction_fails_for_union () =
   in
   let qt = cq ~answer:[ "x" ] [ ("Thumb", [ v "x" ]) ] in
   let pointed = List.map (fun f -> (qt, [ e f ])) fingers in
-  (match Material.Disjunction.check ~max_extra:1 o_hand_union d pointed with
+  let check_on o =
+    Material.Disjunction.check ~max_extra:1 (Reasoner.Engine.create o d) pointed
+  in
+  (match check_on o_hand_union with
   | `Fails _ -> ()
   | `Holds -> Alcotest.fail "expected a violation"
   | `Disjunction_not_certain -> Alcotest.fail "disjunction should be certain");
   (* each component ontology alone has the property on this instance *)
-  (match Material.Disjunction.check ~max_extra:1 o_hand_five d pointed with
+  (match check_on o_hand_five with
   | `Disjunction_not_certain -> ()
   | _ -> Alcotest.fail "O1 alone should not entail the disjunction");
-  match Material.Disjunction.check ~max_extra:1 o_hand_thumb d pointed with
+  match check_on o_hand_thumb with
   | `Disjunction_not_certain -> ()
   | _ -> Alcotest.fail "O2 alone should not entail the disjunction"
 
 (* Whatever find_materialization returns must answer the pool exactly
    like the certain answers. *)
-let check_materialization ?max_extra o d b =
+let check_materialization ?max_extra eng b =
   check "answers the pool like the certain answers" true
-    (Material.Materializability.is_materialization_for ?max_extra o d
-       (Material.Materializability.default_pool o d)
+    (Material.Materializability.is_materialization_for ?max_extra eng
+       (Material.Materializability.default_pool (Reasoner.Engine.ontology eng)
+          (Reasoner.Engine.instance eng))
        b)
 
 let test_materialization_horn () =
   (* Horn ontologies have materializations (the chase). *)
   let d = inst [ ("A", [ "a" ]) ] in
-  match Material.Materializability.find_materialization ~max_model_extra:2 o_horn d with
+  let eng = Reasoner.Engine.create o_horn d in
+  match Material.Materializability.find_materialization ~max_model_extra:2 eng with
   | None -> Alcotest.fail "expected a materialization"
   | Some b ->
       check "model of O" true
         (Structure.Modelcheck.is_model b (Logic.Ontology.all_sentences o_horn));
       check "contains D" true (Structure.Instance.subset d b);
-      check_materialization o_horn d b
+      check_materialization eng b
 
 let test_materialization_union_fails () =
   let fingers = [ "f1"; "f2"; "f3"; "f4"; "f5" ] in
   let d =
     inst (("Hand", [ "h" ]) :: List.map (fun f -> ("hasFinger", [ "h"; f ])) fingers)
   in
+  let union = Reasoner.Engine.create o_hand_union d in
+  let thumb = Reasoner.Engine.create o_hand_thumb d in
   check "O1 ∪ O2 not materializable on the 5-finger hand" false
     (Material.Materializability.materializable_on ~max_model_extra:1 ~max_extra:1
-       o_hand_union d);
+       union);
   check "O2 materializable on the same instance" true
     (Material.Materializability.materializable_on ~max_model_extra:1 ~max_extra:1
-       o_hand_thumb d);
-  let find o =
+       thumb);
+  let find eng =
     Material.Materializability.find_materialization ~max_model_extra:1
-      ~max_extra:1 o d
+      ~max_extra:1 eng
   in
-  check "no materialization for O1 ∪ O2" true (Option.is_none (find o_hand_union));
-  match find o_hand_thumb with
+  check "no materialization for O1 ∪ O2" true (Option.is_none (find union));
+  match find thumb with
   | None -> Alcotest.fail "expected a materialization for O2"
-  | Some b -> check_materialization ~max_extra:1 o_hand_thumb d b
+  | Some b -> check_materialization ~max_extra:1 thumb b
 
 let test_disjunctive_not_materializable () =
   (* D ⊑ A ⊔ B with D(a). *)
   let d = inst [ ("D", [ "a" ]) ] in
   check "not materializable" false
-    (Material.Materializability.materializable_on ~max_model_extra:1 o_disj d);
+    (Material.Materializability.materializable_on ~max_model_extra:1
+       (Reasoner.Engine.create o_disj d));
   let w = Material.Disjunction.find_violation o_disj (Material.Disjunction.default_candidates o_disj d) in
   check "violation found by default candidates" true (Option.is_some w)
 

@@ -43,7 +43,6 @@ let omq_disj =
 let d_disj = inst [ ("D", [ "a" ]); ("D", [ "b" ]); ("A", [ "c" ]) ]
 
 let traced_answers () =
-  Reasoner.Engine.clear_cache ();
   Trace.collect (fun () -> Omq.certain_answers ~max_extra:1 omq_disj d_disj)
 
 (* ------------------------------------------------------------------ *)
@@ -195,10 +194,8 @@ let test_ring_eviction () =
 (* No collector installed: the instrumented stack must compute exactly
    the un-traced result (the no-op path returns f () unchanged). *)
 let test_noop_identical () =
-  Reasoner.Engine.clear_cache ();
   let untraced = Omq.certain_answers ~max_extra:1 omq_disj d_disj in
   let traced, c = traced_answers () in
-  Reasoner.Engine.clear_cache ();
   let untraced' = Omq.certain_answers ~max_extra:1 omq_disj d_disj in
   Alcotest.(check bool) "collector saw spans" true (Trace.span_count c > 0);
   Alcotest.(check bool)
@@ -210,7 +207,6 @@ let test_noop_identical () =
    produces a closed, exportable trace, and the root span carries the
    trip status. *)
 let test_budget_trip_trace_closed () =
-  Reasoner.Engine.clear_cache ();
   let outcome, c =
     Trace.collect (fun () ->
         Omq.certain_answers_within
@@ -301,12 +297,10 @@ let test_stats_diff () =
     t.decisions <- k + 2;
     t.propagations <- k + 3;
     t.conflicts <- k + 4;
-    t.cache_hits <- k + 5;
-    t.cache_misses <- k + 6;
-    t.memo_hits <- k + 7;
-    t.memo_misses <- k + 8;
-    t.budget_timeouts <- k + 9;
-    t.budget_fuel_trips <- k + 10;
+    t.memo_hits <- k + 5;
+    t.memo_misses <- k + 6;
+    t.budget_timeouts <- k + 7;
+    t.budget_fuel_trips <- k + 8;
     t.ground_seconds <- float_of_int k +. 0.5;
     t.solve_seconds <- float_of_int k +. 0.25;
     t

@@ -170,7 +170,8 @@ let test_disjunction_materializability_agree () =
   List.iter
     (fun (o, d, expected) ->
       check "materializable_on" expected
-        (Material.Materializability.materializable_on ~max_model_extra:1 o d);
+        (Material.Materializability.materializable_on ~max_model_extra:1
+           (Reasoner.Engine.create o d));
       let violation =
         Material.Disjunction.find_violation o
           (Material.Disjunction.default_candidates o d)
