@@ -37,6 +37,7 @@ type t = {
   mutable seen : bool array;  (* scratch for conflict analysis *)
   mutable scratch : int array;  (* scratch for clause simplification *)
   mutable broken : bool;  (* refuted at level 0: permanently unsat *)
+  mutable core : int list;  (* failed-assumption core of the last Unsat *)
   mutable n_decisions : int;
   mutable n_propagations : int;
   mutable n_conflicts : int;
@@ -75,6 +76,7 @@ let make ~nvars =
     seen = Array.make (max nvars 1) false;
     scratch = Array.make 16 0;
     broken = false;
+    core = [];
     n_decisions = 0;
     n_propagations = 0;
     n_conflicts = 0;
@@ -570,12 +572,44 @@ let record_learned s lits =
       s.nclauses <- s.nclauses + 1;
       true
 
+(* MiniSat's [analyzeFinal]: assumption [p] was found false while being
+   planted, so every decision level open so far is an assumption level.
+   Walk the trail back from the top, following the reasons of the
+   marked literals; the decisions reached are the assumptions whose
+   propagation falsified [p]. Together with [p] they are unsatisfiable
+   with the clauses alone. A [p] falsified at level 0 needs no other
+   assumption. *)
+let analyze_final s p =
+  let core = ref [ p ] in
+  let v = lit_var p in
+  if s.level.(v) > 0 then begin
+    s.seen.(v) <- true;
+    for i = s.trail_size - 1 downto s.trail_lim.(0) do
+      let l = s.trail.(i) in
+      let x = lit_var l in
+      if s.seen.(x) then begin
+        let r = s.reason.(x) in
+        if r < 0 then core := l :: !core
+        else
+          Array.iter
+            (fun q ->
+              let u = lit_var q in
+              if u <> x && s.level.(u) > 0 then s.seen.(u) <- true)
+            s.clauses.(r);
+        s.seen.(x) <- false
+      end
+    done
+  end;
+  !core
+
 (* The CDCL loop, with [assumptions] planted as the first decision
    levels (one level per assumption, dummy levels for assumptions that
    are already true — MiniSat-style). Restarts cancel to level 0 and the
    assumptions are simply re-planted. An assumption found false against
    the level-0-closed prefix refutes the query without poisoning the
-   solver: [broken] is only set by genuine level-0 conflicts. *)
+   solver: [broken] is only set by genuine level-0 conflicts. An Unsat
+   leaves its failed-assumption core in [s.core]: [analyze_final]'s
+   subset for a falsified assumption, [] for a [broken] solver. *)
 let search ?(budget = Budget.unlimited) s assumptions =
   Obs.Trace.with_span
     ~attrs:[ ("vars", Obs.Trace.Int s.nvars) ]
@@ -585,6 +619,7 @@ let search ?(budget = Budget.unlimited) s assumptions =
   Array.iter (fun l -> ensure_nvars s (lit_var l + 1)) assumptions;
   ensure_levels s (Array.length assumptions + s.nvars + 1);
   cancel_until s 0;
+  s.core <- [];
   if s.broken then false
   else begin
     let restart_budget = ref 100 in
@@ -636,7 +671,10 @@ let search ?(budget = Budget.unlimited) s assumptions =
         (* plant the next assumption as a decision *)
         let p = assumptions.(s.decision_level) in
         match value s p with
-        | -1 -> false (* conflicts with the assumptions: not [broken] *)
+        | -1 ->
+            (* conflicts with the assumptions: not [broken] *)
+            s.core <- analyze_final s p;
+            false
         | 1 ->
             (* already true: open a dummy level to keep the
                level <-> assumption-index correspondence *)
@@ -664,6 +702,8 @@ let search ?(budget = Budget.unlimited) s assumptions =
 (* Satisfiability under assumptions without materializing the model —
    the engine's per-tuple certainty path discards it anyway. *)
 let sat_assuming ?budget s assumptions = search ?budget s assumptions
+
+let core s = s.core
 
 let solve_assuming ?budget s assumptions =
   if search ?budget s assumptions then

@@ -62,6 +62,20 @@ val solve_assuming : ?budget:Budget.t -> t -> int list -> result
     saving an O(nvars) array per call. *)
 val sat_assuming : ?budget:Budget.t -> t -> int list -> bool
 
+(** The failed-assumption core of the last {!solve_assuming} or
+    {!sat_assuming} call, when it answered [Unsat] (MiniSat's
+    [analyzeFinal]): a subset of that call's assumption literals that
+    the clauses alone refute. It holds the assumption found false plus
+    the assumptions whose propagation falsified it, and is [[]] once
+    the solver has found the clauses alone unsatisfiable (a conflict at
+    level 0). A clause set that only search refutes may still fail an
+    assumption first, and then reports that assumption's core. The core
+    is not minimised. Clauses are only ever added, and learned clauses
+    are implied by them, so a core stays a refutation for the solver's
+    whole lifetime. After a satisfiable call or a budget trip it is
+    [[]]. *)
+val core : t -> int list
+
 (** Cumulative (decisions, propagations, conflicts). *)
 val counters : t -> int * int * int
 

@@ -15,7 +15,9 @@ module SMap = Logic.Names.SMap
    Query reifications are Tseitin *equivalences* (Ground.reify), i.e.
    definitional extensions: adding them never changes satisfiability of
    the base problem, which keeps the memoized consistency verdict and
-   all learned clauses sound as more queries arrive.
+   all learned clauses sound as more queries arrive. The same growth
+   argument keeps each recorded proof (the facts of a refutation's
+   failed-assumption core) valid while its facts stay assumed.
 
    Budgets: every operation accepts a [?budget] and installs it on the
    bound's grounder and solver for the duration of the call. A trip
@@ -35,8 +37,9 @@ type bound = {
      the existing block, retraction drops one, and neither rebuilds the
      solver. Learned clauses stay sound because assumptions never
      participate in them ("learned clauses persist; assumptions do
-     not"). Static engines keep the cheaper unit-clause encoding. *)
-  assumed : (Structure.Instance.fact, int) Hashtbl.t;
+     not"). Static engines keep the cheaper unit-clause encoding.
+     [assumed] holds the fact variables assumed now. *)
+  assumed : (int, unit) Hashtbl.t;
   mutable fact_assumptions : int list;
   ground : Ground.t;
   solver : Dpll.t;
@@ -60,6 +63,18 @@ type bound = {
      reifications) and implied (learned) clauses, neither of which
      constrains the fact variables further. *)
   mutable witness : Structure.Instance.t option;
+  (* the proof memo: each refuted pointed disjunction with the fact
+     variables of its failed-assumption core (Dpll.core). The clause
+     set only grows — reifications are definitional, learned clauses
+     implied — so the core refutes the disjunction for as long as
+     those facts are assumed: inserts keep every proof, a retract
+     voids only the proofs that cite it. Static engines assert facts
+     as unit clauses, so their cores cite no fact and never lapse. One
+     table per list of disjuncts (physical keys, as [cq_formulas]),
+     keyed by the tuples so that the hash covers them. *)
+  mutable proofs :
+    (Query.Cq.t list * (Structure.Element.t list list, int list) Hashtbl.t)
+    list;
 }
 
 type t = {
@@ -164,7 +179,7 @@ let ground_bound ~budget t extra =
           Structure.Instance.FactSet.fold
             (fun f acc ->
               let v = Ground.fact_var g f in
-              Hashtbl.replace assumed f v;
+              Hashtbl.replace assumed v ();
               v :: acc)
             (Structure.Instance.fact_set t.instance)
             []
@@ -183,6 +198,7 @@ let ground_bound ~budget t extra =
           budget;
           consistent = None;
           witness = None;
+          proofs = [];
         }
       in
       Fun.protect
@@ -319,19 +335,39 @@ let signed_at budget b flagged =
 let witness_refutes w pointed =
   List.for_all (fun (cq, tuple) -> not (Query.Cq.holds w cq tuple)) pointed
 
-(* Certainty at one bound. The hot path: try the cached witness first —
-   direct CQ evaluation, no solver call — and fall back to a
-   countermodel search (which refreshes the witness) only when the
-   witness satisfies some disjunct. Over a batch of n² candidate tuples
-   one countermodel typically settles nearly all non-answers. *)
+let proof_table b pointed =
+  let cqs = List.map fst pointed in
+  match List.find_opt (fun (c, _) -> List.equal ( == ) c cqs) b.proofs with
+  | Some (_, tbl) -> tbl
+  | None ->
+      let tbl = Hashtbl.create 64 in
+      b.proofs <- (cqs, tbl) :: b.proofs;
+      tbl
+
+(* Certainty at one bound. The hot path needs no solver call: a proof
+   whose facts are all still assumed settles an answer, and the cached
+   witness — direct CQ evaluation — settles most non-answers. Only when
+   neither does is a countermodel searched for; a Sat refreshes the
+   witness, an Unsat records its proof. Over a batch of n² candidate
+   tuples one countermodel typically settles nearly all non-answers. *)
 let certain_at budget b pointed =
-  match b.witness with
-  | Some w when witness_refutes w pointed -> false
-  | _ ->
-      (* a countermodel: a model where every pointed disjunct fails *)
-      Option.is_none
-        (signed_at budget b
-           (List.map (fun (cq, tuple) -> (cq, tuple, false)) pointed))
+  let proofs = proof_table b pointed and tuples = List.map snd pointed in
+  match Hashtbl.find_opt proofs tuples with
+  | Some facts when List.for_all (Hashtbl.mem b.assumed) facts -> true
+  | _ -> (
+      match b.witness with
+      | Some w when witness_refutes w pointed -> false
+      | _ ->
+          (* a countermodel: a model where every pointed disjunct fails *)
+          let certain =
+            Option.is_none
+              (signed_at budget b
+                 (List.map (fun (cq, tuple) -> (cq, tuple, false)) pointed))
+          in
+          if certain then
+            Hashtbl.replace proofs tuples
+              (List.filter (Hashtbl.mem b.assumed) (Dpll.core b.solver));
+          certain)
 
 (* ------------------------------------------------------------------ *)
 (* The bound walk                                                       *)
@@ -384,13 +420,13 @@ let fact_vars b facts =
     facts
 
 (* Inserting changes D upward: a cached [Some false] consistency verdict
-   survives, [Some true] does not; the cached witness survives iff it
-   already contains the new facts. *)
+   and every proof survive, [Some true] does not; the cached witness
+   survives iff it already contains the new facts. *)
 let admit b vars =
   sync b;
   List.iter
-    (fun (f, v) ->
-      Hashtbl.replace b.assumed f v;
+    (fun (_, v) ->
+      Hashtbl.replace b.assumed v ();
       b.fact_assumptions <- v :: b.fact_assumptions)
     vars;
   (match b.consistent with Some true -> b.consistent <- None | _ -> ());
@@ -433,11 +469,12 @@ let insert_facts ?(budget = Budget.unlimited) t facts =
 
 (* Retraction changes D downward: a cached [Some true] verdict and the
    cached witness (a model containing the old D, hence the new one) both
-   survive; [Some false] does not. A retraction that vacates a domain
-   element is reported as [`Needs_rebuild] once a bound is grounded:
-   the grounding quantifies over the old domain, and answering over a
-   larger domain than dom(D) would not match an engine built on the
-   shrunk instance. *)
+   survive; [Some false] does not, nor do the proofs that cite a
+   retracted fact (they lapse at lookup). A retraction that vacates a
+   domain element is reported as [`Needs_rebuild] once a bound is
+   grounded: the grounding quantifies over the old domain, and
+   answering over a larger domain than dom(D) would not match an engine
+   built on the shrunk instance. *)
 let retract_facts t facts =
   Obs.Trace.with_span
     ~attrs:[ ("facts", Obs.Trace.Int (List.length facts)) ]
@@ -467,9 +504,12 @@ let retract_facts t facts =
             t.instance <- shrunk;
             List.iter
               (fun b ->
-                List.iter (fun f -> Hashtbl.remove b.assumed f) present;
+                List.iter
+                  (fun f ->
+                    Hashtbl.remove b.assumed (Ground.fact_var b.ground f))
+                  present;
                 b.fact_assumptions <-
-                  Hashtbl.fold (fun _ v acc -> v :: acc) b.assumed [];
+                  Hashtbl.fold (fun v () acc -> v :: acc) b.assumed [];
                 match b.consistent with
                 | Some false -> b.consistent <- None
                 | _ -> ())

@@ -10,6 +10,17 @@
     same (O, D) pay for one grounding per bound. Callers hold one engine
     per (O, D) for as long as they ask about it.
 
+    Answers carry their proofs: each bound remembers, for every tuple it
+    found certain, the facts of the solver's failed-assumption core
+    ({!Dpll.core}), and answers that tuple again without a solver call
+    while those facts are present. Non-answers are settled by the last
+    countermodel found, which stays a model as facts are retracted. So
+    on a dynamic engine an update sends back to the solver only the
+    answers whose proofs cite a retracted fact and the non-answers the
+    current countermodel does not refute: an insert keeps every proof,
+    a retract keeps the countermodel. A static engine's proofs cite no
+    fact, so re-asking a certain tuple never costs a solve.
+
     Semantics match the {!Bounded} reference exactly, at every
     [max_extra].
 
@@ -63,7 +74,10 @@ val signed_model :
   (Query.Cq.t * Structure.Element.t list * bool) list ->
   Structure.Instance.t option
 
-(** No bound refutes q(ā). *)
+(** No bound refutes q(ā). A bound refutes it by a countermodel (the
+    cached one, or a fresh solve); it confirms it by a remembered proof
+    whose facts are all still in D, or by an unsatisfiable solve whose
+    proof it then remembers. *)
 val certain_ucq :
   ?budget:Budget.t ->
   ?max_extra:int ->

@@ -165,6 +165,98 @@ let test_delta_reaches_every_bound () =
     && answers ~max_extra:2 eng = [ e "a" ]);
   check_int "still three groundings" 3 (groundings ())
 
+(* 3c. Answers carry their proofs. On a dynamic engine a certain tuple
+   is re-asked for free while the facts of its failed-assumption core
+   stay: an insert keeps every proof, and a retract of a fact the proof
+   cites sends the tuple back to the solver, whose verdict matches a
+   fresh engine on the shrunk instance. A static engine asserts its
+   facts, so its proofs cite none and never lapse. *)
+let test_proofs_survive_until_their_facts_go () =
+  let d = inst [ ("D", [ "a" ]); ("D", [ "b" ]); ("R", [ "a"; "b" ]) ] in
+  let eng = Reasoner.Engine.create ~dynamic:true o_disj d in
+  let solves () = (Reasoner.Engine.stats eng).solves in
+  let ask el = Reasoner.Engine.certain_ucq ~max_extra:1 eng qab [ e el ] in
+  check "A(a) or B(a) certain" true (ask "a");
+  let before = solves () in
+  check "still certain" true (ask "a");
+  check_int "re-asking costs no solve" before (solves ());
+  check "insert A(b) is a delta" true
+    (Reasoner.Engine.insert_facts eng
+       [ { Structure.Instance.rel = "A"; args = [ e "b" ] } ]
+    = `Delta);
+  check "certain after the insert" true (ask "a");
+  check_int "the insert kept the proof" before (solves ());
+  let d_a : Structure.Instance.fact = { rel = "D"; args = [ e "a" ] } in
+  check "retract D(a) is a delta" true
+    (Reasoner.Engine.retract_facts eng [ d_a ] = `Delta);
+  let shrunk = Reasoner.Engine.instance eng in
+  let fresh = Reasoner.Engine.create o_disj shrunk in
+  check "verdict of a fresh engine" true
+    (Bool.equal (ask "a")
+       (Reasoner.Engine.certain_ucq ~max_extra:1 fresh qab [ e "a" ]));
+  check "the retract voided the proof" true (solves () > before);
+  let static = Reasoner.Engine.create o_disj d in
+  let ask_static () = Reasoner.Engine.certain_cq ~max_extra:1 static qa [ e "a" ] in
+  check "A(a) is not certain" false (ask_static ());
+  let disjunction () =
+    Reasoner.Engine.certain_ucq ~max_extra:1 static qab [ e "a" ]
+  in
+  check "the disjunction is" true (disjunction ());
+  let before = (Reasoner.Engine.stats static).solves in
+  check "repeated" true (disjunction () && disjunction ());
+  check_int "a static engine's repeats cost no solve" before
+    (Reasoner.Engine.stats static).solves
+
+(* 3d. The same on serve-update's shape (its non-Horn ontology and
+   query over a 600-fact random instance, an updatable session): a
+   repeated certain_answers on an unchanged session makes no solve, and
+   after an insert of ten absent facts every earlier answer is still
+   certain without a solve. The answers after the insert and after the
+   retract equal a cold session's. *)
+let test_served_update_shape () =
+  let omq =
+    Omq.of_tbox
+      (Dl.Parser.parse_tbox
+         "C0 << C1 or C2\nexists r0 . C1 << C3\nexists r0 . C2 << C3\nC3 << exists r1 . C0\n")
+      (Query.Parse.ucq_of_string "q(x) <- C3(x), r1(x,y)")
+  in
+  let d =
+    Structure.Randgen.large ~rng:(Random.State.make [| 2017 |]) ~nconst:50
+      ~unary_p:0.1 ~nfacts:600 ()
+  in
+  let cold d = Omq.certain_answers ~max_extra:2 omq d in
+  let s = Omq.open_session ~max_extra:2 ~updatable:true omq d in
+  let solves s = (Omq.Session.stats s).solves in
+  let answers = Omq.Session.certain_answers s in
+  check "some answers" true (answers <> []);
+  let before = solves s in
+  check "repeat agrees" true (Omq.Session.certain_answers s = answers);
+  check_int "a repeated eval makes no solve" before (solves s);
+  let dom = Array.of_list (Structure.Instance.domain_list d) in
+  let rng = Random.State.make [| 24 |] in
+  let rec draw acc =
+    if List.length acc = 10 then acc
+    else
+      let pick () = dom.(Random.State.int rng (Array.length dom)) in
+      let f =
+        if Random.State.bool rng then Structure.Instance.fact "r0" [ pick (); pick () ]
+        else Structure.Instance.fact "C0" [ pick () ]
+      in
+      if Structure.Instance.mem f d || List.mem f acc then draw acc else draw (f :: acc)
+  in
+  let facts = draw [] in
+  let s, how = Omq.Session.insert_facts s facts in
+  check "the insert is a delta" true (how = `Delta);
+  let before = solves s in
+  check "every earlier answer stays certain" true
+    (List.for_all (Omq.Session.certain s) answers);
+  check_int "an insert re-solves no earlier answer" before (solves s);
+  let grown = List.fold_left (fun d f -> Structure.Instance.add_fact f d) d facts in
+  check "answers after the insert" true (Omq.Session.certain_answers s = cold grown);
+  let s, how = Omq.Session.retract_facts s facts in
+  check "the retract is a delta" true (how = `Delta);
+  check "answers after the retract" true (Omq.Session.certain_answers s = answers)
+
 (* 4. Session stats count only the bounds the session's engine
    grounded. *)
 let test_session_stats () =
@@ -234,6 +326,9 @@ let suite =
     Alcotest.test_case "trip_while_grounding" `Quick test_trip_while_grounding;
     Alcotest.test_case "delta_reaches_every_bound" `Quick
       test_delta_reaches_every_bound;
+    Alcotest.test_case "proofs_survive_until_their_facts_go" `Quick
+      test_proofs_survive_until_their_facts_go;
+    Alcotest.test_case "served_update_shape" `Quick test_served_update_shape;
     Alcotest.test_case "session_stats" `Quick test_session_stats;
     Alcotest.test_case "horn_witness_refutes_in_bulk" `Quick
       test_horn_witness_refutes_in_bulk;

@@ -68,8 +68,8 @@ let test_engine_needs_rebuild () =
 
 let omq_c = Omq.make o_horn qc
 
-let session_agrees s d =
-  Omq.Session.certain_answers s = Omq.certain_answers ~max_extra:2 omq_c d
+let session_agrees ?(omq = omq_c) s d =
+  Omq.Session.certain_answers s = Omq.certain_answers ~max_extra:2 omq d
   && Structure.Instance.equal (Omq.Session.instance s) d
 
 let test_session_updates () =
@@ -118,55 +118,68 @@ let test_session_retract_to_empty () =
    a step that neither introduces nor vacates a domain element is
    absorbed as a delta. Inserts draw elements n0..n5 but the base
    instance only n0..n3, and retracts mostly hit present facts, so both
-   reopen triggers occur. *)
-let random_fact rng ~within : Structure.Instance.fact =
+   reopen triggers occur. Two OMQs run each interleaving: the Horn one
+   above, and serve-update's disjunctive one, whose answers rest on
+   failed-assumption cores from case splits; reusing such a proof after
+   a step is checked against the cold session. *)
+let omq_disj =
+  Omq.of_tbox
+    (Dl.Parser.parse_tbox
+       "C0 << C1 or C2\nexists r0 . C1 << C3\nexists r0 . C2 << C3\n")
+    (Query.Parse.ucq_of_string "q(x) <- C3(x)")
+
+let random_fact rng ~rels ~within : Structure.Instance.fact =
   let el () = e (Printf.sprintf "n%d" (Random.State.int rng within)) in
-  match Random.State.int rng 3 with
-  | 0 -> { rel = "A"; args = [ el () ] }
-  | 1 -> { rel = "B"; args = [ el () ] }
-  | _ -> { rel = "R"; args = [ el (); el () ] }
+  let rel, arity = rels.(Random.State.int rng (Array.length rels)) in
+  { rel; args = List.init arity (fun _ -> el ()) }
+
+let interleaving ~omq ~rels seed =
+  let rng = Random.State.make [| seed |] in
+  let any_fact () = random_fact rng ~rels ~within:6 in
+  let batch pick = List.init (1 + Random.State.int rng 3) (fun _ -> pick ()) in
+  let step s d =
+    if Random.State.bool rng then
+      let facts = batch any_fact in
+      ( Omq.Session.insert_facts s facts,
+        List.fold_left (fun d f -> Structure.Instance.add_fact f d) d facts )
+    else
+      let present = Array.of_list (Structure.Instance.facts d) in
+      let pick () =
+        if present = [||] || Random.State.int rng 4 = 0 then any_fact ()
+        else present.(Random.State.int rng (Array.length present))
+      in
+      let facts = batch pick in
+      ( Omq.Session.retract_facts s facts,
+        List.fold_left (fun d f -> Structure.Instance.remove_fact f d) d facts )
+  in
+  let d0 =
+    Structure.Instance.of_facts
+      (List.init (2 + Random.State.int rng 6) (fun _ ->
+           random_fact rng ~rels ~within:4))
+  in
+  let s0 = Omq.open_session ~max_extra:2 ~updatable:true omq d0 in
+  let rec go k s d =
+    k = 0
+    ||
+    let (s', how), d' = step s d in
+    let same_domain =
+      Structure.Element.Set.equal (Structure.Instance.domain d)
+        (Structure.Instance.domain d')
+    in
+    session_agrees ~omq s' d'
+    && ((not same_domain) || how = `Delta)
+    && go (k - 1) s' d'
+  in
+  session_agrees ~omq s0 d0 && go 5 s0 d0
 
 let test_session_interleaving =
   QCheck.Test.make ~count:40 ~name:"session insert/retract interleaving"
     QCheck.(int_bound 100_000)
     (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let any_fact () = random_fact rng ~within:6 in
-      let batch pick = List.init (1 + Random.State.int rng 3) (fun _ -> pick ()) in
-      let step s d =
-        if Random.State.bool rng then
-          let facts = batch any_fact in
-          ( Omq.Session.insert_facts s facts,
-            List.fold_left (fun d f -> Structure.Instance.add_fact f d) d facts )
-        else
-          let present = Array.of_list (Structure.Instance.facts d) in
-          let pick () =
-            if present = [||] || Random.State.int rng 4 = 0 then any_fact ()
-            else present.(Random.State.int rng (Array.length present))
-          in
-          let facts = batch pick in
-          ( Omq.Session.retract_facts s facts,
-            List.fold_left (fun d f -> Structure.Instance.remove_fact f d) d facts )
-      in
-      let d0 =
-        Structure.Instance.of_facts
-          (List.init (2 + Random.State.int rng 6) (fun _ ->
-               random_fact rng ~within:4))
-      in
-      let s0 = Omq.open_session ~max_extra:2 ~updatable:true omq_c d0 in
-      let rec go k s d =
-        k = 0
-        ||
-        let (s', how), d' = step s d in
-        let same_domain =
-          Structure.Element.Set.equal (Structure.Instance.domain d)
-            (Structure.Instance.domain d')
-        in
-        session_agrees s' d'
-        && ((not same_domain) || how = `Delta)
-        && go (k - 1) s' d'
-      in
-      session_agrees s0 d0 && go 5 s0 d0)
+      interleaving ~omq:omq_c ~rels:[| ("A", 1); ("B", 1); ("R", 2) |] seed
+      && interleaving ~omq:omq_disj
+           ~rels:[| ("C0", 1); ("C1", 1); ("C2", 1); ("r0", 2) |]
+           seed)
 
 let suite =
   [

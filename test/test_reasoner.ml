@@ -148,6 +148,66 @@ let test_dpll_incremental_vs_brute =
       done;
       !ok)
 
+(* A core names the assumptions a refutation rests on, and only those:
+   1 → 2 → 3 makes -3 fail under 1, while 4 plays no part. *)
+let test_dpll_core_cites_its_assumptions () =
+  let s = Reasoner.Dpll.make ~nvars:4 in
+  List.iter (Reasoner.Dpll.assert_clause s) [ [ -1; 2 ]; [ -2; 3 ] ];
+  check "refuted" false (Reasoner.Dpll.sat_assuming s [ 1; 4; -3 ]);
+  Alcotest.(check (list int)) "core" [ -3; 1 ]
+    (List.sort compare (Reasoner.Dpll.core s));
+  check "satisfiable without 1" true (Reasoner.Dpll.sat_assuming s [ 4; -3 ]);
+  Alcotest.(check (list int)) "no core after sat" [] (Reasoner.Dpll.core s)
+
+(* Failed-assumption cores, checked by code other than the solver that
+   produced them: on random CNFs over at most 12 variables, a persistent
+   solver answers random assumption lists (with duplicates, complements
+   and assumptions that earlier ones already make true, i.e. the
+   solver's dummy levels). Whenever it answers false, its core is a
+   subset of the assumptions, and a fresh one-shot solve of the clauses
+   plus the core as unit clauses is unsatisfiable. Once the solver has
+   refuted the clauses alone (an empty assumption list answered false),
+   every core is empty. A clause set that only search refutes can still
+   fail an assumption first: {1∨2, 1∨-2, -1∨2, -1∨-2} under [3; -3]
+   reports the core {3, -3}, which is a refutation too. *)
+let test_dpll_core =
+  QCheck.Test.make ~name:"failed-assumption cores refute" ~count:300
+    QCheck.(pair (int_bound 100000) (int_range 1 12))
+    (fun (seed, nvars) ->
+      let rng = Random.State.make [| seed |] in
+      let lit () =
+        let v = 1 + Random.State.int rng nvars in
+        if Random.State.bool rng then v else -v
+      in
+      let clauses =
+        List.init (1 + Random.State.int rng (3 * nvars)) (fun _ ->
+            List.init (1 + Random.State.int rng 3) (fun _ -> lit ()))
+      in
+      let s = Reasoner.Dpll.make ~nvars in
+      List.iter (Reasoner.Dpll.assert_clause s) clauses;
+      let unsat cs = Reasoner.Dpll.solve ~nvars cs = Reasoner.Dpll.Unsat in
+      let refuted_alone = ref false in
+      List.for_all
+        (fun _ ->
+          let assumptions =
+            if Random.State.int rng 4 = 0 then []
+            else
+              let fresh = List.init (Random.State.int rng 8) (fun _ -> lit ()) in
+              (* repeat a few, so some are already true when planted *)
+              fresh @ List.filter (fun _ -> Random.State.int rng 3 = 0) fresh
+          in
+          Reasoner.Dpll.sat_assuming s assumptions
+          ||
+          let core = Reasoner.Dpll.core s in
+          let ok =
+            List.for_all (fun l -> List.mem l assumptions) core
+            && unsat (List.map (fun l -> [ l ]) core @ clauses)
+            && ((not !refuted_alone) || core = [])
+          in
+          if assumptions = [] then refuted_alone := true;
+          ok)
+        (List.init 8 Fun.id))
+
 (* ---------------------------------------------------------------- *)
 (* Bounded model finding                                             *)
 (* ---------------------------------------------------------------- *)
@@ -299,6 +359,9 @@ let suite =
     QCheck_alcotest.to_alcotest test_dpll_vs_brute;
     Alcotest.test_case "dpll_model_length" `Quick test_dpll_model_length;
     QCheck_alcotest.to_alcotest test_dpll_incremental_vs_brute;
+    Alcotest.test_case "dpll_core_cites_its_assumptions" `Quick
+      test_dpll_core_cites_its_assumptions;
+    QCheck_alcotest.to_alcotest test_dpll_core;
     Alcotest.test_case "consistency" `Quick test_consistency;
     Alcotest.test_case "certain_disjunctive" `Quick test_certain_disjunctive;
     Alcotest.test_case "certain_horn" `Quick test_certain_horn;

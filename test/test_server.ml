@@ -311,14 +311,13 @@ let test_reasoner_totals_sum_evals () =
     | P.Evaled { stats = Some st; _ } | P.Partial { stats = Some st; _ } -> st
     | r -> Alcotest.failf "eval failed: %s" (P.render_response r)
   in
-  let reported =
-    [
-      eval ~budget:{ P.no_budget with fuel = Some 1 } s1;
-      eval s0;
-      eval s1;
-      eval s0;
-    ]
-  in
+  (* Bound in the written order: a list literal's elements evaluate
+     right to left, which would run the fuel eval on a warm session. *)
+  let cold_fuel = eval ~budget:{ P.no_budget with fuel = Some 1 } s1 in
+  let warm0 = eval s0 in
+  let warm1 = eval s1 in
+  let repeat0 = eval s0 in
+  let reported = [ cold_fuel; warm0; warm1; repeat0 ] in
   let num k j =
     match P.Json.member k j with
     | Some (P.Json.Num v) -> int_of_float v
