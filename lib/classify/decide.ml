@@ -138,8 +138,8 @@ let decide ?(budget = Reasoner.Budget.unlimited) ?(on_checked = ignore)
       candidates
   in
   (* One engine per bouquet, shared by the consistency check and both
-     materializability checks: the re-check at the larger bounds reuses
-     every bound the first check grounded. *)
+     materializability checks: each grounds at most once per larger
+     ceiling, and the smaller ceilings answer on the larger grounding. *)
   let non_materializable b =
     let eng = Reasoner.Engine.create o b in
     Reasoner.Engine.is_consistent ~budget ~max_extra eng

@@ -3,10 +3,10 @@
    use this module.
 
    Evaluation runs on the incremental Reasoner.Engine: a session holds
-   the one engine of (O, D), which grounds once per countermodel bound
-   and answers every tuple by assumption solving, so asking for all
-   certain answers of an n-ary query costs one grounding per bound
-   instead of |dom|^n of them.
+   the one engine of (O, D), which grounds once, at the session's
+   ceiling, and answers every tuple at every bound by assumption
+   solving, so asking for all certain answers of an n-ary query costs
+   one grounding instead of |dom|^n of them.
 
    Every evaluation entry accepts a [?budget]; the [_within] forms
    return typed outcomes instead of raising, and certain_answers_within
@@ -32,8 +32,8 @@ let of_tbox tbox query = { ontology = Dl.Translate.tbox tbox; query }
 type session = {
   omq : t;
   max_extra : int;
-  (* the one engine of (O, D): it grounds each countermodel bound
-     0..max_extra on first use and walks them; updatable sessions hold
+  (* the one engine of (O, D): it grounds once, over dom(D) plus
+     max_extra nulls, on first use; updatable sessions hold
      a dynamic engine (facts as solver assumptions) so insert_facts /
      retract_facts can delta-maintain it instead of reopening *)
   engine : Reasoner.Engine.t;
@@ -61,8 +61,8 @@ module Session = struct
   let instance s = Reasoner.Engine.instance s.engine
   let updatable s = Reasoner.Engine.is_dynamic s.engine
 
-  (* O,D ⊨ q(ā): no countermodel at any bound 0..max_extra. Bounds are
-     visited in order, so a refuted tuple never grounds deeper bounds. *)
+  (* O,D ⊨ q(ā): no countermodel at any bound 0..max_extra, which the
+     engine decides in one solve across the bounds. *)
   let certain ?budget s tuple =
     Obs.Trace.with_span "omq.certain" @@ fun () ->
     if Obs.Trace.enabled () then
@@ -180,13 +180,13 @@ module Session = struct
   let reopen s d =
     open_session ~max_extra:s.max_extra ~updatable:(updatable s) s.omq d
 
-  (* Delta-update the engine (every bound it has grounded); if it needs
+  (* Delta-update the engine (its grounding); if it needs
      a rebuild (static engine, new domain element, vacated domain
      element) fall back to reopening the session on the updated
      instance. A refused delta leaves the engine untouched, so all
      bounds keep answering over the same D. *)
-  let insert_facts ?budget s facts =
-    if Reasoner.Engine.insert_facts ?budget s.engine facts = `Delta then
+  let insert_facts ?budget:_ s facts =
+    if Reasoner.Engine.insert_facts s.engine facts = `Delta then
       (s, `Delta)
     else
       ( reopen s
@@ -195,7 +195,7 @@ module Session = struct
              (instance s) facts),
         `Reopen )
 
-  (* Retraction does no budgeted work. *)
+  (* Updates do no budgeted work. *)
   let retract_facts ?budget:_ s facts =
     if Reasoner.Engine.retract_facts s.engine facts = `Delta then (s, `Delta)
     else

@@ -31,8 +31,8 @@ val of_cq : Logic.Ontology.t -> Query.Cq.t -> t
 val of_tbox : Dl.Tbox.t -> Query.Ucq.t -> t
 
 (** An evaluation session for one (O, q, D): the one
-    {!Reasoner.Engine} of (O, D), which grounds each countermodel bound
-    0..max_extra on first use, plus candidate streaming, partial answers
+    {!Reasoner.Engine} of (O, D), which grounds once, over dom(D) plus
+    max_extra nulls, on first use, plus candidate streaming, partial answers
     and budget-trip counting. *)
 type session
 
@@ -51,8 +51,8 @@ module Session : sig
   val updatable : t -> bool
 
   (** [insert_facts s facts] returns the session for D ∪ facts, either
-      by delta-maintaining every bound [s]'s engine has grounded
-      ([`Delta]) or
+      by delta-maintaining the grounding of [s]'s engine ([`Delta])
+      or
       by reopening on the union ([`Reopen]: non-updatable session, a
       fact over a new domain element, or a static engine). Both results
       answer identically to a fresh session on the updated instance. *)

@@ -61,7 +61,7 @@ let default_pool o d =
   unary_queries @ binary_queries @ exists_queries
 
 (* The certain answers of the pool, computed once on the engine of
-   (O, D): one grounding per countermodel bound, shared by every pointed
+   (O, D): one grounding for every countermodel bound, shared by every pointed
    query in the pool (the pool is quadratic in dom(D), so this is the
    hot path of the materializability search). *)
 let pool_certainty ?budget ?max_extra eng pool =

@@ -1,79 +1,148 @@
 module SMap = Logic.Names.SMap
+module F = Logic.Formula
 
 (* The incremental certain-answer engine of one (O, D). A certain
    answer is decided by looking for a countermodel over dom(D) plus 0,
-   1, ..., max_extra fresh nulls; the engine owns one grounding per such
-   bound, builds each on first use, and walks the bounds itself with
-   Problem.deepen. A bound grounds (O, D, k nulls) ONCE into a
-   persistent CDCL solver, then answers per-tuple certainty queries by
-   solving under assumption literals (the negated reified query
-   instantiation) instead of rebuilding clauses. Learned clauses
-   accumulate across calls, so a batch of n² tuple checks over the same
-   (O, D) pays for one grounding per bound and shares all derived
-   lemmas.
+   1, ..., max_extra fresh nulls. The engine grounds (O, D) ONCE, over
+   dom(D) plus m nulls, where m is the largest ceiling it has been asked
+   for, into a persistent CDCL solver; a call with a larger ceiling
+   grounds once more, at that ceiling. Each null n_j has an activity
+   variable act_j (Ground's activity: the active nulls form a prefix,
+   and a fact over a null implies it is active), and the ontology is
+   relativised to active elements, so the grounding's models restrict to
+   exactly the models of (O, D) over dom(D) plus n_1..n_k, for every
+   k <= m — the incremental domain-size technique of MACE-style model
+   finders (Claessen–Sörensson 2003). Bound k is the assumption pair
+   act_k, ¬act_{k+1}; ceiling c is the single assumption ¬act_{c+1}
+   with act_1..act_c free, so one solve searches bounds 0..c at once: a
+   countermodel at some k <= c exists iff that solve is satisfiable, and
+   one refutation covers every bound. Per-tuple certainty queries solve
+   under assumption literals (the negated reified query instantiation)
+   instead of rebuilding clauses, and learned clauses accumulate across
+   tuples and bounds.
 
    Query reifications are Tseitin *equivalences* (Ground.reify), i.e.
    definitional extensions: adding them never changes satisfiability of
-   the base problem, which keeps the memoized consistency verdict and
-   all learned clauses sound as more queries arrive. The same growth
-   argument keeps each recorded proof (the facts of a refutation's
-   failed-assumption core) valid while its facts stay assumed.
+   the base problem, which keeps every learned clause sound as more
+   queries arrive. The same growth argument keeps each recorded proof
+   (the facts of a refutation's failed-assumption core) valid while its
+   facts stay assumed.
 
    Budgets: every operation accepts a [?budget] and installs it on the
-   bound's grounder and solver for the duration of the call. A trip
-   raises [Budget.Exhausted] but never corrupts the engine: a bound is
-   stored only once its grounding completed, cancellation points sit
-   where the solver's invariants hold, and a partially-emitted query
-   reification is an unreferenced definitional fragment that later
-   solves may freely satisfy. The engine answers subsequent
-   (unbudgeted) queries exactly like a fresh engine — the test suite
-   proves this by fault injection. *)
+   grounder and solver for the duration of the call. A trip raises
+   [Budget.Exhausted] but never corrupts the engine: a grounding is
+   stored only once it completed, cancellation points sit where the
+   solver's invariants hold, and a partially-emitted query reification
+   is an unreferenced definitional fragment that later solves may
+   freely satisfy. The engine answers subsequent (unbudgeted) queries
+   exactly like a fresh engine — the test suite proves this by fault
+   injection. *)
 
-(* One grounding of (O, D) with exactly [k] fresh nulls. *)
-type bound = {
-  (* Dynamic engines carry D's facts as persistent solver assumptions
-     (the fact variables themselves — dense ranks in per-relation
-     blocks) instead of unit clauses: insertion adds an assumption over
-     the existing block, retraction drops one, and neither rebuilds the
-     solver. Learned clauses stay sound because assumptions never
-     participate in them ("learned clauses persist; assumptions do
-     not"). Static engines keep the cheaper unit-clause encoding.
-     [assumed] holds the fact variables assumed now. *)
-  assumed : (int, unit) Hashtbl.t;
-  mutable fact_assumptions : int list;
+(* ------------------------------------------------------------------ *)
+(* Relativisation to active elements                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The argument lists of the atoms whose falsity makes [f] false. An
+   atom with an inactive null among its arguments is false (its fact
+   would make the null active). *)
+let rec needs (f : F.t) =
+  match f with
+  | F.Atom (_, ts) -> [ ts ]
+  | F.And (a, b) -> needs a @ needs b
+  | F.Not g -> spares g
+  | _ -> []
+
+(* The argument lists of the atoms whose falsity makes [f] true. *)
+and spares (f : F.t) =
+  match f with
+  | F.Implies (a, b) -> needs a @ spares b
+  | F.Or (a, b) -> spares a @ spares b
+  | F.Not g -> needs g
+  | _ -> []
+
+(* The variables of [xs] that no atom of [atoms] mentions. *)
+let unguarded xs atoms =
+  List.filter
+    (fun x -> not (List.exists (List.mem (Logic.Term.Var x)) atoms))
+    xs
+
+let activity xs =
+  F.conj (List.map (fun x -> F.Atom (Ground.active, [ Logic.Term.Var x ])) xs)
+
+(* [f] with every quantifier ranging over active elements. A quantifier
+   whose own atoms mention each variable it binds needs nothing: a
+   binding to an inactive null falsifies such an atom, which makes a
+   ∀ body true and an ∃ or ∃≥n body false, exactly as if the null were
+   absent. Every other quantifier (⊤- or equality-guarded ones) gets an
+   [active] premise or conjunct for its unguarded variables. *)
+let rec relativize (f : F.t) =
+  match f with
+  | F.True | F.False | F.Atom _ | F.Eq _ -> f
+  | F.Not g -> F.Not (relativize g)
+  | F.And (a, b) -> F.And (relativize a, relativize b)
+  | F.Or (a, b) -> F.Or (relativize a, relativize b)
+  | F.Implies (a, b) -> F.Implies (relativize a, relativize b)
+  | F.Forall (xs, g) -> (
+      let g = relativize g in
+      match unguarded xs (spares g) with
+      | [] -> F.Forall (xs, g)
+      | free -> F.Forall (xs, F.Implies (activity free, g)))
+  | F.Exists (xs, g) -> (
+      let g = relativize g in
+      match unguarded xs (needs g) with
+      | [] -> F.Exists (xs, g)
+      | free -> F.Exists (xs, F.And (activity free, g)))
+  | F.CountGeq (n, x, g) -> (
+      let g = relativize g in
+      match unguarded [ x ] (needs g) with
+      | [] -> F.CountGeq (n, x, g)
+      | free -> F.CountGeq (n, x, F.And (activity free, g)))
+
+(* ------------------------------------------------------------------ *)
+(* The grounding                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* One grounding of (O, D) with [ceiling] fresh nulls. *)
+type grounding = {
+  ceiling : int;
   ground : Ground.t;
   solver : Dpll.t;
+  (* The relations grounded: O's, [extra_signature]'s and those admitted
+     since (query relations). D's facts of other relations meet no
+     clause; they stay in the engine's instance, which every extracted
+     model starts from. *)
+  mutable rels : Logic.Signature.t;
+  (* The variables of D's facts of grounded relations: unit clauses on a
+     static engine, persistent solver assumptions on a dynamic one.
+     Assumptions never enter learned clauses ("learned clauses persist;
+     assumptions do not"), so an insertion adds one and a retraction
+     drops one without rebuilding the solver. [fact_assumptions] lists
+     the assumed ones (empty on a static engine). *)
+  known : (int, unit) Hashtbl.t;
+  mutable fact_assumptions : int list;
   mutable synced_vars : int;  (* variables already sorted into facts/auxiliaries *)
   reified : (Logic.Formula.t * (string * Structure.Element.t) list, int) Hashtbl.t;
-  (* per-bound caches for the per-tuple hot path: the formula of each
-     disjunct (physical keys — engines see a handful of CQs, each
-     shared across every candidate tuple) and the formulas whose
-     signature is already registered, so only the first tuple of a
+  (* per-grounding caches for the per-tuple hot path: the relativised
+     formula of each disjunct (physical keys — engines see a handful of
+     CQs, each shared across every candidate tuple) and the formulas
+     whose relations are already admitted, so only the first tuple of a
      query pays [Cq.to_formula] and [Signature.of_formula] *)
   mutable cq_formulas : (Query.Cq.t * Logic.Formula.t) list;
   mutable signed : Logic.Formula.t list;
-  stats : Stats.t;  (* the engine's record, shared by its bounds *)
   mutable budget : Budget.t;  (* installed per call; unlimited at rest *)
-  mutable consistent : bool option;  (* memoized no-assumption verdict *)
-  (* the most recent countermodel, kept as a candidate witness: a
-     model of O and D over the bound's domain refutes every tuple whose
-     query it falsifies, so most non-answers are settled by direct
-     evaluation instead of a solver call. Sound for the bound's whole
-     lifetime — later additions are definitional extensions (query
-     reifications) and implied (learned) clauses, neither of which
-     constrains the fact variables further. *)
-  mutable witness : Structure.Instance.t option;
-  (* the proof memo: each refuted pointed disjunction with the fact
-     variables of its failed-assumption core (Dpll.core). The clause
-     set only grows — reifications are definitional, learned clauses
-     implied — so the core refutes the disjunction for as long as
-     those facts are assumed: inserts keep every proof, a retract
-     voids only the proofs that cite it. Static engines assert facts
-     as unit clauses, so their cores cite no fact and never lapse. One
-     table per list of disjuncts (physical keys, as [cq_formulas]),
-     keyed by the tuples so that the hash covers them. *)
+  (* the proof memo: each refuted pointed disjunction with the ceiling
+     it was refuted under and the fact variables of its
+     failed-assumption core (Dpll.core). The clause set only grows —
+     reifications are definitional, learned clauses implied — so the
+     core refutes the disjunction for as long as those facts are
+     assumed, at every ceiling up to its own: inserts keep every proof,
+     a retract voids only the proofs that cite it. Static engines
+     assert facts as unit clauses, so their cores cite no fact and never
+     lapse. One table per list of disjuncts (physical keys, as
+     [cq_formulas]), keyed by the tuples so that the hash covers them. *)
   mutable proofs :
-    (Query.Cq.t list * (Structure.Element.t list list, int list) Hashtbl.t)
+    (Query.Cq.t list
+    * (Structure.Element.t list list, int * int list) Hashtbl.t)
     list;
 }
 
@@ -82,8 +151,22 @@ type t = {
   extra_signature : Logic.Signature.t;
   dynamic : bool;
   mutable instance : Structure.Instance.t;
-  (* [bounds.(k)] is the grounding with k fresh nulls, once built *)
-  mutable bounds : bound option array;
+  mutable relativized : F.t list option;  (* O's sentences, once needed *)
+  mutable grounding : grounding option;
+  (* Every countermodel found, with its active-null count k: a model of
+     O and D over dom(D) plus k nulls refutes every tuple whose query it
+     falsifies at every ceiling >= k, so most non-answers are settled by
+     direct evaluation instead of a solver call. A new one is kept only
+     when none of these refuted the tuple, so there are at most as many
+     as non-answers that needed a solve. They do not depend on the
+     grounding (a larger ceiling keeps them); an insert drops those
+     lacking a new fact, and a retract keeps them all (a model of the
+     old D is one of the new). *)
+  mutable witnesses : (Structure.Instance.t * int) list;
+  (* O and D have no model at any ceiling up to this one (-1: none
+     known); reset by a retract *)
+  mutable inconsistent_upto : int;
+  mutable retired_memo : int * int;  (* memo counts of replaced groundings *)
   stats : Stats.t;
 }
 
@@ -93,152 +176,205 @@ let create ?(extra_signature = Logic.Signature.empty) ?(dynamic = false) o d =
     extra_signature;
     dynamic;
     instance = d;
-    bounds = [||];
+    relativized = None;
+    grounding = None;
+    witnesses = [];
+    inconsistent_upto = -1;
+    retired_memo = (0, 0);
     stats = Stats.create ();
   }
 
 let ontology t = t.ontology
 let instance t = t.instance
 let is_dynamic t = t.dynamic
-let grounded t = List.filter_map Fun.id (Array.to_list t.bounds)
 
-(* Each grounder counts its own memo traffic; the bounds' counts are
-   folded into the engine's record whenever the record is read. *)
+(* Each grounder counts its own memo traffic; the counts are folded
+   into the engine's record whenever the record is read. *)
 let stats t =
-  let hits, misses =
-    List.fold_left
-      (fun (h, m) b ->
-        let h', m' = Ground.memo_counts b.ground in
-        (h + h', m + m'))
-      (0, 0) (grounded t)
+  let h0, m0 = t.retired_memo in
+  let h, m =
+    match t.grounding with
+    | Some g -> Ground.memo_counts g.ground
+    | None -> (0, 0)
   in
-  t.stats.Stats.memo_hits <- hits;
-  t.stats.Stats.memo_misses <- misses;
+  t.stats.Stats.memo_hits <- h0 + h;
+  t.stats.Stats.memo_misses <- m0 + m;
   t.stats
 
-(* Run [f] with [budget] installed on the bound (both here and on the
-   grounder), restoring the unlimited budget afterwards — including on
-   an [Exhausted] trip, so a bound is never left with a spent budget
-   attached. *)
-let with_budget b budget f =
-  b.budget <- budget;
-  Ground.set_budget b.ground budget;
+let empty_domain t =
+  Structure.Element.Set.is_empty (Structure.Instance.domain t.instance)
+
+(* The ceiling of a call. Over an empty D, bound 0 is the one-element
+   domain {e0} and bound 1 is {n_1}: one structure up to naming, so the
+   ceiling is at least 1 and n_1 stands in for e0 (Ground activates it
+   whatever the assumptions). *)
+let ceiling t max_extra =
+  let c = Option.value max_extra ~default:Problem.default_max_extra in
+  if c = 0 && empty_domain t then 1 else c
+
+(* Run [f] with [budget] installed on the grounding (both here and on
+   the grounder), restoring the unlimited budget afterwards — including
+   on an [Exhausted] trip, so a grounding is never left with a spent
+   budget attached. *)
+let with_budget g budget f =
+  g.budget <- budget;
+  Ground.set_budget g.ground budget;
   Fun.protect
     ~finally:(fun () ->
-      b.budget <- Budget.unlimited;
-      Ground.set_budget b.ground Budget.unlimited)
+      g.budget <- Budget.unlimited;
+      Ground.set_budget g.ground Budget.unlimited)
     f
 
 (* Push clauses produced by the grounder since the last sync into the
    persistent solver, straight from the clause arena. New Tseitin
    auxiliaries lose their decision flag: propagation fixes them from the
-   facts, so the solver branches on facts alone, false first, and a
-   countermodel holds only the facts O and D force — a near-minimal
-   witness that refutes every non-answer at once on Horn inputs. The
-   [engine.sync] span carries the clauses pushed and the variables
-   admitted, so clause loading is visible apart from grounding (at
-   creation) and settlement (per candidate). *)
-let sync b =
+   facts, so the solver branches on facts (and activity) alone, false
+   first, and a countermodel holds only the facts and nulls O and D
+   force — a near-minimal witness that refutes every non-answer at once
+   on Horn inputs. The [engine.sync] span carries the clauses pushed and
+   the variables admitted, so clause loading is visible apart from
+   grounding (at creation) and settlement (per candidate). *)
+let sync g =
   Obs.Trace.with_span "engine.sync" @@ fun () ->
-  let n = Ground.nvars b.ground in
-  let fresh = n - b.synced_vars in
-  Dpll.ensure_nvars b.solver n;
-  for v = b.synced_vars + 1 to n do
-    if not (Ground.is_fact_var b.ground v) then
-      Dpll.set_decision_var b.solver v false
+  let n = Ground.nvars g.ground in
+  let fresh = n - g.synced_vars in
+  Dpll.ensure_nvars g.solver n;
+  for v = g.synced_vars + 1 to n do
+    if not (Ground.is_fact_var g.ground v) then
+      Dpll.set_decision_var g.solver v false
   done;
-  b.synced_vars <- n;
+  g.synced_vars <- n;
   let clauses = ref 0 in
-  Ground.iter_pending b.ground (fun buf off len ->
+  Ground.iter_pending g.ground (fun buf off len ->
       incr clauses;
-      Dpll.seed_clause_slice b.solver buf off len;
-      Dpll.assert_clause_slice b.solver buf off len);
+      Dpll.seed_clause_slice g.solver buf off len;
+      Dpll.assert_clause_slice g.solver buf off len);
   if Obs.Trace.enabled () then begin
     Obs.Trace.add_attr "clauses" (Obs.Trace.Int !clauses);
     Obs.Trace.add_attr "vars" (Obs.Trace.Int fresh)
   end
 
-(* Ground (O, D) with exactly [extra] fresh nulls. A trip raises out of
-   here before the caller stores the bound, so the next call grounds it
-   again from scratch. *)
-let ground_bound ~budget t extra =
+let grounded rels (f : Structure.Instance.fact) =
+  Logic.Signature.arity f.rel rels = Some (List.length f.args)
+
+(* D's fact [f] of a grounded relation joins the grounding: asserted on
+   a static engine, assumed on a dynamic one. *)
+let add_fact t g f =
+  let v = Ground.fact_var g.ground f in
+  if not (Hashtbl.mem g.known v) then begin
+    if not t.dynamic then Ground.assert_fact g.ground f;
+    Hashtbl.replace g.known v ();
+    if t.dynamic then g.fact_assumptions <- v :: g.fact_assumptions
+  end
+
+let sentences t m =
+  let all = Logic.Ontology.all_sentences t.ontology in
+  if m = 0 then all
+  else
+    match t.relativized with
+    | Some fs -> fs
+    | None ->
+        let fs = List.map relativize all in
+        t.relativized <- Some fs;
+        fs
+
+(* Ground (O, D) with [m] fresh nulls: the relations of O and
+   [extra_signature], D's facts of those, and O relativised to active
+   elements. A trip raises out of here before the caller stores the
+   grounding, so the engine keeps the one it had. *)
+let build ~budget t m =
   Obs.Trace.with_span
-    ~attrs:
-      [ ("extra", Obs.Trace.Int extra); ("dynamic", Obs.Trace.Bool t.dynamic) ]
+    ~attrs:[ ("extra", Obs.Trace.Int m); ("dynamic", Obs.Trace.Bool t.dynamic) ]
     "engine.ground"
     (fun () ->
       let t0 = Obs.Clock.now () in
+      let rels =
+        Logic.Signature.union (Logic.Ontology.signature t.ontology) t.extra_signature
+      in
+      let domain = Problem.domain ~extra:m t.instance in
       let g =
-        Problem.build ~budget ~extra_signature:t.extra_signature
-          ~assert_facts:(not t.dynamic) ~extra t.ontology t.instance
+        Obs.Trace.with_span ~attrs:[ ("extra", Obs.Trace.Int m) ] "ground.build"
+        @@ fun () ->
+        let ground = Ground.create ~budget ~nulls:m ~domain ~signature:rels () in
+        let g =
+          {
+            ceiling = m;
+            ground;
+            solver = Dpll.make ~nvars:0;
+            rels;
+            known = Hashtbl.create 64;
+            fact_assumptions = [];
+            synced_vars = 0;
+            reified = Hashtbl.create 64;
+            cq_formulas = [];
+            signed = [];
+            budget;
+            proofs = [];
+          }
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            g.budget <- Budget.unlimited;
+            Ground.set_budget ground Budget.unlimited)
+          (fun () ->
+            Structure.Instance.iter_facts
+              (fun f -> if grounded rels f then add_fact t g f)
+              t.instance;
+            List.iter (Ground.assert_formula ground) (sentences t m));
+        if Obs.Trace.enabled () then begin
+          Obs.Trace.add_attr "domain" (Obs.Trace.Int (List.length domain));
+          Obs.Trace.add_attr "vars" (Obs.Trace.Int (Ground.nvars ground))
+        end;
+        g
       in
-      let assumed = Hashtbl.create (if t.dynamic then 64 else 1) in
-      let fact_assumptions =
-        if not t.dynamic then []
-        else
-          Structure.Instance.FactSet.fold
-            (fun f acc ->
-              let v = Ground.fact_var g f in
-              Hashtbl.replace assumed v ();
-              v :: acc)
-            (Structure.Instance.fact_set t.instance)
-            []
-      in
-      let b =
-        {
-          assumed;
-          fact_assumptions;
-          ground = g;
-          solver = Dpll.make ~nvars:(Ground.nvars g);
-          synced_vars = 0;
-          reified = Hashtbl.create 64;
-          cq_formulas = [];
-          signed = [];
-          stats = t.stats;
-          budget;
-          consistent = None;
-          witness = None;
-          proofs = [];
-        }
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          b.budget <- Budget.unlimited;
-          Ground.set_budget g Budget.unlimited)
-        (fun () -> sync b);
+      sync g;
       let dt = Obs.Clock.now () -. t0 in
       t.stats.Stats.groundings <- t.stats.Stats.groundings + 1;
       t.stats.Stats.ground_seconds <- t.stats.Stats.ground_seconds +. dt;
       if Obs.Trace.enabled () then
-        Obs.Trace.add_attr "vars" (Obs.Trace.Int (Ground.nvars g));
-      b)
+        Obs.Trace.add_attr "vars" (Obs.Trace.Int (Ground.nvars g.ground));
+      g)
 
-(* The bound with [k] fresh nulls, grounded on first use under
-   [budget]. *)
-let bound ~budget t k =
-  let n = Array.length t.bounds in
-  if k >= n then t.bounds <- Array.append t.bounds (Array.make (k + 1 - n) None);
-  match t.bounds.(k) with
-  | Some b -> b
-  | None ->
-      let b = ground_bound ~budget t k in
-      t.bounds.(k) <- Some b;
-      b
+(* The grounding for ceiling [c]: the current one when it reaches [c],
+   else a new one at [c], grounded under [budget]. *)
+let grounding ~budget t c =
+  match t.grounding with
+  | Some g when g.ceiling >= c -> g
+  | old ->
+      let g = build ~budget t c in
+      Option.iter
+        (fun o ->
+          let h, m = Ground.memo_counts o.ground and h0, m0 = t.retired_memo in
+          t.retired_memo <- (h0 + h, m0 + m))
+        old;
+      t.grounding <- Some g;
+      g
+
+(* Ceiling [c] leaves the nulls past n_c inactive and the rest free. *)
+let up_to g c = if c < g.ceiling then [ -Ground.activity g.ground (c + 1) ] else []
+
+(* Exactly bound [k]: n_1..n_k active, the rest not. *)
+let exactly g k = if k > 0 then Ground.activity g.ground k :: up_to g k else up_to g k
+
+(* The largest ceiling an Unsat under [up_to g c] refutes at: [c] when
+   its core cites the ceiling's assumption, the grounding's otherwise. *)
+let refuted_upto g c core =
+  match up_to g c with [ l ] when List.mem l core -> c | _ -> g.ceiling
 
 (* One solver invocation under the installed budget, with counters and
    wall time credited (also on a budget trip, via protect). *)
-let instrumented b n_assumptions f =
+let instrumented t g n_assumptions f =
   Obs.Trace.with_span
     ~attrs:[ ("assumptions", Obs.Trace.Int n_assumptions) ]
     "engine.solve"
     (fun () ->
-      let d0, p0, c0 = Dpll.counters b.solver in
+      let d0, p0, c0 = Dpll.counters g.solver in
       let t0 = Obs.Clock.now () in
       Fun.protect
         ~finally:(fun () ->
           let dt = Obs.Clock.now () -. t0 in
-          let d1, p1, c1 = Dpll.counters b.solver in
-          let s = b.stats in
+          let d1, p1, c1 = Dpll.counters g.solver in
+          let s = t.stats in
           s.Stats.solves <- s.Stats.solves + 1;
           s.Stats.decisions <- s.Stats.decisions + (d1 - d0);
           s.Stats.propagations <- s.Stats.propagations + (p1 - p0);
@@ -251,144 +387,176 @@ let instrumented b n_assumptions f =
         f)
 
 (* Dynamic engines prepend the fact assumptions to every solve. *)
-let all_assumptions b assumptions =
-  if b.fact_assumptions == [] then assumptions
-  else List.rev_append b.fact_assumptions assumptions
+let run_solver t g assumptions =
+  let assumptions =
+    if g.fact_assumptions == [] then assumptions
+    else List.rev_append g.fact_assumptions assumptions
+  in
+  instrumented t g (List.length assumptions) (fun () ->
+      Dpll.solve_assuming ~budget:g.budget g.solver assumptions)
 
-let run_solver b assumptions =
-  let assumptions = all_assumptions b assumptions in
-  instrumented b (List.length assumptions) (fun () ->
-      Dpll.solve_assuming ~budget:b.budget b.solver assumptions)
+(* A raw solver model as an instance: D plus what the model adds. *)
+let model_of t g m =
+  Ground.extend_model g.ground m ~known:(Hashtbl.mem g.known) t.instance
 
-(* Same, but only the verdict: no model array is built. *)
-let run_solver_sat b assumptions =
-  let assumptions = all_assumptions b assumptions in
-  instrumented b (List.length assumptions) (fun () ->
-      Dpll.sat_assuming ~budget:b.budget b.solver assumptions)
+let keep_witness t g m =
+  t.witnesses <- (model_of t g m, Ground.active_nulls g.ground m) :: t.witnesses
 
-(* The literal equivalent to [f] under [env], memoized per bound. New
-   relations are admitted on demand (their facts are unconstrained by O
-   and D, which is exactly their semantics). The memo entry is written
-   only after the reification is fully emitted, so a budget trip
-   mid-reification leaves no dangling entry — the next call redoes the
-   (idempotent) registration and emits a fresh, complete reification. *)
-let reified_lit ?(env = SMap.empty) b f =
+(* Admit the relations of [sg] into the grounding. D's facts of a newly
+   admitted relation join it as they would have at grounding time. Only
+   once all have joined is the relation marked admitted, so a trip in
+   between redoes the admission next time. *)
+let admit t g sg =
+  if not (Logic.Signature.subset sg g.rels) then begin
+    Ground.ensure_signature g.ground sg;
+    let fresh =
+      Logic.Signature.of_list
+        (List.filter
+           (fun (r, _) -> not (Logic.Signature.mem r g.rels))
+           (Logic.Signature.to_list sg))
+    in
+    Structure.Instance.iter_facts
+      (fun f -> if grounded fresh f then add_fact t g f)
+      t.instance;
+    g.rels <- Logic.Signature.union g.rels sg
+  end
+
+(* The literal equivalent to [f] under [env], memoized per grounding.
+   New relations are admitted on demand (with D's facts of them). The
+   memo entry is written only after the reification is fully emitted, so
+   a budget trip mid-reification leaves no dangling entry — the next
+   call redoes the (idempotent) admission and emits a fresh, complete
+   reification. *)
+let reified_lit ?(env = SMap.empty) t g f =
   let key = (f, SMap.bindings env) in
-  match Hashtbl.find_opt b.reified key with
+  match Hashtbl.find_opt g.reified key with
   | Some l -> l
   | None ->
-      if not (List.memq f b.signed) then begin
-        Ground.ensure_signature b.ground (Logic.Signature.of_formula f);
-        b.signed <- f :: b.signed
+      if not (List.memq f g.signed) then begin
+        admit t g (Logic.Signature.of_formula f);
+        g.signed <- f :: g.signed
       end;
-      let l = Ground.reify ~env b.ground f in
-      sync b;
-      Hashtbl.replace b.reified key l;
+      let l = Ground.reify ~env g.ground f in
+      sync g;
+      Hashtbl.replace g.reified key l;
       l
 
-let formula_of_cq b cq =
-  match List.find_opt (fun (c, _) -> c == cq) b.cq_formulas with
+let formula_of_cq g cq =
+  match List.find_opt (fun (c, _) -> c == cq) g.cq_formulas with
   | Some (_, f) -> f
   | None ->
       let f = Query.Cq.to_formula cq in
-      b.cq_formulas <- (cq, f) :: b.cq_formulas;
+      let f = if g.ceiling > 0 then relativize f else f in
+      g.cq_formulas <- (cq, f) :: g.cq_formulas;
       f
-
-(* Memoized: solved once per bound (only a completed verdict is
-   memoized). *)
-let consistent_at budget b =
-  match b.consistent with
-  | Some c -> c
-  | None ->
-      with_budget b budget (fun () ->
-          let c = run_solver_sat b [] in
-          b.consistent <- Some c;
-          c)
 
 let answer_env (q : Query.Cq.t) tuple =
   List.fold_left2
     (fun env v e -> SMap.add v e env)
     SMap.empty q.Query.Cq.answer tuple
 
-(* A model of O and D over this bound's domain in which each pointed CQ
-   holds exactly when flagged: its reified instantiation is assumed
-   positively when wanted and negatively when not. Any model of O and D
-   over the bound's domain is a valid witness, so the result refreshes
-   the cached one. *)
-let signed_at budget b flagged =
-  with_budget b budget (fun () ->
-      let assumptions =
-        List.map
-          (fun (cq, tuple, wanted) ->
-            let l = reified_lit ~env:(answer_env cq tuple) b (formula_of_cq b cq) in
-            if wanted then l else -l)
-          flagged
-      in
-      match run_solver b assumptions with
-      | Dpll.Unsat -> None
-      | Dpll.Sat m ->
-          let w = Ground.extract_model b.ground m in
-          b.witness <- Some w;
-          Some w)
+(* The reified instantiation of each pointed CQ, positive when wanted. *)
+let signed_lits t g flagged =
+  List.map
+    (fun (cq, tuple, wanted) ->
+      let l = reified_lit ~env:(answer_env cq tuple) t g (formula_of_cq g cq) in
+      if wanted then l else -l)
+    flagged
 
 (* [w] already demonstrates O,D ⊭ ⋁ qᵢ(āᵢ): every disjunct fails on it. *)
 let witness_refutes w pointed =
   List.for_all (fun (cq, tuple) -> not (Query.Cq.holds w cq tuple)) pointed
 
-let proof_table b pointed =
+let proof_table g pointed =
   let cqs = List.map fst pointed in
-  match List.find_opt (fun (c, _) -> List.equal ( == ) c cqs) b.proofs with
+  match List.find_opt (fun (c, _) -> List.equal ( == ) c cqs) g.proofs with
   | Some (_, tbl) -> tbl
   | None ->
       let tbl = Hashtbl.create 64 in
-      b.proofs <- (cqs, tbl) :: b.proofs;
+      g.proofs <- (cqs, tbl) :: g.proofs;
       tbl
 
-(* Certainty at one bound. The hot path needs no solver call: a proof
-   whose facts are all still assumed settles an answer, and the cached
-   witness — direct CQ evaluation — settles most non-answers. Only when
-   neither does is a countermodel searched for; a Sat refreshes the
-   witness, an Unsat records its proof. Over a batch of n² candidate
-   tuples one countermodel typically settles nearly all non-answers. *)
-let certain_at budget b pointed =
-  let proofs = proof_table b pointed and tuples = List.map snd pointed in
-  match Hashtbl.find_opt proofs tuples with
-  | Some facts when List.for_all (Hashtbl.mem b.assumed) facts -> true
-  | _ -> (
-      match b.witness with
-      | Some w when witness_refutes w pointed -> false
-      | _ ->
-          (* a countermodel: a model where every pointed disjunct fails *)
-          let certain =
-            Option.is_none
-              (signed_at budget b
-                 (List.map (fun (cq, tuple) -> (cq, tuple, false)) pointed))
-          in
-          if certain then
-            Hashtbl.replace proofs tuples
-              (List.filter (Hashtbl.mem b.assumed) (Dpll.core b.solver));
-          certain)
-
 (* ------------------------------------------------------------------ *)
-(* The bound walk                                                       *)
+(* Entry points                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Every entry point visits bounds 0..max_extra in order through
-   Problem.deepen, so a decisive bound never grounds the deeper ones. *)
-
+(* Consistent at ceiling [c]: a kept model within it, or one solve with
+   the nulls up to n_c free. *)
 let is_consistent ?(budget = Budget.unlimited) ?max_extra t =
-  Option.is_some
-    (Problem.deepen ?max_extra (fun k ->
-         if consistent_at budget (bound ~budget t k) then Some () else None))
+  let c = ceiling t max_extra in
+  c >= 0
+  && (List.exists (fun (_, k) -> k <= c) t.witnesses
+     || c > t.inconsistent_upto
+        &&
+        let g = grounding ~budget t c in
+        with_budget g budget (fun () ->
+            match run_solver t g (up_to g c) with
+            | Dpll.Sat m ->
+                keep_witness t g m;
+                true
+            | Dpll.Unsat ->
+                t.inconsistent_upto <-
+                  max t.inconsistent_upto (refuted_upto g c (Dpll.core g.solver));
+                false))
 
+(* The bound walk stays here: the first bound with a model is the one a
+   caller asked for, so each bound is one solve under [exactly]. *)
 let signed_model ?(budget = Budget.unlimited) ?max_extra t flagged =
-  Problem.deepen ?max_extra (fun k -> signed_at budget (bound ~budget t k) flagged)
+  let c = ceiling t max_extra in
+  if c < 0 then None
+  else
+    let g = grounding ~budget t c in
+    let first = if empty_domain t then 1 else 0 in
+    with_budget g budget (fun () ->
+        let lits = signed_lits t g flagged in
+        Problem.deepen ~max_extra:c (fun k ->
+            if k < first then None
+            else
+              match run_solver t g (exactly g k @ lits) with
+              | Dpll.Unsat -> None
+              | Dpll.Sat m -> Some (model_of t g m)))
 
-(* Certain iff no bound refutes; a refuting bound ends the walk. *)
+(* Certain at ceiling [c]. The hot path needs no solver call: a proof
+   under a ceiling >= [c] whose facts are all still assumed settles an
+   answer, and a kept countermodel within [c] — direct CQ evaluation —
+   settles most non-answers. Only when neither does is a countermodel
+   searched for, in one solve across every bound up to [c]; a Sat keeps
+   the countermodel, an Unsat records its proof. Over a batch of n²
+   candidate tuples one countermodel typically settles nearly all
+   non-answers. *)
 let certain_disjunction ?(budget = Budget.unlimited) ?max_extra t pointed =
-  Option.is_none
-    (Problem.deepen ?max_extra (fun k ->
-         if certain_at budget (bound ~budget t k) pointed then None else Some ()))
+  let c = ceiling t max_extra in
+  let tuples = List.map snd pointed in
+  let proved () =
+    match t.grounding with
+    | Some g when g.ceiling >= c -> (
+        match Hashtbl.find_opt (proof_table g pointed) tuples with
+        | Some (upto, facts) ->
+            upto >= c && List.for_all (Hashtbl.mem g.known) facts
+        | None -> false)
+    | _ -> false
+  in
+  c < 0
+  || proved ()
+  || (not
+        (List.exists
+           (fun (w, k) -> k <= c && witness_refutes w pointed)
+           t.witnesses))
+     &&
+     let g = grounding ~budget t c in
+     with_budget g budget (fun () ->
+         let lits =
+           signed_lits t g (List.map (fun (cq, a) -> (cq, a, false)) pointed)
+         in
+         match run_solver t g (up_to g c @ lits) with
+         | Dpll.Sat m ->
+             keep_witness t g m;
+             false
+         | Dpll.Unsat ->
+             let core = Dpll.core g.solver in
+             Hashtbl.replace (proof_table g pointed) tuples
+               (refuted_upto g c core, List.filter (Hashtbl.mem g.known) core);
+             true)
 
 let certain_ucq ?budget ?max_extra t q tuple =
   if List.length tuple <> Query.Ucq.arity q then
@@ -403,44 +571,13 @@ let certain_cq ?budget ?max_extra t q tuple =
 (* Delta maintenance (dynamic engines)                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The variable of each fact in bound [b], admitting new relations on
-   demand (their variable blocks append after the existing ones). A fact
-   over an element outside the bound's domain cannot be represented —
-   the quantifier expansions would have to be redone — so
-   [Ground.fact_var] raises [Invalid_argument]. *)
-let fact_vars b facts =
-  List.map
-    (fun (f : Structure.Instance.fact) ->
-      match Ground.fact_var b.ground f with
-      | v -> (f, v)
-      | exception Invalid_argument _ ->
-          Ground.ensure_signature b.ground
-            (Logic.Signature.add f.rel (List.length f.args) Logic.Signature.empty);
-          (f, Ground.fact_var b.ground f))
-    facts
-
-(* Inserting changes D upward: a cached [Some false] consistency verdict
-   and every proof survive, [Some true] does not; the cached witness
-   survives iff it already contains the new facts. *)
-let admit b vars =
-  sync b;
-  List.iter
-    (fun (_, v) ->
-      Hashtbl.replace b.assumed v ();
-      b.fact_assumptions <- v :: b.fact_assumptions)
-    vars;
-  (match b.consistent with Some true -> b.consistent <- None | _ -> ());
-  match b.witness with
-  | Some w
-    when List.for_all (fun (f, _) -> Structure.Instance.mem f w) vars ->
-      ()
-  | Some _ -> b.witness <- None
-  | None -> ()
-
-(* Every grounded bound resolves the new facts before any bound admits
-   them, so a fact some bound cannot represent leaves the engine as it
-   was. Bounds not grounded yet ground later on the grown instance. *)
-let insert_facts ?(budget = Budget.unlimited) t facts =
+(* Inserting changes D upward: a known inconsistency and every proof
+   survive; a kept countermodel survives iff it already contains the
+   new facts. Once grounded, the grounding quantifies over dom(D), so a
+   fact over any other element needs a new engine. Facts of relations
+   the grounding has not admitted only join the instance (admission
+   picks them up). *)
+let insert_facts t facts =
   Obs.Trace.with_span
     ~attrs:[ ("facts", Obs.Trace.Int (List.length facts)) ]
     "engine.delta.insert"
@@ -453,28 +590,37 @@ let insert_facts ?(budget = Budget.unlimited) t facts =
                (fun f -> not (Structure.Instance.mem f t.instance))
                facts)
         in
-        match
-          List.map
-            (fun b -> (b, with_budget b budget (fun () -> fact_vars b fresh)))
-            (grounded t)
-        with
-        | exception Invalid_argument _ -> `Needs_rebuild
-        | resolved ->
-            List.iter (fun (b, vars) -> admit b vars) resolved;
+        let dom = Structure.Instance.domain t.instance in
+        match t.grounding with
+        | Some _
+          when List.exists
+                 (fun (f : Structure.Instance.fact) ->
+                   List.exists (fun e -> not (Structure.Element.Set.mem e dom)) f.args)
+                 fresh ->
+            `Needs_rebuild
+        | g ->
+            Option.iter
+              (fun g ->
+                List.iter (fun f -> if grounded g.rels f then add_fact t g f) fresh)
+              g;
             t.instance <-
               List.fold_left
                 (fun i f -> Structure.Instance.add_fact f i)
                 t.instance fresh;
+            t.witnesses <-
+              List.filter
+                (fun (w, _) ->
+                  List.for_all (fun f -> Structure.Instance.mem f w) fresh)
+                t.witnesses;
             `Delta)
 
-(* Retraction changes D downward: a cached [Some true] verdict and the
-   cached witness (a model containing the old D, hence the new one) both
-   survive; [Some false] does not, nor do the proofs that cite a
-   retracted fact (they lapse at lookup). A retraction that vacates a
-   domain element is reported as [`Needs_rebuild] once a bound is
-   grounded: the grounding quantifies over the old domain, and
-   answering over a larger domain than dom(D) would not match an engine
-   built on the shrunk instance. *)
+(* Retraction changes D downward: every kept countermodel (a model
+   containing the old D, hence the new one) survives; a known
+   inconsistency does not, nor do the proofs that cite a retracted fact
+   (they lapse at lookup). A retraction that vacates a domain element is
+   reported as [`Needs_rebuild] once grounded: the grounding quantifies
+   over the old domain, and answering over a larger domain than dom(D)
+   would not match an engine built on the shrunk instance. *)
 let retract_facts t facts =
   Obs.Trace.with_span
     ~attrs:[ ("facts", Obs.Trace.Int (List.length facts)) ]
@@ -491,9 +637,8 @@ let retract_facts t facts =
             (fun i f -> Structure.Instance.remove_fact f i)
             t.instance present
         in
-        let bounds = grounded t in
         if
-          bounds <> []
+          Option.is_some t.grounding
           && not
                (Structure.Element.Set.equal
                   (Structure.Instance.domain shrunk)
@@ -502,18 +647,17 @@ let retract_facts t facts =
         else begin
           if present <> [] then begin
             t.instance <- shrunk;
-            List.iter
-              (fun b ->
+            t.inconsistent_upto <- -1;
+            Option.iter
+              (fun g ->
                 List.iter
                   (fun f ->
-                    Hashtbl.remove b.assumed (Ground.fact_var b.ground f))
+                    if grounded g.rels f then
+                      Hashtbl.remove g.known (Ground.fact_var g.ground f))
                   present;
-                b.fact_assumptions <-
-                  Hashtbl.fold (fun v () acc -> v :: acc) b.assumed [];
-                match b.consistent with
-                | Some false -> b.consistent <- None
-                | _ -> ())
-              bounds
+                g.fact_assumptions <-
+                  Hashtbl.fold (fun v () acc -> v :: acc) g.known [])
+              t.grounding
           end;
           `Delta
         end)

@@ -39,6 +39,8 @@ type rel_info = {
 
 type t = {
   domain : Structure.Element.t array;  (* deduplicated; index = position *)
+  first_null : int;  (* position of n_1; = |domain| without activity *)
+  mutable act_base : int;  (* base of the [active] block; 0 without activity *)
   elem_pos : int ETbl.t;  (* element -> position *)
   rels : (string, rel_info) Hashtbl.t;
   mutable rels_rev : (string * rel_info) list;  (* reverse registration order *)
@@ -62,105 +64,6 @@ let ipow b e =
     r := !r * b
   done;
   !r
-
-(* Register a dense fact-variable block per relation (idempotent per
-   relation), so model extraction sees a stable variable layout. *)
-let register_signature t signature =
-  List.iter
-    (fun (rel, arity) ->
-      if not (Hashtbl.mem t.rels rel) then begin
-        Budget.checkpoint t.budget;
-        let count = ipow (Array.length t.domain) arity in
-        let info = { base = t.nvars + 1; arity; count } in
-        Hashtbl.replace t.rels rel info;
-        t.rels_rev <- (rel, info) :: t.rels_rev;
-        t.nvars <- t.nvars + count
-      end)
-    (Logic.Signature.to_list signature);
-  t.known <- Logic.Signature.union t.known signature
-
-let create ?(budget = Budget.unlimited) ~domain ~signature () =
-  let seen = ETbl.create 16 in
-  let deduped =
-    List.filter
-      (fun e ->
-        if ETbl.mem seen e then false
-        else begin
-          ETbl.replace seen e ();
-          true
-        end)
-      domain
-  in
-  let domain = Array.of_list deduped in
-  let elem_pos = ETbl.create (2 * max (Array.length domain) 1) in
-  Array.iteri (fun i e -> ETbl.replace elem_pos e i) domain;
-  let t =
-    {
-      domain;
-      elem_pos;
-      rels = Hashtbl.create 16;
-      rels_rev = [];
-      nvars = 0;
-      arena = Array.make 256 0;
-      arena_len = 0;
-      pending_pos = 0;
-      known = Logic.Signature.empty;
-      budget;
-      memo_hits = 0;
-      memo_misses = 0;
-    }
-  in
-  register_signature t signature;
-  t
-
-let set_budget t b = t.budget <- b
-let memo_counts t = (t.memo_hits, t.memo_misses)
-
-(* Admit further relations after creation (for sessions that must answer
-   queries whose signature was unknown at grounding time). The new
-   relations' variable blocks are appended after the existing ones, so
-   earlier bases — and hence memoized circuits — stay valid. *)
-let ensure_signature t signature =
-  if not (Logic.Signature.subset signature t.known) then
-    register_signature t signature
-
-let nvars t = t.nvars
-
-let fact_var t (f : Structure.Instance.fact) =
-  let outside () =
-    invalid_arg
-      (Fmt.str "Ground.fact_var: fact %a outside the signature"
-         Structure.Instance.pp_fact f)
-  in
-  match Hashtbl.find_opt t.rels f.rel with
-  | Some info when info.arity = List.length f.args ->
-      let radix = Array.length t.domain in
-      let rank = ref 0 in
-      let mul = ref 1 in
-      List.iter
-        (fun e ->
-          match ETbl.find_opt t.elem_pos e with
-          | Some p ->
-              rank := !rank + (p * !mul);
-              mul := !mul * radix
-          | None -> outside ())
-        f.args;
-      info.base + !rank
-  | _ -> outside ()
-
-(* Fact variables fill the relation blocks; every other variable is a
-   Tseitin auxiliary. [rels_rev] lists the blocks by descending base, so
-   the first block starting at or below [v] is the only one that can
-   hold it — for auxiliaries allocated after the last registration, the
-   head of the list. *)
-let is_fact_var t v =
-  match List.find_opt (fun (_, info) -> info.base <= v) t.rels_rev with
-  | Some (_, info) -> v < info.base + info.count
-  | None -> false
-
-let fresh_aux t =
-  t.nvars <- t.nvars + 1;
-  t.nvars
 
 (* ------------------------------------------------------------------ *)
 (* The clause arena                                                     *)
@@ -227,6 +130,164 @@ let iter_clauses t f = iter_arena t 0 f
 let iter_pending t f =
   iter_arena t t.pending_pos f;
   t.pending_pos <- t.arena_len
+
+(* ------------------------------------------------------------------ *)
+(* Activity                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A grounding with activity holds fresh nulls n_1..n_m at its last m
+   positions, any prefix of which may be active. [active] is the unary
+   relation of active elements; its name starts with a space, which
+   every parser trims, so no user relation can clash with it. *)
+let active = " active"
+
+(* Each fact over a null implies that the null is active: one clause
+   per tuple of the block that touches a null, citing the tuple's last
+   null (the chain act(n_{j+1}) -> act(n_j) activates the ones before
+   it). So an inactive null carries no fact, and the active elements
+   carry a model of every guarded sentence on their own. *)
+let activity_clauses t info =
+  let radix = Array.length t.domain in
+  for rank = 0 to info.count - 1 do
+    let r = ref rank and top = ref (-1) in
+    for _ = 1 to info.arity do
+      top := max !top (!r mod radix);
+      r := !r / radix
+    done;
+    if !top >= t.first_null then
+      emit_clause2 t (-(info.base + rank)) (t.act_base + !top)
+  done
+
+(* The [active] block: every element of dom(D) is active (the first
+   null too when there is none — interpretations are non-empty), and
+   the active nulls form a prefix. *)
+let activity_block t =
+  let n = Array.length t.domain in
+  let info = { base = t.nvars + 1; arity = 1; count = n } in
+  t.nvars <- t.nvars + n;
+  t.act_base <- info.base;
+  for p = 0 to max t.first_null 1 - 1 do
+    emit_clause1 t (info.base + p)
+  done;
+  for p = t.first_null + 1 to n - 1 do
+    emit_clause2 t (-(info.base + p)) (info.base + p - 1)
+  done;
+  info
+
+(* Register a dense fact-variable block per relation (idempotent per
+   relation), so model extraction sees a stable variable layout. With
+   activity, a block is registered only once its activity clauses are
+   emitted: a budget trip in between leaves an unregistered block whose
+   clauses constrain nothing, and the next registration starts over. *)
+let register_signature t signature =
+  List.iter
+    (fun (rel, arity) ->
+      if not (Hashtbl.mem t.rels rel) then begin
+        Budget.checkpoint t.budget;
+        let info =
+          if rel = active then activity_block t
+          else begin
+            let count = ipow (Array.length t.domain) arity in
+            let info = { base = t.nvars + 1; arity; count } in
+            t.nvars <- t.nvars + count;
+            if t.act_base > 0 then activity_clauses t info;
+            info
+          end
+        in
+        Hashtbl.replace t.rels rel info;
+        t.rels_rev <- (rel, info) :: t.rels_rev
+      end)
+    (Logic.Signature.to_list signature);
+  t.known <- Logic.Signature.union t.known signature
+
+let create ?(budget = Budget.unlimited) ?(nulls = 0) ~domain ~signature () =
+  let seen = ETbl.create 16 in
+  let deduped =
+    List.filter
+      (fun e ->
+        if ETbl.mem seen e then false
+        else begin
+          ETbl.replace seen e ();
+          true
+        end)
+      domain
+  in
+  let domain = Array.of_list deduped in
+  let elem_pos = ETbl.create (2 * max (Array.length domain) 1) in
+  Array.iteri (fun i e -> ETbl.replace elem_pos e i) domain;
+  let t =
+    {
+      domain;
+      first_null = Array.length domain - nulls;
+      act_base = 0;
+      elem_pos;
+      rels = Hashtbl.create 16;
+      rels_rev = [];
+      nvars = 0;
+      arena = Array.make 256 0;
+      arena_len = 0;
+      pending_pos = 0;
+      known = Logic.Signature.empty;
+      budget;
+      memo_hits = 0;
+      memo_misses = 0;
+    }
+  in
+  if nulls > 0 then
+    register_signature t (Logic.Signature.add active 1 Logic.Signature.empty);
+  register_signature t signature;
+  t
+
+let activity t j = t.act_base + t.first_null + j - 1
+
+let set_budget t b = t.budget <- b
+let memo_counts t = (t.memo_hits, t.memo_misses)
+
+(* Admit further relations after creation (for sessions that must answer
+   queries whose signature was unknown at grounding time). The new
+   relations' variable blocks are appended after the existing ones, so
+   earlier bases — and hence memoized circuits — stay valid. *)
+let ensure_signature t signature =
+  if not (Logic.Signature.subset signature t.known) then
+    register_signature t signature
+
+let nvars t = t.nvars
+
+let fact_var t (f : Structure.Instance.fact) =
+  let outside () =
+    invalid_arg
+      (Fmt.str "Ground.fact_var: fact %a outside the signature"
+         Structure.Instance.pp_fact f)
+  in
+  match Hashtbl.find_opt t.rels f.rel with
+  | Some info when info.arity = List.length f.args ->
+      let radix = Array.length t.domain in
+      let rank = ref 0 in
+      let mul = ref 1 in
+      List.iter
+        (fun e ->
+          match ETbl.find_opt t.elem_pos e with
+          | Some p ->
+              rank := !rank + (p * !mul);
+              mul := !mul * radix
+          | None -> outside ())
+        f.args;
+      info.base + !rank
+  | _ -> outside ()
+
+(* Fact variables fill the relation blocks; every other variable is a
+   Tseitin auxiliary. [rels_rev] lists the blocks by descending base, so
+   the first block starting at or below [v] is the only one that can
+   hold it — for auxiliaries allocated after the last registration, the
+   head of the list. *)
+let is_fact_var t v =
+  match List.find_opt (fun (_, info) -> info.base <= v) t.rels_rev with
+  | Some (_, info) -> v < info.base + info.count
+  | None -> false
+
+let fresh_aux t =
+  t.nvars <- t.nvars + 1;
+  t.nvars
 
 (* ------------------------------------------------------------------ *)
 (* Formula compilation: variables to slots, elements to positions       *)
@@ -754,8 +815,8 @@ let reify ?(env = SMap.empty) t f =
           a
       | g -> lit_of t g)
 
-let assert_instance t inst =
-  Structure.Instance.iter_facts (fun f -> emit_clause1 t (fact_var t f)) inst
+let assert_fact t f = emit_clause1 t (fact_var t f)
+let assert_instance t inst = Structure.Instance.iter_facts (assert_fact t) inst
 
 (* ------------------------------------------------------------------ *)
 (* Solving and model extraction                                         *)
@@ -786,7 +847,45 @@ let model_to_instance t model =
     base
     (List.rev t.rels_rev)
 
-let extract_model = model_to_instance
+(* The nulls model [m] makes active: a prefix n_1..n_k (none without
+   activity). *)
+let active_nulls t model =
+  let k = ref 0 in
+  while
+    t.first_null + !k < Array.length t.domain && model.(activity t (!k + 1) - 1)
+  do
+    incr k
+  done;
+  !k
+
+(* [base] plus what [model] adds to it: the active nulls and every true
+   fact whose variable [known] does not claim. Only active elements
+   carry true facts (see [activity_clauses]), and [active] itself is
+   not a relation of the model. *)
+let extend_model t model ~known base =
+  let live = t.first_null + active_nulls t model in
+  let inst = ref base in
+  for p = 0 to live - 1 do
+    inst := Structure.Instance.add_element t.domain.(p) !inst
+  done;
+  let radix = Array.length t.domain in
+  let rec decode rank arity acc =
+    if arity = 0 then List.rev acc
+    else decode (rank / radix) (arity - 1) (t.domain.(rank mod radix) :: acc)
+  in
+  List.iter
+    (fun (rel, info) ->
+      if rel <> active then
+        for rank = 0 to info.count - 1 do
+          let v = info.base + rank in
+          if model.(v - 1) && not (known v) then
+            inst :=
+              Structure.Instance.add_fact
+                (Structure.Instance.fact rel (decode rank info.arity []))
+                !inst
+        done)
+    (List.rev t.rels_rev);
+  !inst
 
 let solve t =
   match

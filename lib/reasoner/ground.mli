@@ -34,10 +34,45 @@ exception Unbound_variable of string
     resumable state. *)
 val create :
   ?budget:Budget.t ->
+  ?nulls:int ->
   domain:Structure.Element.t list ->
   signature:Logic.Signature.t ->
   unit ->
   t
+
+(** {2 Activity}
+
+    [create ~nulls:m] treats the last m elements of the domain as fresh
+    nulls n_1..n_m that a model may leave out. The grounding registers
+    the unary relation {!active} first and constrains it: every other
+    element is active (n_1 too when there is no other element), the
+    active nulls form a prefix (act(n_{j+1}) → act(n_j)), and a fact
+    of any relation registered, now or later, that touches a null
+    implies that null is active. A model then restricts to its active
+    elements, which are dom(D) plus n_1..n_k for some k ≤ m; a sentence
+    whose quantifiers either carry an atom over every variable they
+    bind or range over [active] holds in the model iff it holds in the
+    restriction. *)
+
+(** The relation of active elements. No parser yields its name (it
+    starts with a space, and parsers trim relation names). *)
+val active : string
+
+(** [activity t j] is the variable of act(n_j), for 1 ≤ j ≤ m. *)
+val activity : t -> int -> int
+
+(** The number k of nulls a raw solver model makes active (0 without
+    activity). *)
+val active_nulls : t -> bool array -> int
+
+(** [extend_model t m ~known base] is [base] plus what the raw solver
+    model [m] adds: its active elements, and every true fact whose
+    variable [known] does not claim, except those of {!active}. For
+    persistent solvers driven outside this module (see {!Engine}),
+    which pass their instance as [base] and its facts' variables as
+    [known]. *)
+val extend_model :
+  t -> bool array -> known:(int -> bool) -> Structure.Instance.t -> Structure.Instance.t
 
 (** Replace the budget consulted by subsequent operations (e.g. to run
     one query under a deadline against a long-lived session). *)
@@ -82,16 +117,15 @@ val assert_formula : ?env:env -> t -> Logic.Formula.t -> unit
 (** Assert that [f] fails. *)
 val assert_negation : ?env:env -> t -> Logic.Formula.t -> unit
 
+(** Force a fact to be true. *)
+val assert_fact : t -> Structure.Instance.fact -> unit
+
 (** Force all facts of an instance to be true. *)
 val assert_instance : t -> Structure.Instance.t -> unit
 
 (** Solve; [Some m] is a model containing exactly the true facts, with
     the whole domain as its universe. *)
 val solve : t -> Structure.Instance.t option
-
-(** Read an instance off a raw solver model (for persistent solvers
-    driven outside this module, see {!Engine}). *)
-val extract_model : t -> bool array -> Structure.Instance.t
 
 (** Enumerate models (distinct fact sets), up to [limit]. *)
 val enumerate : ?limit:int -> t -> Structure.Instance.t list

@@ -1,8 +1,9 @@
-(* The shared grounding-problem builder: both the one-shot bounded model
-   finder (Bounded) and the incremental engine (Engine) search models of
-   (O, D) over dom(D) plus [extra] fresh labelled nulls. This module is
-   the single place that sets up that domain, the joint signature and
-   the base assertions, and that walks the domain bounds. *)
+(* The shared grounding problem: both the one-shot bounded model finder
+   (Bounded) and the incremental engine (Engine) search models of (O, D)
+   over dom(D) plus [extra] fresh labelled nulls. This module is the
+   single place that sets up that domain and walks the domain bounds,
+   and it builds Bounded's per-bound groundings (the engine builds its
+   one grounding itself, with activity literals). *)
 
 let default_max_extra = 2
 
@@ -29,7 +30,7 @@ let signature ?(extra_signature = Logic.Signature.empty) o d =
     (Logic.Ontology.signature o)
     (Logic.Signature.union (Structure.Instance.signature d) extra_signature)
 
-let build ?budget ?extra_signature ?(assert_facts = true) ~extra o d =
+let build ?budget ?extra_signature ~extra o d =
   Obs.Trace.with_span ~attrs:[ ("extra", Obs.Trace.Int extra) ] "ground.build"
   @@ fun () ->
   let dom = domain ~extra d in
@@ -38,9 +39,7 @@ let build ?budget ?extra_signature ?(assert_facts = true) ~extra o d =
       ~signature:(signature ?extra_signature o d)
       ()
   in
-  (* Dynamic engines assert D's facts as solver assumptions instead of
-     unit clauses, so retraction is a dropped assumption, not a rebuild. *)
-  if assert_facts then Ground.assert_instance g d;
+  Ground.assert_instance g d;
   List.iter (Ground.assert_formula g) (Logic.Ontology.all_sentences o);
   if Obs.Trace.enabled () then begin
     Obs.Trace.add_attr "domain" (Obs.Trace.Int (List.length dom));

@@ -1,6 +1,6 @@
 (* The incremental engine (Reasoner.Engine) must be observationally
    equivalent to the one-shot Bounded reference at every bound, ground
-   each bound once and only on demand, and account its work faithfully
+   once per ceiling and only on demand, and account its work faithfully
    in its stats record. *)
 
 open Helpers
@@ -34,6 +34,54 @@ let o_count =
              F.Exists ([ "y" ], F.And (atom "R" [ v "y"; v "x" ], atom "D" [ v "y" ])) ));
     ]
 
+(* A boolean CQ: some element is C. *)
+let qsome = cq ~name:"qsome" ~answer:[] [ ("C", [ v "x" ]) ]
+
+(* An ontology the activation encoding must relativise: the ⊤-guarded
+   ∀x (A(x) ∨ B(x)) would, unrelativised, make every null A or B and so
+   active at every bound; an existential with equality guard; and a
+   functional role. *)
+let o_active =
+  Logic.Ontology.make ~functional:[ "R" ]
+    [ F.Forall ([ "x" ], F.Or (atom "A" [ v "x" ], atom "B" [ v "x" ]));
+      forall_eq "x"
+        (F.Implies
+           ( atom "A" [ v "x" ],
+             F.Exists ([ "y" ], F.And (atom "R" [ v "x"; v "y" ], atom "C" [ v "y" ])) ));
+      forall_eq "x" (F.Implies (atom "C" [ v "x" ], F.Not (atom "A" [ v "x" ])));
+    ]
+
+let sig_abcdr =
+  Logic.Signature.of_list [ ("A", 1); ("B", 1); ("C", 1); ("D", 1); ("R", 2) ]
+
+(* [eng] answers like Bounded on [o] and [d] at ceiling [max_extra]:
+   consistency, the unary CQs, the UCQ and the disjunction at every
+   element, and the boolean CQ. *)
+let agrees_at eng o d max_extra =
+  Bool.equal
+    (Reasoner.Engine.is_consistent ~max_extra eng)
+    (Reasoner.Bounded.is_consistent ~max_extra o d)
+  && Bool.equal
+       (Reasoner.Engine.certain_cq ~max_extra eng qsome [])
+       (Reasoner.Bounded.certain_cq ~max_extra o d qsome [])
+  && List.for_all
+       (fun el ->
+         List.for_all
+           (fun q ->
+             Bool.equal
+               (Reasoner.Engine.certain_cq ~max_extra eng q [ el ])
+               (Reasoner.Bounded.certain_cq ~max_extra o d q [ el ]))
+           [ qc; qa; qb ]
+         && Bool.equal
+              (Reasoner.Engine.certain_ucq ~max_extra eng qab [ el ])
+              (Reasoner.Bounded.certain_ucq ~max_extra o d qab [ el ])
+         &&
+         let pointed = [ (qa, [ el ]); (qb, [ el ]) ] in
+         Bool.equal
+           (Reasoner.Engine.certain_disjunction ~max_extra eng pointed)
+           (Reasoner.Bounded.certain_disjunction ~max_extra o d pointed))
+       (Structure.Instance.domain_list d)
+
 (* 1. Engine and Bounded agree on consistency, certain answers and
    certain disjunctions for random instances against a Horn, a
    disjunctive and a counting ontology, at every deepening ceiling
@@ -51,90 +99,212 @@ let test_engine_vs_bounded =
       List.for_all
         (fun (o, d) ->
           (* one engine answers everything, as callers use it *)
-          let eng = Reasoner.Engine.create o d in
-          let dom = Structure.Instance.domain_list d in
-          Bool.equal
-            (Reasoner.Engine.is_consistent ~max_extra eng)
-            (Reasoner.Bounded.is_consistent ~max_extra o d)
-          && List.for_all
-               (fun el ->
-                 List.for_all
-                   (fun q ->
-                     Bool.equal
-                       (Reasoner.Engine.certain_cq ~max_extra eng q [ el ])
-                       (Reasoner.Bounded.certain_cq ~max_extra o d q [ el ]))
-                   [ qc; qa; qb ]
-                 && Bool.equal
-                      (Reasoner.Engine.certain_ucq ~max_extra eng qab [ el ])
-                      (Reasoner.Bounded.certain_ucq ~max_extra o d qab [ el ])
-                 &&
-                 let pointed = [ (qa, [ el ]); (qb, [ el ]) ] in
-                 Bool.equal
-                   (Reasoner.Engine.certain_disjunction ~max_extra eng pointed)
-                   (Reasoner.Bounded.certain_disjunction ~max_extra o d pointed))
-               dom)
+          agrees_at (Reasoner.Engine.create o d) o d max_extra)
         [ (o_horn, d); (o_disj, d); (o_count, wide) ])
 
-(* 2. One engine grounds each bound once, on first use, whatever entry
-   point asks: consistency (decided at bound 0), every element's
-   certainty (a certain C walks all bounds up to 1), a disjunction and a
-   signed model at ~max_extra:2 (which grounds bound 2) share the
-   engine's bounds 0, 1 and 2. *)
+(* 1b. One engine asked at mixed ceilings — a grounding at 2 answers at
+   0 and 1 under activity assumptions, then 3 grounds again — agrees
+   with Bounded at each, on the Horn, disjunctive, counting and
+   relativised ontologies, and over an empty D. *)
+let test_mixed_ceilings =
+  QCheck.Test.make ~name:"engine agrees with Bounded at mixed ceilings" ~count:6
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let d =
+        Structure.Randgen.nonempty_instance ~rng ~signature:sig_abcdr ~size:3 ~p:0.3
+      in
+      List.for_all
+        (fun (o, d) ->
+          let eng = Reasoner.Engine.create o d in
+          List.for_all (agrees_at eng o d) [ 2; 0; 1; 3 ])
+        [ (o_horn, d); (o_disj, d); (o_count, d); (o_active, d);
+          (o_active, Structure.Instance.empty); (o_horn, Structure.Instance.empty) ])
+
+(* 1c. A signed model is found at the first bound Bounded finds a
+   countermodel at: it has exactly that many nulls (over an empty D,
+   bounds 0 and 1 are both one element), contains D, fails the query
+   and is a model of O by Modelcheck. *)
+let test_signed_model_first_bound =
+  QCheck.Test.make ~name:"signed_model: first bound, checked model" ~count:6
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let d =
+        Structure.Randgen.nonempty_instance ~rng ~signature:sig_abcdr ~size:3 ~p:0.3
+      in
+      let pointed d =
+        let dom = Structure.Instance.domain_list d in
+        ((qsome, []) :: List.map (fun el -> (qc, [ el ])) dom)
+        @ List.map (fun el -> (qa, [ el ])) dom
+      in
+      List.for_all
+        (fun (o, d) ->
+          let eng = Reasoner.Engine.create o d in
+          List.for_all
+            (fun (q, tuple) ->
+              let first =
+                List.find_opt
+                  (fun extra ->
+                    Option.is_some
+                      (Reasoner.Bounded.countermodel ~extra o d
+                         (Query.Ucq.of_cq q) tuple))
+                  [ 0; 1; 2 ]
+              in
+              let model =
+                Reasoner.Engine.signed_model ~max_extra:2 eng [ (q, tuple, false) ]
+              in
+              match (model, first) with
+              | None, None -> true
+              | Some m, Some k ->
+                  Structure.Instance.domain_size m
+                  = max 1 (Structure.Instance.domain_size d + k)
+                  && Structure.Instance.subset d m
+                  && (not (Query.Cq.holds m q tuple))
+                  && Structure.Modelcheck.is_model m (Logic.Ontology.all_sentences o)
+              | _ -> false)
+            (pointed d))
+        [ (o_horn, d); (o_disj, d); (o_active, d); (o_count, d);
+          (o_active, Structure.Instance.empty) ])
+
+(* 1d. A dynamic engine over random inserts and retracts, each followed
+   by questions at a random ceiling, agrees with Bounded on the net
+   instance. A refused delta is followed by a fresh engine on the
+   updated instance, as sessions reopen. *)
+let test_dynamic_mixed_ceilings =
+  QCheck.Test.make ~count:6
+    ~name:"dynamic engine agrees with Bounded over updates at mixed ceilings"
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let d =
+        Structure.Randgen.nonempty_instance ~rng ~signature:sig_abcdr ~size:3 ~p:0.3
+      in
+      let o = [| o_horn; o_disj; o_active |].(seed mod 3) in
+      let dom = Structure.Instance.domain_list d in
+      let pool =
+        List.concat_map
+          (fun (r, k) ->
+            List.map (Structure.Instance.fact r) (Structure.Randgen.tuples dom k))
+          (Logic.Signature.to_list sig_abcdr)
+        |> Array.of_list
+      in
+      let eng = ref (Reasoner.Engine.create ~dynamic:true o d) in
+      List.for_all
+        (fun _ ->
+          let f = pool.(Random.State.int rng (Array.length pool)) in
+          let cur = Reasoner.Engine.instance !eng in
+          let present = Structure.Instance.mem f cur in
+          let how =
+            if present then Reasoner.Engine.retract_facts !eng [ f ]
+            else Reasoner.Engine.insert_facts !eng [ f ]
+          in
+          if how = `Needs_rebuild then
+            eng :=
+              Reasoner.Engine.create ~dynamic:true o
+                (if present then Structure.Instance.remove_fact f cur
+                 else Structure.Instance.add_fact f cur);
+          let max_extra = [| 2; 0; 1; 3 |].(Random.State.int rng 4) in
+          agrees_at !eng o (Reasoner.Engine.instance !eng) max_extra)
+        (List.init 6 Fun.id))
+
+(* 2. One engine grounds once per ceiling, on first use, whatever entry
+   point asks: consistency at ceiling 1 grounds dom(D) plus one null,
+   and every element's certainty, a disjunction and the smaller ceiling
+   0 answer on that grounding; a signed model at ~max_extra:2 grounds
+   exactly once more, and every later call at a ceiling up to 2 reuses
+   it. A proof found at a ceiling answers every smaller one without a
+   solve. *)
 let test_grounds_each_bound_once () =
   let d = inst [ ("A", [ "a" ]); ("R", [ "a"; "b" ]) ] in
   let eng = Reasoner.Engine.create o_horn d in
   let groundings () = (Reasoner.Engine.stats eng).groundings in
+  let solves () = (Reasoner.Engine.stats eng).solves in
+  let everything max_extra =
+    ignore (Reasoner.Engine.is_consistent ~max_extra eng);
+    List.iter
+      (fun el -> ignore (Reasoner.Engine.certain_cq ~max_extra eng qc [ el ]))
+      (Structure.Instance.domain_list d);
+    ignore
+      (Reasoner.Engine.certain_disjunction ~max_extra eng
+         [ (qa, [ e "a" ]); (qb, [ e "a" ]) ])
+  in
   check_int "create grounds nothing" 0 (groundings ());
-  check "consistent" true (Reasoner.Engine.is_consistent eng);
-  check_int "consistency is decided at bound 0" 1 (groundings ());
-  List.iter
-    (fun el -> ignore (Reasoner.Engine.certain_cq ~max_extra:1 eng qc [ el ]))
-    (Structure.Instance.domain_list d);
+  check "consistent" true (Reasoner.Engine.is_consistent ~max_extra:1 eng);
+  check_int "one grounding at ceiling 1" 1 (groundings ());
   check "C(a) certain" true (Reasoner.Engine.certain_cq ~max_extra:1 eng qc [ e "a" ]);
-  check_int "certainty walked bounds 0 and 1" 2 (groundings ());
+  let before = solves () in
+  check "C(a) certain at ceiling 0" true
+    (Reasoner.Engine.certain_cq ~max_extra:0 eng qc [ e "a" ]);
+  check_int "the ceiling-1 proof answers ceiling 0" before (solves ());
+  everything 1;
+  everything 0;
   check "A(a) or B(a) certain" true
     (Reasoner.Engine.certain_disjunction ~max_extra:1 eng
        [ (qa, [ e "a" ]); (qb, [ e "a" ]) ]);
+  check_int "ceilings 0 and 1 share the grounding" 1 (groundings ());
   check "a model without C(a) exists nowhere" true
     (Option.is_none
        (Reasoner.Engine.signed_model ~max_extra:2 eng [ (qc, [ e "a" ], false) ]));
-  check_int "exactly 3 groundings" 3 (groundings ());
-  check "solver was invoked" true ((Reasoner.Engine.stats eng).solves > 0)
+  check_int "a larger ceiling grounds exactly once more" 2 (groundings ());
+  List.iter everything [ 2; 0; 1 ];
+  check_int "ceilings up to 2 share it" 2 (groundings ());
+  check "solver was invoked" true (solves () > 0)
 
-(* 3. A fuel trip while bound 1 is grounding leaves bound 1 unbuilt: the
-   engine keeps answering like a fresh one, and the next call grounds
-   bound 1 exactly once. *)
+(* 3. A fuel trip while the grounding at a larger ceiling builds leaves
+   it unbuilt: the engine keeps the grounding it had, answers like a
+   fresh engine, and the next call at that ceiling grounds exactly
+   once. The sweep injects the trip at every checkpoint the ceiling-1
+   call passes (counted by an observer on a twin engine), so it covers
+   trips while grounding and trips after it. *)
 let test_trip_while_grounding () =
   let d = inst [ ("D", [ "a" ]); ("D", [ "b" ]) ] in
   let pointed = [ (qa, [ e "a" ]); (qb, [ e "a" ]) ] in
-  let fresh = Reasoner.Engine.create o_disj d in
-  let expected = Reasoner.Engine.certain_disjunction ~max_extra:1 fresh pointed in
+  let expected =
+    Reasoner.Engine.certain_disjunction ~max_extra:1
+      (Reasoner.Engine.create o_disj d) pointed
+  in
   check "A(a) or B(a) certain" true expected;
-  (* the checkpoints the walk passes before it reaches bound 1 *)
-  let eng = Reasoner.Engine.create o_disj d in
+  (* an engine that has answered at ceiling 0 *)
+  let grounded_at_0 () =
+    let eng = Reasoner.Engine.create o_disj d in
+    check "certain at ceiling 0" true
+      (Reasoner.Engine.certain_disjunction ~max_extra:0 eng pointed);
+    eng
+  in
   let obs = Reasoner.Budget.observer () in
-  ignore (Reasoner.Engine.certain_disjunction ~budget:obs ~max_extra:0 eng pointed);
-  let at_bound_1 = Reasoner.Budget.checkpoints obs in
-  let eng = Reasoner.Engine.create o_disj d in
-  (match
-     Reasoner.Engine.certain_disjunction
-       ~budget:(Reasoner.Budget.inject_after at_bound_1)
-       ~max_extra:1 eng pointed
-   with
-  | _ -> Alcotest.fail "the injected budget must trip while grounding bound 1"
-  | exception Reasoner.Budget.Exhausted _ -> ());
-  check_int "only bound 0 was grounded" 1 (Reasoner.Engine.stats eng).groundings;
-  check "answers like a fresh engine" expected
-    (Reasoner.Engine.certain_disjunction ~max_extra:1 eng pointed);
-  check_int "bound 1 grounded exactly once" 2
-    (Reasoner.Engine.stats eng).groundings;
-  check "consistency like a fresh engine" true
-    (Reasoner.Engine.is_consistent ~max_extra:1 eng)
+  ignore
+    (Reasoner.Engine.certain_disjunction ~budget:obs ~max_extra:1
+       (grounded_at_0 ()) pointed);
+  let n = Reasoner.Budget.checkpoints obs in
+  check "the ceiling-1 call passes checkpoints" true (n > 0);
+  let unbuilt = ref 0 in
+  for i = 0 to n - 1 do
+    let eng = grounded_at_0 () in
+    (match
+       Reasoner.Engine.certain_disjunction
+         ~budget:(Reasoner.Budget.inject_after i)
+         ~max_extra:1 eng pointed
+     with
+    | _ -> Alcotest.failf "checkpoint %d of %d must trip" i n
+    | exception Reasoner.Budget.Exhausted _ -> ());
+    let after_trip = (Reasoner.Engine.stats eng).groundings in
+    check "the tripped grounding is kept only when complete" true
+      (after_trip = 1 || after_trip = 2);
+    if after_trip = 1 then incr unbuilt;
+    check "answers like a fresh engine" expected
+      (Reasoner.Engine.certain_disjunction ~max_extra:1 eng pointed);
+    check_int "ceiling 1 grounded exactly once" 2
+      (Reasoner.Engine.stats eng).groundings;
+    check "consistency like a fresh engine" true
+      (Reasoner.Engine.is_consistent ~max_extra:1 eng)
+  done;
+  check "the first checkpoint trips while grounding" true (!unbuilt > 0)
 
-(* 3b. A delta reaches every bound the engine has grounded, and a bound
-   first grounded after the delta sees the updated instance: the dynamic
+(* 3b. A delta reaches the grounding, and a grounding built after the
+   delta (at a larger ceiling) sees the updated instance: the dynamic
    engine answers like a fresh engine on the net instance at every
-   ceiling, without regrounding a bound. *)
+   ceiling, and a delta never regrounds. *)
 let test_delta_reaches_every_bound () =
   let d = inst [ ("A", [ "a" ]); ("R", [ "b"; "a" ]) ] in
   let b_fact : Structure.Instance.fact = { rel = "A"; args = [ e "b" ] } in
@@ -147,23 +317,26 @@ let test_delta_reaches_every_bound () =
   let eng = Reasoner.Engine.create ~dynamic:true o_horn d in
   let groundings () = (Reasoner.Engine.stats eng).groundings in
   check "C(a) only" true (answers ~max_extra:1 eng = [ e "a" ]);
-  check_int "bounds 0 and 1 grounded" 2 (groundings ());
+  check_int "one grounding at ceiling 1" 1 (groundings ());
   check "insert A(b) is a delta" true
     (Reasoner.Engine.insert_facts eng [ b_fact ] = `Delta);
   let grown = Structure.Instance.add_fact b_fact d in
-  check "both grounded bounds see A(b)" true
+  check "the grounding sees A(b) at ceilings 1 and 0" true
     (answers ~max_extra:1 eng = fresh ~max_extra:1 grown
+    && answers ~max_extra:0 eng = fresh ~max_extra:0 grown
     && answers ~max_extra:1 eng = [ e "a"; e "b" ]);
-  check_int "no bound regrounded" 2 (groundings ());
-  check "bound 2 grounds on the grown instance" true
+  check_int "no regrounding" 1 (groundings ());
+  check "ceiling 2 grounds on the grown instance" true
     (answers ~max_extra:2 eng = fresh ~max_extra:2 grown);
-  check_int "bound 2 grounded once" 3 (groundings ());
+  check_int "ceiling 2 grounded once" 2 (groundings ());
   check "retract A(b) is a delta" true
     (Reasoner.Engine.retract_facts eng [ b_fact ] = `Delta);
-  check "all three bounds forget A(b)" true
-    (answers ~max_extra:2 eng = fresh ~max_extra:2 d
+  check "every ceiling forgets A(b)" true
+    (List.for_all
+       (fun max_extra -> answers ~max_extra eng = fresh ~max_extra d)
+       [ 2; 0; 1 ]
     && answers ~max_extra:2 eng = [ e "a" ]);
-  check_int "still three groundings" 3 (groundings ())
+  check_int "still two groundings" 2 (groundings ())
 
 (* 3c. Answers carry their proofs. On a dynamic engine a certain tuple
    is re-asked for free while the facts of its failed-assumption core
@@ -273,8 +446,8 @@ let test_session_stats () =
    shape over a fixed random instance): the solver branches on facts
    only, false first, so the first countermodel holds just the facts O
    and D force and refutes every non-answer. Each answer costs one
-   unsatisfiable solve per bound 0..2; all non-answers together cost
-   one satisfiable solve. *)
+   unsatisfiable solve, which covers every bound 0..2; all non-answers
+   together cost one satisfiable solve. *)
 let test_horn_witness_refutes_in_bulk () =
   Omq.clear_caches ();
   let tbox =
@@ -289,9 +462,77 @@ let test_horn_witness_refutes_in_bulk () =
   let answers = List.length (Omq.Session.certain_answers s) in
   check "some answers, some non-answers" true
     (answers > 0 && answers < Structure.Instance.domain_size d);
-  check_int "one solve per answer and bound, one for all non-answers"
-    ((answers * 3) + 1)
+  check_int "one solve per answer, one for all non-answers"
+    (answers + 1)
     (Omq.Session.stats s).solves
+
+(* 4e. The grounding holds O's relations only; a query over a relation
+   only D has admits it on demand, with D's facts of it asserted
+   (static) or assumed (dynamic). Engines created without
+   [extra_signature], as Decide and lib/material create them, answer
+   such a query like Bounded at every ceiling, and a dynamic one keeps
+   doing so across an insert of a fact of that relation. *)
+let test_d_only_relation () =
+  let d = inst [ ("A", [ "a" ]); ("S", [ "a"; "b" ]); ("S", [ "b"; "c" ]) ] in
+  let qs = cq ~name:"qs" ~answer:[ "x" ] [ ("S", [ v "x"; v "y" ]); ("C", [ v "x" ]) ] in
+  let agrees eng d =
+    List.for_all
+      (fun max_extra ->
+        List.for_all
+          (fun el ->
+            Bool.equal
+              (Reasoner.Engine.certain_cq ~max_extra eng qs [ el ])
+              (Reasoner.Bounded.certain_cq ~max_extra o_horn d qs [ el ]))
+          (Structure.Instance.domain_list d))
+      [ 2; 0; 1 ]
+  in
+  check "S(a,b) and C(a) make a certain" true
+    (Reasoner.Engine.certain_cq (Reasoner.Engine.create o_horn d) qs [ e "a" ]);
+  check "static engine agrees with Bounded" true
+    (agrees (Reasoner.Engine.create o_horn d) d);
+  let eng = Reasoner.Engine.create ~dynamic:true o_horn d in
+  check "dynamic engine agrees with Bounded" true (agrees eng d);
+  let f = Structure.Instance.fact "S" [ e "c"; e "a" ] in
+  check "insert S(c,a) is a delta" true (Reasoner.Engine.insert_facts eng [ f ] = `Delta);
+  check "and agrees after it" true (agrees eng (Structure.Instance.add_fact f d));
+  check_int "no regrounding" 1 (Reasoner.Engine.stats eng).groundings
+
+(* 4d. serve-read's hand sessions (O1 ∪ O2 of the paper over one
+   five-fingered hand, with and without a thumb fact, asking Hand(x) or
+   Thumb(x)): a warm repeat makes no solve. Without a thumb fact each
+   finger needs its own countermodel (the thumb may be any of them), so
+   this holds only while every countermodel found is kept. *)
+let test_hand_warm_repeats () =
+  let tbox =
+    Dl.Parser.parse_tbox "Hand << == 5 hasFinger\nHand << exists hasFinger . Thumb\n"
+  in
+  let fingers =
+    String.concat "" (List.init 5 (Printf.sprintf "hasFinger(h, h_f%d)\n"))
+  in
+  List.iter
+    (fun (thumb, query) ->
+      let d =
+        Structure.Parse.instance_of_string
+          ("Hand(h)\n" ^ fingers ^ if thumb then "Thumb(h_f3)\n" else "")
+      in
+      let ucq = Query.Parse.ucq_of_string query in
+      let omq = Omq.of_tbox tbox ucq in
+      let s = Omq.open_session ~max_extra:2 ~updatable:true omq d in
+      let solves () = (Omq.Session.stats s).solves in
+      let answers = Omq.Session.certain_answers s in
+      check (query ^ ": answers like Bounded") true
+        (answers
+        = List.filter_map
+            (fun el ->
+              if Reasoner.Bounded.certain_ucq ~max_extra:2 omq.Omq.ontology d ucq [ el ]
+              then Some [ el ]
+              else None)
+            (Structure.Instance.domain_list d));
+      let before = solves () in
+      check "repeat agrees" true (Omq.Session.certain_answers s = answers);
+      check_int (query ^ ": a warm repeat makes no solve") before (solves ()))
+    [ (false, "q(x) <- Thumb(x)"); (false, "q(x) <- Hand(x)");
+      (true, "q(x) <- Thumb(x)"); (true, "q(x) <- Hand(x)") ]
 
 (* 5. rewritten_certain is result-typed: single CQs evaluate, proper
    unions are rejected rather than raising. *)
@@ -321,6 +562,9 @@ let test_streaming () =
 let suite =
   [
     QCheck_alcotest.to_alcotest test_engine_vs_bounded;
+    QCheck_alcotest.to_alcotest test_mixed_ceilings;
+    QCheck_alcotest.to_alcotest test_signed_model_first_bound;
+    QCheck_alcotest.to_alcotest test_dynamic_mixed_ceilings;
     Alcotest.test_case "grounds_each_bound_once" `Quick
       test_grounds_each_bound_once;
     Alcotest.test_case "trip_while_grounding" `Quick test_trip_while_grounding;
@@ -332,6 +576,10 @@ let suite =
     Alcotest.test_case "session_stats" `Quick test_session_stats;
     Alcotest.test_case "horn_witness_refutes_in_bulk" `Quick
       test_horn_witness_refutes_in_bulk;
+    Alcotest.test_case "d_only_relation_admitted_with_its_facts" `Quick
+      test_d_only_relation;
+    Alcotest.test_case "hand_warm_repeats_make_no_solve" `Quick
+      test_hand_warm_repeats;
     Alcotest.test_case "rewritten_result" `Quick test_rewritten_result;
     Alcotest.test_case "streaming" `Quick test_streaming;
   ]

@@ -207,10 +207,15 @@ let test_noop_identical () =
    produces a closed, exportable trace, and the root span carries the
    trip status. *)
 let test_budget_trip_trace_closed () =
+  (* trip halfway through the checkpoints the query passes *)
+  let obs = Reasoner.Budget.observer () in
+  ignore (Omq.certain_answers_within obs ~max_extra:1 omq_disj d_disj);
+  let n = Reasoner.Budget.checkpoints obs in
+  Alcotest.(check bool) "the query passes checkpoints" true (n > 1);
   let outcome, c =
     Trace.collect (fun () ->
         Omq.certain_answers_within
-          (Reasoner.Budget.inject_after 25)
+          (Reasoner.Budget.inject_after (n / 2))
           ~max_extra:1 omq_disj d_disj)
   in
   (match outcome with
