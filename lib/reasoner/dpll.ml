@@ -14,14 +14,37 @@ type result =
   | Sat of bool array  (** index v-1 holds the value of variable v *)
   | Unsat
 
+(* Clause memory, in MiniSat's layout (DESIGN.md §5, "Solver memory
+   layout"):
+
+   - Clauses of three or more literals, original and learned, are
+     [len; lit_1; ..; lit_len] records in one growable [int] arena. A
+     clause reference is the offset of its record; its first two
+     literals are the watched ones.
+   - Each literal has a growable vector of the references of the arena
+     clauses watching it, compacted in place by [propagate].
+   - Binary clauses are implicit: the clause (a ∨ b) is b in the binary
+     vector of a and a in that of b, and nothing else. A literal's
+     binary vector lists what its falsification implies.
+   - [reason] says why a variable holds its value: -1 for a decision
+     or a level-0 unit, an arena reference for a long clause, and
+     [bin_reason f] for a binary clause whose other literal f is false.
+
+   A vector is an [int array] holding its live length at index 0 and
+   its entries after it, so a literal costs one pointer per vector
+   kind. Every literal without entries shares [empty], which is never
+   written: the first push allocates. *)
+
 type t = {
   mutable nvars : int;
-  mutable clauses : int array array;  (* original + learned *)
-  mutable nclauses : int;
-  mutable watches : int list array;  (* literal index -> clause indices *)
+  mutable arena : int array;  (* [len; lits..] records of clauses of length >= 3 *)
+  mutable arena_len : int;
+  mutable watches : int array array;  (* literal index -> watching clause refs *)
+  mutable bins : int array array;  (* literal index -> literals its falsity implies *)
   mutable assign : int array;  (* 0 / 1 / -1 *)
   mutable level : int array;
-  mutable reason : int array;  (* clause index or -1 *)
+  mutable reason : int array;  (* -1, a clause ref, or [bin_reason f] *)
+  mutable confl_other : int;  (* the second false literal of a binary conflict *)
   mutable trail : int array;
   mutable trail_size : int;
   mutable trail_lim : int array;  (* start of each decision level in trail *)
@@ -36,6 +59,7 @@ type t = {
   mutable phase : bool array;
   mutable seen : bool array;  (* scratch for conflict analysis *)
   mutable scratch : int array;  (* scratch for clause simplification *)
+  mutable learnt : int array;  (* scratch for the learned clause *)
   mutable broken : bool;  (* refuted at level 0: permanently unsat *)
   mutable core : int list;  (* failed-assumption core of the last Unsat *)
   mutable n_decisions : int;
@@ -46,19 +70,33 @@ type t = {
 let lit_index l = if l > 0 then 2 * (l - 1) else (2 * (-l - 1)) + 1
 let lit_var l = abs l - 1
 
+(* The reason (or conflict) code of a binary clause whose other literal
+   [f] is false: below -1, so it never collides with an arena reference
+   or with "no reason". *)
+let bin_reason f = -2 - lit_index f
+
+let bin_other r =
+  let i = -2 - r in
+  if i land 1 = 0 then (i lsr 1) + 1 else -((i lsr 1) + 1)
+
 let value s l =
   let v = s.assign.(lit_var l) in
   if v = 0 then 0 else if (l > 0) = (v = 1) then 1 else -1
 
+(* The vector of every literal without entries (see above). *)
+let empty = [| 0 |]
+
 let make ~nvars =
   {
     nvars;
-    clauses = Array.make 16 [||];
-    nclauses = 0;
-    watches = Array.make (max (2 * nvars) 2) [];
+    arena = Array.make 64 0;
+    arena_len = 0;
+    watches = Array.make (max (2 * nvars) 2) empty;
+    bins = Array.make (max (2 * nvars) 2) empty;
     assign = Array.make (max nvars 1) 0;
     level = Array.make (max nvars 1) 0;
     reason = Array.make (max nvars 1) (-1);
+    confl_other = 0;
     trail = Array.make (max nvars 1) 0;
     trail_size = 0;
     trail_lim = Array.make (max nvars 1) 0;
@@ -75,6 +113,7 @@ let make ~nvars =
     phase = Array.make (max nvars 1) false;
     seen = Array.make (max nvars 1) false;
     scratch = Array.make 16 0;
+    learnt = Array.make 16 0;
     broken = false;
     core = [];
     n_decisions = 0;
@@ -88,6 +127,24 @@ let grow_array a n def =
     let bigger = Array.make (max n (2 * Array.length a)) def in
     Array.blit a 0 bigger 0 (Array.length a);
     bigger
+  end
+
+(* Append [x] to vector [i] of [data], doubling its buffer when full
+   (the first one is allocated inline, with room for 4). *)
+let push data i x =
+  let buf = data.(i) in
+  let n = buf.(0) + 1 in
+  if n < Array.length buf then begin
+    buf.(n) <- x;
+    buf.(0) <- n
+  end
+  else if n = 1 then data.(i) <- [| 1; x; 0; 0; 0 |]
+  else begin
+    let bigger = Array.make (2 * n) 0 in
+    Array.blit buf 0 bigger 0 n;
+    bigger.(0) <- n;
+    bigger.(n) <- x;
+    data.(i) <- bigger
   end
 
 (* The VSIDS order heap: a binary max-heap of unassigned decision
@@ -180,47 +237,52 @@ let heap_rebuild s =
     heap_sift_down s i
   done
 
-(* Admit variables 1..n (idempotent; arrays are reallocated lazily). *)
-let ensure_nvars s n =
+(* Admit variables 1..n (idempotent), each with its decision flag; only
+   decision variables enter the order heap. The per-variable arrays
+   start with a quarter of headroom and then grow by half, so the
+   variables that query reifications add after a bulk load (a few
+   dozen on the corpus, a quarter more on bulk-eval) cost at most one
+   more copy of each array. *)
+let ensure_nvars ?decision s n =
   if n > s.nvars then begin
-    s.watches <- grow_array s.watches (2 * n) [];
-    s.assign <- grow_array s.assign n 0;
-    s.level <- grow_array s.level n 0;
-    s.reason <- grow_array s.reason n (-1);
-    s.trail <- grow_array s.trail n 0;
-    s.activity <- grow_array s.activity n 0.0;
-    s.phase <- grow_array s.phase n false;
-    s.decision <- grow_array s.decision n true;
-    s.seen <- grow_array s.seen n false;
-    s.heap <- grow_array s.heap n 0;
-    s.heap_pos <- grow_array s.heap_pos n (-1);
+    let old = Array.length s.assign in
+    if n > old then begin
+      let cap = max (n + (n / 4)) (old + (old / 2)) in
+      let resize a len def =
+        let b = Array.make len def in
+        Array.blit a 0 b 0 (Array.length a);
+        b
+      in
+      s.watches <- resize s.watches (2 * cap) empty;
+      s.bins <- resize s.bins (2 * cap) empty;
+      s.assign <- resize s.assign cap 0;
+      s.level <- resize s.level cap 0;
+      s.reason <- resize s.reason cap (-1);
+      s.trail <- resize s.trail cap 0;
+      s.activity <- resize s.activity cap 0.0;
+      s.phase <- resize s.phase cap false;
+      s.decision <- resize s.decision cap true;
+      s.seen <- resize s.seen cap false;
+      s.heap <- resize s.heap cap 0;
+      s.heap_pos <- resize s.heap_pos cap (-1)
+    end;
     let first = s.nvars in
     s.nvars <- n;
+    Option.iter
+      (fun d ->
+        for v = first to n - 1 do
+          s.decision.(v) <- d (v + 1)
+        done)
+      decision;
     for v = first to n - 1 do
       heap_insert s v
     done
   end
 
-(* [set_decision_var s v b] lets the search branch on variable v (b) or
-   not (lazily: a stripped variable already in the heap is skipped when
-   popped). *)
-let set_decision_var s v b =
-  ensure_nvars s v;
-  let v = v - 1 in
-  s.decision.(v) <- b;
-  if b && s.assign.(v) = 0 then heap_insert s v
-
 (* Decision levels can exceed nvars when assumptions open dummy levels. *)
 let ensure_levels s n = s.trail_lim <- grow_array s.trail_lim n 0
 
 let counters s = (s.n_decisions, s.n_propagations, s.n_conflicts)
-
-let grow_clauses s =
-  if s.nclauses = Array.length s.clauses then begin
-    let bigger = Array.make (2 * Array.length s.clauses) [||] in
-    Array.blit s.clauses 0 bigger 0 s.nclauses;
-    s.clauses <- bigger
-  end
 
 (* Enqueue an implied (or decided) literal. *)
 let enqueue s l reason =
@@ -231,12 +293,28 @@ let enqueue s l reason =
   s.trail.(s.trail_size) <- l;
   s.trail_size <- s.trail_size + 1
 
-(* Attach a clause (index ci) to its two watchers. *)
-let attach s ci =
-  let c = s.clauses.(ci) in
-  if Array.length c >= 2 then begin
-    s.watches.(lit_index c.(0)) <- ci :: s.watches.(lit_index c.(0));
-    s.watches.(lit_index c.(1)) <- ci :: s.watches.(lit_index c.(1))
+let watch s l cr = push s.watches (lit_index l) cr
+
+(* Store the clause buf.[0..len) (len >= 2) and watch it: a binary one in
+   the binary vectors, a longer one as a new arena record watched by
+   its first two literals. Returns the reason code under which buf.(0)
+   is implied once the rest is false. *)
+let attach s buf len =
+  if len = 2 then begin
+    let a = buf.(0) and b = buf.(1) in
+    push s.bins (lit_index a) b;
+    push s.bins (lit_index b) a;
+    bin_reason b
+  end
+  else begin
+    let cr = s.arena_len in
+    s.arena <- grow_array s.arena (cr + len + 1) 0;
+    s.arena.(cr) <- len;
+    Array.blit buf 0 s.arena (cr + 1) len;
+    s.arena_len <- cr + len + 1;
+    watch s buf.(0) cr;
+    watch s buf.(1) cr;
+    cr
   end
 
 let cancel_until s lvl =
@@ -337,16 +415,11 @@ let assert_scratch s len =
           incr k
       | _ -> ()
     done;
-    if not !sat then begin
+    if not !sat then
       match !k with
       | 0 -> s.broken <- true
       | 1 -> enqueue s s.scratch.(0) (-1)
-      | k ->
-          grow_clauses s;
-          s.clauses.(s.nclauses) <- Array.sub s.scratch 0 k;
-          attach s s.nclauses;
-          s.nclauses <- s.nclauses + 1
-    end
+      | k -> ignore (attach s s.scratch k)
   end
 
 (* Assert a clause at level 0, simplifying against the permanent
@@ -375,25 +448,35 @@ let assert_clause_slice s a off len =
    for solvers built incrementally rather than via one-shot [solve].
    Seeding only raises activities, so each write is repaired in place
    by sifting the variable up (MiniSat's order-heap discipline) and the
-   next solve starts from a valid heap, with no rebuild. *)
+   next solve starts from a valid heap, with no rebuild. A variable that
+   may not be branched on is not in the heap and is skipped. *)
 let seed_lit s w l =
   let v = lit_var l in
   ensure_nvars s (v + 1);
-  s.activity.(v) <- s.activity.(v) +. w;
-  heap_update s v
+  if s.decision.(v) then begin
+    s.activity.(v) <- s.activity.(v) +. w;
+    heap_update s v
+  end
+
+(* The weight of a clause of [len] literals: 2^-min(len, 30). *)
+let weight len = Float.ldexp 1.0 (-min len 30)
 
 let seed_clause s c =
-  let w = 2.0 ** float_of_int (-min (List.length c) 30) in
+  let w = weight (List.length c) in
   List.iter (seed_lit s w) c
 
 let seed_clause_slice s a off len =
-  let w = 2.0 ** float_of_int (-min len 30) in
+  let w = weight len in
   for i = off to off + len - 1 do
     seed_lit s w a.(i)
   done
 
-(* Two-watched-literal unit propagation; returns the conflicting clause
-   index, or -1. *)
+(* Unit propagation. For each literal taken off the trail, its
+   falsified complement f first forces the other literal of every
+   binary clause over f, then the arena clauses watching f look for a
+   new watch; the watch vector is compacted in place as watches move.
+   Returns -1, or the conflicting clause's code (a reference, or a
+   [bin_reason] with the second false literal in [confl_other]). *)
 let propagate s =
   let conflict = ref (-1) in
   while !conflict = -1 && s.qhead < s.trail_size do
@@ -401,54 +484,72 @@ let propagate s =
     s.qhead <- s.qhead + 1;
     s.n_propagations <- s.n_propagations + 1;
     let falsified = -l in
-    let wi = lit_index falsified in
-    let watching = s.watches.(wi) in
-    s.watches.(wi) <- [];
-    let rec go = function
-      | [] -> ()
-      | ci :: rest ->
-          let c = s.clauses.(ci) in
-          (* normalise so that c.(1) = falsified *)
-          if c.(0) = falsified then begin
-            c.(0) <- c.(1);
-            c.(1) <- falsified
-          end;
-          if value s c.(0) = 1 then begin
-            (* already satisfied: keep watching *)
-            s.watches.(wi) <- ci :: s.watches.(wi);
-            go rest
+    let fi = lit_index falsified in
+    let bs = s.bins.(fi) in
+    let nb = bs.(0) in
+    let i = ref 1 in
+    while !i <= nb do
+      let b = bs.(!i) in
+      incr i;
+      match value s b with
+      | 0 -> enqueue s b (bin_reason falsified)
+      | -1 ->
+          s.confl_other <- b;
+          conflict := bin_reason falsified;
+          i := nb + 1
+      | _ -> ()
+    done;
+    let ws = s.watches.(fi) in
+    let n = ws.(0) in
+    if !conflict = -1 && n > 0 then begin
+      let a = s.arena in
+      let i = ref 1 and j = ref 1 in
+      while !i <= n do
+        let cr = ws.(!i) in
+        incr i;
+        (* normalise so that the second watch is the falsified one *)
+        if a.(cr + 1) = falsified then begin
+          a.(cr + 1) <- a.(cr + 2);
+          a.(cr + 2) <- falsified
+        end;
+        let first = a.(cr + 1) in
+        if value s first = 1 then begin
+          (* already satisfied: keep watching *)
+          ws.(!j) <- cr;
+          incr j
+        end
+        else begin
+          (* look for a new watch *)
+          let last = cr + a.(cr) in
+          let k = ref (cr + 3) in
+          while !k <= last && value s a.(!k) = -1 do
+            incr k
+          done;
+          if !k <= last then begin
+            let w = a.(!k) in
+            a.(cr + 2) <- w;
+            a.(!k) <- falsified;
+            watch s w cr
           end
           else begin
-            (* look for a new watch *)
-            let n = Array.length c in
-            let rec find k =
-              if k >= n then -1 else if value s c.(k) <> -1 then k else find (k + 1)
-            in
-            let k = find 2 in
-            if k >= 0 then begin
-              c.(1) <- c.(k);
-              c.(k) <- falsified;
-              s.watches.(lit_index c.(1)) <- ci :: s.watches.(lit_index c.(1));
-              go rest
+            (* unit or conflicting *)
+            ws.(!j) <- cr;
+            incr j;
+            if value s first = -1 then begin
+              conflict := cr;
+              (* keep the remaining watchers *)
+              while !i <= n do
+                ws.(!j) <- ws.(!i);
+                incr i;
+                incr j
+              done
             end
-            else begin
-              (* unit or conflicting *)
-              s.watches.(wi) <- ci :: s.watches.(wi);
-              match value s c.(0) with
-              | -1 ->
-                  conflict := ci;
-                  (* keep the remaining watchers *)
-                  List.iter
-                    (fun cj -> s.watches.(wi) <- cj :: s.watches.(wi))
-                    rest
-              | 0 ->
-                  enqueue s c.(0) ci;
-                  go rest
-              | _ -> go rest
-            end
+            else enqueue s first cr
           end
-    in
-    go watching
+        end
+      done;
+      ws.(0) <- !j - 1
+    end
   done;
   !conflict
 
@@ -465,28 +566,40 @@ let bump s v =
 
 let decay s = s.var_inc <- s.var_inc /. 0.95
 
-(* 1-UIP conflict analysis: learned clause + backjump level. *)
-let analyze s conflict_ci =
-  let learned = ref [] in
+(* Call [f] on every literal of the clause with reason or conflict code
+   [r] except [skip]: the arena record of a reference, the other literal
+   of a binary code. *)
+let iter_reason s r skip f =
+  if r >= 0 then
+    for k = r + 1 to r + s.arena.(r) do
+      let l = s.arena.(k) in
+      if l <> skip then f l
+    done
+  else f (bin_other r)
+
+(* 1-UIP conflict analysis: the learned clause is left in
+   learnt.[0..n), its asserting literal at 0; returns (n, backjump
+   level). *)
+let analyze s conflict =
   let counter = ref 0 in
-  let p = ref 0 (* the asserting literal, set below *) in
+  let n = ref 1 in
+  let process l =
+    let v = lit_var l in
+    if (not s.seen.(v)) && s.level.(v) > 0 then begin
+      s.seen.(v) <- true;
+      bump s v;
+      if s.level.(v) >= s.decision_level then incr counter
+      else begin
+        if !n = Array.length s.learnt then
+          s.learnt <- grow_array s.learnt (2 * !n) 0;
+        s.learnt.(!n) <- l;
+        incr n
+      end
+    end
+  in
+  if conflict < -1 then process s.confl_other;
+  iter_reason s conflict 0 process;
   let idx = ref (s.trail_size - 1) in
-  let reason_lits ci skip =
-    Array.to_list s.clauses.(ci) |> List.filter (fun l -> l <> skip)
-  in
-  let process lits =
-    List.iter
-      (fun l ->
-        let v = lit_var l in
-        if (not s.seen.(v)) && s.level.(v) > 0 then begin
-          s.seen.(v) <- true;
-          bump s v;
-          if s.level.(v) >= s.decision_level then incr counter
-          else learned := l :: !learned
-        end)
-      lits
-  in
-  process (Array.to_list s.clauses.(conflict_ci));
   let continue = ref true in
   while !continue do
     (* find next seen literal on the trail *)
@@ -499,23 +612,22 @@ let analyze s conflict_ci =
     decr counter;
     decr idx;
     if !counter = 0 then begin
-      p := -l;
+      s.learnt.(0) <- -l;
       continue := false
     end
-    else process (reason_lits s.reason.(v) l)
+    else iter_reason s s.reason.(v) l process
   done;
-  let lits = !p :: !learned in
-  List.iter (fun l -> s.seen.(lit_var l) <- false) !learned;
-  let backjump =
-    List.fold_left
-      (fun m l -> if l = !p then m else max m (s.level.(lit_var l)))
-      0 !learned
-  in
-  (Array.of_list lits, backjump)
+  let backjump = ref 0 in
+  for i = 1 to !n - 1 do
+    let v = lit_var s.learnt.(i) in
+    s.seen.(v) <- false;
+    backjump := max !backjump s.level.(v)
+  done;
+  (!n, !backjump)
 
 (* The next branching variable: the most active unassigned decision
    variable. Once the heap is exhausted, every variable should be
-   assigned — callers strip the flag only from variables that unit
+   assigned — callers admit as non-decision only variables that unit
    propagation defines from the decision variables — but a trail shorter
    than [nvars] says otherwise, and then the lowest unassigned variable
    is decided, so completeness never rests on that invariant. *)
@@ -543,12 +655,13 @@ let decide s =
     Some v
   end
 
-(* Record a learned clause and enqueue its asserting literal (position
-   0). Position 1 is set to a literal of maximal level so the watch
-   invariant holds after backjumping. Returns false on refutation. *)
-let record_learned s lits =
-  match Array.length lits with
-  | 0 -> false
+(* Record the learned clause learnt.[0..n) and enqueue its asserting
+   literal (position 0). Position 1 is set to a literal of maximal level
+   so the watch invariant holds after backjumping. Returns false on
+   refutation. *)
+let record_learned s n =
+  let lits = s.learnt in
+  match n with
   | 1 -> (
       match value s lits.(0) with
       | 1 -> true
@@ -565,20 +678,16 @@ let record_learned s lits =
       let tmp = lits.(1) in
       lits.(1) <- lits.(!best);
       lits.(!best) <- tmp;
-      grow_clauses s;
-      s.clauses.(s.nclauses) <- lits;
-      attach s s.nclauses;
-      enqueue s lits.(0) s.nclauses;
-      s.nclauses <- s.nclauses + 1;
+      enqueue s lits.(0) (attach s lits n);
       true
 
 (* MiniSat's [analyzeFinal]: assumption [p] was found false while being
    planted, so every decision level open so far is an assumption level.
    Walk the trail back from the top, following the reasons of the
-   marked literals; the decisions reached are the assumptions whose
-   propagation falsified [p]. Together with [p] they are unsatisfiable
-   with the clauses alone. A [p] falsified at level 0 needs no other
-   assumption. *)
+   marked literals — arena clauses and binary clauses alike; the
+   decisions reached are the assumptions whose propagation falsified
+   [p]. Together with [p] they are unsatisfiable with the clauses alone.
+   A [p] falsified at level 0 needs no other assumption. *)
 let analyze_final s p =
   let core = ref [ p ] in
   let v = lit_var p in
@@ -589,13 +698,11 @@ let analyze_final s p =
       let x = lit_var l in
       if s.seen.(x) then begin
         let r = s.reason.(x) in
-        if r < 0 then core := l :: !core
+        if r = -1 then core := l :: !core
         else
-          Array.iter
-            (fun q ->
+          iter_reason s r l (fun q ->
               let u = lit_var q in
-              if u <> x && s.level.(u) > 0 then s.seen.(u) <- true)
-            s.clauses.(r);
+              if s.level.(u) > 0 then s.seen.(u) <- true);
         s.seen.(x) <- false
       end
     done
@@ -640,7 +747,7 @@ let search ?(budget = Budget.unlimited) s assumptions =
     let rec loop () =
       tick ();
       let conflict = propagate s in
-      if conflict >= 0 then begin
+      if conflict <> -1 then begin
         incr conflicts;
         s.n_conflicts <- s.n_conflicts + 1;
         if s.decision_level = 0 then begin
@@ -648,10 +755,10 @@ let search ?(budget = Budget.unlimited) s assumptions =
           false
         end
         else begin
-          let learned, backjump = analyze s conflict in
+          let n, backjump = analyze s conflict in
           cancel_until s backjump;
           decay s;
-          if not (record_learned s learned) then begin
+          if not (record_learned s n) then begin
             s.broken <- true;
             false
           end
@@ -699,10 +806,6 @@ let search ?(budget = Budget.unlimited) s assumptions =
     r
   end
 
-(* Satisfiability under assumptions without materializing the model —
-   the engine's per-tuple certainty path discards it anyway. *)
-let sat_assuming ?budget s assumptions = search ?budget s assumptions
-
 let core s = s.core
 
 let solve_assuming ?budget s assumptions =
@@ -722,7 +825,7 @@ let solve ?budget ~nvars clauses =
   and neg = Array.make (max nvars 1) 0.0 in
   List.iter
     (fun c ->
-      let w = 2.0 ** float_of_int (-min (List.length c) 30) in
+      let w = weight (List.length c) in
       List.iter
         (fun l ->
           if l > 0 then pos.(lit_var l) <- pos.(lit_var l) +. w
@@ -747,7 +850,7 @@ let solve_iter ?budget ~nvars iter =
   let pos = Array.make (max nvars 1) 0.0
   and neg = Array.make (max nvars 1) 0.0 in
   iter (fun (buf : int array) off len ->
-      let w = 2.0 ** float_of_int (-min len 30) in
+      let w = weight len in
       for i = off to off + len - 1 do
         let l = buf.(i) in
         if l > 0 then pos.(lit_var l) <- pos.(lit_var l) +. w

@@ -5,7 +5,14 @@
     The solver is persistent: {!make} creates one that accepts new
     variables and clauses between calls via {!ensure_nvars} and
     {!assert_clause}, keeps its learned clauses, and solves under
-    assumption literals with {!solve_assuming}. *)
+    assumption literals with {!solve_assuming}.
+
+    Clause memory follows MiniSat: clauses of three or more literals
+    (original and learned) are records in one flat [int] arena, watched
+    through per-literal growable vectors; binary clauses live only in
+    per-literal binary vectors, and a literal they imply records the
+    binary clause as its reason, which conflict analysis and {!core}
+    follow like any other. See DESIGN.md §5, "Solver memory layout". *)
 
 type result =
   | Sat of bool array  (** index v-1 holds the value of variable v *)
@@ -16,8 +23,18 @@ type t
 
 val make : nvars:int -> t
 
-(** Admit variables 1..n (idempotent, may only grow). *)
-val ensure_nvars : t -> int -> unit
+(** [ensure_nvars ?decision s n] admits variables 1..n (idempotent,
+    may only grow). Each new variable [v] is one the search may branch
+    on iff [decision v] (default: every variable), as MiniSat's
+    [setDecisionVar] at creation; only those enter the order heap, and
+    {!seed_clause_slice} leaves the others' activity alone. Admit as
+    non-decision the variables that unit propagation fixes once the
+    decision variables are set (Tseitin auxiliaries): the search then
+    branches only on the rest, at their saved phase ([false] first).
+    Verdicts stay complete either way — a variable left unassigned when
+    no decision variable remains is decided anyway, so a model always
+    assigns every variable. *)
+val ensure_nvars : ?decision:(int -> bool) -> t -> int -> unit
 
 (** Add a clause at level 0 (cancelling any open decision levels).
     Duplicate literals are removed and tautologies dropped by one
@@ -30,16 +47,6 @@ val assert_clause : t -> int list -> unit
     modified. *)
 val assert_clause_slice : t -> int array -> int -> int -> unit
 
-(** [set_decision_var s v b] marks variable [v] as one the search may
-    branch on ([b = true], the default for every variable) or not, as
-    MiniSat's [setDecisionVar]. Clear it on variables that unit
-    propagation fixes once the decision variables are set (Tseitin
-    auxiliaries): the search then branches only on the rest, at their
-    saved phase ([false] first). Verdicts stay complete either way — a
-    variable left unassigned when no decision variable remains is
-    decided anyway, so a model always assigns every variable. *)
-val set_decision_var : t -> int -> bool -> unit
-
 (** Seed branching activity from the clause in an arena slice
     (Jeroslow-Wang-ish weights); call before {!assert_clause_slice} when
     building a solver incrementally.
@@ -47,7 +54,8 @@ val set_decision_var : t -> int -> bool -> unit
     bumped and sifted up in the order heap in place (MiniSat's
     discipline): the heap stays valid and no solve pays a rebuild over
     every variable, however many clauses arrive between solves.
-    Registers unseen variables. *)
+    Variables admitted as non-decision are skipped. Registers unseen
+    variables (as decision variables). *)
 val seed_clause_slice : t -> int array -> int -> int -> unit
 
 (** Solve the accumulated clauses under temporary assumption literals.
@@ -57,13 +65,7 @@ val seed_clause_slice : t -> int array -> int -> int -> unit
     the solver remains consistent and reusable after such a trip. *)
 val solve_assuming : ?budget:Budget.t -> t -> int list -> result
 
-(** {!solve_assuming} without materializing the model — for callers
-    that only need the verdict (the engine's per-tuple certainty path),
-    saving an O(nvars) array per call. *)
-val sat_assuming : ?budget:Budget.t -> t -> int list -> bool
-
-(** The failed-assumption core of the last {!solve_assuming} or
-    {!sat_assuming} call, when it answered [Unsat] (MiniSat's
+(** The failed-assumption core of the last {!solve_assuming} call, when it answered [Unsat] (MiniSat's
     [analyzeFinal]): a subset of that call's assumption literals that
     the clauses alone refute. It holds the assumption found false plus
     the assumptions whose propagation falsified it, and is [[]] once

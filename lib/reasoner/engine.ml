@@ -120,7 +120,7 @@ type grounding = {
      the assumed ones (empty on a static engine). *)
   known : (int, unit) Hashtbl.t;
   mutable fact_assumptions : int list;
-  mutable synced_vars : int;  (* variables already sorted into facts/auxiliaries *)
+  mutable synced_vars : int;  (* variables already admitted to the solver *)
   reified : (Logic.Formula.t * (string * Structure.Element.t) list, int) Hashtbl.t;
   (* per-grounding caches for the per-tuple hot path: the relativised
      formula of each disjunct (physical keys — engines see a handful of
@@ -225,24 +225,21 @@ let with_budget g budget f =
       Ground.set_budget g.ground Budget.unlimited)
     f
 
-(* Push clauses produced by the grounder since the last sync into the
-   persistent solver, straight from the clause arena. New Tseitin
-   auxiliaries lose their decision flag: propagation fixes them from the
-   facts, so the solver branches on facts (and activity) alone, false
-   first, and a countermodel holds only the facts and nulls O and D
-   force — a near-minimal witness that refutes every non-answer at once
-   on Horn inputs. The [engine.sync] span carries the clauses pushed and
-   the variables admitted, so clause loading is visible apart from
-   grounding (at creation) and settlement (per candidate). *)
+(* Hand the clauses produced by the grounder since the last sync to the
+   persistent solver, straight from the clause arena, which they then
+   leave. New Tseitin auxiliaries are admitted without the decision
+   flag: propagation fixes them from the facts, so the solver branches
+   on facts (and activity) alone, false first, and a countermodel holds
+   only the facts and nulls O and D force — a near-minimal witness that
+   refutes every non-answer at once on Horn inputs. The [engine.sync]
+   span carries the clauses pushed and the variables admitted, so clause
+   loading is visible apart from grounding (at creation) and settlement
+   (per candidate). *)
 let sync g =
   Obs.Trace.with_span "engine.sync" @@ fun () ->
   let n = Ground.nvars g.ground in
   let fresh = n - g.synced_vars in
-  Dpll.ensure_nvars g.solver n;
-  for v = g.synced_vars + 1 to n do
-    if not (Ground.is_fact_var g.ground v) then
-      Dpll.set_decision_var g.solver v false
-  done;
+  Dpll.ensure_nvars ~decision:(Ground.is_fact_var g.ground) g.solver n;
   g.synced_vars <- n;
   let clauses = ref 0 in
   Ground.iter_pending g.ground (fun buf off len ->

@@ -45,9 +45,8 @@ type t = {
   rels : (string, rel_info) Hashtbl.t;
   mutable rels_rev : (string * rel_info) list;  (* reverse registration order *)
   mutable nvars : int;
-  mutable arena : int array;  (* [len; lits..] records *)
+  mutable arena : int array;  (* [len; lits..] records not yet drained *)
   mutable arena_len : int;
-  mutable pending_pos : int;  (* arena offset of the first undrained clause *)
   mutable known : Logic.Signature.t;  (* relations with registered facts *)
   mutable budget : Budget.t;  (* checked per relation, subformula, clause *)
   mutable memo_hits : int;  (* circuits this grounding replayed from the memo *)
@@ -116,20 +115,23 @@ let emit_clause_list t lits =
     lits;
   t.arena_len <- !i
 
-(* Iterate clause slices of arena.[from..t.arena_len). *)
-let iter_arena t from f =
-  let i = ref from in
+(* Iterate the clause slices of the arena. *)
+let iter_clauses t f =
+  let i = ref 0 in
   while !i < t.arena_len do
     let len = t.arena.(!i) in
     f t.arena (!i + 1) len;
     i := !i + len + 1
   done
 
-let iter_clauses t f = iter_arena t 0 f
-
+(* Drain: each clause is handed over once and then leaves the arena, so
+   a grounding feeding a persistent solver never holds a second copy of
+   what the solver already stores. A large buffer is released rather
+   than kept for the few clauses later reifications emit. *)
 let iter_pending t f =
-  iter_arena t t.pending_pos f;
-  t.pending_pos <- t.arena_len
+  iter_clauses t f;
+  t.arena_len <- 0;
+  if Array.length t.arena > 4096 then t.arena <- Array.make 256 0
 
 (* ------------------------------------------------------------------ *)
 (* Activity                                                             *)
@@ -226,7 +228,6 @@ let create ?(budget = Budget.unlimited) ?(nulls = 0) ~domain ~signature () =
       nvars = 0;
       arena = Array.make 256 0;
       arena_len = 0;
-      pending_pos = 0;
       known = Logic.Signature.empty;
       budget;
       memo_hits = 0;

@@ -92,8 +92,9 @@ val fact_var : t -> Structure.Instance.fact -> int
     auxiliary the grounder emits is defined by a full equivalence over
     fact variables and earlier auxiliaries, so unit propagation fixes it
     once the facts are set — a solver need only branch on fact
-    variables (see {!Dpll.set_decision_var}). Constant time for
-    variables allocated after the last relation was registered. *)
+    variables (the [decision] predicate of {!Dpll.ensure_nvars}).
+    Constant time for variables allocated after the last relation was
+    registered. *)
 val is_fact_var : t -> int -> bool
 
 (** Admit further relations after creation, registering their fact
@@ -104,11 +105,16 @@ val ensure_signature : t -> Logic.Signature.t -> unit
 (** Total SAT variables so far (facts + Tseitin auxiliaries). *)
 val nvars : t -> int
 
-(** [iter_pending t f] calls [f buf off len] for every clause emitted
-    since the last call, as literal slices [buf.[off..off+len)] of the
-    clause arena, in emission order — for pushing into a persistent
-    solver ({!Dpll.assert_clause_slice}) without materialising lists.
-    The slices are only valid during the iteration. *)
+(** [iter_pending t f] drains the clause arena: it calls [f buf off len]
+    for every clause emitted since the last call, as literal slices
+    [buf.[off..off+len)] of the arena, in emission order — for handing
+    them to a persistent solver ({!Dpll.assert_clause_slice}) without
+    materialising lists — and then drops them, so each clause is
+    handed over exactly once and the grounding keeps no second copy of
+    what the solver stores. The slices are only valid during the
+    iteration. After a drain, {!solve}, {!enumerate} and
+    {!enumerate_projections} see only the clauses emitted since: they
+    are for groundings that never drain. *)
 val iter_pending : t -> (int array -> int -> int -> unit) -> unit
 
 (** Assert that [f] holds (under [env] for its free variables). *)
@@ -123,8 +129,9 @@ val assert_fact : t -> Structure.Instance.fact -> unit
 (** Force all facts of an instance to be true. *)
 val assert_instance : t -> Structure.Instance.t -> unit
 
-(** Solve; [Some m] is a model containing exactly the true facts, with
-    the whole domain as its universe. *)
+(** Solve the clauses in the arena (every clause, on a grounding that
+    never drained; see {!iter_pending}); [Some m] is a model containing
+    exactly the true facts, with the whole domain as its universe. *)
 val solve : t -> Structure.Instance.t option
 
 (** Enumerate models (distinct fact sets), up to [limit]. *)

@@ -17,14 +17,6 @@ val deepen : ?max_extra:int -> (int -> 'a option) -> 'a option
 (** dom(D) plus [extra] fresh nulls (never empty). *)
 val domain : extra:int -> Structure.Instance.t -> Structure.Element.t list
 
-(** The joint signature of the ontology, the instance and
-    [extra_signature]. *)
-val signature :
-  ?extra_signature:Logic.Signature.t ->
-  Logic.Ontology.t ->
-  Structure.Instance.t ->
-  Logic.Signature.t
-
 (** [build ?budget ?extra_signature ~extra o d] grounds O and D over the
     bounded domain: instance facts asserted, all ontology sentences
     asserted. May raise {!Budget.Exhausted} when budgeted. *)

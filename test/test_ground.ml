@@ -398,6 +398,50 @@ let test_horn_axioms_plain_cnf () =
         (Reasoner.Ground.nvars g))
     [ "exists r . A << B"; "A << forall r . B" ]
 
+(* 5. [iter_pending] hands each clause over once: the clauses then leave
+   the grounding, so a second drain yields nothing and a later emission
+   is all the next one sees. Over {a, b}, A ⊑ B plus A(a) is two clauses
+   ¬A(x) ∨ B(x) and the unit A(a). A grounding that never drained still
+   shows every clause to its own [solve] and [enumerate] (which do not
+   drain): B(a) is forced, and (A(b), B(b)) takes the three values that
+   A(b) → B(b) allows. *)
+let test_iter_pending_drains () =
+  let count g =
+    let n = ref 0 in
+    Reasoner.Ground.iter_pending g (fun _ _ _ -> incr n);
+    !n
+  in
+  let make () =
+    let g =
+      Reasoner.Ground.create
+        ~domain:[ e "a"; e "b" ]
+        ~signature:(Logic.Signature.of_list [ ("A", 1); ("B", 1) ])
+        ()
+    in
+    List.iter
+      (Reasoner.Ground.assert_formula g)
+      (Logic.Ontology.all_sentences
+         (Dl.Translate.tbox (Dl.Parser.parse_tbox "A << B")));
+    Reasoner.Ground.assert_fact g (Structure.Instance.fact "A" [ e "a" ]);
+    g
+  in
+  let g = make () in
+  Alcotest.(check int) "first drain" 3 (count g);
+  Alcotest.(check int) "second drain" 0 (count g);
+  Reasoner.Ground.assert_fact g (Structure.Instance.fact "B" [ e "b" ]);
+  Alcotest.(check int) "a later emission" 1 (count g);
+  Alcotest.(check int) "drained again" 0 (count g);
+  let g = make () in
+  let b_a = Structure.Instance.fact "B" [ e "a" ] in
+  (match Reasoner.Ground.solve g with
+  | None -> Alcotest.fail "satisfiable grounding refuted"
+  | Some m -> check "solve sees A << B and A(a)" true (Structure.Instance.mem b_a m));
+  let models = Reasoner.Ground.enumerate g in
+  Alcotest.(check int) "enumerate sees every clause" 3 (List.length models);
+  check "every model has B(a)" true
+    (List.for_all (Structure.Instance.mem b_a) models);
+  Alcotest.(check int) "solve and enumerate do not drain" 3 (count g)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suite =
@@ -406,4 +450,6 @@ let suite =
   @ [
       Alcotest.test_case "horn axioms ground to plain cnf" `Quick
         test_horn_axioms_plain_cnf;
+      Alcotest.test_case "iter_pending hands each clause over once" `Quick
+        test_iter_pending_drains;
     ]

@@ -22,14 +22,14 @@ let test_dpll_enumerate () =
   let ms = Reasoner.Dpll.enumerate ~nvars:2 ~project:[ 1; 2 ] [ [ 1; 2 ] ] in
   Alcotest.(check int) "three models" 3 (List.length ms)
 
-(* Variables without the decision flag still get values: once no
-   decision variable is left, the search decides the unassigned rest, so
-   the model satisfies every clause and the unconstrained variable 3 is
-   decided too (two decisions: 1, then 3; 2 is propagated). *)
+(* Variables admitted without the decision flag still get values: once
+   no decision variable is left, the search decides the unassigned rest,
+   so the model satisfies every clause and the unconstrained variable 3
+   is decided too (two decisions: 1, then 3; 2 is propagated). *)
 let test_dpll_decision_safety_net () =
-  let s = Reasoner.Dpll.make ~nvars:3 in
+  let s = Reasoner.Dpll.make ~nvars:0 in
+  Reasoner.Dpll.ensure_nvars ~decision:(fun _ -> false) s 3;
   Reasoner.Dpll.assert_clause s [ 1; 2 ];
-  List.iter (fun v -> Reasoner.Dpll.set_decision_var s v false) [ 1; 2; 3 ];
   match Reasoner.Dpll.solve_assuming s [] with
   | Reasoner.Dpll.Unsat -> Alcotest.fail "satisfiable clause set refuted"
   | Reasoner.Dpll.Sat m ->
@@ -86,10 +86,44 @@ let test_dpll_model_length () =
 (* Does the assignment [a] (index v-1 for variable v) satisfy [l]? *)
 let holds a l = if l > 0 then a.(l - 1) else not a.(-l - 1)
 
+let sat s assumptions =
+  Reasoner.Dpll.solve_assuming s assumptions <> Reasoner.Dpll.Unsat
+
+(* Load [batch] through the slice API, as the engine does: one flat
+   [len; lits..] arena, each clause seeded, then asserted. *)
+let load_slices s batch =
+  let arena =
+    Array.of_list (List.concat_map (fun c -> List.length c :: c) batch)
+  in
+  let i = ref 0 in
+  while !i < Array.length arena do
+    let len = arena.(!i) in
+    Reasoner.Dpll.seed_clause_slice s arena (!i + 1) len;
+    Reasoner.Dpll.assert_clause_slice s arena (!i + 1) len;
+    i := !i + len + 1
+  done
+
+(* Some assignment of [nvars] variables satisfies every clause of
+   [clauses] (brute force over all 2^nvars). *)
+let brute_sat nvars clauses =
+  let a = Array.make nvars false in
+  let rec go v =
+    if v = nvars then List.for_all (List.exists (holds a)) clauses
+    else begin
+      a.(v) <- false;
+      go (v + 1)
+      ||
+      (a.(v) <- true;
+       go (v + 1))
+    end
+  in
+  go 0
+
 (* The persistent solver as the engine drives it: clauses arrive in
    batches from a flat [len; lits..] arena through the slice API (seeded,
-   then asserted), some variables lose their decision flag, and solves
-   under random assumptions are interleaved with the batches. After
+   then asserted), some variables are admitted without their decision
+   flag, and solves under random assumptions are interleaved with the
+   batches. After
    every solve the verdict must match brute force over all clauses so
    far plus the assumptions, and a model must satisfy all of them. *)
 let test_dpll_incremental_vs_brute =
@@ -109,26 +143,18 @@ let test_dpll_incremental_vs_brute =
       let clauses = ref [] in
       let ok = ref true in
       for _ = 1 to 1 + Random.State.int rng 4 do
+        (* admit a few more variables, about a third of them
+           non-decision *)
+        Reasoner.Dpll.ensure_nvars
+          ~decision:(fun _ -> Random.State.int rng 3 > 0)
+          s
+          (Random.State.int rng (nvars + 1));
         let batch =
           List.init (1 + Random.State.int rng 4) (fun _ ->
               List.init (1 + Random.State.int rng 3) (fun _ -> lit ()))
         in
-        let arena =
-          Array.of_list
-            (List.concat_map (fun c -> List.length c :: c) batch)
-        in
-        let i = ref 0 in
-        while !i < Array.length arena do
-          let len = arena.(!i) in
-          Reasoner.Dpll.seed_clause_slice s arena (!i + 1) len;
-          Reasoner.Dpll.assert_clause_slice s arena (!i + 1) len;
-          i := !i + len + 1
-        done;
+        load_slices s batch;
         clauses := batch @ !clauses;
-        if Random.State.int rng 3 = 0 then
-          Reasoner.Dpll.set_decision_var s
-            (1 + Random.State.int rng nvars)
-            false;
         for _ = 1 to 1 + Random.State.int rng 3 do
           let assumptions =
             List.init (Random.State.int rng 3) (fun _ -> lit ())
@@ -148,16 +174,113 @@ let test_dpll_incremental_vs_brute =
       done;
       !ok)
 
+(* The persistent solver on the grounder's clause mix — about 2/3
+   binary, 1/3 ternary and a few long clauses, the shape of the
+   BioPortal-like corpus — checked by brute force, which shares no code
+   with the solver (Bounded does). Batches arrive through the slice API
+   and variables are admitted in steps, some without the decision flag.
+   After each batch a few solves under random assumptions (with repeats
+   and complements) must give brute force's verdict; a model must
+   satisfy every clause and assumption, and an Unsat's core must be a
+   subset of the assumptions that the clauses alone refute. *)
+let test_dpll_grounder_mix_vs_brute =
+  QCheck.Test.make
+    ~name:"dpll on the grounder's clause mix agrees with brute force"
+    ~count:200
+    QCheck.(pair (int_bound 100000) (int_range 2 10))
+    (fun (seed, nvars) ->
+      let rng = Random.State.make [| seed |] in
+      let lit () =
+        let v = 1 + Random.State.int rng nvars in
+        if Random.State.bool rng then v else -v
+      in
+      let clause () =
+        let r = Random.State.int rng 30 in
+        let len =
+          if r = 0 then 4 + Random.State.int rng 4
+          else if r <= 20 then 2
+          else 3
+        in
+        List.init len (fun _ -> lit ())
+      in
+      let s = Reasoner.Dpll.make ~nvars:0 in
+      let clauses = ref [] in
+      let ok = ref true in
+      for _ = 1 to 1 + Random.State.int rng 5 do
+        Reasoner.Dpll.ensure_nvars
+          ~decision:(fun _ -> Random.State.int rng 4 > 0)
+          s
+          (1 + Random.State.int rng nvars);
+        let batch =
+          List.init (1 + Random.State.int rng (2 * nvars)) (fun _ -> clause ())
+        in
+        load_slices s batch;
+        clauses := batch @ !clauses;
+        for _ = 1 to 1 + Random.State.int rng 3 do
+          let fresh = List.init (Random.State.int rng 5) (fun _ -> lit ()) in
+          let assumptions =
+            fresh @ List.filter (fun _ -> Random.State.int rng 3 = 0) fresh
+          in
+          let units ls = List.map (fun l -> [ l ]) ls in
+          let expected = brute_sat nvars (units assumptions @ !clauses) in
+          match Reasoner.Dpll.solve_assuming s assumptions with
+          | Reasoner.Dpll.Sat m ->
+              if
+                not
+                  (expected
+                  && List.for_all (List.exists (holds m)) (units assumptions @ !clauses))
+              then ok := false
+          | Reasoner.Dpll.Unsat ->
+              let core = Reasoner.Dpll.core s in
+              if
+                expected
+                || (not (List.for_all (fun l -> List.mem l assumptions) core))
+                || brute_sat nvars (units core @ !clauses)
+              then ok := false
+        done
+      done;
+      !ok)
+
 (* A core names the assumptions a refutation rests on, and only those:
    1 → 2 → 3 makes -3 fail under 1, while 4 plays no part. *)
 let test_dpll_core_cites_its_assumptions () =
   let s = Reasoner.Dpll.make ~nvars:4 in
   List.iter (Reasoner.Dpll.assert_clause s) [ [ -1; 2 ]; [ -2; 3 ] ];
-  check "refuted" false (Reasoner.Dpll.sat_assuming s [ 1; 4; -3 ]);
+  check "refuted" false (sat s [ 1; 4; -3 ]);
   Alcotest.(check (list int)) "core" [ -3; 1 ]
     (List.sort compare (Reasoner.Dpll.core s));
-  check "satisfiable without 1" true (Reasoner.Dpll.sat_assuming s [ 4; -3 ]);
+  check "satisfiable without 1" true (sat s [ 4; -3 ]);
   Alcotest.(check (list int)) "no core after sat" [] (Reasoner.Dpll.core s)
+
+(* Binary clauses are stored only as binary watches, and a literal they
+   imply records the binary clause as its reason; the core must follow
+   those reasons back to the assumptions. Under 1, the chain
+   1 → 2 → .. → 7 of binary clauses falsifies the assumption -7, with a
+   ternary clause (¬3 ∨ ¬8 ∨ 9) and the assumptions 8 and -10 on the
+   side: 8 forces 9 through it, and -10 plays no part. The core is
+   {1, -7}, and the clauses refute it. *)
+let test_dpll_binary_chain_core () =
+  let chain = List.init 6 (fun i -> [ -(i + 1); i + 2 ]) in
+  let clauses = [ -3; -8; 9 ] :: chain in
+  let s = Reasoner.Dpll.make ~nvars:10 in
+  load_slices s clauses;
+  check "refuted" false (sat s [ -10; 8; 1; -7 ]);
+  let core = Reasoner.Dpll.core s in
+  Alcotest.(check (list int)) "core" [ -7; 1 ] (List.sort compare core);
+  check "core refutes" false
+    (brute_sat 10 (List.map (fun l -> [ l ]) core @ clauses));
+  check "satisfiable without 1" true (sat s [ -10; 8; -7 ])
+
+(* The four binary clauses over {1, 2} are unsatisfiable with no
+   assumption at all: the search refutes them at level 0, and from then
+   on every core is []. *)
+let test_dpll_binary_refutation_core () =
+  let s = Reasoner.Dpll.make ~nvars:3 in
+  load_slices s [ [ 1; 2 ]; [ 1; -2 ]; [ -1; 2 ]; [ -1; -2 ] ];
+  check "refuted" false (sat s []);
+  Alcotest.(check (list int)) "core" [] (Reasoner.Dpll.core s);
+  check "refuted under 3" false (sat s [ 3 ]);
+  Alcotest.(check (list int)) "core under 3" [] (Reasoner.Dpll.core s)
 
 (* Failed-assumption cores, checked by code other than the solver that
    produced them: on random CNFs over at most 12 variables, a persistent
@@ -196,7 +319,7 @@ let test_dpll_core =
               (* repeat a few, so some are already true when planted *)
               fresh @ List.filter (fun _ -> Random.State.int rng 3 = 0) fresh
           in
-          Reasoner.Dpll.sat_assuming s assumptions
+          sat s assumptions
           ||
           let core = Reasoner.Dpll.core s in
           let ok =
@@ -359,8 +482,12 @@ let suite =
     QCheck_alcotest.to_alcotest test_dpll_vs_brute;
     Alcotest.test_case "dpll_model_length" `Quick test_dpll_model_length;
     QCheck_alcotest.to_alcotest test_dpll_incremental_vs_brute;
+    QCheck_alcotest.to_alcotest test_dpll_grounder_mix_vs_brute;
     Alcotest.test_case "dpll_core_cites_its_assumptions" `Quick
       test_dpll_core_cites_its_assumptions;
+    Alcotest.test_case "dpll_binary_chain_core" `Quick test_dpll_binary_chain_core;
+    Alcotest.test_case "dpll_binary_refutation_core" `Quick
+      test_dpll_binary_refutation_core;
     QCheck_alcotest.to_alcotest test_dpll_core;
     Alcotest.test_case "consistency" `Quick test_consistency;
     Alcotest.test_case "certain_disjunctive" `Quick test_certain_disjunctive;
