@@ -153,11 +153,7 @@ let engine_table () =
   Gc.compact ();
   (* Multi-tuple certain answers of an arity-2 query: the seed path
      regrounds (O, D) for every candidate tuple and bound; the session
-     path grounds once and answers tuples by assumption solving. The grounding memo is disabled for the table — it would
-     accelerate the seed path's deliberate regrounding and blur the
-     ground-once-vs-reground comparison this table isolates; the memo's
-     own effect shows up in bench.total.ground_seconds instead. *)
-  Reasoner.Ground.set_memo_capacity 0;
+     path grounds once and answers tuples by assumption solving. *)
   let q2 = Query.Parse.cq_of_string "q(x,y) <- R(x,y), C(x)" in
   let max_extra = 1 in
   Fmt.pr "%-8s %-12s %-10s %-12s %-12s %-9s %s@." "chain" "candidates"
@@ -209,8 +205,7 @@ let engine_table () =
       let prefix = Fmt.str "bench.engine.chain%d" n in
       record_stats prefix st;
       Obs.Metrics.set (Obs.Metrics.global ()) (prefix ^ ".speedup") (t_seed /. t_eng))
-    [ 4; 8 ];
-  Reasoner.Ground.set_memo_capacity 256
+    [ 4; 8 ]
 
 let parallel_corpus_table () =
   section "Parallel corpus: 24-ontology batch evaluation per jobs count";
@@ -264,40 +259,14 @@ let parallel_corpus_table () =
           Obs.Metrics.set (Obs.Metrics.global ()) (prefix ^ ".seconds")
             rep.Omq.Corpus.seconds;
           Obs.Metrics.set (Obs.Metrics.global ()) (prefix ^ ".speedup") speedup;
-          (* Per-domain engine-counter context (ROADMAP item 3): how the
-             grounding-memo traffic distributes over the worker domains —
-             cold per-domain memos are the leading suspect for the
-             recorded slowdowns. *)
-          let byw = Hashtbl.create 8 in
-          List.iter
-            (fun (r : Omq.Corpus.result_one) ->
-              let st =
-                match Hashtbl.find_opt byw r.worker with
-                | Some st -> st
-                | None ->
-                    let st = Reasoner.Stats.create () in
-                    Hashtbl.add byw r.worker st;
-                    st
-              in
-              Reasoner.Stats.add ~into:st r.stats)
-            rep.Omq.Corpus.results;
           let workers =
-            List.sort compare (Hashtbl.fold (fun w _ acc -> w :: acc) byw [])
+            List.sort_uniq compare
+              (List.map
+                 (fun (r : Omq.Corpus.result_one) -> r.worker)
+                 rep.Omq.Corpus.results)
           in
-          List.iter
-            (fun w ->
-              let st = Hashtbl.find byw w in
-              Fmt.pr "       domain %d: memo %d/%d (hits/misses)@." w
-                st.Reasoner.Stats.memo_hits st.Reasoner.Stats.memo_misses)
-            workers;
-          let m = Obs.Metrics.global () in
-          let total = rep.Omq.Corpus.total in
-          Obs.Metrics.set_count m (prefix ^ ".memo_hits")
-            total.Reasoner.Stats.memo_hits;
-          Obs.Metrics.set_count m (prefix ^ ".memo_misses")
-            total.Reasoner.Stats.memo_misses;
-          Obs.Metrics.set_count m (prefix ^ ".domains_used")
-            (List.length workers))
+          Obs.Metrics.set_count (Obs.Metrics.global ())
+            (prefix ^ ".domains_used") (List.length workers))
         [ 1; 2; 4 ]
 
 let eval_table ?(sizes = [ 10_000; 100_000 ]) () =
@@ -406,7 +375,6 @@ let incremental_table ?(rounds = 30) () =
     in
     draw [] 0
   in
-  Omq.clear_caches ();
   Gc.compact ();
   let s = ref (Omq.open_session ~updatable:true omq inst) in
   (* The first answer grounds the session's engine, at its ceiling,
@@ -432,7 +400,6 @@ let incremental_table ?(rounds = 30) () =
     ans_ins := t_after :: !ans_ins;
     let fresh, t_reopen =
       time (fun () ->
-          Omq.clear_caches ();
           let c = Omq.open_session ~updatable:true omq updated in
           ignore (Omq.Session.certain c probe);
           c)
@@ -516,26 +483,8 @@ let serve_table () =
   | onto, data -> (
       let query = "q(x) <- Hand(x)" in
       let expected =
-        let tbox = Dl.Parser.parse_tbox onto in
-        let d = Structure.Parse.instance_of_string data in
-        let q = Query.Parse.ucq_of_string query in
-        let session = Omq.open_session ~max_extra:2 (Omq.of_tbox tbox q) d in
-        let answers = Omq.Session.certain_answers session in
-        P.render_response
-          (P.Evaled
-             {
-               result =
-                 {
-                   P.consistent = true;
-                   boolean = false;
-                   tuples =
-                     List.map
-                       (List.map (fun e ->
-                            Fmt.str "%a" Structure.Element.pp e))
-                       answers;
-                 };
-               stats = None;
-             })
+        Result.get_ok
+          (Omqd.Core.expected_eval ~ontology:onto ~data ~query ~max_extra:2)
       in
       let clients = 4 and queries = 60 and jobs = 4 in
       let path =
@@ -591,96 +540,6 @@ let serve_table () =
           Obs.Metrics.set m "bench.serve.p99_ms" s.Omqd.Loadgen.p99_ms;
           Obs.Metrics.set m "bench.serve.max_ms" s.Omqd.Loadgen.max_ms)
 
-let telemetry_overhead_table () =
-  section "Telemetry overhead: identical load, metrics on vs off";
-  (* Same daemon-on-a-thread closed loop as the serve table, run three
-     times: one discarded warmup, then telemetry on and telemetry off.
-     What's being priced is the whole per-request hot path the flight
-     recorder adds — latency observation into the bucketed histogram,
-     the worker-side GC sample shipped with each completion, and the
-     ring write. The budget is < 5% of throughput;
-     the number lands in BENCH_omq.json so CI can watch it drift. *)
-  let module P = Omq.Protocol in
-  let read_file path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  match (read_file "data/hand.dl", read_file "data/hand_instance.txt") with
-  | exception Sys_error m ->
-      Fmt.pr "skipped: %s (run from the repository root)@." m
-  | onto, data -> (
-      let query = "q(x) <- Hand(x)" in
-      (* Long runs: at short ones the measurement is dominated by
-         daemon/session startup and scheduler noise, not the per-request
-         cost being priced. *)
-      let clients = 4 and queries = 200 and jobs = 4 in
-      let spec =
-        {
-          Omqd.Loadgen.open_req =
-            P.Open_session { ontology = onto; data; query; max_extra = 2 };
-          make_eval =
-            (fun ~session ->
-              P.Eval { session; budget = P.no_budget; want_stats = false });
-          expected = None;
-        }
-      in
-      let run_load ~telemetry tag =
-        let path =
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "omq-bench-tel-%s-%d.sock" tag (Unix.getpid ()))
-        in
-        let addr = Omqd.Daemon.Unix_path path in
-        let cfg = Omqd.Daemon.config ~addr ~jobs ~telemetry () in
-        let daemon = ref (Ok ()) in
-        let th = Thread.create (fun () -> daemon := Omqd.Daemon.run cfg) () in
-        let outcome =
-          Omqd.Loadgen.run addr (List.init clients (fun _ -> spec)) ~queries
-        in
-        (match Omqd.Client.connect ~attempts:1 addr with
-        | Error _ -> ()
-        | Ok c ->
-            ignore (Omqd.Client.call c P.Shutdown);
-            Omqd.Client.close c);
-        Thread.join th;
-        match (outcome, !daemon) with
-        | Ok s, Ok () -> Ok s.Omqd.Loadgen.throughput_rps
-        | Error m, _ | _, Error m -> Error m
-      in
-      let ( let* ) = Result.bind in
-      (* Alternate on/off and keep the best of three each: a single
-         pair is badly order-biased in-process (the major heap grows
-         run over run, so whichever mode runs later looks faster).
-         Best-of alternated pairs cancels that; noise only ever
-         subtracts from a throughput measurement. *)
-      let measured =
-        let* _warmup = run_load ~telemetry:true "warmup" in
-        let rec pairs n best_on best_off =
-          if n = 0 then Ok (best_on, best_off)
-          else
-            let* on = run_load ~telemetry:true (Printf.sprintf "on%d" n) in
-            let* off = run_load ~telemetry:false (Printf.sprintf "off%d" n) in
-            pairs (n - 1) (Float.max best_on on) (Float.max best_off off)
-        in
-        pairs 3 0.0 0.0
-      in
-      match measured with
-      | Error m -> Fmt.pr "skipped: %s@." m
-      | Ok (rps_on, rps_off) ->
-          let overhead_pct =
-            if rps_off > 0.0 then 100.0 *. (1.0 -. (rps_on /. rps_off))
-            else 0.0
-          in
-          Fmt.pr "telemetry on: %.1f req/s@." rps_on;
-          Fmt.pr "telemetry off: %.1f req/s@." rps_off;
-          Fmt.pr "overhead: %.2f%% of throughput@." overhead_pct;
-          let m = Obs.Metrics.global () in
-          Obs.Metrics.set m "bench.telemetry.rps_on" rps_on;
-          Obs.Metrics.set m "bench.telemetry.rps_off" rps_off;
-          Obs.Metrics.set m "bench.telemetry.overhead_pct" overhead_pct)
-
 let chaos_table () =
   section "Chaos: journal recovery after a restart";
   (* Two daemons share one journal directory. The first serves a fleet
@@ -704,26 +563,9 @@ let chaos_table () =
       let query = "q(x) <- Hand(x)" in
       let extra = "Hand(z_chaos)" in
       let expected =
-        let tbox = Dl.Parser.parse_tbox onto in
-        let d = Structure.Parse.instance_of_string (data ^ "\n" ^ extra) in
-        let q = Query.Parse.ucq_of_string query in
-        let session = Omq.open_session ~max_extra:2 (Omq.of_tbox tbox q) d in
-        let answers = Omq.Session.certain_answers session in
-        P.render_response
-          (P.Evaled
-             {
-               result =
-                 {
-                   P.consistent = true;
-                   boolean = false;
-                   tuples =
-                     List.map
-                       (List.map (fun e ->
-                            Fmt.str "%a" Structure.Element.pp e))
-                       answers;
-                 };
-               stats = None;
-             })
+        Result.get_ok
+          (Omqd.Core.expected_eval ~ontology:onto ~data:(data ^ "\n" ^ extra)
+             ~query ~max_extra:2)
       in
       let pid = Unix.getpid () in
       let tmp = Filename.get_temp_dir_name () in
@@ -1083,7 +925,6 @@ let () =
     eval_table ();
     incremental_table ();
     serve_table ();
-    telemetry_overhead_table ();
     chaos_table ();
     thm5_table ();
     thm8_table ();

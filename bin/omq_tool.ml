@@ -290,7 +290,7 @@ let eval_cmd =
     Arg.(
       value & flag
       & info [ "stats" ]
-          ~doc:"Report engine counters (groundings, solves, memo traffic).")
+          ~doc:"Report engine counters (groundings, solves, solver effort).")
   in
   let explain_arg =
     Arg.(
@@ -1137,13 +1137,14 @@ let loadgen_cmd =
     let* addr = addr_of socket host port in
     let* ontology = read_file ontology in
     let* data = read_file data in
+    let* expected = Omqd.Core.expected_eval ~ontology ~data ~query ~max_extra in
     let spec =
       {
         Omqd.Loadgen.open_req = P.Open_session { ontology; data; query; max_extra };
         make_eval =
           (fun ~session ->
             P.Eval { session; budget = P.no_budget; want_stats = false });
-        expected = None;
+        expected = Some expected;
       }
     in
     let* s = Omqd.Loadgen.run addr (List.init (max clients 1) (fun _ -> spec)) ~queries in

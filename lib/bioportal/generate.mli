@@ -3,8 +3,5 @@
     proportions the paper reports (385/411 depth 1 in ALCHIQ, 405/411
     depth ≤ 2 in ALCHIF). See DESIGN.md for the substitution rationale. *)
 
-(** One synthetic ontology. *)
-val ontology : Random.State.t -> Dl.Tbox.t
-
 (** The corpus (default: 411 ontologies, seed 2017). *)
 val corpus : ?seed:int -> ?n:int -> unit -> Dl.Tbox.t list

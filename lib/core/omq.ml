@@ -226,10 +226,10 @@ let is_consistent ?budget ?max_extra omq d =
 let certain_answers_within budget ?max_extra omq d =
   Session.certain_answers_within budget (open_session ?max_extra omq d)
 
-(* Drop the one process-wide cache the answering stack keeps: the
-   grounder's cross-session circuit memo (of the calling domain). For
-   benchmarking cold paths and bounding long-process memory. *)
-let clear_caches () = Reasoner.Ground.clear_memo ()
+(* The answering stack keeps no cache across sessions: each engine
+   grounds its own (O, D) once. Kept as a no-op for callers written
+   when the grounder had a cross-session memo. *)
+let clear_caches () = ()
 
 (* ------------------------------------------------------------------ *)
 (* Analyses                                                             *)
@@ -261,10 +261,6 @@ let rewritten_certain ?budget ?extra omq d tuple =
           Error (`Too_many_types limit))
   | _ -> Error `Not_single_cq
 
-let pp ppf omq =
-  Fmt.pf ppf "@[<v>ontology:@ %a@ query:@ %a@]" Logic.Ontology.pp omq.ontology
-    Query.Ucq.pp omq.query
-
 (* ------------------------------------------------------------------ *)
 (* The corpus runner                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -272,9 +268,8 @@ let pp ppf omq =
 (* Batch classification / evaluation of many ontologies on a
    Parallel.Pool — the paper's own workload shape (411 BioPortal
    ontologies) rather than one session at a time. Corpus items are
-   independent, so the fan-out is shared-nothing: each worker domain
-   grows its own grounding memo (Domain.DLS), each item grounds and
-   counts its work in its own session's engine, and the only
+   independent, so the fan-out is shared-nothing: each item grounds
+   and counts its work in its own session's engine, and the only
    cross-domain artifacts are the per-item results (those stats
    included), assembled in submission order. That assembly (plus
    per-item budgets and traces) is what makes [--jobs n] output

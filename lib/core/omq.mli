@@ -174,24 +174,22 @@ val rewritten_certain :
   result
 
 
-(** Drop the one cache the answering stack keeps across sessions, the
-    grounder's circuit memo, for cold-path measurements and bounding
-    long-process memory. The memo is domain-local, so this clears the
-    calling domain's only — worker domains of a {!Corpus} run keep (and
-    reuse) their own. *)
+(** A no-op. The answering stack keeps no cache across sessions: each
+    session's engine grounds its own (O, D) once, and nothing outlives
+    the session. Kept for benchmark drivers that call it before a cold
+    measurement, written when the grounder had a cross-session memo. *)
 val clear_caches : unit -> unit
 
 (** Batch classification / evaluation of a corpus of ontologies on a
     {!Parallel.Pool} — the paper's experimental shape (hundreds of
     BioPortal ontologies) run many-at-once.
 
-    Corpus items are independent and every mutable structure of the
-    answering stack is domain-local, so the fan-out is shared-nothing:
-    each worker domain keeps its own grounding memo, each item holds
+    Corpus items are independent and share no mutable structure of the
+    answering stack, so the fan-out is shared-nothing: each item holds
     its own session engine and stats record, and results are assembled
     in submission order. Consequently a run's results (and any
-    rendering that omits timings and memo counters) are bit-identical
-    for every [jobs] count. *)
+    rendering that omits timings) are bit-identical for every [jobs]
+    count. *)
 module Corpus : sig
   type item = { name : string; tbox : Dl.Tbox.t }
 
@@ -276,5 +274,3 @@ module Corpus : sig
       [Fuel]), if any tripped — drives the CLI exit code. *)
   val worst_failure : report -> Reasoner.Budget.reason option
 end
-
-val pp : t Fmt.t

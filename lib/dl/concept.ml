@@ -34,15 +34,6 @@ let rec depth = function
   | Exists (_, c) | Forall (_, c) | AtLeast (_, _, c) | AtMost (_, _, c) ->
       1 + depth c
 
-let rec atomic_concepts = function
-  | Top | Bot -> Logic.Names.SSet.empty
-  | Atomic a -> Logic.Names.SSet.singleton a
-  | Not c -> atomic_concepts c
-  | And (a, b) | Or (a, b) ->
-      Logic.Names.SSet.union (atomic_concepts a) (atomic_concepts b)
-  | Exists (_, c) | Forall (_, c) | AtLeast (_, _, c) | AtMost (_, _, c) ->
-      atomic_concepts c
-
 let rec roles = function
   | Top | Bot | Atomic _ -> []
   | Not c -> roles c

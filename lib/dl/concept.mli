@@ -33,7 +33,6 @@ val disj : t list -> t
 (** Maximal nesting depth of ∃R / ∀R / number restrictions. *)
 val depth : t -> int
 
-val atomic_concepts : t -> Logic.Names.SSet.t
 val roles : t -> role list
 val uses_inverse : t -> bool
 
@@ -47,5 +46,4 @@ val nnf : t -> t
 
 val pp : t Fmt.t
 val to_string : t -> string
-val compare : t -> t -> int
 val equal : t -> t -> bool

@@ -64,33 +64,6 @@ let within_alchiq _t =
      so every TBox in this AST lies within ALCHIQ *)
   true
 
-let signature t =
-  let concept_names =
-    List.fold_left
-      (fun acc c -> Logic.Names.SSet.union acc (Concept.atomic_concepts c))
-      Logic.Names.SSet.empty (concepts t)
-  in
-  let role_names =
-    List.fold_left
-      (fun acc ax ->
-        let rs =
-          match ax with
-          | Sub (c, d) -> Concept.roles c @ Concept.roles d
-          | RoleSub (r, s) -> [ r; s ]
-          | Func r -> [ r ]
-        in
-        List.fold_left
-          (fun acc r -> Logic.Names.SSet.add (Concept.role_name r) acc)
-          acc rs)
-      Logic.Names.SSet.empty t
-  in
-  let s =
-    Logic.Names.SSet.fold
-      (fun a acc -> Logic.Signature.add a 1 acc)
-      concept_names Logic.Signature.empty
-  in
-  Logic.Names.SSet.fold (fun r acc -> Logic.Signature.add r 2 acc) role_names s
-
 let pp_axiom ppf = function
   | Sub (c, d) -> Fmt.pf ppf "%a << %a" Concept.pp c Concept.pp d
   | RoleSub (r, s) ->

@@ -9,7 +9,6 @@ type axiom =
 type t = axiom list
 
 val equivalence : Concept.t -> Concept.t -> axiom list
-val concepts : t -> Concept.t list
 
 (** Maximal concept depth over all axioms. *)
 val depth : t -> int
@@ -34,9 +33,6 @@ val within_alchif : t -> bool
 (** Inside ALCHIQ — always true for this AST, since global
     functionality is Q-expressible as ⊤ ⊑ (≤ 1 R ⊤). *)
 val within_alchiq : t -> bool
-
-(** Unary relations for concept names, binary for roles. *)
-val signature : t -> Logic.Signature.t
 
 val pp_axiom : axiom Fmt.t
 val pp : t Fmt.t

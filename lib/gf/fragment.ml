@@ -67,5 +67,3 @@ let of_ontology (o : Logic.Ontology.t) =
     (* Functions and counting require the two-variable fragment. *)
     if (d.functions || d.counting) && not d.two_var then None else Some d
   with Syntax.Not_guarded _ -> None
-
-let pp ppf t = Fmt.string ppf (name t)

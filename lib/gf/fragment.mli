@@ -28,5 +28,3 @@ val subsumes : t -> t -> bool
 (** The minimal descriptor containing the ontology, or [None] when a
     sentence lies outside uGF/uGC2. *)
 val of_ontology : Logic.Ontology.t -> t option
-
-val pp : t Fmt.t

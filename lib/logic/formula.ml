@@ -21,7 +21,6 @@ type t =
 let tru = True
 let fls = False
 let atom r ts = Atom (r, ts)
-let eq s t = Eq (s, t)
 
 let neg = function
   | True -> False
@@ -95,13 +94,6 @@ let rec all_vars = function
   | Forall (vs, f) | Exists (vs, f) ->
       SSet.union (SSet.of_list vs) (all_vars f)
   | CountGeq (_, v, f) -> SSet.add v (all_vars f)
-
-let rec size = function
-  | True | False -> 1
-  | Atom _ | Eq _ -> 1
-  | Not f -> 1 + size f
-  | And (a, b) | Or (a, b) | Implies (a, b) -> 1 + size a + size b
-  | Forall (_, f) | Exists (_, f) | CountGeq (_, _, f) -> 1 + size f
 
 let rec relations = function
   | True | False | Eq _ -> SMap.empty

@@ -27,7 +27,6 @@ type t =
 val tru : t
 val fls : t
 val atom : string -> Term.t list -> t
-val eq : Term.t -> Term.t -> t
 val neg : t -> t
 val conj2 : t -> t -> t
 val disj2 : t -> t -> t
@@ -51,9 +50,6 @@ val all_vars : t -> Names.SSet.t
 (** [is_sentence f] holds iff [f] has no free variables. *)
 val is_sentence : t -> bool
 
-(** [size f] is the number of connective/atom nodes of [f]. *)
-val size : t -> int
-
 (** [relations f] maps every relation symbol occurring in [f] to its
     arity. *)
 val relations : t -> int Names.SMap.t
@@ -65,7 +61,5 @@ val subformulas : t -> t list
     Counting quantifiers are kept under single negations. *)
 val nnf : t -> t
 
-val pp : t Fmt.t
 val to_string : t -> string
-val compare : t -> t -> int
 val equal : t -> t -> bool

@@ -7,6 +7,7 @@ let make ?(functional = []) sentences = { sentences; functional }
 let sentences t = t.sentences
 let functional t = t.functional
 
+(* The FO axiom ∀x y1 y2 (R(x,y1) ∧ R(x,y2) → y1 = y2). *)
 let functionality_axiom r =
   let x = Term.Var "x" and y1 = Term.Var "y1" and y2 = Term.Var "y2" in
   Formula.Forall
@@ -26,14 +27,3 @@ let union a b =
     sentences = a.sentences @ b.sentences;
     functional = List.sort_uniq String.compare (a.functional @ b.functional);
   }
-
-(* Size |O|: number of symbols, counting names and numbers as one. *)
-let size t =
-  List.fold_left (fun n f -> n + Formula.size f) 0 (all_sentences t)
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>%a%a@]"
-    Fmt.(list ~sep:cut Formula.pp)
-    t.sentences
-    Fmt.(list ~sep:cut (fun ppf r -> Fmt.pf ppf "func(%s)" r))
-    t.functional

@@ -11,16 +11,8 @@ val make : ?functional:string list -> Formula.t list -> t
 val sentences : t -> Formula.t list
 val functional : t -> string list
 
-(** The FO axiom ∀x y1 y2 (R(x,y1) ∧ R(x,y2) → y1 = y2). *)
-val functionality_axiom : string -> Formula.t
-
 (** Sentences with functionality declarations expanded to FO axioms. *)
 val all_sentences : t -> Formula.t list
 
 val signature : t -> Signature.t
 val union : t -> t -> t
-
-(** |O|: total symbol count. *)
-val size : t -> int
-
-val pp : t Fmt.t

@@ -32,8 +32,3 @@ let subset a b =
 
 let to_list s = SMap.bindings s
 let max_arity s = SMap.fold (fun _ a m -> max a m) s 0
-
-let pp ppf s =
-  Fmt.pf ppf "{%a}"
-    Fmt.(list ~sep:comma (pair ~sep:(any "/") string int))
-    (to_list s)

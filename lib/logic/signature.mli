@@ -24,4 +24,3 @@ val of_formulas : Formula.t list -> t
 val subset : t -> t -> bool
 val to_list : t -> (string * int) list
 val max_arity : t -> int
-val pp : t Fmt.t

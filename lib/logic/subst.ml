@@ -3,10 +3,8 @@ module SMap = Names.SMap
 
 type t = Term.t SMap.t
 
-let empty = SMap.empty
 let of_list l = SMap.of_seq (List.to_seq l)
 let singleton v t = SMap.singleton v t
-let add v t s = SMap.add v t s
 
 let apply_term s = function
   | Term.Var v as t -> ( match SMap.find_opt v s with Some u -> u | None -> t)

@@ -2,10 +2,8 @@
 
 type t = Term.t Names.SMap.t
 
-val empty : t
 val of_list : (string * Term.t) list -> t
 val singleton : string -> Term.t -> t
-val add : string -> Term.t -> t -> t
 
 (** [apply s f] substitutes in [f], renaming bound variables as needed to
     avoid capture. *)

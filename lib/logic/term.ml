@@ -2,14 +2,9 @@ type t =
   | Var of string
   | Const of string
 
-let compare = Stdlib.compare
-let equal a b = compare a b = 0
-
 let pp ppf = function
   | Var v -> Fmt.string ppf v
   | Const c -> Fmt.pf ppf "'%s'" c
-
-let to_string t = Fmt.str "%a" pp t
 
 let vars ts =
   List.fold_left

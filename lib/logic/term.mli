@@ -7,11 +7,7 @@ type t =
   | Var of string
   | Const of string
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
-
 val pp : t Fmt.t
-val to_string : t -> string
 
 (** [vars ts] is the set of variable names occurring in [ts]. *)
 val vars : t list -> Names.SSet.t

@@ -46,6 +46,11 @@ let epoch c =
 
 let us t0 t = (t -. t0) *. 1e6
 
+(* The Chrome trace-event rendering: a ["traceEvents"] array with one
+   complete ("X") event per span — [args] carrying [span_id],
+   [parent_id], the span attributes and [status] — and one instant
+   ("i") event per retained ring-buffer event. Timestamps are
+   microseconds from the collector's earliest record. *)
 let chrome c =
   let t0 = epoch c in
   let span_events =

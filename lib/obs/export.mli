@@ -4,18 +4,6 @@ type format =
   | Chrome  (** Chrome trace-event JSON: chrome://tracing, Perfetto *)
   | Jsonl  (** one span (then one event) per line *)
 
-(** The Chrome trace-event rendering: a JSON object whose
-    ["traceEvents"] array holds one complete ("X") event per span —
-    [args] carrying [span_id], [parent_id], the span attributes and
-    [status] — and one instant ("i") event per retained ring-buffer
-    event. Timestamps are microseconds from the collector's earliest
-    record. *)
-val chrome : Trace.t -> Json.t
-
-(** One JSON object per span (in opening order), then one per retained
-    event; the [Jsonl] rendering puts each on its own line. *)
-val jsonl : Trace.t -> Json.t list
-
 (** The file contents in the given format. *)
 val render : format -> Trace.t -> string
 

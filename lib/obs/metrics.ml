@@ -184,16 +184,3 @@ let to_json t =
     (List.map
        (fun name -> (name, json_of_metric (Hashtbl.find t.table name)))
        (names t))
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>%a@]"
-    (Fmt.list ~sep:Fmt.cut (fun ppf name ->
-         match Hashtbl.find t.table name with
-         | Counter r -> Fmt.pf ppf "%-40s %d" name !r
-         | Gauge r -> Fmt.pf ppf "%-40s %g" name !r
-         | Histogram h ->
-             if h.count = 0 then Fmt.pf ppf "%-40s (empty)" name
-             else
-               Fmt.pf ppf "%-40s n=%d sum=%g min=%g max=%g" name h.count h.sum
-                 h.min_v h.max_v))
-    (names t)

@@ -67,5 +67,3 @@ val is_empty : t -> bool
     integers, gauges numbers, histograms
     [{"count","sum","min","max","mean"}] sub-objects. *)
 val to_json : t -> Json.t
-
-val pp : t Fmt.t

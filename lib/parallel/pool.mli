@@ -16,7 +16,7 @@
 
     Worker-local state: domains carry their own {!Domain.DLS} slots, so
     every domain-local structure of the reasoning stack (the engine
-    session registry, the grounding circuit memo, the ambient trace
+    session registry, the relation-index cache, the ambient trace
     collector) is automatically per-worker. Workers are reused across
     batches of the same pool, so that state stays warm from batch to
     batch. Reasoner counters are not domain state: an item's work is

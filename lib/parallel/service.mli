@@ -4,7 +4,7 @@
     {!Pool} is batch-shaped: one submission array, an atomic work-stealing
     cursor, a join barrier. A server needs the opposite discipline:
     requests arrive one at a time, each must run on a {e specific} worker
-    (sticky routing — an OMQ session's engines, grounding memo and other
+    (sticky routing — an OMQ session's engines and other
     {!Domain.DLS} state live on the domain that created them and are
     neither shared nor movable), and nobody ever joins a batch. A
     service therefore keeps one FIFO mailbox per worker domain and a

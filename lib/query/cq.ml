@@ -181,7 +181,6 @@ let pp ppf q =
 
 let to_string q = Fmt.str "%a" pp q
 let compare = Stdlib.compare
-let equal a b = compare a b = 0
 
 (* Rename apart: prefix all variables, for combining queries. *)
 let rename_vars prefix q =

@@ -18,7 +18,6 @@ val make : ?name:string -> answer:string list -> atom list -> t
 
 val arity : t -> int
 val is_boolean : t -> bool
-val variables : t -> Logic.Names.SSet.t
 val signature : t -> Logic.Signature.t
 
 (** The canonical constant a{_y} representing variable [y]. *)
@@ -51,10 +50,8 @@ val is_raq : t -> bool
 (** The CQ as an existentially quantified conjunction. *)
 val to_formula : t -> Logic.Formula.t
 
-val pp : t Fmt.t
 val to_string : t -> string
 val compare : t -> t -> int
-val equal : t -> t -> bool
 
 (** Prefix every variable, renaming the query apart. *)
 val rename_vars : string -> t -> t

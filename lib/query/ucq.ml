@@ -24,15 +24,6 @@ let signature t =
     (fun s q -> Logic.Signature.union s (Cq.signature q))
     Logic.Signature.empty t.disjuncts
 
-let holds inst t tuple = List.exists (fun q -> Cq.holds inst q tuple) t.disjuncts
-
 let answers inst t =
   List.concat_map (Cq.answers inst) t.disjuncts
   |> List.sort_uniq (List.compare Structure.Element.compare)
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>%a@]"
-    Fmt.(list ~sep:(any " |@ ") Cq.pp)
-    t.disjuncts
-
-let to_string t = Fmt.str "%a" pp t

@@ -17,9 +17,4 @@ val arity : t -> int
 val is_boolean : t -> bool
 val signature : t -> Logic.Signature.t
 
-(** [holds inst t ā]: some disjunct answers ā in [inst]. *)
-val holds : Structure.Instance.t -> t -> Structure.Element.t list -> bool
-
 val answers : Structure.Instance.t -> t -> Structure.Element.t list list
-val pp : t Fmt.t
-val to_string : t -> string

@@ -101,7 +101,6 @@ let charge_clause t =
   end
 
 let checkpoints t = t.count
-let tripped t = t.tripped
 
 (* ------------------------------------------------------------------ *)
 (* Typed outcomes                                                       *)
@@ -122,10 +121,6 @@ let protect t ~partial f =
     match r with
     | Timeout -> `Timeout (partial ())
     | Fuel -> `Out_of_fuel (partial ())
-
-let map f = function
-  | `Ok v -> `Ok (f v)
-  | (`Timeout _ | `Out_of_fuel _) as d -> d
 
 let outcome_reason = function
   | `Ok _ -> None

@@ -68,9 +68,6 @@ val charge_clause : t -> unit
 (** Checkpoints passed so far (0 for {!unlimited}, which never counts). *)
 val checkpoints : t -> int
 
-(** The reason this budget tripped, if it has. *)
-val tripped : t -> reason option
-
 (** {2 Typed outcomes} *)
 
 (** The result of a budgeted computation: either the full answer or a
@@ -82,9 +79,6 @@ type ('a, 'p) outcome = [ `Ok of 'a | `Timeout of 'p | `Out_of_fuel of 'p ]
     Counting the trip is the caller's business: the [Omq] session layer
     counts it into the session's stats. *)
 val protect : t -> partial:(unit -> 'p) -> (unit -> 'a) -> ('a, 'p) outcome
-
-(** Map the success value of an outcome. *)
-val map : ('a -> 'b) -> ('a, 'p) outcome -> ('b, 'p) outcome
 
 (** The trip reason of a degraded outcome, if any. *)
 val outcome_reason : ('a, 'p) outcome -> reason option

@@ -166,7 +166,6 @@ type t = {
   (* O and D have no model at any ceiling up to this one (-1: none
      known); reset by a retract *)
   mutable inconsistent_upto : int;
-  mutable retired_memo : int * int;  (* memo counts of replaced groundings *)
   stats : Stats.t;
 }
 
@@ -180,7 +179,6 @@ let create ?(extra_signature = Logic.Signature.empty) ?(dynamic = false) o d =
     grounding = None;
     witnesses = [];
     inconsistent_upto = -1;
-    retired_memo = (0, 0);
     stats = Stats.create ();
   }
 
@@ -188,18 +186,7 @@ let ontology t = t.ontology
 let instance t = t.instance
 let is_dynamic t = t.dynamic
 
-(* Each grounder counts its own memo traffic; the counts are folded
-   into the engine's record whenever the record is read. *)
-let stats t =
-  let h0, m0 = t.retired_memo in
-  let h, m =
-    match t.grounding with
-    | Some g -> Ground.memo_counts g.ground
-    | None -> (0, 0)
-  in
-  t.stats.Stats.memo_hits <- h0 + h;
-  t.stats.Stats.memo_misses <- m0 + m;
-  t.stats
+let stats t = t.stats
 
 let empty_domain t =
   Structure.Element.Set.is_empty (Structure.Instance.domain t.instance)
@@ -337,13 +324,8 @@ let build ~budget t m =
 let grounding ~budget t c =
   match t.grounding with
   | Some g when g.ceiling >= c -> g
-  | old ->
+  | _ ->
       let g = build ~budget t c in
-      Option.iter
-        (fun o ->
-          let h, m = Ground.memo_counts o.ground and h0, m0 = t.retired_memo in
-          t.retired_memo <- (h0 + h, m0 + m))
-        old;
       t.grounding <- Some g;
       g
 

@@ -65,9 +65,8 @@ val ontology : t -> Logic.Ontology.t
 val instance : t -> Structure.Instance.t
 
 (** The engine's lifetime counters, summed over its groundings:
-    groundings, solves and the circuit-memo traffic of its
-    grounders. Each engine counts into its own record, and nowhere
-    else. *)
+    groundings, solves and solver effort. Each engine counts into its
+    own record, and nowhere else. *)
 val stats : t -> Stats.t
 
 (** O and D have a model within the bounds: a countermodel found

@@ -22,14 +22,7 @@ module ETbl = Structure.Element.Tbl
      domain positions at compile time. Quantifier expansion then loops
      over positions without allocating environments.
    - Clauses land in a growable flat [int] arena encoded as
-     [len; lit_1; ..; lit_len] records, consumed by {!Dpll} as slices.
-   - A bounded, process-wide memo keyed by (operation, |dom|, compiled
-     formula) replays the emitted clause slice of a structurally
-     identical grounding instead of re-expanding it: the compiled form
-     embeds relation bases and element positions, so key equality
-     guarantees the recorded literals are valid verbatim (auxiliary
-     variables above the recording boundary are shifted to fresh
-     ones). *)
+     [len; lit_1; ..; lit_len] records, consumed by {!Dpll} as slices. *)
 
 type rel_info = {
   base : int;  (* first fact variable of the relation's block *)
@@ -49,8 +42,6 @@ type t = {
   mutable arena_len : int;
   mutable known : Logic.Signature.t;  (* relations with registered facts *)
   mutable budget : Budget.t;  (* checked per relation, subformula, clause *)
-  mutable memo_hits : int;  (* circuits this grounding replayed from the memo *)
-  mutable memo_misses : int;  (* circuits it expanded and recorded *)
 }
 
 type env = Structure.Element.t SMap.t
@@ -230,8 +221,6 @@ let create ?(budget = Budget.unlimited) ?(nulls = 0) ~domain ~signature () =
       arena_len = 0;
       known = Logic.Signature.empty;
       budget;
-      memo_hits = 0;
-      memo_misses = 0;
     }
   in
   if nulls > 0 then
@@ -242,12 +231,11 @@ let create ?(budget = Budget.unlimited) ?(nulls = 0) ~domain ~signature () =
 let activity t j = t.act_base + t.first_null + j - 1
 
 let set_budget t b = t.budget <- b
-let memo_counts t = (t.memo_hits, t.memo_misses)
 
 (* Admit further relations after creation (for sessions that must answer
    queries whose signature was unknown at grounding time). The new
    relations' variable blocks are appended after the existing ones, so
-   earlier bases — and hence memoized circuits — stay valid. *)
+   earlier bases stay valid. *)
 let ensure_signature t signature =
   if not (Logic.Signature.subset signature t.known) then
     register_signature t signature
@@ -629,192 +617,34 @@ let rec assert_g t g =
       | _ -> emit_clause_list t (List.map (lit_of t) parts))
 
 (* ------------------------------------------------------------------ *)
-(* The cross-session circuit memo                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Domain-local bounded LRU over completed groundings. The key is
-   (operation, |dom|, compiled formula): the compiled form embeds
-   relation bases and element positions, so two equal keys ground to
-   literally identical clause slices — up to the auxiliary variables,
-   which are contiguous above the recording-time variable count
-   ([boundary]) and are shifted to fresh variables on replay. An entry
-   is recorded only after its expansion completed, so a budget trip
-   mid-emission never memoizes a partial circuit; replay itself charges
-   the budget per clause, so caps and deadlines keep firing. *)
-
-type memo_entry = {
-  clauses : int array;  (* the emitted arena slice, [len; lits..] records *)
-  n_aux : int;  (* auxiliaries allocated by the expansion *)
-  boundary : int;  (* nvars when the expansion started *)
-  result : int;  (* reified literal; 0 for plain assertions *)
-  mutable stamp : int;  (* LRU clock *)
-}
-
-module MemoTbl = Hashtbl.Make (struct
-  type t = int * int * cf  (* operation, |dom|, compiled formula *)
-
-  let equal = ( = )
-
-  (* The default polymorphic hash stops after 10 meaningful nodes,
-     which collides reified instantiations differing only in deep leaf
-     positions; hash deeper (keys are compiled formulas, so this is
-     still cheap and allocation-free). *)
-  let hash k = Hashtbl.hash_param 100 256 k
-end)
-
-(* The memo is DOMAIN-LOCAL: one table, capacity and LRU clock per
-   domain. The table is hot on every grounding and an unguarded shared
-   Hashtbl corrupts under concurrent resize (and a mutex would serialize
-   exactly the work the pool exists to spread), so each worker warms its
-   own memo — shared-nothing, merged never. [clear_memo] and
-   [set_memo_capacity] act on the calling domain only; see DESIGN.md §5,
-   "Domain-locality invariants". *)
-type memo_state = {
-  table : memo_entry MemoTbl.t;
-  mutable capacity : int;
-  mutable clock : int;
-}
-
-let memo_key =
-  Domain.DLS.new_key (fun () ->
-      { table = MemoTbl.create 512; capacity = 256; clock = 0 })
-
-let memo_state () = Domain.DLS.get memo_key
-
-let clear_memo () = MemoTbl.reset (memo_state ()).table
-
-let set_memo_capacity n =
-  let m = memo_state () in
-  m.capacity <- max n 0;
-  if m.capacity = 0 then MemoTbl.reset m.table
-
-(* Batch eviction: when the table crosses capacity, drop the oldest
-   tenth in one stamp-ordered sweep, so workloads with more distinct
-   circuits than capacity pay amortized O(log) per insert instead of a
-   full-table scan per eviction. *)
-let memo_evict m =
-  if MemoTbl.length m.table > m.capacity then begin
-    let entries =
-      MemoTbl.fold (fun k e acc -> (e.stamp, k) :: acc) m.table []
-    in
-    let entries = List.sort (fun (a, _) (b, _) -> compare a b) entries in
-    let doomed = MemoTbl.length m.table - (m.capacity * 9 / 10) in
-    List.iteri
-      (fun i (_, k) -> if i < doomed then MemoTbl.remove m.table k)
-      entries
-  end
-
-(* Replay a recorded circuit: append the clause slice to the arena,
-   shifting auxiliary variables (above the recording boundary) past the
-   current variable count. Fact variables (at or below the boundary)
-   are valid verbatim by key equality. Auxiliaries are allocated before
-   emission so a budget trip mid-replay leaves every emitted literal
-   backed by an allocated variable. *)
-let memo_replay t e =
-  let shift = t.nvars - e.boundary in
-  t.nvars <- t.nvars + e.n_aux;
-  let a = e.clauses in
-  let n = Array.length a in
-  let i = ref 0 in
-  while !i < n do
-    Budget.charge_clause t.budget;
-    let len = a.(!i) in
-    arena_reserve t (len + 1);
-    let dst = t.arena_len in
-    t.arena.(dst) <- len;
-    for j = 1 to len do
-      let l = a.(!i + j) in
-      let v = abs l in
-      let v' = if v <= e.boundary then v else v + shift in
-      t.arena.(dst + j) <- (if l > 0 then v' else -v')
-    done;
-    t.arena_len <- dst + len + 1;
-    i := !i + len + 1
-  done;
-  if e.result = 0 then 0
-  else
-    let v = abs e.result in
-    let v' = if v <= e.boundary then v else v + shift in
-    if e.result > 0 then v' else -v'
-
-(* Ground via the memo: replay on a hit, otherwise run [expand] (which
-   evaluates and emits, returning the reified literal or 0) and record
-   the emitted slice. Hits and misses are counted on [t], the grounding
-   that replayed or expanded, and appear in the profile table via the
-   two span names. *)
-let memoized t op cf expand =
-  let m = memo_state () in
-  if m.capacity = 0 then expand ()
-  else begin
-    let key = (op, Array.length t.domain, cf) in
-    m.clock <- m.clock + 1;
-    match MemoTbl.find_opt m.table key with
-    | Some e ->
-        e.stamp <- m.clock;
-        t.memo_hits <- t.memo_hits + 1;
-        Obs.Trace.with_span "ground.memo_replay" (fun () -> memo_replay t e)
-    | None ->
-        t.memo_misses <- t.memo_misses + 1;
-        Obs.Trace.with_span "ground.memo_expand" (fun () ->
-            let boundary = t.nvars in
-            let start = t.arena_len in
-            let result = expand () in
-            let entry =
-              {
-                clauses = Array.sub t.arena start (t.arena_len - start);
-                n_aux = t.nvars - boundary;
-                boundary;
-                result;
-                stamp = m.clock;
-              }
-            in
-            MemoTbl.replace m.table key entry;
-            memo_evict m;
-            result)
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Assertions                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Operation tags for the memo key: asserting a circuit positively,
-   negatively, and reifying it emit different clause sets. *)
-let op_assert = 0
-let op_refute = 1
-let op_reify = 2
-
 let assert_formula ?(env = SMap.empty) t f =
   let cf, nslots = compile t env f in
-  ignore
-    (memoized t op_assert cf (fun () ->
-         let slots = Array.make (max nslots 1) 0 in
-         assert_g t (eval t slots true cf);
-         0))
+  let slots = Array.make (max nslots 1) 0 in
+  assert_g t (eval t slots true cf)
 
 let assert_negation ?(env = SMap.empty) t f =
   let cf, nslots = compile t env f in
-  ignore
-    (memoized t op_refute cf (fun () ->
-         let slots = Array.make (max nslots 1) 0 in
-         assert_g t (eval t slots false cf);
-         0))
+  let slots = Array.make (max nslots 1) 0 in
+  assert_g t (eval t slots false cf)
 
 (* A literal equivalent to [f] under [env] (full Tseitin equivalence),
    for projected model enumeration. *)
 let reify ?(env = SMap.empty) t f =
   let cf, nslots = compile t env f in
-  memoized t op_reify cf (fun () ->
-      let slots = Array.make (max nslots 1) 0 in
-      match eval t slots true cf with
-      | GTrue ->
-          let a = fresh_aux t in
-          emit_clause1 t a;
-          a
-      | GFalse ->
-          let a = fresh_aux t in
-          emit_clause1 t (-a);
-          a
-      | g -> lit_of t g)
+  let slots = Array.make (max nslots 1) 0 in
+  match eval t slots true cf with
+  | GTrue ->
+      let a = fresh_aux t in
+      emit_clause1 t a;
+      a
+  | GFalse ->
+      let a = fresh_aux t in
+      emit_clause1 t (-a);
+      a
+  | g -> lit_of t g
 
 let assert_fact t f = emit_clause1 t (fact_var t f)
 let assert_instance t inst = Structure.Instance.iter_facts (assert_fact t) inst

@@ -14,10 +14,8 @@
     positions, fact variables are computed as
     [relation_base + mixed-radix tuple rank], sentences are compiled to
     slot-resolved form before quantifier expansion, and clauses land in
-    a flat [int] arena consumed by the solver as slices. A
-    bounded domain-local memo replays the compiled ground circuit of
-    structurally identical (sentence, domain size) pairs across
-    sessions. See DESIGN.md, "hot-path data layout". *)
+    a flat [int] arena consumed by the solver as slices. See DESIGN.md,
+    "hot-path data layout". *)
 
 type t
 
@@ -77,10 +75,6 @@ val extend_model :
 (** Replace the budget consulted by subsequent operations (e.g. to run
     one query under a deadline against a long-lived session). *)
 val set_budget : t -> Budget.t -> unit
-
-(** [(hits, misses)] of the circuit memo on this grounding's lifetime:
-    circuits it replayed, and circuits it expanded and recorded. *)
-val memo_counts : t -> int * int
 
 (** SAT variable of a possible fact (pure arithmetic: no hashing of the
     fact itself).
@@ -144,25 +138,3 @@ val reify : ?env:env -> t -> Logic.Formula.t -> int
 (** Distinct truth-value combinations of the given literals over all
     models (each result aligns with the input literal list). *)
 val enumerate_projections : ?limit:int -> t -> int list -> bool list list
-
-(** {2 The cross-session circuit memo}
-
-    Completed groundings are memoized per domain (each worker domain
-    warms its own shared-nothing memo; {!set_memo_capacity} and
-    {!clear_memo} act on the calling domain only), keyed by
-    (operation, domain size, compiled sentence), and replayed — clause
-    slice appended, auxiliary variables shifted to fresh ones — when a
-    structurally identical grounding recurs in any session. Replay
-    still charges the budget per clause. Hits and misses are counted on
-    the grounding that replayed or expanded ({!memo_counts}) and show
-    up in the profile table as the
-    [ground.memo_replay]/[ground.memo_expand] spans. *)
-
-(** Maximum number of memoized circuits on the calling domain (default
-    256; least recently used evicted). [set_memo_capacity 0] disables
-    and clears the memo. *)
-val set_memo_capacity : int -> unit
-
-(** Drop every memoized circuit (for benchmarks and deterministic
-    tests). *)
-val clear_memo : unit -> unit

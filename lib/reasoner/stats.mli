@@ -1,7 +1,7 @@
 (** Instrumentation counters threaded through the incremental engine:
     groundings built, solver invocations, CDCL effort
-    (decisions/propagations/conflicts), grounding-memo traffic, budget
-    trips, and wall time per phase. *)
+    (decisions/propagations/conflicts), budget trips, and wall time per
+    phase. *)
 
 type t = {
   mutable groundings : int;  (** SAT groundings built from scratch *)
@@ -9,8 +9,6 @@ type t = {
   mutable decisions : int;
   mutable propagations : int;
   mutable conflicts : int;
-  mutable memo_hits : int;  (** grounding-memo replays of a compiled circuit *)
-  mutable memo_misses : int;  (** grounding-memo expansions from scratch *)
   mutable budget_timeouts : int;  (** budget trips on a wall-clock deadline *)
   mutable budget_fuel_trips : int;  (** budget trips on fuel / clause caps *)
   mutable ground_seconds : float;  (** wall time spent grounding *)
@@ -38,7 +36,6 @@ val pp : t Fmt.t
 
     - ["groundings"], ["solves"], ["decisions"], ["propagations"],
       ["conflicts"] : integers
-    - ["memo_hits"], ["memo_misses"] : integers (grounding-memo traffic)
     - ["budget_timeouts"], ["budget_fuel_trips"] : integers
     - ["ground_seconds"], ["solve_seconds"] : numbers (seconds)
 

@@ -337,6 +337,27 @@ let eval_job caps (se : sess) (want : P.budget_spec) want_stats () =
   in
   reply ~work:(Lazy.force work) resp
 
+(* The id-less rendering of the complete eval response of a session
+   opened on these inputs, computed in process by a plain (not
+   updatable) session with no budget: what every eval of a
+   load-generator client must equal byte for byte. *)
+let expected_eval ~ontology ~data ~query ~max_extra =
+  let ( let* ) = Result.bind in
+  let* tbox = load_tbox_text ontology in
+  let* inst = load_instance_text "data" data in
+  let* q = load_query_text query in
+  let session = Omq.open_session ~max_extra (Omq.of_tbox tbox q) inst in
+  let consistent = Omq.Session.is_consistent session in
+  let answers = if consistent then Omq.Session.certain_answers session else [] in
+  let result =
+    {
+      P.consistent;
+      boolean = Query.Ucq.is_boolean q;
+      tuples = List.map (List.map element_name) answers;
+    }
+  in
+  Ok (P.render_response (P.Evaled { result; stats = None }))
+
 let classify_job ontology () =
   match load_tbox_text ontology with
   | Error msg -> bad_request msg

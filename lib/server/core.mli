@@ -115,3 +115,16 @@ val shutting : t -> bool
 (** Each live session, folded to the one [Open] on its net data that
     compaction would write, in id order. *)
 val live : t -> Journal.entry list
+
+(** [expected_eval ~ontology ~data ~query ~max_extra] is the id-less
+    {!Omq.Protocol.render_response} of the complete [Evaled] answer
+    that every unbudgeted eval of a session opened with these fields
+    gets, computed in process (the [expected] of an
+    {!Loadgen.spec}). [Error] carries the message the open would be
+    rejected with. *)
+val expected_eval :
+  ontology:string ->
+  data:string ->
+  query:string ->
+  max_extra:int ->
+  (string, string) result

@@ -12,8 +12,8 @@
     newline-delimited {!Omq.Protocol} frames; sessions are routed
     {e sticky}: a session is pinned at open to one worker (round-robin)
     and every later request for it runs on that same worker, so the
-    engines it grounded, the circuit memo and the rest of the worker's
-    {!Domain.DLS} state stay hot — and are never touched from two
+    engines it grounded and the rest of the worker's {!Domain.DLS}
+    state stay hot — and are never touched from two
     domains (stickiness is a correctness invariant, not just a cache
     policy).
 
@@ -124,7 +124,6 @@ val config :
 val default_max_frame : int
 val default_max_outbuf : int
 val default_journal_compact : int
-val default_shutdown_grace : float
 
 (** [run cfg] serves until a [shutdown] request (or, with [signals], a
     SIGTERM/SIGINT): accepts connections, answers every in-flight

@@ -46,7 +46,6 @@ let open_ dir =
   let bytes = (Unix.fstat fd).Unix.st_size in
   { dir; file; fd; bytes }
 
-let path t = t.file
 let size t = t.bytes
 
 let write_all fd s =

@@ -37,8 +37,6 @@ type t
     [dir/omq.journal] for appending. *)
 val open_ : string -> t
 
-val path : t -> string
-
 (** Bytes currently in the journal file. *)
 val size : t -> int
 

@@ -32,7 +32,6 @@ let create ?(capacity = default_capacity) () =
 
 let enabled t = t.enabled
 let set_enabled t on = t.enabled <- on
-let capacity t = Array.length t.ring
 
 let record t r =
   if t.enabled then begin

@@ -20,7 +20,6 @@ val default_capacity : int
 val create : ?capacity:int -> unit -> t
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
-val capacity : t -> int
 
 (** Push one record, evicting the oldest once full. No-op when
     disabled. *)

@@ -11,9 +11,6 @@ val is_const : t -> bool
 val pp : t Fmt.t
 val to_string : t -> string
 
-(** Hash consistent with {!equal}, for {!Tbl}. *)
-val hash : t -> int
-
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 

@@ -39,20 +39,3 @@ let maximal_guarded_sets t =
            (fun g' -> (not (ESet.equal g g')) && ESet.subset g g')
            sets))
     sets
-
-(* Outdegree of a binary-signature instance viewed as an undirected
-   graph: maximum number of distinct neighbours of an element. *)
-let outdegree t =
-  ESet.fold
-    (fun e m ->
-      let nbrs =
-        List.fold_left
-          (fun acc (f : Instance.fact) ->
-            List.fold_left
-              (fun acc e' ->
-                if Element.equal e e' then acc else ESet.add e' acc)
-              acc f.args)
-          ESet.empty (Instance.incident e t)
-      in
-      max m (ESet.cardinal nbrs))
-    (Instance.domain t) 0

@@ -7,6 +7,3 @@ val is_guarded : Instance.t -> Element.Set.t -> bool
 (** Maximal guarded sets under inclusion; these are the bags used by
     unravellings and forest models. *)
 val maximal_guarded_sets : Instance.t -> Element.Set.t list
-
-(** Maximum number of distinct neighbours of an element. *)
-val outdegree : Instance.t -> int

@@ -122,9 +122,6 @@ let elem_of t i = t.elems.(i)
 let cardinality t r =
   match Hashtbl.find_opt t.rels r with Some ri -> ri.ntuples | None -> 0
 
-let arity t r =
-  match Hashtbl.find_opt t.rels r with Some ri -> Some ri.arity | None -> None
-
 let distinct_at t r p =
   match Hashtbl.find_opt t.rels r with
   | Some ri when p < Array.length ri.distinct -> ri.distinct.(p)

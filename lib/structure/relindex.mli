@@ -40,9 +40,6 @@ val elem_of : t -> int -> Element.t
 (** Tuple count of a relation (0 when absent). *)
 val cardinality : t -> string -> int
 
-(** Arity of a relation as stored, if present. *)
-val arity : t -> string -> int option
-
 (** Distinct values at an argument position (0 when absent). *)
 val distinct_at : t -> string -> int -> int
 

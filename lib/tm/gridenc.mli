@@ -10,9 +10,6 @@ type word = letter list
 (** (= 1 R): "exactly one R-successor". *)
 val eq_one : string -> Dl.Concept.t
 
-(** The marker concept (= 1 R{^ W}{_i}). *)
-val marker : int -> word -> Dl.Concept.t
-
 (** The cell-marking ontology (Appendix H). *)
 val ontology_cell : Dl.Tbox.t
 

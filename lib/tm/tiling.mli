@@ -13,14 +13,6 @@ type t = {
 
 exception Bad_problem of string
 
-val make :
-  tiles:string list ->
-  h:(string * string) list ->
-  v:(string * string) list ->
-  init:string ->
-  final:string ->
-  t
-
 type tiling = string array array
 
 (** Does the matrix tile the problem (corners, uniqueness of the corner

@@ -46,6 +46,24 @@ let test_observer_counts () =
   check Alcotest.int "unlimited never counts" 0
     (Budget.checkpoints Budget.unlimited)
 
+(* The checkpoints a fresh session passes are a function of its input
+   alone: the same count on a domain that has run nothing as on the
+   calling domain after warm-up work on the same ontology and data. So
+   an index found by counting one fresh session is a trip point of
+   every other. *)
+let checkpoints_of_fresh_session () =
+  let obs = Budget.observer () in
+  ignore (eval obs);
+  Budget.checkpoints obs
+
+let test_checkpoints_history_free () =
+  let cold = Domain.join (Domain.spawn checkpoints_of_fresh_session) in
+  ignore (fresh_expected ());
+  let warm = checkpoints_of_fresh_session () in
+  let again = checkpoints_of_fresh_session () in
+  check Alcotest.int "warm domain = fresh domain" cold warm;
+  check Alcotest.int "second fresh session = first" warm again
+
 (* THE sweep: inject exhaustion at every cancellation point the
    workload passes. Each injection must (a) produce a typed outcome
    whose certified tuples are sound, and (b) leave every structure the
@@ -61,10 +79,9 @@ let test_inject_everywhere () =
     let s = Omq.open_session ~max_extra:1 omq_disj d_disj in
     let b = Budget.inject_after i in
     (match Omq.Session.certain_answers_within b s with
-    | `Ok a ->
-        (* the trip can only be missed if the grounding memo shifted
-           the path; the answer must still be exact *)
-        check answers (Printf.sprintf "inject %d completed" i) expected a
+    | `Ok _ ->
+        Alcotest.failf "inject %d completed: checkpoint %d of %d never came"
+          i i n
     | `Timeout _ -> Alcotest.failf "inject %d tripped with Timeout" i
     | `Out_of_fuel p ->
         check Alcotest.bool
@@ -211,6 +228,8 @@ let suite =
   [
     Alcotest.test_case "unbudgeted_unchanged" `Quick test_unbudgeted_unchanged;
     Alcotest.test_case "observer_counts" `Quick test_observer_counts;
+    Alcotest.test_case "checkpoints_history_free" `Quick
+      test_checkpoints_history_free;
     Alcotest.test_case "inject_everywhere" `Slow test_inject_everywhere;
     Alcotest.test_case "inject_timeout_reason" `Quick test_inject_timeout_reason;
     Alcotest.test_case "expired_deadline" `Quick test_expired_deadline;

@@ -449,7 +449,6 @@ let test_session_stats () =
    unsatisfiable solve, which covers every bound 0..2; all non-answers
    together cost one satisfiable solve. *)
 let test_horn_witness_refutes_in_bulk () =
-  Omq.clear_caches ();
   let tbox =
     Dl.Parser.parse_tbox "C0 << C1\nexists r0 . C1 << C2\nC2 << exists r3 . C3\n"
   in

@@ -302,10 +302,8 @@ let test_stats_diff () =
     t.decisions <- k + 2;
     t.propagations <- k + 3;
     t.conflicts <- k + 4;
-    t.memo_hits <- k + 5;
-    t.memo_misses <- k + 6;
-    t.budget_timeouts <- k + 7;
-    t.budget_fuel_trips <- k + 8;
+    t.budget_timeouts <- k + 5;
+    t.budget_fuel_trips <- k + 6;
     t.ground_seconds <- float_of_int k +. 0.5;
     t.solve_seconds <- float_of_int k +. 0.25;
     t

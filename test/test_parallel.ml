@@ -183,13 +183,9 @@ let expect_ok name (r : Corpus.result_one) =
 (* Fuel is deterministic (propagations + conflicts), so a separating
    budget provably exists: sweep until the cheap items complete and the
    hard one trips, then check the cheap verdicts equal the unbudgeted
-   ones — the sibling trip changed nothing for them. Every run starts
-   cold: the pool reuses the calling domain as worker 0, and a session
-   warmed by an earlier run (engines, witness, learned clauses) settles
-   the hard item on a few propagations, so it is no longer the expensive
-   one. *)
+   ones — the sibling trip changed nothing for them. Every run is cold:
+   each item opens its own session, and nothing outlives the run. *)
 let cold_run ?fuel () =
-  Omq.clear_caches ();
   Corpus.run ?fuel ~jobs:2 mixed_task mixed_items
 
 (* Every tripped item's session counted its trip, on whichever domain

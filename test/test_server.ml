@@ -430,6 +430,9 @@ let test_clean_shutdown () =
 let test_loadgen () =
   with_daemon ~jobs:2 @@ fun addr ->
   let expected = P.render_response (direct_eval ()) in
+  check_str "Core.expected_eval renders the direct eval" expected
+    (Result.get_ok
+       (Omqd.Core.expected_eval ~ontology:onto ~data ~query ~max_extra:2));
   let spec =
     {
       Omqd.Loadgen.open_req;
@@ -443,6 +446,24 @@ let test_loadgen () =
       Alcotest.(check int) "all evals answered" 8 s.Omqd.Loadgen.total;
       Alcotest.(check int) "all complete" 8 s.Omqd.Loadgen.ok;
       Alcotest.(check int) "no mismatches" 0 s.Omqd.Loadgen.mismatches
+
+(* The comparison is live: an expectation no answer renders to counts
+   a mismatch on every eval, complete as each one is. *)
+let test_loadgen_wrong_expectation () =
+  with_daemon ~jobs:2 @@ fun addr ->
+  let spec =
+    {
+      Omqd.Loadgen.open_req;
+      make_eval = (fun ~session -> eval_req session);
+      expected = Some (P.render_response (direct_eval ~extra:"Thumb(u)" ()));
+    }
+  in
+  match Omqd.Loadgen.run addr [ spec; spec ] ~queries:3 with
+  | Error m -> Alcotest.failf "loadgen: %s" m
+  | Ok s ->
+      Alcotest.(check int) "all evals answered" 6 s.Omqd.Loadgen.total;
+      Alcotest.(check int) "all complete" 6 s.Omqd.Loadgen.ok;
+      Alcotest.(check int) "every eval mismatched" 6 s.Omqd.Loadgen.mismatches
 
 (* A client whose open is rejected ends that one client; the rest of
    the fleet finishes and the run still returns Ok with the failure
@@ -502,6 +523,8 @@ let suite =
       test_pipelined_updates;
     Alcotest.test_case "clean shutdown" `Quick test_clean_shutdown;
     Alcotest.test_case "loadgen drives concurrent clients" `Quick test_loadgen;
+    Alcotest.test_case "loadgen counts a wrong expectation per eval" `Quick
+      test_loadgen_wrong_expectation;
     Alcotest.test_case "loadgen counts per-client failures" `Quick
       test_loadgen_counts_failures;
   ]
