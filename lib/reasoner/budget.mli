@@ -41,7 +41,9 @@ val unlimited : t
 (** [create ?timeout ?fuel ?max_clauses ()] builds a budget.
     [timeout] is in seconds from now; [fuel] bounds the cumulative
     solver effort (propagations + conflicts); [max_clauses] caps the
-    number of ground clauses emitted. Omitted dimensions are
+    number of ground clauses emitted, where a reified cardinality
+    constraint (one per wide counting node of an engine's grounding,
+    see {!Ground}) counts as one clause. Omitted dimensions are
     unlimited. *)
 val create : ?timeout:float -> ?fuel:int -> ?max_clauses:int -> unit -> t
 
@@ -62,7 +64,8 @@ val checkpoint : t -> unit
 (** [spend t n] is a checkpoint that also debits [n] units of fuel. *)
 val spend : t -> int -> unit
 
-(** A checkpoint that also debits one grounding clause from the cap. *)
+(** A checkpoint that also debits one grounding clause (or cardinality
+    constraint) from the cap. *)
 val charge_clause : t -> unit
 
 (** Checkpoints passed so far (0 for {!unlimited}, which never counts). *)

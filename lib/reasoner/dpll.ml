@@ -1,7 +1,8 @@
 (* A CDCL SAT solver: two-watched-literal propagation, 1-UIP conflict
    analysis with non-chronological backjumping, VSIDS branching with
-   phase saving, and geometric restarts. Literals are non-zero integers
-   ±v for 1-based variables.
+   phase saving, and geometric restarts, plus native reified
+   cardinality constraints propagated by counting. Literals are
+   non-zero integers ±v for 1-based variables.
 
    The solver is persistent and incremental: it survives across solves,
    accepts new variables and clauses between calls (keeping its learned
@@ -27,8 +28,20 @@ type result =
      vector of a and a in that of b, and nothing else. A literal's
      binary vector lists what its falsification implies.
    - [reason] says why a variable holds its value: -1 for a decision
-     or a level-0 unit, an arena reference for a long clause, and
-     [bin_reason f] for a binary clause whose other literal f is false.
+     or a level-0 unit, an arena reference for a long clause or a
+     cardinality constraint, and [bin_reason f] for a binary clause
+     whose other literal f is false.
+   - A reified cardinality constraint l <-> (at least k of b_1..b_n) is
+     a [-n; k; ntrue; nfalse; l; b_1..b_n] record in the same arena: the
+     negative header tells it from a clause. [ntrue]/[nfalse] count the
+     b's made true/false by the trail entries below [qhead] (the ones
+     [propagate] has taken), and each literal's [cards] vector lists the
+     constraints it occurs in, as l or as a b (once per occurrence). A
+     constraint is a reason or conflict code like any arena reference:
+     [iter_reason] builds its clause on demand, from the literals
+     assigned before the implied one ([tpos]), so nothing is appended
+     per propagation. [cards] and [tpos] are allocated with the first
+     constraint, so a solver that never gets one pays for neither.
 
    A vector is an [int array] holding its live length at index 0 and
    its entries after it, so a literal costs one pointer per vector
@@ -41,9 +54,12 @@ type t = {
   mutable arena_len : int;
   mutable watches : int array array;  (* literal index -> watching clause refs *)
   mutable bins : int array array;  (* literal index -> literals its falsity implies *)
+  mutable cards : int array array;  (* literal index -> constraints it occurs in *)
+  mutable has_cards : bool;  (* some constraint was added; [cards], [tpos] live *)
   mutable assign : int array;  (* 0 / 1 / -1 *)
   mutable level : int array;
-  mutable reason : int array;  (* -1, a clause ref, or [bin_reason f] *)
+  mutable reason : int array;  (* -1, an arena ref, or [bin_reason f] *)
+  mutable tpos : int array;  (* trail position of an assigned variable *)
   mutable confl_other : int;  (* the second false literal of a binary conflict *)
   mutable trail : int array;
   mutable trail_size : int;
@@ -60,6 +76,7 @@ type t = {
   mutable seen : bool array;  (* scratch for conflict analysis *)
   mutable scratch : int array;  (* scratch for clause simplification *)
   mutable learnt : int array;  (* scratch for the learned clause *)
+  mutable expl : int array;  (* scratch for a constraint's explanation *)
   mutable broken : bool;  (* refuted at level 0: permanently unsat *)
   mutable core : int list;  (* failed-assumption core of the last Unsat *)
   mutable n_decisions : int;
@@ -93,9 +110,12 @@ let make ~nvars =
     arena_len = 0;
     watches = Array.make (max (2 * nvars) 2) empty;
     bins = Array.make (max (2 * nvars) 2) empty;
+    cards = [||];
+    has_cards = false;
     assign = Array.make (max nvars 1) 0;
     level = Array.make (max nvars 1) 0;
     reason = Array.make (max nvars 1) (-1);
+    tpos = [||];
     confl_other = 0;
     trail = Array.make (max nvars 1) 0;
     trail_size = 0;
@@ -114,6 +134,7 @@ let make ~nvars =
     seen = Array.make (max nvars 1) false;
     scratch = Array.make 16 0;
     learnt = Array.make 16 0;
+    expl = [||];
     broken = false;
     core = [];
     n_decisions = 0;
@@ -264,7 +285,11 @@ let ensure_nvars ?decision s n =
       s.decision <- resize s.decision cap true;
       s.seen <- resize s.seen cap false;
       s.heap <- resize s.heap cap 0;
-      s.heap_pos <- resize s.heap_pos cap (-1)
+      s.heap_pos <- resize s.heap_pos cap (-1);
+      if s.has_cards then begin
+        s.cards <- resize s.cards (2 * cap) empty;
+        s.tpos <- resize s.tpos cap 0
+      end
     end;
     let first = s.nvars in
     s.nvars <- n;
@@ -290,6 +315,7 @@ let enqueue s l reason =
   s.assign.(v) <- (if l > 0 then 1 else -1);
   s.level.(v) <- s.decision_level;
   s.reason.(v) <- reason;
+  if s.has_cards then s.tpos.(v) <- s.trail_size;
   s.trail.(s.trail_size) <- l;
   s.trail_size <- s.trail_size + 1
 
@@ -317,10 +343,36 @@ let attach s buf len =
     cr
   end
 
+(* Field offsets of a constraint record [-n; k; ntrue; nfalse; l; b_1..b_n]. *)
+let c_k = 1
+let c_true = 2
+let c_false = 3
+let c_lit = 4
+let c_bs = 5
+
+(* Undo what [propagate] counted when it took the trail literal [p]:
+   one true b per occurrence of [p], one false b per occurrence of -p
+   (an occurrence as a constraint's l is not counted). *)
+let uncount s p =
+  let a = s.arena in
+  let cs = s.cards.(lit_index p) in
+  for i = 1 to cs.(0) do
+    let cr = cs.(i) in
+    if a.(cr + c_lit) <> p then a.(cr + c_true) <- a.(cr + c_true) - 1
+  done;
+  let cs = s.cards.(lit_index (-p)) in
+  for i = 1 to cs.(0) do
+    let cr = cs.(i) in
+    if a.(cr + c_lit) <> -p then a.(cr + c_false) <- a.(cr + c_false) - 1
+  done
+
+(* Only the trail entries below [qhead] were counted, so only they are
+   uncounted. *)
 let cancel_until s lvl =
   if s.decision_level > lvl then begin
     let bound = s.trail_lim.(lvl) in
     for i = s.trail_size - 1 downto bound do
+      if s.has_cards && i < s.qhead then uncount s s.trail.(i);
       let v = lit_var s.trail.(i) in
       s.phase.(v) <- s.assign.(v) = 1;
       s.assign.(v) <- 0;
@@ -471,12 +523,102 @@ let seed_clause_slice s a off len =
     seed_lit s w a.(i)
   done
 
+(* Constraint propagation. [card_check] reads the counts of constraint
+   [cr] after an event (a b or l assigned) and returns -1, or [cr] when
+   the constraint is violated; the literals it implies are enqueued
+   with [cr] as their reason. *)
+
+(* Enqueue every unassigned b of [cr], true when [pos], else false. *)
+let card_force s cr pos =
+  let a = s.arena in
+  for j = cr + c_bs to cr + c_bs - 1 - a.(cr) do
+    let b = a.(j) in
+    if value s b = 0 then enqueue s (if pos then b else -b) cr
+  done
+
+(* The checks after any event: with l unassigned, k true b's imply l
+   and n - k + 1 false ones imply ¬l; l true conflicts with n - k + 1
+   false b's and forces the rest true at n - k; l false conflicts with
+   k true b's and forces the rest false at k - 1. *)
+let card_check s cr =
+  let a = s.arena in
+  let k = a.(cr + c_k) and l = a.(cr + c_lit) in
+  let t = a.(cr + c_true) and f = a.(cr + c_false) and slack = -a.(cr) - k in
+  match value s l with
+  | 0 ->
+      if t >= k then enqueue s l cr else if f > slack then enqueue s (-l) cr;
+      -1
+  | 1 ->
+      if f > slack then cr
+      else begin
+        if f = slack then card_force s cr true;
+        -1
+      end
+  | _ ->
+      if t >= k then cr
+      else begin
+        if t = k - 1 then card_force s cr false;
+        -1
+      end
+
+(* Add the reified constraint [lit] <-> (at least [k] of
+   buf.[off..off+n)) at level 0. Its counts start from the trail
+   entries [propagate] has already taken; the check then runs once, so
+   what the level-0 assignment implies is enqueued, and a violation
+   refutes the solver. *)
+let assert_atleast s ~lit ~k buf off n =
+  if k < 1 || k > n then invalid_arg "Dpll.assert_atleast: k outside 1..n";
+  cancel_until s 0;
+  if not s.broken then begin
+    if not s.has_cards then begin
+      (* the first constraint: a solver without any pays for neither
+         the [cards] vectors nor the trail positions *)
+      s.cards <- Array.make (Array.length s.watches) empty;
+      s.tpos <- Array.make (Array.length s.assign) 0;
+      for i = 0 to s.trail_size - 1 do
+        s.tpos.(lit_var s.trail.(i)) <- i
+      done;
+      s.has_cards <- true
+    end;
+    let top = ref (abs lit) in
+    for i = off to off + n - 1 do
+      if abs buf.(i) = abs lit then
+        invalid_arg "Dpll.assert_atleast: the reified literal is one of its b's";
+      top := max !top (abs buf.(i))
+    done;
+    ensure_nvars s !top;
+    let cr = s.arena_len in
+    s.arena <- grow_array s.arena (cr + c_bs + n) 0;
+    let a = s.arena in
+    a.(cr) <- -n;
+    a.(cr + c_k) <- k;
+    a.(cr + c_true) <- 0;
+    a.(cr + c_false) <- 0;
+    a.(cr + c_lit) <- lit;
+    Array.blit buf off a (cr + c_bs) n;
+    s.arena_len <- cr + c_bs + n;
+    push s.cards (lit_index lit) cr;
+    for j = cr + c_bs to cr + c_bs + n - 1 do
+      let b = a.(j) in
+      push s.cards (lit_index b) cr;
+      let v = lit_var b in
+      if s.assign.(v) <> 0 && s.tpos.(v) < s.qhead then
+        if value s b > 0 then a.(cr + c_true) <- a.(cr + c_true) + 1
+        else a.(cr + c_false) <- a.(cr + c_false) + 1
+    done;
+    if card_check s cr <> -1 then s.broken <- true
+  end
+
 (* Unit propagation. For each literal taken off the trail, its
    falsified complement f first forces the other literal of every
    binary clause over f, then the arena clauses watching f look for a
    new watch; the watch vector is compacted in place as watches move.
-   Returns -1, or the conflicting clause's code (a reference, or a
-   [bin_reason] with the second false literal in [confl_other]). *)
+   Last, the literal is counted into every constraint it occurs in —
+   also after a conflict, so that the counts always cover exactly the
+   entries below [qhead] — and each is checked while no conflict is
+   found. Returns -1, or the conflicting code (a clause or constraint
+   reference, or a [bin_reason] with the second false literal in
+   [confl_other]). *)
 let propagate s =
   let conflict = ref (-1) in
   while !conflict = -1 && s.qhead < s.trail_size do
@@ -549,6 +691,21 @@ let propagate s =
         end
       done;
       ws.(0) <- !j - 1
+    end;
+    if s.has_cards then begin
+      let a = s.arena in
+      let cs = s.cards.(lit_index l) in
+      for i = 1 to cs.(0) do
+        let cr = cs.(i) in
+        if a.(cr + c_lit) <> l then a.(cr + c_true) <- a.(cr + c_true) + 1;
+        if !conflict = -1 then conflict := card_check s cr
+      done;
+      let cs = s.cards.(fi) in
+      for i = 1 to cs.(0) do
+        let cr = cs.(i) in
+        if a.(cr + c_lit) <> falsified then a.(cr + c_false) <- a.(cr + c_false) + 1;
+        if !conflict = -1 then conflict := card_check s cr
+      done
     end
   done;
   !conflict
@@ -566,15 +723,70 @@ let bump s v =
 
 let decay s = s.var_inc <- s.var_inc /. 0.95
 
+(* The clause of constraint [cr] that implies [x] (that the assignment
+   falsifies, for [x] = 0), built on demand: [f] gets each of its
+   literals but [x], all false. It cites only literals assigned before
+   [x], and of the b's that make its case the earliest on the trail:
+   - l: ¬l or k true b's;
+   - ¬l: l or n - k + 1 false b's;
+   - a b forced true: ¬l and n - k false b's;
+   - a b forced false: l and k - 1 true b's;
+   - a conflict: ¬l and n - k + 1 false b's, or l and k true b's. *)
+let iter_card s cr x f =
+  let a = s.arena in
+  let n = -a.(cr) and k = a.(cr + c_k) and l = a.(cr + c_lit) in
+  let limit = if x = 0 then s.trail_size else s.tpos.(lit_var x) in
+  let want, need =
+    if x = l then (1, k)
+    else if x = -l then (-1, n - k + 1)
+    else if value s l > 0 then begin
+      f (-l);
+      (-1, if x = 0 then n - k + 1 else n - k)
+    end
+    else begin
+      f l;
+      (1, if x = 0 then k else k - 1)
+    end
+  in
+  if Array.length s.expl < n then s.expl <- Array.make (max n (2 * Array.length s.expl)) 0;
+  let e = s.expl in
+  let m = ref 0 in
+  for j = cr + c_bs to cr + c_bs + n - 1 do
+    let b = a.(j) in
+    if value s b = want && s.tpos.(lit_var b) < limit then begin
+      e.(!m) <- b;
+      incr m
+    end
+  done;
+  assert (!m >= need);
+  if !m > need then
+    (* insertion sort by trail position: n is a domain's size *)
+    for i = 1 to !m - 1 do
+      let b = e.(i) in
+      let p = s.tpos.(lit_var b) in
+      let j = ref (i - 1) in
+      while !j >= 0 && s.tpos.(lit_var e.(!j)) > p do
+        e.(!j + 1) <- e.(!j);
+        decr j
+      done;
+      e.(!j + 1) <- b
+    done;
+  for i = 0 to need - 1 do
+    f (if want > 0 then -e.(i) else e.(i))
+  done
+
 (* Call [f] on every literal of the clause with reason or conflict code
-   [r] except [skip]: the arena record of a reference, the other literal
-   of a binary code. *)
+   [r] except [skip]: the arena record of a reference (a constraint's
+   clause made by [iter_card], [skip] = 0 for a conflict), the other
+   literal of a binary code. *)
 let iter_reason s r skip f =
   if r >= 0 then
-    for k = r + 1 to r + s.arena.(r) do
-      let l = s.arena.(k) in
-      if l <> skip then f l
-    done
+    if s.arena.(r) < 0 then iter_card s r skip f
+    else
+      for k = r + 1 to r + s.arena.(r) do
+        let l = s.arena.(k) in
+        if l <> skip then f l
+      done
   else f (bin_other r)
 
 (* 1-UIP conflict analysis: the learned clause is left in

@@ -12,7 +12,11 @@
     through per-literal growable vectors; binary clauses live only in
     per-literal binary vectors, and a literal they imply records the
     binary clause as its reason, which conflict analysis and {!core}
-    follow like any other. See DESIGN.md §5, "Solver memory layout". *)
+    follow like any other. Reified cardinality constraints
+    ({!assert_atleast}) are records of the same arena, propagated by
+    counting; the clause that explains one of their implications is
+    built on demand, so learning and {!core} see only clauses. See
+    DESIGN.md §5, "Solver memory layout". *)
 
 type result =
   | Sat of bool array  (** index v-1 holds the value of variable v *)
@@ -46,6 +50,24 @@ val assert_clause : t -> int list -> unit
     arena feeds this directly, with no per-clause list. [buf] is not
     modified. *)
 val assert_clause_slice : t -> int array -> int -> int -> unit
+
+(** [assert_atleast s ~lit ~k buf off n] adds, at level 0, the reified
+    cardinality constraint [lit ↔ (at least k of b_1..b_n)] over the
+    literal slice [buf.[off..off+n)] (MiniCard's native constraint,
+    Liffiton–Maglalang 2012, reified). The b's may repeat and may
+    include complementary literals: each occurrence counts. It
+    propagates both ways: k true b's imply [lit] and n - k + 1 false
+    ones imply its negation; [lit] true with n - k false b's forces the
+    others true, and [lit] false with k - 1 true b's forces the others
+    false. So [lit] may be admitted as a non-decision variable: it is
+    fixed once the b's are. An implication's reason is the constraint
+    itself, whose explanation clause is built when conflict analysis or
+    {!core} asks for it, from the literals assigned before the implied
+    one; no clause is stored per propagation. [buf] is not modified.
+    Registers unseen variables (as decision variables).
+    @raise Invalid_argument unless 1 ≤ k ≤ n, or if [lit]'s variable is
+    among the b's. *)
+val assert_atleast : t -> lit:int -> k:int -> int array -> int -> int -> unit
 
 (** Seed branching activity from the clause in an arena slice
     (Jeroslow-Wang-ish weights); call before {!assert_clause_slice} when

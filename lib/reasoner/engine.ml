@@ -212,27 +212,39 @@ let with_budget g budget f =
       Ground.set_budget g.ground Budget.unlimited)
     f
 
-(* Hand the clauses produced by the grounder since the last sync to the
-   persistent solver, straight from the clause arena, which they then
-   leave. New Tseitin auxiliaries are admitted without the decision
-   flag: propagation fixes them from the facts, so the solver branches
-   on facts (and activity) alone, false first, and a countermodel holds
-   only the facts and nulls O and D force — a near-minimal witness that
-   refutes every non-answer at once on Horn inputs. The [engine.sync]
-   span carries the clauses pushed and the variables admitted, so clause
-   loading is visible apart from grounding (at creation) and settlement
-   (per candidate). *)
-let sync g =
+(* Hand the clauses and cardinality constraints produced by the
+   grounder since the last sync to the persistent solver, straight from
+   the clause arena, which they then leave. New Tseitin auxiliaries (a
+   constraint's reified literal among them) are admitted without the
+   decision flag: propagation fixes them from the facts, so the solver
+   branches on facts (and activity) alone, false first, and a
+   countermodel holds only the facts and nulls O and D force — a
+   near-minimal witness that refutes every non-answer at once on Horn
+   inputs. A constraint's b's are seeded as one clause. The records
+   loaded and the time taken go to the engine's stats ([clauses],
+   [load_seconds]); the [engine.sync] span carries the records pushed
+   and the variables admitted, so clause loading is visible apart from
+   grounding (at creation) and settlement (per candidate). *)
+let sync t g =
   Obs.Trace.with_span "engine.sync" @@ fun () ->
+  let t0 = Obs.Clock.now () in
   let n = Ground.nvars g.ground in
   let fresh = n - g.synced_vars in
   Dpll.ensure_nvars ~decision:(Ground.is_fact_var g.ground) g.solver n;
   g.synced_vars <- n;
   let clauses = ref 0 in
-  Ground.iter_pending g.ground (fun buf off len ->
+  Ground.iter_pending g.ground
+    ~atleast:(fun ~k ~lit buf off n ->
+      incr clauses;
+      Dpll.seed_clause_slice g.solver buf off n;
+      Dpll.assert_atleast g.solver ~lit ~k buf off n)
+    (fun buf off len ->
       incr clauses;
       Dpll.seed_clause_slice g.solver buf off len;
       Dpll.assert_clause_slice g.solver buf off len);
+  t.stats.Stats.clauses <- t.stats.Stats.clauses + !clauses;
+  t.stats.Stats.load_seconds <-
+    t.stats.Stats.load_seconds +. (Obs.Clock.now () -. t0);
   if Obs.Trace.enabled () then begin
     Obs.Trace.add_attr "clauses" (Obs.Trace.Int !clauses);
     Obs.Trace.add_attr "vars" (Obs.Trace.Int fresh)
@@ -279,7 +291,10 @@ let build ~budget t m =
       let g =
         Obs.Trace.with_span ~attrs:[ ("extra", Obs.Trace.Int m) ] "ground.build"
         @@ fun () ->
-        let ground = Ground.create ~budget ~nulls:m ~domain ~signature:rels () in
+        let ground =
+          Ground.create ~budget ~nulls:m ~counting:`Constraint ~domain
+            ~signature:rels ()
+        in
         let g =
           {
             ceiling = m;
@@ -311,7 +326,7 @@ let build ~budget t m =
         end;
         g
       in
-      sync g;
+      sync t g;
       let dt = Obs.Clock.now () -. t0 in
       t.stats.Stats.groundings <- t.stats.Stats.groundings + 1;
       t.stats.Stats.ground_seconds <- t.stats.Stats.ground_seconds +. dt;
@@ -416,7 +431,7 @@ let reified_lit ?(env = SMap.empty) t g f =
         g.signed <- f :: g.signed
       end;
       let l = Ground.reify ~env g.ground f in
-      sync g;
+      sync t g;
       Hashtbl.replace g.reified key l;
       l
 

@@ -22,7 +22,11 @@ module ETbl = Structure.Element.Tbl
      domain positions at compile time. Quantifier expansion then loops
      over positions without allocating environments.
    - Clauses land in a growable flat [int] arena encoded as
-     [len; lit_1; ..; lit_len] records, consumed by {!Dpll} as slices. *)
+     [len; lit_1; ..; lit_len] records, consumed by {!Dpll} as slices.
+     A grounding made with [~counting:`Constraint] also writes
+     [-(n+2); k; l; b_1..b_n] records, one reified cardinality
+     constraint l <-> (at least k of b_1..b_n) per wide counting node;
+     the negative header tells them apart. *)
 
 type rel_info = {
   base : int;  (* first fact variable of the relation's block *)
@@ -42,6 +46,7 @@ type t = {
   mutable arena_len : int;
   mutable known : Logic.Signature.t;  (* relations with registered facts *)
   mutable budget : Budget.t;  (* checked per relation, subformula, clause *)
+  counting : [ `Ladder | `Constraint ];  (* encoding of wide counting nodes *)
 }
 
 type env = Structure.Element.t SMap.t
@@ -106,21 +111,48 @@ let emit_clause_list t lits =
     lits;
   t.arena_len <- !i
 
-(* Iterate the clause slices of the arena. *)
-let iter_clauses t f =
+(* One record, charged as one clause: the literal [l] is equivalent to
+   "at least [k] of [bs] hold" (1 <= k <= n = |bs|). *)
+let emit_atleast t k l bs n =
+  Budget.charge_clause t.budget;
+  arena_reserve t (n + 3);
+  let a = t.arena and i = t.arena_len in
+  a.(i) <- -(n + 2);
+  a.(i + 1) <- k;
+  a.(i + 2) <- l;
+  List.iteri (fun j b -> a.(i + 3 + j) <- b) bs;
+  t.arena_len <- i + n + 3
+
+(* Iterate the records of the arena: clause slices to [f], constraints
+   to [atleast] (k, l, and the slice of the b's). *)
+let iter_records t ~atleast f =
   let i = ref 0 in
   while !i < t.arena_len do
-    let len = t.arena.(!i) in
-    f t.arena (!i + 1) len;
-    i := !i + len + 1
+    let h = t.arena.(!i) in
+    if h >= 0 then begin
+      f t.arena (!i + 1) h;
+      i := !i + h + 1
+    end
+    else begin
+      atleast ~k:t.arena.(!i + 1) ~lit:t.arena.(!i + 2) t.arena (!i + 3) (-h - 2);
+      i := !i - h + 1
+    end
   done
 
-(* Drain: each clause is handed over once and then leaves the arena, so
+(* The clauses alone, for the one-shot solver paths, which take no
+   constraint. *)
+let iter_clauses t f =
+  iter_records t f ~atleast:(fun ~k:_ ~lit:_ _ _ _ ->
+      invalid_arg "Ground: a cardinality constraint on a one-shot solver path")
+
+(* Drain: each record is handed over once and then leaves the arena, so
    a grounding feeding a persistent solver never holds a second copy of
    what the solver already stores. A large buffer is released rather
    than kept for the few clauses later reifications emit. *)
-let iter_pending t f =
-  iter_clauses t f;
+let iter_pending ?atleast t f =
+  (match atleast with
+  | Some atleast -> iter_records t ~atleast f
+  | None -> iter_clauses t f);
   t.arena_len <- 0;
   if Array.length t.arena > 4096 then t.arena <- Array.make 256 0
 
@@ -193,7 +225,8 @@ let register_signature t signature =
     (Logic.Signature.to_list signature);
   t.known <- Logic.Signature.union t.known signature
 
-let create ?(budget = Budget.unlimited) ?(nulls = 0) ~domain ~signature () =
+let create ?(budget = Budget.unlimited) ?(nulls = 0) ?(counting = `Ladder) ~domain
+    ~signature () =
   let seen = ETbl.create 16 in
   let deduped =
     List.filter
@@ -221,6 +254,7 @@ let create ?(budget = Budget.unlimited) ?(nulls = 0) ~domain ~signature () =
       arena_len = 0;
       known = Logic.Signature.empty;
       budget;
+      counting;
     }
   in
   if nulls > 0 then
@@ -472,18 +506,20 @@ let binom_capped n k cap =
     !r
   end
 
-(* Counting nodes switch from subset expansion to the ladder once the
-   number of subsets passes this (subsets are slightly better for the
-   solver on small nodes, and keep small-instance clause counts stable). *)
+(* Counting nodes switch from subset expansion to the wide encoding (a
+   ladder or one constraint) once the number of subsets passes this
+   (subsets are slightly better for the solver on small nodes, and keep
+   small-instance clause counts stable). *)
 let subset_limit = 64
 
 (* Evaluate a compiled formula to a ground circuit. [slots] is the
    preallocated assignment array (slot -> domain position), mutated in
    place by quantifier loops — no environment allocation per binding.
-   Wide counting nodes reify their ladder inline (the only emission
-   during evaluation); everything else touches no shared state until
-   the Tseitin clauses are emitted, and a budget trip mid-evaluation
-   only ever abandons whole clauses, never partial ones. *)
+   Wide counting nodes reify their ladder or constraint inline (the
+   only emission during evaluation); everything else touches no shared
+   state until the Tseitin clauses are emitted, and a budget trip
+   mid-evaluation only ever abandons whole records, never partial
+   ones. *)
 let rec eval t slots sign (cf : cf) =
   Budget.checkpoint t.budget;
   match cf with
@@ -524,8 +560,9 @@ let rec eval t slots sign (cf : cf) =
   | CCountGeq (n, sl, g) ->
       let radix = Array.length t.domain in
       if n > 0 && binom_capped radix n subset_limit > subset_limit then begin
-        (* Wide counting node: reify the body at each position and build
-           the sequential-counter ladder instead of enumerating subsets.
+        (* Wide counting node: reify the body at each position and
+           count the reified bodies, with a sequential-counter ladder or
+           one constraint record, instead of enumerating subsets.
            Statically-true bodies lower the threshold, statically-false
            ones drop out of the count. *)
         let fixed = ref 0 in
@@ -544,9 +581,18 @@ let rec eval t slots sign (cf : cf) =
         if k <= 0 then if sign then GTrue else GFalse
         else if k > !nlits then if sign then GFalse else GTrue
         else
-          match atleast_lit t k !lits with
-          | 0 -> assert false (* k <= |lits| leaves a real ladder node *)
-          | l -> GLit (if sign then l else -l)
+          let l =
+            match t.counting with
+            | `Constraint ->
+                let l = fresh_aux t in
+                emit_atleast t k l !lits !nlits;
+                l
+            | `Ladder -> (
+                match atleast_lit t k !lits with
+                | 0 -> assert false (* k <= |lits| leaves a real ladder node *)
+                | l -> l)
+          in
+          GLit (if sign then l else -l)
       end
       else
         let positions = List.init radix Fun.id in

@@ -15,7 +15,26 @@
     [relation_base + mixed-radix tuple rank], sentences are compiled to
     slot-resolved form before quantifier expansion, and clauses land in
     a flat [int] arena consumed by the solver as slices. See DESIGN.md,
-    "hot-path data layout". *)
+    "hot-path data layout".
+
+    {2 Counting}
+
+    A counting node ∃≥n y. φ is expanded over its n-subsets of the
+    domain while there are at most [subset_limit] = 64 of them
+    (C(|dom|, n) ≤ 64: [>= 2] up to 11 elements, [>= 3] up to 8).
+    A wider node reifies φ at each domain position, b_1..b_m (statically
+    true bodies lower n to k, statically false ones drop out), and
+    counts them in one of two encodings, chosen by [create]'s
+    [~counting]:
+    - [`Ladder] (the default): a sequential-counter ladder of reified
+      binary and/or nodes, O(m·k) auxiliaries and three clauses each.
+      {!Bounded}, [Universal] and [Typeprog] ground this way, so the
+      reference model finder shares no counting encoding with
+      {!Engine}.
+    - [`Constraint]: one fresh auxiliary l and one reified cardinality
+      record l ↔ (at least k of b_1..b_m), handed to {!Dpll.assert_atleast}
+      by {!iter_pending}'s [~atleast]. Only {!Engine} grounds this
+      way. *)
 
 type t
 
@@ -27,12 +46,16 @@ exception Unbound_variable of string
     block for every relation of the signature over the (deduplicated)
     domain. The [budget] (default {!Budget.unlimited}) is checked per
     registered relation, per grounded subformula and per emitted
-    clause, and passed to the solver; any of these points may raise
-    {!Budget.Exhausted}. A trip leaves the grounding in a consistent,
-    resumable state. *)
+    clause or constraint, and passed to the solver; any of these points
+    may raise {!Budget.Exhausted}. A trip leaves the grounding in a
+    consistent, resumable state. [counting] (default [`Ladder]) picks
+    the encoding of wide counting nodes (see above); a grounding made
+    with [`Constraint] can only be drained by {!iter_pending} with
+    [~atleast]. *)
 val create :
   ?budget:Budget.t ->
   ?nulls:int ->
+  ?counting:[ `Ladder | `Constraint ] ->
   domain:Structure.Element.t list ->
   signature:Logic.Signature.t ->
   unit ->
@@ -99,17 +122,24 @@ val ensure_signature : t -> Logic.Signature.t -> unit
 (** Total SAT variables so far (facts + Tseitin auxiliaries). *)
 val nvars : t -> int
 
-(** [iter_pending t f] drains the clause arena: it calls [f buf off len]
-    for every clause emitted since the last call, as literal slices
-    [buf.[off..off+len)] of the arena, in emission order — for handing
-    them to a persistent solver ({!Dpll.assert_clause_slice}) without
-    materialising lists — and then drops them, so each clause is
-    handed over exactly once and the grounding keeps no second copy of
-    what the solver stores. The slices are only valid during the
-    iteration. After a drain, {!solve}, {!enumerate} and
-    {!enumerate_projections} see only the clauses emitted since: they
-    are for groundings that never drain. *)
-val iter_pending : t -> (int array -> int -> int -> unit) -> unit
+(** [iter_pending ?atleast t f] drains the clause arena: it calls
+    [f buf off len] for every clause emitted since the last call, as
+    literal slices [buf.[off..off+len)] of the arena, and
+    [atleast ~k ~lit buf off n] for every cardinality constraint
+    [lit ↔ (at least k of buf.[off..off+n))], in emission order — for
+    handing them to a persistent solver ({!Dpll.assert_clause_slice},
+    {!Dpll.assert_atleast}) without materialising lists — and then
+    drops them, so each record is handed over exactly once and the
+    grounding keeps no second copy of what the solver stores. The
+    slices are only valid during the iteration. After a drain,
+    {!solve}, {!enumerate} and {!enumerate_projections} see only the
+    clauses emitted since: they are for groundings that never drain.
+    @raise Invalid_argument on a constraint when [atleast] is absent. *)
+val iter_pending :
+  ?atleast:(k:int -> lit:int -> int array -> int -> int -> unit) ->
+  t ->
+  (int array -> int -> int -> unit) ->
+  unit
 
 (** Assert that [f] holds (under [env] for its free variables). *)
 val assert_formula : ?env:env -> t -> Logic.Formula.t -> unit
@@ -125,7 +155,11 @@ val assert_instance : t -> Structure.Instance.t -> unit
 
 (** Solve the clauses in the arena (every clause, on a grounding that
     never drained; see {!iter_pending}); [Some m] is a model containing
-    exactly the true facts, with the whole domain as its universe. *)
+    exactly the true facts, with the whole domain as its universe.
+    These one-shot paths ({!solve}, {!enumerate},
+    {!enumerate_projections}) take clauses only.
+    @raise Invalid_argument on a grounding holding a constraint
+    (made with [~counting:`Constraint]). *)
 val solve : t -> Structure.Instance.t option
 
 (** Enumerate models (distinct fact sets), up to [limit]. *)

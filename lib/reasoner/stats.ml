@@ -2,7 +2,8 @@
    its own record, and a session adds its budget trips to its engine's
    record, so that callers — the CLI's --stats flag, the bench harness,
    tests — can see how much work a workload really did: groundings
-   built, solver invocations, raw CDCL effort, budget trips and wall time split by phase. Every event is written
+   built, clauses loaded, solver invocations, raw CDCL effort, budget
+   trips and wall time split by phase. Every event is written
    once, into the record of the engine or session that did the work. *)
 
 type t = {
@@ -15,6 +16,8 @@ type t = {
   mutable budget_fuel_trips : int;
   mutable ground_seconds : float;
   mutable solve_seconds : float;
+  mutable clauses : int;
+  mutable load_seconds : float;
 }
 
 let create () =
@@ -28,6 +31,8 @@ let create () =
     budget_fuel_trips = 0;
     ground_seconds = 0.0;
     solve_seconds = 0.0;
+    clauses = 0;
+    load_seconds = 0.0;
   }
 
 let copy t = { t with groundings = t.groundings }
@@ -41,7 +46,9 @@ let add ~into t =
   into.budget_timeouts <- into.budget_timeouts + t.budget_timeouts;
   into.budget_fuel_trips <- into.budget_fuel_trips + t.budget_fuel_trips;
   into.ground_seconds <- into.ground_seconds +. t.ground_seconds;
-  into.solve_seconds <- into.solve_seconds +. t.solve_seconds
+  into.solve_seconds <- into.solve_seconds +. t.solve_seconds;
+  into.clauses <- into.clauses + t.clauses;
+  into.load_seconds <- into.load_seconds +. t.load_seconds
 
 (* The work done between an earlier snapshot [a] and a later one [b]. *)
 let diff b a =
@@ -55,15 +62,18 @@ let diff b a =
     budget_fuel_trips = b.budget_fuel_trips - a.budget_fuel_trips;
     ground_seconds = b.ground_seconds -. a.ground_seconds;
     solve_seconds = b.solve_seconds -. a.solve_seconds;
+    clauses = b.clauses - a.clauses;
+    load_seconds = b.load_seconds -. a.load_seconds;
   }
 
 let pp ppf t =
   Fmt.pf ppf
-    "@[<v>groundings:   %d (%.4fs)@ solves:       %d (%.4fs)@ decisions:    \
-     %d@ propagations: %d@ conflicts:    %d@ budget trips: %d timeout(s), \
-     %d fuel@]"
-    t.groundings t.ground_seconds t.solves t.solve_seconds t.decisions
-    t.propagations t.conflicts t.budget_timeouts t.budget_fuel_trips
+    "@[<v>groundings:   %d (%.4fs)@ clauses:      %d (%.4fs loading)@ \
+     solves:       %d (%.4fs)@ decisions:    %d@ propagations: %d@ \
+     conflicts:    %d@ budget trips: %d timeout(s), %d fuel@]"
+    t.groundings t.ground_seconds t.clauses t.load_seconds t.solves
+    t.solve_seconds t.decisions t.propagations t.conflicts t.budget_timeouts
+    t.budget_fuel_trips
 
 (* Field order and key names are the documented schema (stats.mli):
    keep both stable — bench/CI consumers select keys with jq. *)
@@ -80,6 +90,8 @@ let json t =
       ("budget_fuel_trips", int t.budget_fuel_trips);
       ("ground_seconds", Obs.Json.Num t.ground_seconds);
       ("solve_seconds", Obs.Json.Num t.solve_seconds);
+      ("clauses", int t.clauses);
+      ("load_seconds", Obs.Json.Num t.load_seconds);
     ]
 
 let to_json t = Obs.Json.render (json t)

@@ -1,5 +1,5 @@
 (** Instrumentation counters threaded through the incremental engine:
-    groundings built, solver invocations, CDCL effort
+    groundings built, clauses loaded, solver invocations, CDCL effort
     (decisions/propagations/conflicts), budget trips, and wall time per
     phase. *)
 
@@ -11,8 +11,17 @@ type t = {
   mutable conflicts : int;
   mutable budget_timeouts : int;  (** budget trips on a wall-clock deadline *)
   mutable budget_fuel_trips : int;  (** budget trips on fuel / clause caps *)
-  mutable ground_seconds : float;  (** wall time spent grounding *)
+  mutable ground_seconds : float;
+      (** wall time spent building groundings, each one's first clause
+          load included *)
   mutable solve_seconds : float;  (** wall time spent in the solver *)
+  mutable clauses : int;
+      (** clause records and cardinality constraints loaded into the
+          solvers (a constraint counts once) *)
+  mutable load_seconds : float;
+      (** wall time spent loading them ([Engine]'s clause loading, after
+          the grounding and after each query reification); the first
+          load of a grounding is also in [ground_seconds] *)
 }
 
 val create : unit -> t
@@ -38,6 +47,8 @@ val pp : t Fmt.t
       ["conflicts"] : integers
     - ["budget_timeouts"], ["budget_fuel_trips"] : integers
     - ["ground_seconds"], ["solve_seconds"] : numbers (seconds)
+    - ["clauses"] : integer
+    - ["load_seconds"] : number (seconds)
 
     The wire protocol carries this value as-is (eval [stats], server
     stats [reasoner]). *)

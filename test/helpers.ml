@@ -85,7 +85,7 @@ let o_horn =
 let stats_keys =
   [ "groundings"; "solves"; "decisions"; "propagations"; "conflicts";
     "budget_timeouts"; "budget_fuel_trips"; "ground_seconds";
-    "solve_seconds" ]
+    "solve_seconds"; "clauses"; "load_seconds" ]
 
 (* ---------------------------------------------------------------- *)
 (* Raw-socket plumbing for daemon framing and pipelining tests.       *)

@@ -208,6 +208,124 @@ let test_dynamic_mixed_ceilings =
           agrees_at !eng o (Reasoner.Engine.instance !eng) max_extra)
         (List.init 6 Fun.id))
 
+(* 1e. The engine's wide counting nodes. Over 13 or more elements,
+   C(13,2) = 78 > 64 subsets, so every [>= 2] and [<= 1] node grounds
+   as one cardinality constraint in the engine's solver, while Bounded
+   keeps the sequential-counter ladder. The ontologies have the corpus's
+   counting shapes: [<= 1 R.Top] and [>= 2] on both sides of an
+   inclusion (item 000), and counting under an existential and an
+   inverse role (item 020). Instances are sparse in R, so an element has
+   about one R-successor and the [<= 1] nodes bite both ways. A static
+   and a dynamic engine (the latter over random inserts and retracts,
+   reopened when a delta is refused) must agree with Bounded at mixed
+   ceilings, and the countermodel the engine returns for a non-answer
+   ([signed_model], a solve of the grounding whose models it keeps as
+   witnesses) must contain D, fail the query, and pass Modelcheck
+   against the full O. *)
+let o_wide =
+  List.map
+    (fun text -> Dl.Translate.tbox (Dl.Parser.parse_tbox text))
+    [ "A and D << <= 1 R . Top\n<= 1 R . Top << exists R . (B or C)\nB << >= 2 R . C";
+      "A << exists R . (<= 1 R . Top)\n<= 1 R . Top << B or D\nC << exists R- . (>= 2 R . D)" ]
+
+let wide_instance rng size =
+  let name i = "w" ^ string_of_int i in
+  let facts = ref [] in
+  for i = 0 to size - 1 do
+    List.iter
+      (fun c -> if Random.State.int rng 4 = 0 then facts := (c, [ name i ]) :: !facts)
+      [ "A"; "B"; "C"; "D" ];
+    for j = 0 to size - 1 do
+      if Random.State.int rng size = 0 then facts := ("R", [ name i; name j ]) :: !facts
+    done
+  done;
+  (* every element occurs (E is no relation of O), so the domain has
+     [size] elements *)
+  inst (List.init size (fun i -> ("E", [ name i ])) @ !facts)
+
+(* [agrees_at] on the elements [els] only (Bounded grounds the ladder
+   afresh per bound and per question). *)
+let agrees_on eng o d max_extra els =
+  Bool.equal
+    (Reasoner.Engine.is_consistent ~max_extra eng)
+    (Reasoner.Bounded.is_consistent ~max_extra o d)
+  && List.for_all
+       (fun el ->
+         List.for_all
+           (fun q ->
+             Bool.equal
+               (Reasoner.Engine.certain_cq ~max_extra eng q [ el ])
+               (Reasoner.Bounded.certain_cq ~max_extra o d q [ el ]))
+           [ qa; qb; qc ]
+         &&
+         let pointed = [ (qa, [ el ]); (qb, [ el ]) ] in
+         Bool.equal
+           (Reasoner.Engine.certain_disjunction ~max_extra eng pointed)
+           (Reasoner.Bounded.certain_disjunction ~max_extra o d pointed))
+       els
+
+let countermodels_check eng o max_extra els =
+  let d = Reasoner.Engine.instance eng in
+  List.for_all
+    (fun el ->
+      List.for_all
+        (fun q ->
+          Reasoner.Engine.certain_cq ~max_extra eng q [ el ]
+          ||
+          match Reasoner.Engine.signed_model ~max_extra eng [ (q, [ el ], false) ] with
+          | None -> false
+          | Some m ->
+              Structure.Instance.subset d m
+              && (not (Query.Cq.holds m q [ el ]))
+              && Structure.Modelcheck.is_model m (Logic.Ontology.all_sentences o))
+        [ qa; qb; qc ])
+    els
+
+let test_engine_wide_counting =
+  QCheck.Test.make ~name:"engine agrees with Bounded on wide counting nodes" ~count:3
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun o ->
+          let d = wide_instance rng 13 in
+          let dom = Structure.Instance.domain_list d in
+          let some () =
+            List.init 2 (fun _ -> List.nth dom (Random.State.int rng (List.length dom)))
+          in
+          let static = Reasoner.Engine.create o d in
+          List.for_all (fun c -> agrees_on static o d c (some ())) [ 1; 0; 2 ]
+          && countermodels_check static o 1 dom
+          &&
+          let pool =
+            Array.of_list
+              (List.map (fun el -> Structure.Instance.fact "B" [ el ]) dom
+              @ List.concat_map
+                  (fun x -> List.map (fun y -> Structure.Instance.fact "R" [ x; y ]) dom)
+                  dom)
+          in
+          let eng = ref (Reasoner.Engine.create ~dynamic:true o d) in
+          List.for_all
+            (fun _ ->
+              let f = pool.(Random.State.int rng (Array.length pool)) in
+              let cur = Reasoner.Engine.instance !eng in
+              let present = Structure.Instance.mem f cur in
+              let how =
+                if present then Reasoner.Engine.retract_facts !eng [ f ]
+                else Reasoner.Engine.insert_facts !eng [ f ]
+              in
+              if how = `Needs_rebuild then
+                eng :=
+                  Reasoner.Engine.create ~dynamic:true o
+                    (if present then Structure.Instance.remove_fact f cur
+                     else Structure.Instance.add_fact f cur);
+              let max_extra = [| 1; 0; 2 |].(Random.State.int rng 3) in
+              let els = some () in
+              agrees_on !eng o (Reasoner.Engine.instance !eng) max_extra els
+              && countermodels_check !eng o max_extra els)
+            (List.init 3 Fun.id))
+        o_wide)
+
 (* 2. One engine grounds once per ceiling, on first use, whatever entry
    point asks: consistency at ceiling 1 grounds dom(D) plus one null,
    and every element's certainty, a disjunction and the smaller ceiling
@@ -256,36 +374,25 @@ let test_grounds_each_bound_once () =
    fresh engine, and the next call at that ceiling grounds exactly
    once. The sweep injects the trip at every checkpoint the ceiling-1
    call passes (counted by an observer on a twin engine), so it covers
-   trips while grounding and trips after it. *)
-let test_trip_while_grounding () =
-  let d = inst [ ("D", [ "a" ]); ("D", [ "b" ]) ] in
-  let pointed = [ (qa, [ e "a" ]); (qb, [ e "a" ]) ] in
-  let expected =
-    Reasoner.Engine.certain_disjunction ~max_extra:1
-      (Reasoner.Engine.create o_disj d) pointed
-  in
-  check "A(a) or B(a) certain" true expected;
+   trips while grounding and trips after it. [ask] is a certain answer
+   at both ceilings. *)
+let trip_sweep o d ask =
+  let expected = ask Reasoner.Budget.unlimited ~max_extra:1 (Reasoner.Engine.create o d) in
+  check "certain at ceiling 1" true expected;
   (* an engine that has answered at ceiling 0 *)
   let grounded_at_0 () =
-    let eng = Reasoner.Engine.create o_disj d in
-    check "certain at ceiling 0" true
-      (Reasoner.Engine.certain_disjunction ~max_extra:0 eng pointed);
+    let eng = Reasoner.Engine.create o d in
+    check "certain at ceiling 0" true (ask Reasoner.Budget.unlimited ~max_extra:0 eng);
     eng
   in
   let obs = Reasoner.Budget.observer () in
-  ignore
-    (Reasoner.Engine.certain_disjunction ~budget:obs ~max_extra:1
-       (grounded_at_0 ()) pointed);
+  ignore (ask obs ~max_extra:1 (grounded_at_0 ()));
   let n = Reasoner.Budget.checkpoints obs in
   check "the ceiling-1 call passes checkpoints" true (n > 0);
   let unbuilt = ref 0 in
   for i = 0 to n - 1 do
     let eng = grounded_at_0 () in
-    (match
-       Reasoner.Engine.certain_disjunction
-         ~budget:(Reasoner.Budget.inject_after i)
-         ~max_extra:1 eng pointed
-     with
+    (match ask (Reasoner.Budget.inject_after i) ~max_extra:1 eng with
     | _ -> Alcotest.failf "checkpoint %d of %d must trip" i n
     | exception Reasoner.Budget.Exhausted _ -> ());
     let after_trip = (Reasoner.Engine.stats eng).groundings in
@@ -293,13 +400,34 @@ let test_trip_while_grounding () =
       (after_trip = 1 || after_trip = 2);
     if after_trip = 1 then incr unbuilt;
     check "answers like a fresh engine" expected
-      (Reasoner.Engine.certain_disjunction ~max_extra:1 eng pointed);
+      (ask Reasoner.Budget.unlimited ~max_extra:1 eng);
     check_int "ceiling 1 grounded exactly once" 2
       (Reasoner.Engine.stats eng).groundings;
     check "consistency like a fresh engine" true
       (Reasoner.Engine.is_consistent ~max_extra:1 eng)
   done;
   check "the first checkpoint trips while grounding" true (!unbuilt > 0)
+
+(* The sweep over a disjunctive ontology, and over a wide counting node:
+   A ⊑ ≥3 R.B over 8 elements is subset-expanded at ceiling 0 (C(8,3) =
+   56 subsets) and one cardinality constraint at ceiling 1 (C(9,3) =
+   84), so the sweep trips between the constraint's reified bodies and
+   its record, and at the record itself. A(a) needs three R-successors
+   in B, so by B ⊑ C some element is C. *)
+let test_trip_while_grounding () =
+  let pointed = [ (qa, [ e "a" ]); (qb, [ e "a" ]) ] in
+  trip_sweep o_disj
+    (inst [ ("D", [ "a" ]); ("D", [ "b" ]) ])
+    (fun budget ~max_extra eng ->
+      Reasoner.Engine.certain_disjunction ~budget ~max_extra eng pointed);
+  let o =
+    Dl.Translate.tbox (Dl.Parser.parse_tbox "A << >= 3 R . B\nB << C")
+  in
+  let d =
+    inst (("A", [ "a" ]) :: List.init 7 (fun i -> ("D", [ "d" ^ string_of_int i ])))
+  in
+  trip_sweep o d (fun budget ~max_extra eng ->
+      Reasoner.Engine.certain_cq ~budget ~max_extra eng qsome [])
 
 (* 3b. A delta reaches the grounding, and a grounding built after the
    delta (at a larger ceiling) sees the updated instance: the dynamic
@@ -564,6 +692,7 @@ let suite =
     QCheck_alcotest.to_alcotest test_mixed_ceilings;
     QCheck_alcotest.to_alcotest test_signed_model_first_bound;
     QCheck_alcotest.to_alcotest test_dynamic_mixed_ceilings;
+    QCheck_alcotest.to_alcotest test_engine_wide_counting;
     Alcotest.test_case "grounds_each_bound_once" `Quick
       test_grounds_each_bound_once;
     Alcotest.test_case "trip_while_grounding" `Quick test_trip_while_grounding;

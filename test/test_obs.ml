@@ -306,6 +306,8 @@ let test_stats_diff () =
     t.budget_fuel_trips <- k + 6;
     t.ground_seconds <- float_of_int k +. 0.5;
     t.solve_seconds <- float_of_int k +. 0.25;
+    t.clauses <- k + 7;
+    t.load_seconds <- float_of_int k +. 0.125;
     t
   in
   let a = mk 100 and b = mk 7 in

@@ -103,12 +103,20 @@ let load_slices s batch =
     i := !i + len + 1
   done
 
+(* Reified cardinality constraints [(l, k, bs)]: l <-> at least k of
+   the literals bs hold (each occurrence counts). *)
+let card_holds a (l, k, bs) =
+  Bool.equal (holds a l) (List.length (List.filter (holds a) bs) >= k)
+
 (* Some assignment of [nvars] variables satisfies every clause of
-   [clauses] (brute force over all 2^nvars). *)
-let brute_sat nvars clauses =
+   [clauses] and every constraint of [cards] (brute force over all
+   2^nvars). *)
+let brute_sat ?(cards = []) nvars clauses =
   let a = Array.make nvars false in
   let rec go v =
-    if v = nvars then List.for_all (List.exists (holds a)) clauses
+    if v = nvars then
+      List.for_all (List.exists (holds a)) clauses
+      && List.for_all (card_holds a) cards
     else begin
       a.(v) <- false;
       go (v + 1)
@@ -241,6 +249,185 @@ let test_dpll_grounder_mix_vs_brute =
       done;
       !ok)
 
+(* The sequential-counter ladder of a constraint, the encoding the
+   reference model finder keeps (Ground's atleast_lit), with auxiliaries
+   from variable [next] on: its clauses and the next free variable. *)
+let ladder next (l, k, bs) =
+  let next = ref next and clauses = ref [] in
+  let fresh () =
+    let v = !next in
+    incr next;
+    v
+  in
+  let emit c = clauses := c :: !clauses in
+  let or2 x y =
+    let a = fresh () in
+    emit [ -x; a ];
+    emit [ -y; a ];
+    emit [ -a; x; y ];
+    a
+  in
+  let and2 x y =
+    let a = fresh () in
+    emit [ -a; x ];
+    emit [ -a; y ];
+    emit [ a; -x; -y ];
+    a
+  in
+  let row = Array.make (k + 1) 0 in
+  List.iteri
+    (fun i b ->
+      for j = min (i + 1) k downto 2 do
+        let carry = if row.(j - 1) = 0 then 0 else and2 b row.(j - 1) in
+        if row.(j) = 0 then row.(j) <- carry
+        else if carry <> 0 then row.(j) <- or2 row.(j) carry
+      done;
+      row.(1) <- (if row.(1) = 0 then b else or2 row.(1) b))
+    bs;
+  emit [ -l; row.(k) ];
+  emit [ l; -row.(k) ];
+  (!clauses, !next)
+
+(* The one-shot solver's verdict on [clauses] plus the ladders of
+   [cards] over [nvars] variables: the constraint-free encoding. *)
+let ladder_sat nvars cards clauses =
+  let next = ref (nvars + 1) in
+  let laddered =
+    List.concat_map
+      (fun c ->
+        let cs, n = ladder !next c in
+        next := n;
+        cs)
+      cards
+  in
+  Reasoner.Dpll.solve ~nvars:(!next - 1) (laddered @ clauses) <> Reasoner.Dpll.Unsat
+
+let assert_card s (l, k, bs) =
+  let b = Array.of_list bs in
+  Reasoner.Dpll.assert_atleast s ~lit:l ~k b 0 (Array.length b)
+
+(* Random constraints over variables 1..[nbase]: constraint i reifies
+   into variable nbase + 1 + i, and its n <= 10 b's are base literals
+   or earlier constraints' literals, of either sign, repeats allowed (so
+   complementary pairs occur), with 1 <= k <= n. *)
+let random_cards rng nbase ncards =
+  List.init ncards (fun i ->
+      let n = 1 + Random.State.int rng 10 in
+      let b () =
+        let v =
+          if i > 0 && Random.State.int rng 4 = 0 then nbase + 1 + Random.State.int rng i
+          else 1 + Random.State.int rng nbase
+        in
+        if Random.State.bool rng then v else -v
+      in
+      (nbase + 1 + i, 1 + Random.State.int rng n, List.init n (fun _ -> b ())))
+
+(* The persistent solver with reified cardinality constraints mixed
+   into the grounder's clause mix (2/3 binary, 1/3 ternary): batches of
+   clause slices and constraints arrive with staged admission and
+   random decision flags (a constraint's literal is often a
+   non-decision variable, as in the engine), and solves under random
+   assumptions follow each batch. Each verdict must equal the ladder
+   encoding's (through the one-shot solver) and brute force's; a model
+   must satisfy every clause and assumption and give each constraint's
+   literal the truth of its count; an Unsat's core must be a subset of
+   the assumptions that the clauses and constraints refute. *)
+let test_dpll_atleast_vs_ladder =
+  QCheck.Test.make
+    ~name:"dpll cardinality constraints agree with the ladder and brute force"
+    ~count:200
+    QCheck.(pair (int_bound 100000) (int_range 2 7))
+    (fun (seed, nbase) ->
+      let rng = Random.State.make [| seed |] in
+      let ncards = 1 + Random.State.int rng 3 in
+      let nvars = nbase + ncards in
+      let pending = ref (random_cards rng nbase ncards) in
+      let lit () =
+        let v = 1 + Random.State.int rng nvars in
+        if Random.State.bool rng then v else -v
+      in
+      let clause () = List.init (if Random.State.int rng 3 = 0 then 3 else 2) (fun _ -> lit ()) in
+      let s = Reasoner.Dpll.make ~nvars:0 in
+      let clauses = ref [] and cards = ref [] in
+      let ok = ref true in
+      while !pending <> [] do
+        Reasoner.Dpll.ensure_nvars
+          ~decision:(fun v -> v <= nbase && Random.State.int rng 4 > 0)
+          s
+          (1 + Random.State.int rng nvars);
+        let batch = List.init (Random.State.int rng nvars) (fun _ -> clause ()) in
+        load_slices s batch;
+        clauses := batch @ !clauses;
+        (match !pending with
+        | c :: rest ->
+            assert_card s c;
+            cards := c :: !cards;
+            pending := rest
+        | [] -> ());
+        for _ = 1 to 1 + Random.State.int rng 3 do
+          let fresh = List.init (Random.State.int rng 5) (fun _ -> lit ()) in
+          let assumptions =
+            fresh @ List.filter (fun _ -> Random.State.int rng 3 = 0) fresh
+          in
+          let units ls = List.map (fun l -> [ l ]) ls in
+          let expected = brute_sat ~cards:!cards nvars (units assumptions @ !clauses) in
+          if ladder_sat nvars !cards (units assumptions @ !clauses) <> expected then
+            ok := false;
+          match Reasoner.Dpll.solve_assuming s assumptions with
+          | Reasoner.Dpll.Sat m ->
+              if
+                not
+                  (expected
+                  && List.for_all (List.exists (holds m)) (units assumptions @ !clauses)
+                  && List.for_all (card_holds m) !cards)
+              then ok := false
+          | Reasoner.Dpll.Unsat ->
+              let core = Reasoner.Dpll.core s in
+              if
+                expected
+                || (not (List.for_all (fun l -> List.mem l assumptions) core))
+                || brute_sat ~cards:!cards nvars (units core @ !clauses)
+              then ok := false
+        done
+      done;
+      !ok)
+
+(* A constraint violated by the level-0 assignment: with 5 <-> at least
+   2 of {1, 2, 3}, the units 5, -1 and -2 leave one of three b's to
+   make two. The search refutes the set at level 0, so the solver is
+   refuted for good and every core is [], with or without assumptions. *)
+let test_dpll_atleast_level0_core () =
+  let s = Reasoner.Dpll.make ~nvars:5 in
+  List.iter (Reasoner.Dpll.assert_clause s) [ [ 5 ]; [ -1 ]; [ -2 ] ];
+  assert_card s (5, 2, [ 1; 2; 3 ]);
+  check "refuted" false (sat s []);
+  Alcotest.(check (list int)) "core" [] (Reasoner.Dpll.core s);
+  check "refuted under 4" false (sat s [ 4 ]);
+  Alcotest.(check (list int)) "core under 4" [] (Reasoner.Dpll.core s)
+
+(* A clause learned from a constraint conflict is implied. With
+   ¬5 and 5 <-> at least 2 of {2, 3, 4}, at most one of 2, 3, 4 holds,
+   and the clauses 1 ∨ 2 and 1 ∨ 3 make 2 and 3 true together as soon
+   as the first decision (variable 1, false first) is made. The
+   constraint counts both and conflicts; its explanation 5 ∨ ¬2 ∨ ¬3,
+   resolved with the two clauses, teaches the unit 1, which the
+   backjump puts at level 0: a later solve under ¬1 fails on it alone,
+   with core [¬1], where the constraint and clauses by themselves
+   propagate nothing at level 0. Brute force confirms that they imply
+   1. *)
+let test_dpll_atleast_learned_implied () =
+  let card = (5, 2, [ 2; 3; 4 ]) and clauses = [ [ -5 ]; [ 1; 2 ]; [ 1; 3 ] ] in
+  let s = Reasoner.Dpll.make ~nvars:5 in
+  List.iter (Reasoner.Dpll.assert_clause s) clauses;
+  assert_card s card;
+  check "satisfiable" true (sat s []);
+  let _, _, conflicts = Reasoner.Dpll.counters s in
+  Alcotest.(check int) "one constraint conflict" 1 conflicts;
+  check "refuted under ¬1" false (sat s [ -1 ]);
+  Alcotest.(check (list int)) "the learned unit is at level 0" [ -1 ]
+    (Reasoner.Dpll.core s);
+  check "the constraints imply it" false (brute_sat ~cards:[ card ] 5 ([ [ -1 ] ] @ clauses))
+
 (* A core names the assumptions a refutation rests on, and only those:
    1 → 2 → 3 makes -3 fail under 1, while 4 plays no part. *)
 let test_dpll_core_cites_its_assumptions () =
@@ -292,12 +479,21 @@ let test_dpll_binary_refutation_core () =
    refuted the clauses alone (an empty assumption list answered false),
    every core is empty. A clause set that only search refutes can still
    fail an assumption first: {1∨2, 1∨-2, -1∨2, -1∨-2} under [3; -3]
-   reports the core {3, -3}, which is a refutation too. *)
+   reports the core {3, -3}, which is a refutation too. Half the cases
+   add up to two reified cardinality constraints (see [random_cards])
+   over the clauses' variables, whose literals the clauses and
+   assumptions may mention; the one-shot check then solves their
+   ladders. *)
 let test_dpll_core =
   QCheck.Test.make ~name:"failed-assumption cores refute" ~count:300
     QCheck.(pair (int_bound 100000) (int_range 1 12))
-    (fun (seed, nvars) ->
+    (fun (seed, nbase) ->
       let rng = Random.State.make [| seed |] in
+      let cards =
+        if Random.State.bool rng then random_cards rng nbase (Random.State.int rng 3)
+        else []
+      in
+      let nvars = nbase + List.length cards in
       let lit () =
         let v = 1 + Random.State.int rng nvars in
         if Random.State.bool rng then v else -v
@@ -308,7 +504,8 @@ let test_dpll_core =
       in
       let s = Reasoner.Dpll.make ~nvars in
       List.iter (Reasoner.Dpll.assert_clause s) clauses;
-      let unsat cs = Reasoner.Dpll.solve ~nvars cs = Reasoner.Dpll.Unsat in
+      List.iter (assert_card s) cards;
+      let unsat cs = not (ladder_sat nvars cards cs) in
       let refuted_alone = ref false in
       List.for_all
         (fun _ ->
@@ -489,6 +686,10 @@ let suite =
     Alcotest.test_case "dpll_binary_refutation_core" `Quick
       test_dpll_binary_refutation_core;
     QCheck_alcotest.to_alcotest test_dpll_core;
+    QCheck_alcotest.to_alcotest test_dpll_atleast_vs_ladder;
+    Alcotest.test_case "dpll_atleast_level0_core" `Quick test_dpll_atleast_level0_core;
+    Alcotest.test_case "dpll_atleast_learned_implied" `Quick
+      test_dpll_atleast_learned_implied;
     Alcotest.test_case "consistency" `Quick test_consistency;
     Alcotest.test_case "certain_disjunctive" `Quick test_certain_disjunctive;
     Alcotest.test_case "certain_horn" `Quick test_certain_horn;
