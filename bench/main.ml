@@ -19,9 +19,8 @@ let section title = Fmt.pr "@.== %s ==@." title
    independent Bounded oracle only checks the verdicts, beside them. *)
 let oracle agrees = if agrees then "(agrees)" else "(MISMATCH)"
 
-(* The reasoner work of the smoke tables — their engine sessions,
-   corpus reports and incremental sessions — summed, for the
-   bench.total.* rows. *)
+(* The reasoner work of the smoke tables — their engine and
+   incremental sessions — summed, for the bench.total.* rows. *)
 let total = Reasoner.Stats.create ()
 
 (* Every member of [st]'s Stats.json as the metric [prefix].<key>. *)
@@ -206,68 +205,6 @@ let engine_table () =
       record_stats prefix st;
       Obs.Metrics.set (Obs.Metrics.global ()) (prefix ^ ".speedup") (t_seed /. t_eng))
     [ 4; 8 ]
-
-let parallel_corpus_table () =
-  section "Parallel corpus: 24-ontology batch evaluation per jobs count";
-  (* The CI workload (see EXPERIMENTS.md): certain answers of one UCQ
-     over the committed 18-element instance w.r.t. every ontology of
-     the seed-2017 corpus, with a deterministic grounding-clause cap so
-     the one pathological deep ontology degrades ([out_of_fuel]) instead
-     of dominating the batch. Results are submission-ordered, so every
-     jobs count must produce identical verdicts — checked here too. *)
-  Gc.compact ();
-  let items = Omq.Corpus.generate ~seed:2017 ~n:24 () in
-  match
-    let ic = open_in_bin "data/corpus_instance.txt" in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Structure.Parse.instance_of_string s
-  with
-  | exception Sys_error m ->
-      Fmt.pr "skipped: %s (run from the repository root)@." m
-  | data ->
-      let query = Query.Parse.ucq_of_string "q(x) <- r0(x,y), C1(y)" in
-      let task = Omq.Corpus.Eval { query; data; max_extra = 2 } in
-      let run jobs = Omq.Corpus.run ~max_clauses:600_000 ~jobs task items in
-      Fmt.pr "cores available: %d@." (Parallel.Pool.default_jobs ());
-      Obs.Metrics.set_count (Obs.Metrics.global ())
-        "bench.corpus.cores_available"
-        (Parallel.Pool.default_jobs ());
-      let project (rep : Omq.Corpus.report) =
-        List.map
-          (fun (r : Omq.Corpus.result_one) ->
-            ( r.item_name,
-              match r.outcome with
-              | Ok (Omq.Corpus.Evaluated ev) ->
-                  Fmt.str "ok %b %d" ev.consistent (List.length ev.answers)
-              | Ok (Omq.Corpus.Classified _) -> "classified"
-              | Error f -> Fmt.str "%a" Reasoner.Budget.pp_reason f.reason ))
-          rep.results
-      in
-      let baseline = run 1 in
-      let expected = project baseline in
-      Fmt.pr "%-6s %-12s %-10s %s@." "jobs" "seconds" "speedup" "verdicts";
-      List.iter
-        (fun jobs ->
-          let rep = if jobs = 1 then baseline else run jobs in
-          Reasoner.Stats.add ~into:total rep.Omq.Corpus.total;
-          let speedup = baseline.Omq.Corpus.seconds /. rep.Omq.Corpus.seconds in
-          Fmt.pr "%-6d %-12.3f %-10s %s@." jobs rep.Omq.Corpus.seconds
-            (Fmt.str "%.2fx" speedup)
-            (if project rep = expected then "identical" else "MISMATCH");
-          let prefix = Fmt.str "bench.corpus.jobs%d" jobs in
-          Obs.Metrics.set (Obs.Metrics.global ()) (prefix ^ ".seconds")
-            rep.Omq.Corpus.seconds;
-          Obs.Metrics.set (Obs.Metrics.global ()) (prefix ^ ".speedup") speedup;
-          let workers =
-            List.sort_uniq compare
-              (List.map
-                 (fun (r : Omq.Corpus.result_one) -> r.worker)
-                 rep.Omq.Corpus.results)
-          in
-          Obs.Metrics.set_count (Obs.Metrics.global ())
-            (prefix ^ ".domains_used") (List.length workers))
-        [ 1; 2; 4 ]
 
 let eval_table ?(sizes = [ 10_000; 100_000 ]) () =
   section "Cost-based evaluation: naive vs planned joins on generated instances";
@@ -462,206 +399,6 @@ let incremental_table ?(rounds = 30) () =
   Obs.Metrics.set m "bench.incremental.answer_after_retract_p50_ms"
     answer_after_retract_ms;
   Obs.Metrics.set m "bench.incremental.cold_answer_p50_ms" cold_answer_ms
-
-let serve_table () =
-  section "Serve daemon: closed-loop load, 4 clients x 60 evals";
-  (* The daemon runs on a POSIX thread of this process (its worker
-     domains are its own); clients are real Unix-socket connections
-     driven by Omqd.Loadgen. Every response is compared byte for byte
-     against the sequential evaluation's rendering — the bench doubles
-     as the proof that serving does not change answers. *)
-  let module P = Omq.Protocol in
-  let read_file path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  match (read_file "data/hand.dl", read_file "data/hand_instance.txt") with
-  | exception Sys_error m ->
-      Fmt.pr "skipped: %s (run from the repository root)@." m
-  | onto, data -> (
-      let query = "q(x) <- Hand(x)" in
-      let expected =
-        Result.get_ok
-          (Omqd.Core.expected_eval ~ontology:onto ~data ~query ~max_extra:2)
-      in
-      let clients = 4 and queries = 60 and jobs = 4 in
-      let path =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "omq-bench-%d.sock" (Unix.getpid ()))
-      in
-      let addr = Omqd.Daemon.Unix_path path in
-      let cfg = Omqd.Daemon.config ~addr ~jobs () in
-      let daemon = ref (Ok ()) in
-      let th = Thread.create (fun () -> daemon := Omqd.Daemon.run cfg) () in
-      let spec =
-        {
-          Omqd.Loadgen.open_req =
-            P.Open_session { ontology = onto; data; query; max_extra = 2 };
-          make_eval =
-            (fun ~session ->
-              P.Eval { session; budget = P.no_budget; want_stats = false });
-          expected = Some expected;
-        }
-      in
-      let outcome =
-        Omqd.Loadgen.run addr (List.init clients (fun _ -> spec)) ~queries
-      in
-      (match Omqd.Client.connect ~attempts:1 addr with
-      | Error _ -> ()
-      | Ok c ->
-          ignore (Omqd.Client.call c P.Shutdown);
-          Omqd.Client.close c);
-      Thread.join th;
-      (match !daemon with
-      | Ok () -> ()
-      | Error m -> Fmt.pr "daemon exited with error: %s@." m);
-      match outcome with
-      | Error m -> Fmt.pr "load generator failed: %s@." m
-      | Ok s ->
-          Fmt.pr "%a@." Omqd.Loadgen.pp_summary s;
-          let m = Obs.Metrics.global () in
-          Obs.Metrics.set_count m "bench.serve.clients" s.Omqd.Loadgen.clients;
-          Obs.Metrics.set_count m "bench.serve.queries_per_client"
-            s.Omqd.Loadgen.queries_per_client;
-          Obs.Metrics.set_count m "bench.serve.jobs" jobs;
-          Obs.Metrics.set_count m "bench.serve.total" s.Omqd.Loadgen.total;
-          Obs.Metrics.set_count m "bench.serve.ok" s.Omqd.Loadgen.ok;
-          Obs.Metrics.set_count m "bench.serve.mismatches"
-            s.Omqd.Loadgen.mismatches;
-          Obs.Metrics.set m "bench.serve.seconds" s.Omqd.Loadgen.seconds;
-          Obs.Metrics.set m "bench.serve.throughput_rps"
-            s.Omqd.Loadgen.throughput_rps;
-          Obs.Metrics.set m "bench.serve.mean_ms" s.Omqd.Loadgen.mean_ms;
-          Obs.Metrics.set m "bench.serve.p50_ms" s.Omqd.Loadgen.p50_ms;
-          Obs.Metrics.set m "bench.serve.p95_ms" s.Omqd.Loadgen.p95_ms;
-          Obs.Metrics.set m "bench.serve.p99_ms" s.Omqd.Loadgen.p99_ms;
-          Obs.Metrics.set m "bench.serve.max_ms" s.Omqd.Loadgen.max_ms)
-
-let chaos_table () =
-  section "Chaos: journal recovery after a restart";
-  (* Two daemons share one journal directory. The first serves a fleet
-     of sessions (opens + acknowledged inserts); the second starts cold
-     from the journal alone and must answer every acknowledged session
-     byte-identically. The table reports the replay latency and the
-     number of acknowledged facts the restart lost (must be 0). Faults
-     at the socket boundary are event sequences in the core suite
-     (test/test_core.ml), not a plan inside the daemon. *)
-  let module P = Omq.Protocol in
-  let read_file path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  match (read_file "data/hand.dl", read_file "data/hand_instance.txt") with
-  | exception Sys_error m ->
-      Fmt.pr "skipped: %s (run from the repository root)@." m
-  | onto, data -> (
-      let query = "q(x) <- Hand(x)" in
-      let extra = "Hand(z_chaos)" in
-      let expected =
-        Result.get_ok
-          (Omqd.Core.expected_eval ~ontology:onto ~data:(data ^ "\n" ^ extra)
-             ~query ~max_extra:2)
-      in
-      let pid = Unix.getpid () in
-      let tmp = Filename.get_temp_dir_name () in
-      let dir = Filename.concat tmp (Printf.sprintf "omq-bench-chaos-%d" pid) in
-      let sock n =
-        Filename.concat tmp (Printf.sprintf "omq-bench-chaos-%d-%d.sock" pid n)
-      in
-      let sessions = 6 in
-      let exception Bench_fail of string in
-      try
-        let call c req =
-          match Omqd.Client.call ~retries:4 c req with
-          | Ok r -> r
-          | Error m -> raise (Bench_fail m)
-        in
-        let connect addr =
-          match Omqd.Client.connect addr with
-          | Ok c -> c
-          | Error m -> raise (Bench_fail m)
-        in
-        let stop addr th outcome =
-          (match Omqd.Client.connect ~attempts:5 addr with
-          | Error _ -> ()
-          | Ok c ->
-              ignore (Omqd.Client.call c P.Shutdown);
-              Omqd.Client.close c);
-          Thread.join th;
-          match !outcome with
-          | Ok () -> ()
-          | Error m -> Fmt.pr "daemon exited with error: %s@." m
-        in
-        (* phase 1: a journaled daemon acknowledges the fleet *)
-        let addr1 = Omqd.Daemon.Unix_path (sock 1) in
-        let cfg1 = Omqd.Daemon.config ~addr:addr1 ~jobs:2 ~journal:dir () in
-        let d1 = ref (Ok ()) in
-        let th1 = Thread.create (fun () -> d1 := Omqd.Daemon.run cfg1) () in
-        let c = connect addr1 in
-        let sids =
-          List.init sessions (fun _ ->
-              match
-                call c (P.Open_session { ontology = onto; data; query; max_extra = 2 })
-              with
-              | P.Opened { session } ->
-                  (match call c (P.Insert_facts { session; facts = extra }) with
-                  | P.Inserted _ -> session
-                  | r -> raise (Bench_fail (P.render_response r)))
-              | r -> raise (Bench_fail (P.render_response r)))
-        in
-        Omqd.Client.close c;
-        stop addr1 th1 d1;
-        let journal_bytes =
-          try (Unix.stat (Filename.concat dir "omq.journal")).Unix.st_size
-          with Unix.Unix_error _ -> 0
-        in
-        (* phase 2: cold restart from the journal alone *)
-        let t0 = Obs.Clock.now () in
-        let ready_at = ref Float.nan in
-        let addr2 = Omqd.Daemon.Unix_path (sock 2) in
-        let cfg2 = Omqd.Daemon.config ~addr:addr2 ~jobs:2 ~journal:dir () in
-        let d2 = ref (Ok ()) in
-        let th2 =
-          Thread.create
-            (fun () ->
-              d2 :=
-                Omqd.Daemon.run
-                  ~ready:(fun () -> ready_at := Obs.Clock.now ())
-                  cfg2)
-            ()
-        in
-        let c = connect addr2 in
-        let lost =
-          List.fold_left
-            (fun acc session ->
-              let resp =
-                call c
-                  (P.Eval { session; budget = P.no_budget; want_stats = false })
-              in
-              if P.render_response resp = expected then acc else acc + 1)
-            0 sids
-        in
-        Omqd.Client.close c;
-        stop addr2 th2 d2;
-        let recovery_ms =
-          if Float.is_nan !ready_at then Float.nan
-          else 1000.0 *. (!ready_at -. t0)
-        in
-        Fmt.pr
-          "%d session(s); restart: replayed %d byte journal in %.1f ms, lost \
-           acked facts: %d@."
-          sessions journal_bytes recovery_ms lost;
-        let m = Obs.Metrics.global () in
-        Obs.Metrics.set_count m "bench.chaos.sessions" sessions;
-        Obs.Metrics.set_count m "bench.chaos.journal_bytes" journal_bytes;
-        Obs.Metrics.set_count m "bench.chaos.lost_acked_facts" lost;
-        Obs.Metrics.set m "bench.chaos.recovery_ms" recovery_ms
-      with Bench_fail m -> Fmt.pr "chaos bench failed: %s@." m)
 
 let thm5_table () =
   section "Theorem 5: the type-based Datalog!= evaluation vs certain answers";
@@ -883,17 +620,14 @@ let run_benchmarks () =
            []))
     tests
 
+(* Machine context for the committed baseline: how many cores the run
+   had, so a reviewer can judge the timings. *)
+let meta_metrics () =
+  Obs.Metrics.set_count (Obs.Metrics.global ()) "bench.meta.cores_used"
+    (Parallel.Pool.default_jobs ())
+
 (* Every metric the tables and micro-benchmarks recorded, as one flat
    JSON object keyed by metric name. *)
-(* Machine context for the committed baseline: how many cores the run
-   had and which job counts the parallel tables used, so a reviewer can
-   judge the speedup/throughput numbers. *)
-let meta_metrics () =
-  let m = Obs.Metrics.global () in
-  Obs.Metrics.set_count m "bench.meta.cores_used" (Parallel.Pool.default_jobs ());
-  Obs.Metrics.set_count m "bench.meta.corpus_jobs_max" 4;
-  Obs.Metrics.set_count m "bench.meta.serve_jobs" 4
-
 let write_metrics path =
   let oc = open_out path in
   output_string oc (Obs.Json.render (Obs.Metrics.to_json (Obs.Metrics.global ())));
@@ -904,11 +638,11 @@ let write_metrics path =
 let () =
   Fmt.pr "Reproduction harness: Hernich, Lutz, Papacchini, Wolter — PODS'17@.";
   if Array.exists (String.equal "--smoke") Sys.argv then begin
-    (* CI smoke mode: just the engine table (the regression tripwire for
-       the grounder/solver handoff), written to a separate file so the
-       committed full-run baseline is never clobbered. *)
+    (* CI smoke mode: the engine, eval and incremental tables (the
+       tripwire for the grounder/solver handoff and the hard gates on
+       planner equivalence and session updates), written to a separate
+       file so the committed full-run baseline is never clobbered. *)
     engine_table ();
-    parallel_corpus_table ();
     eval_table ~sizes:[ 10_000 ] ();
     incremental_table ();
     meta_metrics ();
@@ -921,11 +655,8 @@ let () =
     hand_table ();
     example1_table ();
     engine_table ();
-    parallel_corpus_table ();
     eval_table ();
     incremental_table ();
-    serve_table ();
-    chaos_table ();
     thm5_table ();
     thm8_table ();
     thm10_table ();

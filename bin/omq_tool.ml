@@ -881,7 +881,7 @@ let serve_cmd =
   let max_frame_arg =
     Arg.(
       value
-      & opt int Omqd.Daemon.default_max_frame
+      & opt int Omqd.Core.default_max_frame
       & info [ "max-frame" ] ~docv:"BYTES"
           ~doc:
             "Reject request frames longer than $(docv) with a typed \
@@ -902,7 +902,7 @@ let serve_cmd =
   let journal_compact_arg =
     Arg.(
       value
-      & opt int Omqd.Daemon.default_journal_compact
+      & opt int Omqd.Core.default_journal_compact
       & info [ "journal-compact" ] ~docv:"BYTES"
           ~doc:
             "Compact the journal (one open per live session) once it \
@@ -931,7 +931,7 @@ let serve_cmd =
   let max_outbuf_arg =
     Arg.(
       value
-      & opt int Omqd.Daemon.default_max_outbuf
+      & opt int Omqd.Core.default_max_outbuf
       & info [ "max-outbuf" ] ~docv:"BYTES"
           ~doc:
             "Disconnect a client whose unsent responses exceed $(docv) \
@@ -1141,10 +1141,7 @@ let loadgen_cmd =
     let spec =
       {
         Omqd.Loadgen.open_req = P.Open_session { ontology; data; query; max_extra };
-        make_eval =
-          (fun ~session ->
-            P.Eval { session; budget = P.no_budget; want_stats = false });
-        expected = Some expected;
+        expected;
       }
     in
     let* s = Omqd.Loadgen.run addr (List.init (max clients 1) (fun _ -> spec)) ~queries in
@@ -1167,7 +1164,18 @@ let loadgen_cmd =
                 ("p50_ms", J.Num s.p50_ms);
                 ("p99_ms", J.Num s.p99_ms);
               ]))
-    else Fmt.pr "%a@." Omqd.Loadgen.pp_summary s;
+    else
+      Fmt.pr
+        "@[<v>%d client(s) x %d quer%s: %d answered (%d ok, %d tripped, %d \
+         error(s), %d mismatch(es))@,\
+         failures: %d connect, %d io@,\
+         %.3f s wall, %.1f req/s@,\
+         latency ms: mean %.2f  p50 %.2f  p95 %.2f  p99 %.2f  max %.2f@]@."
+        s.clients s.queries_per_client
+        (if s.queries_per_client = 1 then "y" else "ies")
+        s.total s.ok s.tripped s.errors s.mismatches s.connect_failures
+        s.io_failures s.seconds s.throughput_rps s.mean_ms s.p50_ms s.p95_ms
+        s.p99_ms s.max_ms;
     Ok 0
   in
   Cmd.v

@@ -3,6 +3,7 @@ module P = Omq.Protocol
 type t = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
+  chunk : Bytes.t;
   mutable next_id : int;
   mutable closed : bool;
 }
@@ -17,23 +18,22 @@ let backoff_sleep ~base n =
   let r = Random.State.float (Lazy.force rng) 1.0 in
   Unix.sleepf ((d /. 2.) +. (r *. d /. 2.))
 
-let sockaddr_of = function
-  | Daemon.Unix_path path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-  | Daemon.Tcp (host, port) ->
-      let ip =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      (Unix.PF_INET, Unix.ADDR_INET (ip, port))
-
 let connect ?(attempts = 50) ?(base_delay = 0.02) addr =
-  match sockaddr_of addr with
+  match Daemon.sockaddr_of addr with
   | exception Not_found -> Error (Fmt.str "cannot resolve %a" Daemon.pp_addr addr)
   | domain, sa ->
       let rec go n =
         let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
         match Unix.connect fd sa with
-        | () -> Ok { fd; inbuf = Buffer.create 512; next_id = 0; closed = false }
+        | () ->
+            Ok
+              {
+                fd;
+                inbuf = Buffer.create 512;
+                chunk = Bytes.create 65536;
+                next_id = 0;
+                closed = false;
+              }
         | exception Unix.Unix_error (e, _, _) ->
             (try Unix.close fd with Unix.Unix_error _ -> ());
             let retryable =
@@ -54,6 +54,8 @@ let connect ?(attempts = 50) ?(base_delay = 0.02) addr =
       in
       go 0
 
+let fd t = t.fd
+
 let close t =
   if not t.closed then begin
     t.closed <- true;
@@ -73,42 +75,62 @@ let write_all t s =
   in
   go 0
 
-(* One line from the connection, buffering any tail for the next read. *)
-let read_line t =
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    let data = Buffer.contents t.inbuf in
-    match String.index_opt data '\n' with
-    | Some i ->
-        let line = String.sub data 0 i in
-        Buffer.clear t.inbuf;
-        Buffer.add_substring t.inbuf data (i + 1) (String.length data - i - 1);
-        Ok line
-    | None -> (
-        match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-        | 0 -> Error "connection closed by server"
-        | n ->
-            Buffer.add_subbytes t.inbuf chunk 0 n;
-            go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        | exception Unix.Unix_error (e, _, _) ->
-            Error (Fmt.str "read: %s" (Unix.error_message e)))
-  in
-  go ()
+(* The first complete line buffered, if any; the tail stays buffered. *)
+let take_line t =
+  let data = Buffer.contents t.inbuf in
+  match String.index_opt data '\n' with
+  | None -> None
+  | Some i ->
+      Buffer.clear t.inbuf;
+      Buffer.add_substring t.inbuf data (i + 1) (String.length data - i - 1);
+      Some (String.sub data 0 i)
+
+(* One [read] into the buffer; an interrupted read adds nothing. *)
+let fill t =
+  match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
+  | 0 -> Error "connection closed by server"
+  | n ->
+      Buffer.add_subbytes t.inbuf t.chunk 0 n;
+      Ok ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> Ok ()
+  | exception Unix.Unix_error (e, _, _) ->
+      Error (Fmt.str "read: %s" (Unix.error_message e))
 
 let ( let* ) = Result.bind
+
+let rec read_line t =
+  match take_line t with
+  | Some line -> Ok line
+  | None ->
+      let* () = fill t in
+      read_line t
+
+let read_lines t =
+  let* () = fill t in
+  let rec lines acc =
+    match take_line t with
+    | Some line -> lines (line :: acc)
+    | None -> List.rev acc
+  in
+  Ok (lines [])
 
 let raw t line =
   let* () = write_all t (line ^ "\n") in
   read_line t
 
+(* A request frame under a fresh id. *)
+let frame t req =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  (id, P.render_request ~id req ^ "\n")
+
+let send t req = write_all t (snd (frame t req))
+
 (* Retryable rejections (overloaded / worker_lost) are the daemon's
    promise that the request had no effect; resending the {e same} frame
    — same id — is the idempotent retry the protocol contract allows. *)
 let call ?(retries = 0) ?(base_delay = 0.02) t req =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  let frame = P.render_request ~id req ^ "\n" in
+  let id, frame = frame t req in
   let rec attempt n =
     let* () = write_all t frame in
     let rec await () =

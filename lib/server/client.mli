@@ -2,7 +2,9 @@
     [omq_tool request], the load generator and the test suite all speak
     through it. One request in flight at a time: {!call} assigns a fresh
     ["id"], writes one frame and reads until the response echoing that
-    id arrives (unsolicited frames with other ids are discarded). *)
+    id arrives (unsolicited frames with other ids are discarded). The
+    load generator drives many clients from one [select] loop through
+    {!fd}, {!send} and {!read_lines} instead. *)
 
 type t
 
@@ -31,6 +33,18 @@ val call :
   t ->
   Omq.Protocol.request ->
   (Omq.Protocol.response, string) result
+
+(** Write [request] as one frame under a fresh ["id"], without
+    waiting for its response. [Error] on a write failure. *)
+val send : t -> Omq.Protocol.request -> (unit, string) result
+
+(** The connection's socket, for a caller's [select]. *)
+val fd : t -> Unix.file_descr
+
+(** One [read] on the connection, then every complete response line
+    buffered so far, oldest first (possibly none; a partial line stays
+    buffered). [Error] on EOF or a read error. *)
+val read_lines : t -> (string list, string) result
 
 (** Escape hatch for protocol testing: send [line] verbatim (one frame;
     the newline is appended) and return the next response line raw. *)

@@ -19,6 +19,15 @@ let pp_addr ppf = function
   | Unix_path p -> Fmt.pf ppf "unix:%s" p
   | Tcp (h, p) -> Fmt.pf ppf "%s:%d" h p
 
+let sockaddr_of = function
+  | Unix_path path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+  | Tcp (host, port) ->
+      let ip =
+        try Unix.inet_addr_of_string host
+        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
+      in
+      (Unix.PF_INET, Unix.ADDR_INET (ip, port))
+
 type config = {
   addr : addr;
   jobs : int;
@@ -39,17 +48,11 @@ type config = {
   flight_capacity : int;
 }
 
-let version = Core.version
-let default_max_frame = Core.default_max_frame
-let default_max_outbuf = Core.default_max_outbuf
-let default_journal_compact = Core.default_journal_compact
-let default_shutdown_grace = Core.default_shutdown_grace
-
 let config ~addr ?(jobs = 1) ?(caps = P.no_budget)
-    ?(max_frame = default_max_frame) ?trace ?(log = false) ?journal
-    ?(journal_compact = default_journal_compact) ?supervise ?max_inflight
-    ?(max_outbuf = default_max_outbuf)
-    ?(shutdown_grace = default_shutdown_grace) ?(signals = false)
+    ?(max_frame = Core.default_max_frame) ?trace ?(log = false) ?journal
+    ?(journal_compact = Core.default_journal_compact) ?supervise
+    ?max_inflight ?(max_outbuf = Core.default_max_outbuf)
+    ?(shutdown_grace = Core.default_shutdown_grace) ?(signals = false)
     ?metrics_addr ?(telemetry = true) ?flight_dump
     ?(flight_capacity = Telemetry.default_capacity) () =
   {
@@ -107,27 +110,18 @@ let run_job ~tracing ~telemetry ~token ~worker ~op job () =
   in
   ({ Core.token; worker; reply; gc }, trace)
 
-let listen_on = function
-  | Unix_path path ->
-      if Sys.file_exists path then begin
-        try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ()
-      end;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 128;
-      Unix.set_nonblock fd;
-      fd
-  | Tcp (host, port) ->
-      let ip =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (ip, port));
-      Unix.listen fd 128;
-      Unix.set_nonblock fd;
-      fd
+let listen_on addr =
+  (match addr with
+  | Unix_path path when Sys.file_exists path -> (
+      try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
+  | _ -> ());
+  let domain, sa = sockaddr_of addr in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd sa;
+  Unix.listen fd 128;
+  Unix.set_nonblock fd;
+  fd
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -164,7 +158,7 @@ let restore_signals =
 (* One connection, wire or HTTP: unsent output and its cursor. *)
 type sock = { fd : Unix.file_descr; mutable out : string; mutable pos : int }
 
-let run ?(ready = fun () -> ()) cfg =
+let run cfg =
   let prev_pipe = Option.to_list (set_signal Sys.sigpipe Sys.Signal_ignore) in
   match bind_both cfg with
   | Error msg ->
@@ -465,7 +459,6 @@ let run ?(ready = fun () -> ()) cfg =
       let result =
         match
           Option.iter recover cfg.journal;
-          ready ();
           loop ()
         with
         | () -> Ok ()

@@ -58,6 +58,12 @@ type addr =
 
 val pp_addr : addr Fmt.t
 
+(** The socket domain and address of [addr], a host name resolved with
+    [gethostbyname] — the one resolver of the daemon's listener, the
+    client and the load generator.
+    @raise Not_found when the host does not resolve. *)
+val sockaddr_of : addr -> Unix.socket_domain * Unix.sockaddr
+
 type config = {
   addr : addr;
   jobs : int;  (** worker domains (clamped to >= 1) *)
@@ -91,14 +97,12 @@ type config = {
   flight_capacity : int;  (** flight-recorder ring size *)
 }
 
-(** Daemon build version, reported in [stats] / telemetry dumps. *)
-val version : string
-
 (** Build a {!config}; every field but [addr] has the serving default
-    ([jobs = 1], no caps, {!default_max_frame}, no trace, quiet, no
-    journal, {!default_journal_compact}, no supervision, unbounded
-    admission, {!default_max_outbuf}, {!default_shutdown_grace}, no
-    signal handlers, no metrics endpoint, telemetry on,
+    ([jobs = 1], no caps, {!Core.default_max_frame}, no trace, quiet,
+    no journal, {!Core.default_journal_compact}, no supervision,
+    unbounded admission, {!Core.default_max_outbuf},
+    {!Core.default_shutdown_grace}, no signal handlers, no metrics
+    endpoint, telemetry on,
     flight dump to stderr, {!Telemetry.default_capacity}). *)
 val config :
   addr:addr ->
@@ -121,14 +125,8 @@ val config :
   unit ->
   config
 
-val default_max_frame : int
-val default_max_outbuf : int
-val default_journal_compact : int
-
 (** [run cfg] serves until a [shutdown] request (or, with [signals], a
     SIGTERM/SIGINT): accepts connections, answers every in-flight
-    request, flushes, closes and returns [Ok ()]. [ready] is called
-    once listening and once journal replay has finished (before the
-    first accept) — for embedding the daemon in a test or bench
-    harness. Setup failures (bind, listen) return [Error]. *)
-val run : ?ready:(unit -> unit) -> config -> (unit, string) result
+    request, flushes, closes and returns [Ok ()]. Setup failures (bind,
+    listen) return [Error]. *)
+val run : config -> (unit, string) result

@@ -1,10 +1,6 @@
 module P = Omq.Protocol
 
-type spec = {
-  open_req : P.request;
-  make_eval : session:int -> P.request;
-  expected : string option;
-}
+type spec = { open_req : P.request; expected : string }
 
 type summary = {
   clients : int;
@@ -25,245 +21,151 @@ type summary = {
   max_ms : float;
 }
 
-(* Only setup errors that make the whole run meaningless are fatal
-   (unresolvable address, every response stalled); a single client's
-   connect or I/O failure is counted and the rest of the fleet keeps
-   going — chaos benches measure degradation, they must not abort on
-   the first injected fault. *)
-exception Fail of string
-
-let failf fmt = Fmt.kstr (fun m -> raise (Fail m)) fmt
-
 type cstate = {
-  index : int;
-  fd : Unix.file_descr;
-  inbuf : Buffer.t;
+  client : Client.t;
   spec : spec;
   mutable session : int;
   mutable got : int;  (** evals answered *)
   mutable sent_at : float;
-  mutable next_id : int;
   mutable phase : [ `Opening | `Running | `Done ];
 }
-
-let sockaddr_of = function
-  | Daemon.Unix_path path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-  | Daemon.Tcp (host, port) ->
-      let ip =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          with Not_found -> failf "cannot resolve %s" host)
-      in
-      (Unix.PF_INET, Unix.ADDR_INET (ip, port))
-
-let rng = lazy (Random.State.make_self_init ())
-
-let backoff_sleep n =
-  let d = Float.min 1.0 (0.02 *. (2.0 ** float_of_int n)) in
-  let r = Random.State.float (Lazy.force rng) 1.0 in
-  Unix.sleepf ((d /. 2.) +. (r *. d /. 2.))
-
-let connect addr =
-  let domain, sa = sockaddr_of addr in
-  let rec go n =
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    match Unix.connect fd sa with
-    | () -> Some fd
-    | exception Unix.Unix_error (e, _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        let retryable =
-          match e with
-          | Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN | Unix.ECONNRESET ->
-              true
-          | _ -> false
-        in
-        if retryable && n < 49 then begin
-          backoff_sleep n;
-          go (n + 1)
-        end
-        else None
-  in
-  go 0
-
-let write_all fd s =
-  let len = String.length s in
-  let rec go pos =
-    if pos < len then
-      match Unix.write_substring fd s pos (len - pos) with
-      | n -> go (pos + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
-      | exception Unix.Unix_error (e, _, _) ->
-          Error (Unix.error_message e)
-    else Ok ()
-  in
-  go 0
 
 (* Latencies go through the same bucketed histogram as the daemon's
    serve.request.seconds — one code path for quantiles on both sides of
    the wire, at O(buckets) memory instead of one float per request. *)
 let lat_metric = "loadgen.request.seconds"
 
+(* Only setup errors that make the whole run meaningless are fatal
+   (unresolvable address, every response stalled); a single client's
+   connect or I/O failure is counted and the rest of the fleet keeps
+   going — chaos runs measure degradation, they must not abort on the
+   first injected fault. *)
 let run addr specs ~queries =
   if specs = [] then Error "loadgen: no clients"
   else if queries < 1 then Error "loadgen: queries must be >= 1"
   else
-    try
-      let connect_failures = ref 0 and io_failures = ref 0 in
-      let clients =
-        List.concat
-          (List.mapi
-             (fun index spec ->
-               match connect addr with
-               | None ->
-                   incr connect_failures;
-                   []
-               | Some fd ->
-                   [
-                     {
-                       index;
-                       fd;
-                       inbuf = Buffer.create 512;
-                       spec;
-                       session = -1;
-                       got = 0;
-                       sent_at = 0.0;
-                       next_id = 0;
-                       phase = `Opening;
-                     };
-                   ])
-             specs)
-      in
-      let reg = Obs.Metrics.create () in
-      let ok = ref 0 and tripped = ref 0 and errors = ref 0 in
-      let mismatches = ref 0 in
-      let t0 = Obs.Clock.now () in
-      let finish c =
-        c.phase <- `Done;
-        try Unix.close c.fd with Unix.Unix_error _ -> ()
-      in
-      (* An I/O or framing failure kills this one client, not the run. *)
-      let io_fail c =
-        incr io_failures;
-        finish c
-      in
-      let send c req =
-        let id = c.next_id in
-        c.next_id <- id + 1;
-        match write_all c.fd (P.render_request ~id req ^ "\n") with
-        | Ok () -> ()
-        | Error _ -> io_fail c
-      in
-      let send_eval c =
-        c.sent_at <- Obs.Clock.now ();
-        send c (c.spec.make_eval ~session:c.session)
-      in
-      List.iter (fun c -> send c c.spec.open_req) clients;
-      let handle_line c line =
-        match P.parse_response line with
-        | Error (_, (_, _)) -> io_fail c
-        | Ok (_, resp) -> (
-            match c.phase with
-            | `Opening -> (
-                match resp with
-                | P.Opened { session } ->
-                    c.session <- session;
-                    c.phase <- `Running;
-                    send_eval c
-                | P.Rejected _ ->
-                    incr errors;
-                    finish c
-                | _ -> io_fail c)
-            | `Running ->
-                let lat = Obs.Clock.now () -. c.sent_at in
-                Obs.Metrics.observe reg lat_metric lat;
-                (match resp with
-                | P.Evaled _ -> incr ok
-                | P.Partial _ | P.Decide_partial _ -> incr tripped
-                | _ -> incr errors);
-                (match c.spec.expected with
-                | Some want ->
-                    if P.render_response resp <> want then incr mismatches
-                | None -> ());
-                c.got <- c.got + 1;
-                if c.got >= queries then finish c else send_eval c
-            | `Done -> ())
-      in
-      let process c =
-        let chunk = Bytes.create 65536 in
-        (match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-        | 0 -> io_fail c
-        | n -> Buffer.add_subbytes c.inbuf chunk 0 n
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error (_, _, _) -> io_fail c);
-        let rec lines () =
-          if c.phase <> `Done then begin
-            let data = Buffer.contents c.inbuf in
-            match String.index_opt data '\n' with
-            | Some i ->
-                let line = String.sub data 0 i in
-                Buffer.clear c.inbuf;
-                Buffer.add_substring c.inbuf data (i + 1)
-                  (String.length data - i - 1);
-                handle_line c line;
-                lines ()
-            | None -> ()
-          end
+    match Daemon.sockaddr_of addr with
+    | exception Not_found ->
+        Error (Fmt.str "cannot resolve %a" Daemon.pp_addr addr)
+    | _ ->
+        let connect_failures = ref 0 and io_failures = ref 0 in
+        let clients =
+          List.filter_map
+            (fun spec ->
+              match Client.connect addr with
+              | Error _ ->
+                  incr connect_failures;
+                  None
+              | Ok client ->
+                  Some
+                    {
+                      client;
+                      spec;
+                      session = -1;
+                      got = 0;
+                      sent_at = 0.0;
+                      phase = `Opening;
+                    })
+            specs
         in
-        lines ()
-      in
-      let rec loop () =
-        let live = List.filter (fun c -> c.phase <> `Done) clients in
-        if live <> [] then begin
-          let fds = List.map (fun c -> c.fd) live in
-          match Unix.select fds [] [] 30.0 with
-          | [], _, _ -> failf "daemon stalled: no response within 30s"
-          | rs, _, _ ->
-              List.iter (fun c -> if List.mem c.fd rs then process c) live;
-              loop ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-        end
-      in
-      loop ();
-      let seconds = Obs.Clock.now () -. t0 in
-      let total, sum, _, max_v =
-        Option.value ~default:(0, 0.0, 0.0, 0.0)
-          (Obs.Metrics.histogram_stats reg lat_metric)
-      in
-      let ms x = 1000.0 *. x in
-      let q p = ms (Option.value ~default:0.0 (Obs.Metrics.quantile reg lat_metric p)) in
-      Ok
-        {
-          clients = List.length specs;
-          queries_per_client = queries;
-          total;
-          ok = !ok;
-          tripped = !tripped;
-          errors = !errors;
-          mismatches = !mismatches;
-          connect_failures = !connect_failures;
-          io_failures = !io_failures;
-          seconds;
-          throughput_rps =
-            (if seconds > 0.0 then float_of_int total /. seconds else 0.0);
-          mean_ms =
-            (if total = 0 then 0.0 else ms (sum /. float_of_int total));
-          p50_ms = q 0.50;
-          p95_ms = q 0.95;
-          p99_ms = q 0.99;
-          max_ms = (if total = 0 then 0.0 else ms max_v);
-        }
-    with Fail m -> Error m
-
-let pp_summary ppf s =
-  Fmt.pf ppf
-    "@[<v>%d client(s) x %d quer%s: %d answered (%d ok, %d tripped, %d \
-     error(s), %d mismatch(es))@,\
-     failures: %d connect, %d io@,\
-     %.3f s wall, %.1f req/s@,\
-     latency ms: mean %.2f  p50 %.2f  p95 %.2f  p99 %.2f  max %.2f@]"
-    s.clients s.queries_per_client
-    (if s.queries_per_client = 1 then "y" else "ies")
-    s.total s.ok s.tripped s.errors s.mismatches s.connect_failures
-    s.io_failures s.seconds s.throughput_rps s.mean_ms s.p50_ms s.p95_ms
-    s.p99_ms s.max_ms
+        let reg = Obs.Metrics.create () in
+        let ok = ref 0 and tripped = ref 0 and errors = ref 0 in
+        let mismatches = ref 0 in
+        let t0 = Obs.Clock.now () in
+        let finish c =
+          c.phase <- `Done;
+          Client.close c.client
+        in
+        (* An I/O or framing failure kills this one client, not the run. *)
+        let io_fail c =
+          incr io_failures;
+          finish c
+        in
+        let send c req =
+          match Client.send c.client req with Ok () -> () | Error _ -> io_fail c
+        in
+        let send_eval c =
+          c.sent_at <- Obs.Clock.now ();
+          send c
+            (P.Eval
+               { session = c.session; budget = P.no_budget; want_stats = false })
+        in
+        List.iter (fun c -> send c c.spec.open_req) clients;
+        let handle_line c line =
+          match (P.parse_response line, c.phase) with
+          | _, `Done -> ()
+          | Error _, _ -> io_fail c
+          | Ok (_, P.Opened { session }), `Opening ->
+              c.session <- session;
+              c.phase <- `Running;
+              send_eval c
+          | Ok (_, P.Rejected _), `Opening ->
+              incr errors;
+              finish c
+          | Ok _, `Opening -> io_fail c
+          | Ok (_, resp), `Running ->
+              Obs.Metrics.observe reg lat_metric (Obs.Clock.now () -. c.sent_at);
+              (match resp with
+              | P.Evaled _ -> incr ok
+              | P.Partial _ | P.Decide_partial _ -> incr tripped
+              | _ -> incr errors);
+              if P.render_response resp <> c.spec.expected then incr mismatches;
+              c.got <- c.got + 1;
+              if c.got >= queries then finish c else send_eval c
+        in
+        let process c =
+          match Client.read_lines c.client with
+          | Ok lines -> List.iter (handle_line c) lines
+          | Error _ -> io_fail c
+        in
+        let rec loop () =
+          let live = List.filter (fun c -> c.phase <> `Done) clients in
+          if live = [] then Ok ()
+          else
+            match
+              Unix.select (List.map (fun c -> Client.fd c.client) live) [] [] 30.0
+            with
+            | [], _, _ ->
+                List.iter (fun c -> Client.close c.client) live;
+                Error "daemon stalled: no response within 30s"
+            | rs, _, _ ->
+                List.iter
+                  (fun c -> if List.mem (Client.fd c.client) rs then process c)
+                  live;
+                loop ()
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+        in
+        Result.map
+          (fun () ->
+            let seconds = Obs.Clock.now () -. t0 in
+            let total, sum, _, max_v =
+              Option.value ~default:(0, 0.0, 0.0, 0.0)
+                (Obs.Metrics.histogram_stats reg lat_metric)
+            in
+            let ms x = 1000.0 *. x in
+            let q p =
+              ms
+                (Option.value ~default:0.0
+                   (Obs.Metrics.quantile reg lat_metric p))
+            in
+            {
+              clients = List.length specs;
+              queries_per_client = queries;
+              total;
+              ok = !ok;
+              tripped = !tripped;
+              errors = !errors;
+              mismatches = !mismatches;
+              connect_failures = !connect_failures;
+              io_failures = !io_failures;
+              seconds;
+              throughput_rps =
+                (if seconds > 0.0 then float_of_int total /. seconds else 0.0);
+              mean_ms =
+                (if total = 0 then 0.0 else ms (sum /. float_of_int total));
+              p50_ms = q 0.50;
+              p95_ms = q 0.95;
+              p99_ms = q 0.99;
+              max_ms = (if total = 0 then 0.0 else ms max_v);
+            })
+          (loop ())

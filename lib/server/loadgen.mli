@@ -1,20 +1,19 @@
-(** Load generator for the serve daemon: N concurrent clients, each
-    opening one session and issuing M evals back to back (one request
-    in flight per client — closed-loop load), multiplexed on a single
-    [select] loop so the generator itself needs no threads or domains.
+(** Load generator for the serve daemon: N concurrent {!Client}s, each
+    opening one session and issuing M unbudgeted evals back to back
+    (one request in flight per client — closed-loop load), multiplexed
+    on a single [select] loop so the generator itself needs no threads
+    or domains.
 
     Latency is measured per eval with {!Obs.Clock} from write to decoded
-    response. When a spec carries [expected] (the
-    {!Omq.Protocol.render_response} string of the answer, without an
-    ["id"]), every response is re-rendered id-less and compared byte for
-    byte — the bench's proof that served answers are identical to the
-    sequential CLI's. *)
+    response. Every response is re-rendered id-less and compared byte
+    for byte with the spec's [expected] — the check that served answers
+    are identical to the sequential CLI's. *)
 
 type spec = {
   open_req : Omq.Protocol.request;  (** must be an [Open_session] *)
-  make_eval : session:int -> Omq.Protocol.request;
-  expected : string option;
-      (** id-less rendering every eval response must equal *)
+  expected : string;
+      (** the id-less {!Omq.Protocol.render_response} every eval
+          response must equal (see {!Core.expected_eval}) *)
 }
 
 type summary = {
@@ -48,5 +47,3 @@ type summary = {
     for 30 s). *)
 val run :
   Daemon.addr -> spec list -> queries:int -> (summary, string) result
-
-val pp_summary : summary Fmt.t

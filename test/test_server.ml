@@ -58,7 +58,7 @@ let shutdown_daemon addr =
       Omqd.Client.close c
 
 let with_daemon ?(caps = P.no_budget)
-    ?(max_frame = Omqd.Daemon.default_max_frame) ?journal ?(jobs = 2) f =
+    ?(max_frame = Omqd.Core.default_max_frame) ?journal ?(jobs = 2) f =
   incr counter;
   let path =
     Filename.concat
@@ -436,8 +436,7 @@ let test_loadgen () =
   let spec =
     {
       Omqd.Loadgen.open_req;
-      make_eval = (fun ~session -> eval_req session);
-      expected = Some expected;
+      expected;
     }
   in
   match Omqd.Loadgen.run addr [ spec; spec ] ~queries:4 with
@@ -454,8 +453,7 @@ let test_loadgen_wrong_expectation () =
   let spec =
     {
       Omqd.Loadgen.open_req;
-      make_eval = (fun ~session -> eval_req session);
-      expected = Some (P.render_response (direct_eval ~extra:"Thumb(u)" ()));
+      expected = P.render_response (direct_eval ~extra:"Thumb(u)" ());
     }
   in
   match Omqd.Loadgen.run addr [ spec; spec ] ~queries:3 with
@@ -474,8 +472,7 @@ let test_loadgen_counts_failures () =
   let good =
     {
       Omqd.Loadgen.open_req;
-      make_eval = (fun ~session -> eval_req session);
-      expected = Some (P.render_response (direct_eval ()));
+      expected = P.render_response (direct_eval ());
     }
   in
   let bad =
@@ -494,6 +491,51 @@ let test_loadgen_counts_failures () =
       Alcotest.(check int) "bad open counted as an error" 1 s.Omqd.Loadgen.errors;
       Alcotest.(check int) "no io failures" 0 s.Omqd.Loadgen.io_failures;
       Alcotest.(check int) "no mismatches" 0 s.Omqd.Loadgen.mismatches
+
+(* A peer that reads each client's open frame and hangs up drops the
+   whole fleet mid-run: one io failure per client, no eval answered,
+   and the run still returns Ok. *)
+let test_loadgen_counts_hangups () =
+  incr counter;
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "omqd-test-%d-%d.sock" (Unix.getpid ()) !counter)
+  in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 8;
+  let byte = Bytes.create 1 in
+  let rec skip_frame fd =
+    match Unix.read fd byte 0 1 with
+    | 1 when Bytes.get byte 0 <> '\n' -> skip_frame fd
+    | _ -> ()
+  in
+  let hang_up () =
+    for _ = 1 to 2 do
+      let fd, _ = Unix.accept lfd in
+      skip_frame fd;
+      Unix.close fd
+    done
+  in
+  let th = Thread.create hang_up () in
+  let spec =
+    { Omqd.Loadgen.open_req; expected = P.render_response (direct_eval ()) }
+  in
+  let outcome =
+    Omqd.Loadgen.run (Omqd.Daemon.Unix_path path) [ spec; spec ] ~queries:3
+  in
+  Thread.join th;
+  Unix.close lfd;
+  Unix.unlink path;
+  match outcome with
+  | Error m -> Alcotest.failf "loadgen: %s" m
+  | Ok s ->
+      Alcotest.(check int) "no eval answered" 0 s.Omqd.Loadgen.total;
+      Alcotest.(check int) "every client dropped" 2 s.Omqd.Loadgen.io_failures;
+      Alcotest.(check int) "every client connected" 0
+        s.Omqd.Loadgen.connect_failures
 
 let suite =
   [
@@ -527,4 +569,6 @@ let suite =
       test_loadgen_wrong_expectation;
     Alcotest.test_case "loadgen counts per-client failures" `Quick
       test_loadgen_counts_failures;
+    Alcotest.test_case "loadgen counts a peer's hang-ups" `Quick
+      test_loadgen_counts_hangups;
   ]

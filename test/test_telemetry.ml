@@ -540,7 +540,7 @@ let test_daemon_scrape () =
               (* extended stats: version + counters *)
               match Omqd.Client.call c P.Stats with
               | Ok (P.Server_stats s) ->
-                  check Alcotest.string "stats version" Omqd.Daemon.version
+                  check Alcotest.string "stats version" Omqd.Core.version
                     s.server_version;
                   check Alcotest.bool "uptime nonnegative" true
                     (s.uptime_s >= 0.0);
