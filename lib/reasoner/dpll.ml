@@ -1,8 +1,9 @@
 (* A CDCL SAT solver: two-watched-literal propagation, 1-UIP conflict
    analysis with non-chronological backjumping, VSIDS branching with
    phase saving, and geometric restarts, plus native reified
-   cardinality constraints propagated by counting. Literals are
-   non-zero integers ±v for 1-based variables.
+   cardinality constraints propagated by counting and probed for
+   failed literals before their first search. Literals are non-zero
+   integers ±v for 1-based variables.
 
    The solver is persistent and incremental: it survives across solves,
    accepts new variables and clauses between calls (keeping its learned
@@ -56,6 +57,7 @@ type t = {
   mutable bins : int array array;  (* literal index -> literals its falsity implies *)
   mutable cards : int array array;  (* literal index -> constraints it occurs in *)
   mutable has_cards : bool;  (* some constraint was added; [cards], [tpos] live *)
+  mutable unprobed : int list;  (* constraints added since the last probe *)
   mutable assign : int array;  (* 0 / 1 / -1 *)
   mutable level : int array;
   mutable reason : int array;  (* -1, an arena ref, or [bin_reason f] *)
@@ -112,6 +114,7 @@ let make ~nvars =
     bins = Array.make (max (2 * nvars) 2) empty;
     cards = [||];
     has_cards = false;
+    unprobed = [];
     assign = Array.make (max nvars 1) 0;
     level = Array.make (max nvars 1) 0;
     reason = Array.make (max nvars 1) (-1);
@@ -367,14 +370,15 @@ let uncount s p =
   done
 
 (* Only the trail entries below [qhead] were counted, so only they are
-   uncounted. *)
-let cancel_until s lvl =
+   uncounted. [save_phase] is false only for a probe, whose trial
+   values must not become the phases the search branches on. *)
+let backtrack ~save_phase s lvl =
   if s.decision_level > lvl then begin
     let bound = s.trail_lim.(lvl) in
     for i = s.trail_size - 1 downto bound do
       if s.has_cards && i < s.qhead then uncount s s.trail.(i);
       let v = lit_var s.trail.(i) in
-      s.phase.(v) <- s.assign.(v) = 1;
+      if save_phase then s.phase.(v) <- s.assign.(v) = 1;
       s.assign.(v) <- 0;
       s.reason.(v) <- -1;
       heap_insert s v
@@ -383,6 +387,8 @@ let cancel_until s lvl =
     s.qhead <- bound;
     s.decision_level <- lvl
   end
+
+let cancel_until s lvl = backtrack ~save_phase:true s lvl
 
 let ensure_scratch s n =
   if Array.length s.scratch < n then
@@ -598,6 +604,7 @@ let assert_atleast s ~lit ~k buf off n =
     Array.blit buf off a (cr + c_bs) n;
     s.arena_len <- cr + c_bs + n;
     push s.cards (lit_index lit) cr;
+    s.unprobed <- cr :: s.unprobed;
     for j = cr + c_bs to cr + c_bs + n - 1 do
       let b = a.(j) in
       push s.cards (lit_index b) cr;
@@ -921,12 +928,58 @@ let analyze_final s p =
   end;
   !core
 
+(* Failed-literal probing of the constraints added since the last
+   search, at level 0 once it is propagated. A b one step from fixing
+   its constraint's unassigned literal l (k - 1 b's true, or n - k
+   false) is tried at that value: when propagation refutes it, its
+   negation is a level-0 unit. This finds what counting cannot see
+   before the b is assigned: a guard clause b -> ¬l over one of l's own
+   b's, as in ∀x (C(x) → ∀y (r(x,y) → ≤1 r⁻.⊤)), where r(a,b) is
+   refuted by a second r-predecessor of b. The search, branching false
+   first, would only meet r(a,b) when an existential forced it as a
+   last witness, and learn the same unit after a descent through every
+   other fact. A probe saves no phase, and [spend] is the search's
+   budget checkpoint, called between probes at level 0. *)
+let probe_lit s p =
+  s.trail_lim.(0) <- s.trail_size;
+  s.decision_level <- 1;
+  enqueue s p (-1);
+  let failed = propagate s <> -1 in
+  backtrack ~save_phase:false s 0;
+  if failed then begin
+    s.n_conflicts <- s.n_conflicts + 1;
+    enqueue s (-p) (-1);
+    if propagate s <> -1 then s.broken <- true
+  end
+
+let probe s spend =
+  if propagate s <> -1 then s.broken <- true;
+  let crs = List.rev s.unprobed in
+  s.unprobed <- [];
+  List.iter
+    (fun cr ->
+      let a = s.arena in
+      let n = -a.(cr) and k = a.(cr + c_k) in
+      if (not s.broken) && value s a.(cr + c_lit) = 0 then begin
+        let pos = a.(cr + c_true) = k - 1 in
+        if pos || a.(cr + c_false) = n - k then
+          for j = cr + c_bs to cr + c_bs + n - 1 do
+            let b = a.(j) in
+            if (not s.broken) && value s b = 0 then begin
+              spend ();
+              probe_lit s (if pos then b else -b)
+            end
+          done
+      end)
+    crs
+
 (* The CDCL loop, with [assumptions] planted as the first decision
    levels (one level per assumption, dummy levels for assumptions that
    are already true — MiniSat-style). Restarts cancel to level 0 and the
    assumptions are simply re-planted. An assumption found false against
    the level-0-closed prefix refutes the query without poisoning the
-   solver: [broken] is only set by genuine level-0 conflicts. An Unsat
+   solver: [broken] is only set by genuine level-0 conflicts. Constraints
+   added since the last search are probed first (see [probe]). An Unsat
    leaves its failed-assumption core in [s.core]: [analyze_final]'s
    subset for a falsified assumption, [] for a [broken] solver. *)
 let search ?(budget = Budget.unlimited) s assumptions =
@@ -939,23 +992,24 @@ let search ?(budget = Budget.unlimited) s assumptions =
   ensure_levels s (Array.length assumptions + s.nvars + 1);
   cancel_until s 0;
   s.core <- [];
+  (* Budget checkpoints sit between propagation/decision rounds (and
+     between probes), where the solver's invariants hold: an
+     [Exhausted] raised here leaves a consistent trail that the next
+     call simply cancels to level 0, so an interrupted solver stays
+     reusable. Fuel is debited by the actual CDCL effort (propagations
+     + conflicts) since the previous checkpoint. *)
+  let effort = ref (s.n_propagations + s.n_conflicts) in
+  let tick () =
+    let now = s.n_propagations + s.n_conflicts in
+    let spent = now - !effort in
+    effort := now;
+    Budget.spend budget spent
+  in
+  if s.unprobed <> [] && not s.broken then probe s tick;
   if s.broken then false
   else begin
     let restart_budget = ref 100 in
     let conflicts = ref 0 in
-    (* Budget checkpoints sit between propagation/decision rounds, where
-       the solver's invariants hold: an [Exhausted] raised here leaves a
-       consistent trail that the next call simply cancels to level 0, so
-       an interrupted solver stays reusable. Fuel is debited by the
-       actual CDCL effort (propagations + conflicts) since the previous
-       checkpoint. *)
-    let effort = ref (s.n_propagations + s.n_conflicts) in
-    let tick () =
-      let now = s.n_propagations + s.n_conflicts in
-      let spent = now - !effort in
-      effort := now;
-      Budget.spend budget spent
-    in
     let rec loop () =
       tick ();
       let conflict = propagate s in

@@ -63,7 +63,11 @@ val assert_clause_slice : t -> int array -> int -> int -> unit
     fixed once the b's are. An implication's reason is the constraint
     itself, whose explanation clause is built when conflict analysis or
     {!core} asks for it, from the literals assigned before the implied
-    one; no clause is stored per propagation. [buf] is not modified.
+    one; no clause is stored per propagation. The next search first
+    probes the constraint: at level 0, each unassigned b one step from
+    fixing an unassigned [lit] is tried at that value, and one that
+    propagation refutes is negated as a level-0 unit (a conflict in
+    {!counters}; the trials save no phase). [buf] is not modified.
     Registers unseen variables (as decision variables).
     @raise Invalid_argument unless 1 ≤ k ≤ n, or if [lit]'s variable is
     among the b's. *)

@@ -292,7 +292,7 @@ let build ~budget t m =
         Obs.Trace.with_span ~attrs:[ ("extra", Obs.Trace.Int m) ] "ground.build"
         @@ fun () ->
         let ground =
-          Ground.create ~budget ~nulls:m ~counting:`Constraint ~domain
+          Ground.create ~budget ~nulls:m ~encoding:`Engine ~domain
             ~signature:rels ()
         in
         let g =

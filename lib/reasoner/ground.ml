@@ -23,10 +23,14 @@ module ETbl = Structure.Element.Tbl
      over positions without allocating environments.
    - Clauses land in a growable flat [int] arena encoded as
      [len; lit_1; ..; lit_len] records, consumed by {!Dpll} as slices.
-     A grounding made with [~counting:`Constraint] also writes
+     A grounding made with [~encoding:`Engine] also writes
      [-(n+2); k; l; b_1..b_n] records, one reified cardinality
      constraint l <-> (at least k of b_1..b_n) per wide counting node;
-     the negative header tells them apart. *)
+     the negative header tells them apart.
+   - With [~encoding:`Engine], a nested quantifier node is grounded
+     once per binding of its free slots ([CShared]); the rule and why
+     it is sound are in ground.mli ("Sharing") and DESIGN.md, "Shared
+     nested quantifier nodes". *)
 
 type rel_info = {
   base : int;  (* first fact variable of the relation's block *)
@@ -46,7 +50,7 @@ type t = {
   mutable arena_len : int;
   mutable known : Logic.Signature.t;  (* relations with registered facts *)
   mutable budget : Budget.t;  (* checked per relation, subformula, clause *)
-  counting : [ `Ladder | `Constraint ];  (* encoding of wide counting nodes *)
+  encoding : [ `Reference | `Engine ];  (* counting encoding, sharing *)
 }
 
 type env = Structure.Element.t SMap.t
@@ -225,7 +229,7 @@ let register_signature t signature =
     (Logic.Signature.to_list signature);
   t.known <- Logic.Signature.union t.known signature
 
-let create ?(budget = Budget.unlimited) ?(nulls = 0) ?(counting = `Ladder) ~domain
+let create ?(budget = Budget.unlimited) ?(nulls = 0) ?(encoding = `Reference) ~domain
     ~signature () =
   let seen = ETbl.create 16 in
   let deduped =
@@ -254,7 +258,7 @@ let create ?(budget = Budget.unlimited) ?(nulls = 0) ?(counting = `Ladder) ~doma
       arena_len = 0;
       known = Logic.Signature.empty;
       budget;
-      counting;
+      encoding;
     }
   in
   if nulls > 0 then
@@ -316,6 +320,15 @@ let fresh_aux t =
 (* Formula compilation: variables to slots, elements to positions       *)
 (* ------------------------------------------------------------------ *)
 
+(* Ground circuits: what a compiled formula evaluates to under one
+   binding of its slots. *)
+type g =
+  | GTrue
+  | GFalse
+  | GLit of int
+  | GAnd of g list
+  | GOr of g list
+
 (* Terms in compiled formulas: slot index if >= 0, fixed domain
    position -(p+1) if negative (constants and env-bound free variables
    are resolved at compile time). *)
@@ -331,12 +344,31 @@ type cf =
   | CForall of int array * cf  (* slots bound by the quantifier *)
   | CExists of int array * cf
   | CCountGeq of int * int * cf  (* n, slot, body *)
+  | CShared of shared  (* a quantifier node met again per free binding *)
+
+and shared = {
+  free : int array;  (* the node's free slots *)
+  node : cf;  (* a CForall, CExists or CCountGeq *)
+  memo : (int, g) Hashtbl.t;
+      (* rank of the free slots' positions -> GTrue, GFalse or the
+         node's Tseitin literal, for the positive occurrence *)
+}
+
+module ISet = Set.Make (Int)
 
 (* Compile [f] under [env]; returns the compiled formula and the number
    of quantifier slots it uses. Raises [Unbound_variable] for free
    variables missing from [env], and [Invalid_argument] for relations
-   or elements outside the grounding (same contract as [fact_var]). *)
+   or elements outside the grounding (same contract as [fact_var]).
+
+   With the [`Engine] encoding, a quantifier node whose free slots are
+   fewer than the [bound] slots of its enclosing quantifiers becomes a
+   [CShared] node: free slots are always among the enclosing ones, so
+   "fewer" means some enclosing slot is missing and the node repeats
+   under its bindings. Free slots are collected only under [`Engine]:
+   under [`Reference] every set is empty and nothing is shared. *)
 let compile t env (f : F.t) =
+  let share = t.encoding = `Engine in
   let nslots = ref 0 in
   let fresh_slot () =
     let s = !nslots in
@@ -361,55 +393,74 @@ let compile t env (f : F.t) =
             | Some e -> -position e - 1
             | None -> raise (Unbound_variable v)))
   in
-  let rec go cenv (f : F.t) =
+  let slots_of terms =
+    if share then
+      Array.fold_left
+        (fun acc tm -> if tm >= 0 then ISet.add tm acc else acc)
+        ISet.empty terms
+    else ISet.empty
+  in
+  let bind cenv vs =
+    let slots = List.map (fun v -> (v, fresh_slot ())) vs in
+    ( List.fold_left (fun m (v, s) -> SMap.add v s m) cenv slots,
+      Array.of_list (List.map snd slots) )
+  in
+  (* A quantifier node binding [ss] over a body with free slots
+     [body_free], under [bound] enclosing slots. *)
+  let quantifier bound ss body_free node =
+    let free = Array.fold_left (fun acc s -> ISet.remove s acc) body_free ss in
+    if share && ISet.cardinal free < bound then
+      ( CShared
+          { free = Array.of_list (ISet.elements free); node; memo = Hashtbl.create 16 },
+        free )
+    else (node, free)
+  in
+  let rec go cenv bound (f : F.t) =
     match f with
-    | F.True -> CTrue
-    | F.False -> CFalse
+    | F.True -> (CTrue, ISet.empty)
+    | F.False -> (CFalse, ISet.empty)
     | F.Atom (r, ts) -> (
         let arity = List.length ts in
         match Hashtbl.find_opt t.rels r with
         | Some info when info.arity = arity ->
-            CAtom (info.base, Array.of_list (List.map (cterm cenv) ts))
+            let terms = Array.of_list (List.map (cterm cenv) ts) in
+            (CAtom (info.base, terms), slots_of terms)
         | _ ->
             invalid_arg
               (Fmt.str "Ground: relation %s/%d outside the signature" r arity))
     | F.Eq (a, b) -> (
         match (cterm cenv a, cterm cenv b) with
-        | x, y when x < 0 && y < 0 -> if x = y then CTrue else CFalse
-        | x, y -> CEq (x, y))
-    | F.Not g -> CNot (go cenv g)
-    | F.And (a, b) -> CAnd (go cenv a, go cenv b)
-    | F.Or (a, b) -> COr (go cenv a, go cenv b)
-    | F.Implies (a, b) -> CImplies (go cenv a, go cenv b)
+        | x, y when x < 0 && y < 0 -> ((if x = y then CTrue else CFalse), ISet.empty)
+        | x, y -> (CEq (x, y), slots_of [| x; y |]))
+    | F.Not g ->
+        let c, free = go cenv bound g in
+        (CNot c, free)
+    | F.And (a, b) -> binary cenv bound (fun x y -> CAnd (x, y)) a b
+    | F.Or (a, b) -> binary cenv bound (fun x y -> COr (x, y)) a b
+    | F.Implies (a, b) -> binary cenv bound (fun x y -> CImplies (x, y)) a b
     | F.Forall (vs, g) ->
-        let slots = List.map (fun v -> (v, fresh_slot ())) vs in
-        let cenv =
-          List.fold_left (fun m (v, s) -> SMap.add v s m) cenv slots
-        in
-        CForall (Array.of_list (List.map snd slots), go cenv g)
+        let cenv, ss = bind cenv vs in
+        let body, free = go cenv (bound + Array.length ss) g in
+        quantifier bound ss free (CForall (ss, body))
     | F.Exists (vs, g) ->
-        let slots = List.map (fun v -> (v, fresh_slot ())) vs in
-        let cenv =
-          List.fold_left (fun m (v, s) -> SMap.add v s m) cenv slots
-        in
-        CExists (Array.of_list (List.map snd slots), go cenv g)
+        let cenv, ss = bind cenv vs in
+        let body, free = go cenv (bound + Array.length ss) g in
+        quantifier bound ss free (CExists (ss, body))
     | F.CountGeq (n, v, g) ->
-        let s = fresh_slot () in
-        CCountGeq (n, s, go (SMap.add v s cenv) g)
+        let cenv, ss = bind cenv [ v ] in
+        let body, free = go cenv (bound + 1) g in
+        quantifier bound ss free (CCountGeq (n, ss.(0), body))
+  and binary cenv bound mk a b =
+    let ca, fa = go cenv bound a in
+    let cb, fb = go cenv bound b in
+    (mk ca cb, ISet.union fa fb)
   in
-  let cf = go SMap.empty f in
+  let cf, _ = go SMap.empty 0 f in
   (cf, !nslots)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled formula -> ground circuit                                   *)
 (* ------------------------------------------------------------------ *)
-
-type g =
-  | GTrue
-  | GFalse
-  | GLit of int
-  | GAnd of g list
-  | GOr of g list
 
 let gand parts =
   let rec go acc = function
@@ -515,11 +566,13 @@ let subset_limit = 64
 (* Evaluate a compiled formula to a ground circuit. [slots] is the
    preallocated assignment array (slot -> domain position), mutated in
    place by quantifier loops — no environment allocation per binding.
-   Wide counting nodes reify their ladder or constraint inline (the
-   only emission during evaluation); everything else touches no shared
-   state until the Tseitin clauses are emitted, and a budget trip
-   mid-evaluation only ever abandons whole records, never partial
-   ones. *)
+   Wide counting nodes and the first evaluation of a shared node under
+   a binding reify their definitions inline (the only emission during
+   evaluation); everything else touches no shared state until the
+   Tseitin clauses are emitted. A budget trip mid-evaluation abandons
+   the assertion with its memo: at worst it leaves a definition
+   fragment over an auxiliary nothing references, which constrains no
+   fact. *)
 let rec eval t slots sign (cf : cf) =
   Budget.checkpoint t.budget;
   match cf with
@@ -582,12 +635,12 @@ let rec eval t slots sign (cf : cf) =
         else if k > !nlits then if sign then GFalse else GTrue
         else
           let l =
-            match t.counting with
-            | `Constraint ->
+            match t.encoding with
+            | `Engine ->
                 let l = fresh_aux t in
                 emit_atleast t k l !lits !nlits;
                 l
-            | `Ladder -> (
+            | `Reference -> (
                 match atleast_lit t k !lits with
                 | 0 -> assert false (* k <= |lits| leaves a real ladder node *)
                 | l -> l)
@@ -620,6 +673,28 @@ let rec eval t slots sign (cf : cf) =
                         eval t slots false g)
                       s))
                (subsets n positions))
+  | CShared { free; node; memo } ->
+      let radix = Array.length t.domain in
+      let key = ref 0 in
+      for i = Array.length free - 1 downto 0 do
+        key := (!key * radix) + slots.(free.(i))
+      done;
+      let shared =
+        match Hashtbl.find_opt memo !key with
+        | Some shared -> shared
+        | None ->
+            let shared =
+              match eval t slots true node with
+              | (GTrue | GFalse | GLit _) as c -> c
+              | c -> GLit (lit_of t c)
+            in
+            Hashtbl.add memo !key shared;
+            shared
+      in
+      (match shared with
+      | GLit l -> GLit (if sign then l else -l)
+      | GTrue -> if sign then GTrue else GFalse
+      | _ -> if sign then GFalse else GTrue)
 
 (* Enumerate all assignments of the quantifier slots [ss] over domain
    positions, collecting the circuit of each binding (in domain order,

@@ -17,6 +17,17 @@
     a flat [int] arena consumed by the solver as slices. See DESIGN.md,
     "hot-path data layout".
 
+    {2 Encodings}
+
+    [create]'s [~encoding] picks one of two groundings of the same
+    sentences, so that the reference model finder shares no encoding
+    with {!Engine}:
+    - [`Reference] (the default): plain quantifier expansion and
+      sequential-counter ladders for wide counting nodes. {!Bounded},
+      [Universal] and [Typeprog] ground this way.
+    - [`Engine]: cardinality constraints for wide counting nodes and
+      shared nested quantifier nodes. Only {!Engine} grounds this way.
+
     {2 Counting}
 
     A counting node ∃≥n y. φ is expanded over its n-subsets of the
@@ -24,17 +35,29 @@
     (C(|dom|, n) ≤ 64: [>= 2] up to 11 elements, [>= 3] up to 8).
     A wider node reifies φ at each domain position, b_1..b_m (statically
     true bodies lower n to k, statically false ones drop out), and
-    counts them in one of two encodings, chosen by [create]'s
-    [~counting]:
-    - [`Ladder] (the default): a sequential-counter ladder of reified
-      binary and/or nodes, O(m·k) auxiliaries and three clauses each.
-      {!Bounded}, [Universal] and [Typeprog] ground this way, so the
-      reference model finder shares no counting encoding with
-      {!Engine}.
-    - [`Constraint]: one fresh auxiliary l and one reified cardinality
+    counts them:
+    - [`Reference]: a sequential-counter ladder of reified binary and/or
+      nodes, O(m·k) auxiliaries and three clauses each.
+    - [`Engine]: one fresh auxiliary l and one reified cardinality
       record l ↔ (at least k of b_1..b_m), handed to {!Dpll.assert_atleast}
-      by {!iter_pending}'s [~atleast]. Only {!Engine} grounds this
-      way. *)
+      by {!iter_pending}'s [~atleast].
+
+    {2 Sharing}
+
+    Under [`Engine], a ∀, ∃ or ∃≥n node with fewer free variables than
+    its enclosing quantifiers bind — ∃x.(r(y,x) ∧ B(x)) inside
+    ∀x.(A(x) → ∀y.(r(x,y) → …)), as a DL translation reusing x and y
+    nests it — is grounded once per binding of its free variables
+    within one {!assert_formula}, {!assert_negation} or {!reify} call:
+    the first binding defines a Tseitin literal for it (full
+    equivalence), and every repeat, of either polarity, is that
+    literal. A depth-d sentence whose subformulas have at most 2 free
+    variables then grounds to about d·|dom|² clauses instead of
+    |dom|^d. The shared literals are auxiliaries defined over fact
+    variables (a definitional extension), so the models over fact
+    variables are those of plain expansion. Top-level sentences,
+    depth-1 axioms and CQ reifications have no such node and are
+    expanded as without sharing. *)
 
 type t
 
@@ -48,14 +71,13 @@ exception Unbound_variable of string
     registered relation, per grounded subformula and per emitted
     clause or constraint, and passed to the solver; any of these points
     may raise {!Budget.Exhausted}. A trip leaves the grounding in a
-    consistent, resumable state. [counting] (default [`Ladder]) picks
-    the encoding of wide counting nodes (see above); a grounding made
-    with [`Constraint] can only be drained by {!iter_pending} with
-    [~atleast]. *)
+    consistent, resumable state. [encoding] (default [`Reference])
+    picks the encoding (see above); a grounding made with [`Engine] can
+    only be drained by {!iter_pending} with [~atleast]. *)
 val create :
   ?budget:Budget.t ->
   ?nulls:int ->
-  ?counting:[ `Ladder | `Constraint ] ->
+  ?encoding:[ `Reference | `Engine ] ->
   domain:Structure.Element.t list ->
   signature:Logic.Signature.t ->
   unit ->
@@ -159,7 +181,7 @@ val assert_instance : t -> Structure.Instance.t -> unit
     These one-shot paths ({!solve}, {!enumerate},
     {!enumerate_projections}) take clauses only.
     @raise Invalid_argument on a grounding holding a constraint
-    (made with [~counting:`Constraint]). *)
+    (made with [~encoding:`Engine]). *)
 val solve : t -> Structure.Instance.t option
 
 (** Enumerate models (distinct fact sets), up to [limit]. *)

@@ -102,6 +102,104 @@ let test_engine_vs_bounded =
           agrees_at (Reasoner.Engine.create o d) o d max_extra)
         [ (o_horn, d); (o_disj, d); (o_count, wide) ])
 
+(* Nested ontologies, from DL text so that the translation reuses x
+   and y under its equality-guarded outer ∀x (x = x → …): ∃∀∃ and
+   ∀∃∀∃ alternations with inverse roles, and a counting node under a ∀.
+   Each has quantifier nodes that omit a variable an enclosing
+   quantifier binds, which the engine grounds once per binding of their
+   free variables (shared Tseitin literals) and Bounded expands afresh
+   under every enclosing binding. Over 9 elements (7 plus 2 nulls) the
+   ≥ 3 node is wide (C(9,3) = 84 subsets), so its cardinality record
+   sits inside a shared node. *)
+let tbox_of lines =
+  Dl.Translate.tbox (Dl.Parser.parse_tbox (String.concat "\n" lines))
+
+let o_nested_alt =
+  tbox_of
+    [ "exists R . (B and exists R- . D) << C";
+      "exists R . forall R . exists R- . A << B";
+      "A << exists R . (D and forall R- . (A or C))" ]
+
+let o_nested_deep =
+  tbox_of
+    [ "exists R . exists R- . exists R . exists R- . D << A";
+      "B << forall R . exists R . forall R- . (C or D)" ]
+
+let o_nested_count =
+  tbox_of
+    [ ">= 3 R . exists R . B << D";
+      "exists R . >= 3 R- . A << B";
+      "C << forall R . (D or >= 3 R . B)" ]
+
+(* 1a. Engine and Bounded agree on the nested ontologies at every
+   ceiling 0..2. *)
+let test_engine_vs_bounded_nested =
+  QCheck.Test.make ~name:"engine agrees with Bounded on nested ontologies" ~count:6
+    QCheck.(pair (int_bound 100000) (int_range 0 2))
+    (fun (seed, max_extra) ->
+      let rng = Random.State.make [| seed |] in
+      let d =
+        Structure.Randgen.nonempty_instance ~rng ~signature:sig_abcdr ~size:3 ~p:0.35
+      in
+      let wide =
+        Structure.Randgen.nonempty_instance ~rng ~signature:sig_abcdr ~size:7 ~p:0.3
+      in
+      List.for_all
+        (fun (o, d) -> agrees_at (Reasoner.Engine.create o d) o d max_extra)
+        [ (o_nested_alt, d); (o_nested_deep, d); (o_nested_count, wide) ])
+
+(* data/corpus_instance.txt: an 18-element r0 ring with r1 chords and
+   unary labels. *)
+let corpus_instance =
+  let el i = Printf.sprintf "e%d" i in
+  let label c is = List.map (fun i -> (c, [ el i ])) is in
+  inst
+    (List.init 18 (fun i -> ("r0", [ el (i + 1); el (((i + 1) mod 18) + 1) ]))
+    @ List.map
+        (fun (a, b) -> ("r1", [ el a; el b ]))
+        [ (1, 6); (4, 3); (7, 18); (10, 15); (13, 12); (16, 9) ]
+    @ label "C0" [ 1; 3; 5; 7; 9; 11; 13; 15; 17 ]
+    @ label "C1" [ 2; 5; 8; 11; 14; 17 ]
+    @ label "C2" [ 1; 5; 9; 13; 17 ]
+    @ label "C3" [ 3; 8; 13; 18 ])
+
+(* 1a'. gen2017-020, the seed-2017 corpus's depth-3 item, whose plain
+   expansion needs 7.58 M clauses, over the corpus instance at ceiling
+   2: consistent, and the certain answers of q(x) <- r0(x,y), C1(y) are
+   the six elements that already answer q on D. Each other element has
+   a countermodel that contains D, fails q there and passes Modelcheck
+   against O, so the verdict is checked by code other than the
+   engine's. *)
+let test_gen2017_020_checked () =
+  let item = List.nth (Omq.Corpus.generate ~seed:2017 ~n:24 ()) 20 in
+  let o = Dl.Translate.tbox item.Omq.Corpus.tbox in
+  let d = corpus_instance in
+  let q = cq ~name:"q" ~answer:[ "x" ] [ ("r0", [ v "x"; v "y" ]); ("C1", [ v "y" ]) ] in
+  let eng = Reasoner.Engine.create o d in
+  check "consistent" true (Reasoner.Engine.is_consistent ~max_extra:2 eng);
+  let answers =
+    List.filter
+      (fun el -> Reasoner.Engine.certain_cq ~max_extra:2 eng q [ el ])
+      (Structure.Instance.domain_list d)
+  in
+  Alcotest.(check (list string))
+    "certain answers" [ "e1"; "e10"; "e13"; "e16"; "e4"; "e7" ]
+    (List.sort compare (List.map (Fmt.str "%a" Structure.Element.pp) answers));
+  check "every answer holds on D" true
+    (List.for_all (fun el -> Query.Cq.holds d q [ el ]) answers);
+  let sentences = Logic.Ontology.all_sentences o in
+  List.iter
+    (fun el ->
+      if not (List.mem el answers) then
+        match Reasoner.Engine.signed_model ~max_extra:2 eng [ (q, [ el ], false) ] with
+        | None -> Alcotest.failf "no countermodel for %a" Structure.Element.pp el
+        | Some m ->
+            check "countermodel contains D" true (Structure.Instance.subset d m);
+            check "countermodel fails q" false (Query.Cq.holds m q [ el ]);
+            check "countermodel is a model of O" true
+              (Structure.Modelcheck.is_model m sentences))
+    (Structure.Instance.domain_list d)
+
 (* 1b. One engine asked at mixed ceilings — a grounding at 2 answers at
    0 and 1 under activity assumptions, then 3 grounds again — agrees
    with Bounded at each, on the Horn, disjunctive, counting and
@@ -689,6 +787,9 @@ let test_streaming () =
 let suite =
   [
     QCheck_alcotest.to_alcotest test_engine_vs_bounded;
+    QCheck_alcotest.to_alcotest test_engine_vs_bounded_nested;
+    Alcotest.test_case "gen2017-020 verdict, countermodels checked" `Quick
+      test_gen2017_020_checked;
     QCheck_alcotest.to_alcotest test_mixed_ceilings;
     QCheck_alcotest.to_alcotest test_signed_model_first_bound;
     QCheck_alcotest.to_alcotest test_dynamic_mixed_ceilings;

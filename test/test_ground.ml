@@ -442,6 +442,105 @@ let test_iter_pending_drains () =
     (List.for_all (Structure.Instance.mem b_a) models);
   Alcotest.(check int) "solve and enumerate do not drain" 3 (count g)
 
+(* Depth-3 sentences reusing x and y, as a DL translation nests them:
+   ∀x (A(x) → ∀y (R(x,y) → ∃x (R(y,x) ∧ B(x)))), and the same with
+   ∃≥3 x in place of ∃x. The inner node mentions y but not the outer x. *)
+let nested inner =
+  F.Forall
+    ( [ "x" ],
+      F.Implies
+        ( atom "A" [ v "x" ],
+          F.Forall
+            ( [ "y" ],
+              F.Implies
+                ( atom "R" [ v "x"; v "y" ],
+                  inner (F.And (atom "R" [ v "y"; v "x" ], atom "B" [ v "x" ])) ) ) ) )
+
+let depth3 = nested (fun body -> F.Exists ([ "x" ], body))
+let counting3 = nested (fun body -> F.CountGeq (3, "x", body))
+
+(* Ground the sentences [ss] over n elements: the number of clauses
+   and of cardinality records, the variable count and an MD5 digest of
+   the clause stream. *)
+let grounding ?encoding ?(signature = sig_ar) n ss =
+  let domain = List.init n (fun i -> e (Printf.sprintf "e%d" i)) in
+  let g = Reasoner.Ground.create ?encoding ~domain ~signature () in
+  List.iter (Reasoner.Ground.assert_formula g) ss;
+  let b = Buffer.create 1024 and clauses = ref 0 and atleast = ref 0 in
+  Reasoner.Ground.iter_pending g
+    ~atleast:(fun ~k:_ ~lit:_ _ _ _ -> incr atleast)
+    (fun a off len ->
+      incr clauses;
+      for i = off to off + len - 1 do
+        Buffer.add_string b (string_of_int a.(i));
+        Buffer.add_char b ' '
+      done;
+      Buffer.add_char b ';');
+  ( !clauses,
+    !atleast,
+    Reasoner.Ground.nvars g,
+    Digest.to_hex (Digest.string (Buffer.contents b)) )
+
+(* 6. The engine's encoding grounds the inner node of [depth3] once per
+   binding of its one free variable y: n definitions of 4n + 1 clauses
+   (n and-nodes and their disjunction) and n² outer clauses, 5n² + n in
+   all, where expanding it under every (x, y) costs n²(3n + 1). So
+   doubling the domain multiplies the clauses by about 4, not 8. The
+   wide counting node of [counting3] (C(12, 3) = 220 subsets) becomes
+   one cardinality record per y, not one per (x, y). *)
+let test_nested_grounds_quadratically () =
+  let clauses n =
+    let c, _, _, _ = grounding ~encoding:`Engine n [ depth3 ] in
+    c
+  in
+  List.iter
+    (fun n ->
+      Alcotest.(check int)
+        (Fmt.str "shared clauses at %d" n)
+        ((5 * n * n) + n) (clauses n))
+    [ 4; 8 ];
+  check "quadratic growth" true (clauses 8 < 5 * clauses 4);
+  let _, records, _, _ = grounding ~encoding:`Engine 12 [ counting3 ] in
+  Alcotest.(check int) "one cardinality record per free binding" 12 records
+
+(* 7. The reference encoding expands every node under every binding:
+   the clause streams of [depth3], of [counting3] (a sequential-counter
+   ladder per (x, y)) and of the seed-2017 corpus's depth-3 item
+   gen2017-020 (inverse roles, role inclusions, functionality, ≤1 nodes
+   under ∀ and ∃) are pinned to their counts and digests, so sharing
+   can never leak into the oracle's grounding. *)
+let test_reference_unchanged () =
+  let gen020 =
+    let item = List.nth (Omq.Corpus.generate ~seed:2017 ~n:24 ()) 20 in
+    Dl.Translate.tbox item.Omq.Corpus.tbox
+  in
+  List.iter
+    (fun (name, n, (signature, ss), expected) ->
+      let clauses, records, nvars, digest = grounding ~signature n ss in
+      Alcotest.(check int) (name ^ ": no cardinality record") 0 records;
+      Alcotest.(check (list string))
+        (name ^ ": clauses, variables, digest")
+        expected
+        [ string_of_int clauses; string_of_int nvars; digest ])
+    [
+      ( "depth3 over 4",
+        4,
+        (sig_ar, [ depth3 ]),
+        [ "208"; "88"; "23eac9d629ef78107651ecce3a94ee5b" ] );
+      ( "depth3 over 8",
+        8,
+        (sig_ar, [ depth3 ]),
+        [ "1600"; "592"; "8ecd18eb622c292e41ac470e43977cf5" ] );
+      ( "counting3 over 12",
+        12,
+        (sig_ar, [ counting3 ]),
+        [ "27360"; "9240"; "223372e39cd2208c7374b21a65742d0c" ] );
+      ( "gen2017-020 over 4",
+        4,
+        (Logic.Ontology.signature gen020, Logic.Ontology.all_sentences gen020),
+        [ "17280"; "4884"; "63e8b1bfab292e4b7f94693f55437b70" ] );
+    ]
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suite =
@@ -452,4 +551,8 @@ let suite =
         test_horn_axioms_plain_cnf;
       Alcotest.test_case "iter_pending hands each clause over once" `Quick
         test_iter_pending_drains;
+      Alcotest.test_case "nested nodes ground once per free binding" `Quick
+        test_nested_grounds_quadratically;
+      Alcotest.test_case "reference encoding grounds as before" `Quick
+        test_reference_unchanged;
     ]

@@ -428,6 +428,41 @@ let test_dpll_atleast_learned_implied () =
     (Reasoner.Dpll.core s);
   check "the constraints imply it" false (brute_sat ~cards:[ card ] 5 ([ [ -1 ] ] @ clauses))
 
+(* Failed-literal probing of a constraint's b's. With 4 <-> at least 2
+   of {1, 2, 3}, the unit 2 and the guard clause ¬1 ∨ ¬4 (1 → ≤1, as
+   r(a,y) under ∀x (C(x) → ∀y (r(x,y) → ≤1 r⁻.⊤)) grounds with a second
+   r-predecessor of y), 1 refutes itself, but counting cannot see it
+   before 1 is true. The clause 1 ∨ 5 ∨ 6, with 5 and 6 seeded to be
+   decided first (false first), makes 1 the last witness: a search
+   without probing decides 5 and 6, learns ¬1 from the conflict, then
+   decides 5 again and 3 (4 decisions, 1 conflict). Probed before the
+   search, ¬1 is a level-0 unit: 5 is decided, 6 follows, then 3 is
+   decided, and the failed probe is the one conflict. *)
+let test_dpll_probe_refutes_guarded_b () =
+  let s = Reasoner.Dpll.make ~nvars:0 in
+  Reasoner.Dpll.ensure_nvars ~decision:(fun v -> v <> 4) s 6;
+  load_slices s [ [ 2 ]; [ -1; -4 ]; [ 1; 5; 6 ] ];
+  Reasoner.Dpll.seed_clause_slice s [| 5; 6 |] 0 2;
+  Reasoner.Dpll.seed_clause_slice s [| 5; 6 |] 0 2;
+  assert_card s (4, 2, [ 1; 2; 3 ]);
+  check "satisfiable" true (sat s []);
+  let decisions, _, conflicts = Reasoner.Dpll.counters s in
+  Alcotest.(check (pair int int)) "decisions, conflicts" (2, 1) (decisions, conflicts);
+  check "refuted under 1" false (sat s [ 1 ]);
+  Alcotest.(check (list int)) "at level 0" [ 1 ] (Reasoner.Dpll.core s)
+
+(* A probe that propagates without conflict saves no phase: b's tried
+   true stay false-first, so the model is the one without probing. *)
+let test_dpll_probe_keeps_phases () =
+  let s = Reasoner.Dpll.make ~nvars:0 in
+  Reasoner.Dpll.ensure_nvars ~decision:(fun v -> v <> 4) s 4;
+  load_slices s [ [ 2 ] ];
+  assert_card s (4, 2, [ 1; 2; 3 ]);
+  match Reasoner.Dpll.solve_assuming s [] with
+  | Reasoner.Dpll.Sat m ->
+      Alcotest.(check (array bool)) "model" [| false; true; false; false |] m
+  | Reasoner.Dpll.Unsat -> Alcotest.fail "unsat"
+
 (* A core names the assumptions a refutation rests on, and only those:
    1 → 2 → 3 makes -3 fail under 1, while 4 plays no part. *)
 let test_dpll_core_cites_its_assumptions () =
@@ -690,6 +725,9 @@ let suite =
     Alcotest.test_case "dpll_atleast_level0_core" `Quick test_dpll_atleast_level0_core;
     Alcotest.test_case "dpll_atleast_learned_implied" `Quick
       test_dpll_atleast_learned_implied;
+    Alcotest.test_case "dpll_probe_refutes_guarded_b" `Quick
+      test_dpll_probe_refutes_guarded_b;
+    Alcotest.test_case "dpll_probe_keeps_phases" `Quick test_dpll_probe_keeps_phases;
     Alcotest.test_case "consistency" `Quick test_consistency;
     Alcotest.test_case "certain_disjunctive" `Quick test_certain_disjunctive;
     Alcotest.test_case "certain_horn" `Quick test_certain_horn;
