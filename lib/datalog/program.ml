@@ -81,5 +81,22 @@ let pp_rule ppf r =
     Fmt.(list ~sep:comma pp_literal)
     r.body
 
+(* Π as chase rules: each Datalog≠ rule is a chase rule with a
+   single-atom head and no existential variable, so the chase's
+   fixpoint is the least model of Π over the EDB. *)
+let chase_rules t =
+  List.map
+    (fun r ->
+      Reasoner.Chase.rule ~name:(fst r.head) ~body:(positive_atoms r.body)
+        ~neq:(List.filter_map (function Neq (s, u) -> Some (s, u) | Pos _ -> None) r.body)
+        ~head:[ r.head ] ())
+    t.rules
+
+(* Goal answers D |= Π(ā), sorted. *)
+let answers t edb =
+  (Reasoner.Chase.run (chase_rules t) edb).instance
+  |> Structure.Instance.tuples t.goal
+  |> List.sort_uniq (List.compare Structure.Element.compare)
+
 let pp ppf t = Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_rule) t.rules
 let size t = List.length t.rules

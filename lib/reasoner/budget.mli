@@ -40,7 +40,8 @@ val unlimited : t
 
 (** [create ?timeout ?fuel ?max_clauses ()] builds a budget.
     [timeout] is in seconds from now; [fuel] bounds the cumulative
-    solver effort (propagations + conflicts); [max_clauses] caps the
+    solver effort (propagations + conflicts) and the chase's rule
+    triggers; [max_clauses] caps the
     number of ground clauses emitted, where a reified cardinality
     constraint (one per wide counting node of an engine's grounding,
     see {!Ground}) counts as one clause. Omitted dimensions are

@@ -1,227 +1,253 @@
 module SMap = Logic.Names.SMap
+module SSet = Logic.Names.SSet
+module Eval = Structure.Eval
+module Instance = Structure.Instance
+module Element = Structure.Element
 
-(* The restricted chase for existential rules (TGDs) and equality
-   generating dependencies (EGDs). Complete for certain answers w.r.t.
-   Horn ontologies: the chase result is a universal model. *)
+(* The restricted chase for existential rules (TGDs), Datalog≠ rules
+   and equality generating dependencies (EGDs), in semi-naive rounds.
+   Complete for certain answers w.r.t. Horn ontologies: the chase
+   result is a universal model. *)
 
 type rule = {
-  name : string;
-  body : Query.Cq.atom list;
-  head : Query.Cq.atom list;  (** head-only variables are existential *)
+  atoms : Query.Cq.atom list;  (** the body, pinned to delta facts *)
+  body : Eval.body;
+  neq : (Eval.term * Eval.term) list;  (** over [body.var_ix] *)
+  frontier : string list;  (** head variables the body binds, sorted *)
+  frontier_ix : int list;  (** their indices in [body.var_ix] *)
+  head : Eval.body;
+  head_frontier : int list;  (** the frontier's indices in [head.var_ix] *)
+  existential : int list;  (** the other head variables' indices *)
 }
 
 type egd = {
   ename : string;
-  ebody : Query.Cq.atom list;
-  left : string;
-  right : string;
+  eatoms : Query.Cq.atom list;
+  ebody : Eval.body;
+  left : int;
+  right : int;
 }
 
-let rule ?(name = "r") ~body ~head () = { name; body; head }
-let egd ?(name = "e") ~body ~left ~right () = { ename = name; ebody = body; left; right }
-
-let atom_vars atoms =
+let vars atoms =
   List.fold_left
-    (fun acc (_, ts) -> Logic.Names.SSet.union acc (Logic.Term.vars ts))
-    Logic.Names.SSet.empty atoms
+    (fun acc (_, ts) -> SSet.union acc (Logic.Term.vars ts))
+    SSet.empty atoms
 
-(* All homomorphisms from the body into [inst] (constants denote
-   themselves), as variable bindings in a canonical sorted order — rule
-   application assigns fresh nulls in binding order, and the index's row
-   order (hence the planner's enumeration order) depends on how the
-   index was built, so sorting keeps chase results reproducible. *)
-let body_matches atoms inst =
-  let body = Structure.Eval.compile atoms in
-  Structure.Eval.fold_body inst body
-    (fun sol acc -> (false, SMap.map (fun i -> sol.(i)) body.var_ix :: acc))
-    []
-  |> List.sort_uniq (SMap.compare Structure.Element.compare)
-
-let instantiate_atom bind (r, ts) =
-  Structure.Instance.fact r
-    (List.map
-       (fun t ->
-         match t with
-         | Logic.Term.Const c -> Structure.Element.Const c
-         | Logic.Term.Var v -> SMap.find v bind)
-       ts)
-
-(* Does the binding extend to the head inside [inst]? (restricted chase) *)
-let head_satisfied rule bind inst =
-  let head_vars = atom_vars rule.head in
-  let frontier = atom_vars rule.body in
-  let existential =
-    Logic.Names.SSet.diff head_vars frontier |> Logic.Names.SSet.elements
+let rule ?(name = "r") ?(neq = []) ~body ~head () =
+  let compiled = Eval.compile body and hbody = Eval.compile head in
+  let term = function
+    | Logic.Term.Const c -> Eval.Const (Element.Const c)
+    | Logic.Term.Var v -> (
+        match SMap.find_opt v compiled.var_ix with
+        | Some i -> Eval.Var i
+        | None -> invalid_arg (Fmt.str "Chase.rule %s: inequality variable %s is not in the body" name v))
   in
-  let q =
-    Query.Cq.make ~name:"head"
-      ~answer:
-        (Logic.Names.SSet.elements (Logic.Names.SSet.inter head_vars frontier))
-      rule.head
+  let frontier = SSet.elements (SSet.inter (vars head) (vars body)) in
+  {
+    atoms = body;
+    body = compiled;
+    neq = List.map (fun (s, t) -> (term s, term t)) neq;
+    frontier;
+    frontier_ix = List.map (fun v -> SMap.find v compiled.var_ix) frontier;
+    head = hbody;
+    head_frontier = List.map (fun v -> SMap.find v hbody.var_ix) frontier;
+    existential =
+      List.filter_map
+        (fun (v, i) -> if List.mem v frontier then None else Some i)
+        (SMap.bindings hbody.var_ix);
+  }
+
+let egd ?(name = "e") ~body ~left ~right () =
+  let ebody = Eval.compile body in
+  let ix v =
+    match SMap.find_opt v ebody.var_ix with
+    | Some i -> i
+    | None -> invalid_arg (Fmt.str "Chase.egd %s: %s is not in the body" name v)
   in
-  ignore existential;
-  let tuple = List.map (fun v -> SMap.find v bind) q.Query.Cq.answer in
-  Query.Cq.holds inst q tuple
+  { ename = name; eatoms = body; ebody; left = ix left; right = ix right }
 
 exception Egd_failure of string
 
-type result = {
-  instance : Structure.Instance.t;
-  saturated : bool;  (** fixpoint reached within the round budget *)
+type result = { instance : Instance.t }
+
+(* [atom] matched against exactly [fact]: its variables bound to the
+   fact's arguments, or [None] when a constant or a repeated variable
+   disagrees with them. *)
+let pin (_, ts) (fact : Instance.fact) =
+  if List.compare_lengths ts fact.args <> 0 then None
+  else
+    List.fold_left2
+      (fun acc t target ->
+        Option.bind acc (fun bs ->
+            let agrees e = Element.equal e target in
+            match t with
+            | Logic.Term.Const c -> if agrees (Element.Const c) then Some bs else None
+            | Logic.Term.Var v -> (
+                match List.assoc_opt v bs with
+                | Some e -> if agrees e then Some bs else None
+                | None -> Some ((v, target) :: bs))))
+      (Some []) ts fact.args
+
+(* Fold [f] over the solutions of a compiled body in [inst]. With a
+   delta (the previous round's new facts, by relation), only over the
+   solutions that map some atom onto a delta fact: each atom is pinned
+   to each delta fact of its relation in turn, and a solution using
+   several delta facts is met once per pin. *)
+let fold_matches atoms body inst delta f init =
+  let f sol acc = (false, f sol acc) in
+  match delta with
+  | None -> Eval.fold_body inst body f init
+  | Some by_rel ->
+      List.fold_left
+        (fun acc ((rel, _) as atom) ->
+          List.fold_left
+            (fun acc fact ->
+              match pin atom fact with
+              | Some bound -> Eval.fold_body inst ~bound body f acc
+              | None -> acc)
+            acc
+            (Option.value (SMap.find_opt rel by_rel) ~default:[]))
+        init atoms
+
+let value sol = function Eval.Const e -> e | Eval.Var i -> sol.(i)
+
+(* The rule's triggers in [inst]: its body matches that satisfy the
+   inequalities, projected onto the frontier and sorted. Fresh nulls are
+   assigned in this order, which does not depend on the index's row
+   order, so chase results are reproducible. *)
+let triggers r inst delta =
+  fold_matches r.atoms r.body inst delta
+    (fun sol acc ->
+      if List.exists (fun (s, t) -> Element.equal (value sol s) (value sol t)) r.neq
+      then acc
+      else List.map (fun i -> sol.(i)) r.frontier_ix :: acc)
+    []
+  |> List.sort_uniq (List.compare Element.compare)
+
+(* Does the frontier tuple extend to the head inside [inst]? *)
+let head_satisfied r inst tuple =
+  Eval.fold_body inst ~bound:(List.combine r.frontier tuple) r.head
+    (fun _ _ -> (true, true))
+    false
+
+(* Chase state between rounds. [delta = None] matches every body in
+   full: the first round, and the round after an EGD renamed facts. *)
+type state = {
+  inst : Instance.t;
+  delta : Instance.fact list SMap.t option;
+  next_null : int;
 }
 
-let apply_rule ?(budget = Budget.unlimited) inst rule =
-  let changed = ref false in
-  let out = ref inst in
-  List.iter
-    (fun bind ->
-      (* one checkpoint per trigger: between triggers the chased
-         instance is a sound (if unsaturated) prefix *)
-      Budget.checkpoint budget;
-      if not (head_satisfied rule bind !out) then begin
-        (* Extend the binding with fresh nulls for existential variables. *)
-        let head_vars = atom_vars rule.head in
-        let frontier = atom_vars rule.body in
-        let existential =
-          Logic.Names.SSet.elements (Logic.Names.SSet.diff head_vars frontier)
-        in
-        let nulls =
-          Structure.Instance.fresh_nulls (List.length existential) !out
-        in
-        let bind =
-          List.fold_left2
-            (fun b v n -> SMap.add v n b)
-            bind existential nulls
-        in
-        List.iter
-          (fun atom ->
-            out := Structure.Instance.add_fact (instantiate_atom bind atom) !out)
-          rule.head;
-        changed := true
-      end)
-    (body_matches rule.body inst);
-  (!out, !changed)
+let by_rel facts =
+  List.fold_left
+    (fun m (f : Instance.fact) ->
+      SMap.update f.rel (fun l -> Some (f :: Option.value l ~default:[])) m)
+    SMap.empty facts
 
-let apply_egd ?(budget = Budget.unlimited) inst e =
-  let changed = ref false in
-  let out = ref inst in
-  List.iter
-    (fun bind ->
-      Budget.checkpoint budget;
-      let a = SMap.find e.left bind and b = SMap.find e.right bind in
-      if not (Structure.Element.equal a b) then
-        match (a, b) with
-        | Structure.Element.Const _, Structure.Element.Const _ ->
-            raise
-              (Egd_failure
-                 (Fmt.str "EGD %s equates distinct constants %a and %a"
-                    e.ename Structure.Element.pp a Structure.Element.pp b))
-        | Structure.Element.Null _, _ ->
-            out :=
-              Structure.Instance.map_elements
-                (fun x -> if Structure.Element.equal x a then b else x)
-                !out;
-            changed := true
-        | _, Structure.Element.Null _ ->
-            out :=
-              Structure.Instance.map_elements
-                (fun x -> if Structure.Element.equal x b then a else x)
-                !out;
-            changed := true)
-    (body_matches e.ebody inst);
-  (!out, !changed)
+(* Fire every active trigger of the round. Triggers are matched in the
+   instance at the start of the round, and an existential head is
+   checked there too, through its cached index; a rule without
+   existential variables only adds the head facts it lacks. *)
+let apply_rules ~budget rules st =
+  List.fold_left
+    (fun acc r ->
+      List.fold_left
+        (fun (out, added, next) tuple ->
+          (* one unit of fuel per trigger: between triggers the chased
+             instance is a sound prefix of the universal model *)
+          Budget.spend budget 1;
+          if r.existential <> [] && head_satisfied r st.inst tuple then (out, added, next)
+          else begin
+            let vals = Array.make (SMap.cardinal r.head.var_ix) (Element.Null 0) in
+            List.iter2 (fun i e -> vals.(i) <- e) r.head_frontier tuple;
+            List.iteri (fun k i -> vals.(i) <- Element.Null (next + k)) r.existential;
+            List.fold_left
+              (fun (out, added, next) (a : Eval.atom) ->
+                let f = Instance.fact a.rel (Array.to_list (Array.map (value vals) a.args)) in
+                if Instance.mem f out then (out, added, next)
+                else (Instance.add_fact f out, f :: added, next))
+              (out, added, next + List.length r.existential)
+              r.head.body_atoms
+          end)
+        acc (triggers r st.inst st.delta))
+    (st.inst, [], st.next_null) rules
 
-(* Run the restricted chase for at most [max_rounds] rounds. Raises
-   [Egd_failure] when an EGD equates distinct constants (inconsistent)
-   and [Budget.Exhausted] on a budget trip. *)
-let run ?(budget = Budget.unlimited) ?(max_rounds = 50) ?(egds = []) rules inst
-    =
-  Obs.Trace.with_span ~attrs:[ ("rules", Obs.Trace.Int (List.length rules)) ]
-    "chase.run"
+(* Merge the elements each EGD equates, a null into the other element.
+   Matched semi-naively like rule bodies: when the round began from a
+   delta, the EGDs held before its new facts [added] came in. *)
+let apply_egds ~budget egds st out added =
+  let delta = Option.map (fun _ -> by_rel added) st.delta in
+  List.fold_left
+    (fun (out, merged) e ->
+      let pairs =
+        fold_matches e.eatoms e.ebody out delta
+          (fun sol acc -> (sol.(e.left), sol.(e.right)) :: acc)
+          []
+        |> List.sort_uniq (fun (a, b) (c, d) ->
+               match Element.compare a c with 0 -> Element.compare b d | k -> k)
+      in
+      List.fold_left
+        (fun (out, merged) (a, b) ->
+          Budget.checkpoint budget;
+          let rename x y = Instance.map_elements (fun z -> if Element.equal z x then y else z) out in
+          if Element.equal a b then (out, merged)
+          else
+            match (a, b) with
+            | Element.Const _, Element.Const _ ->
+                raise
+                  (Egd_failure
+                     (Fmt.str "EGD %s equates distinct constants %a and %a" e.ename Element.pp a
+                        Element.pp b))
+            | Element.Null _, _ -> (rename a b, true)
+            | _, Element.Null _ -> (rename b a, true))
+        (out, merged) pairs)
+    (out, false) egds
+
+(* One round; [None] once nothing changes. *)
+let round ~budget rules egds st =
+  let out, added, next_null = apply_rules ~budget rules st in
+  let out, merged = apply_egds ~budget egds st out added in
+  if merged then Some { inst = out; delta = None; next_null }
+  else if added = [] then None
+  else Some { inst = out; delta = Some (by_rel added); next_null }
+
+(* The one round loop of [run] and [try_run]; [on_round] sees the
+   instance after every completed round. *)
+let chase ~budget ~on_round egds rules inst =
+  Obs.Trace.with_span ~attrs:[ ("rules", Obs.Trace.Int (List.length rules)) ] "chase.run"
   @@ fun () ->
-  let finish round res =
-    if Obs.Trace.enabled () then begin
-      Obs.Trace.add_attr "rounds" (Obs.Trace.Int round);
-      Obs.Trace.add_attr "saturated" (Obs.Trace.Bool res.saturated)
-    end;
-    res
-  in
-  let rec go inst round =
-    if round >= max_rounds then
-      finish round { instance = inst; saturated = false }
-    else begin
-      let inst', changed =
-        List.fold_left
-          (fun (i, ch) r ->
-            let i', ch' = apply_rule ~budget i r in
-            (i', ch || ch'))
-          (inst, false) rules
-      in
-      let inst'', changed' =
-        List.fold_left
-          (fun (i, ch) e ->
-            let i', ch' = apply_egd ~budget i e in
-            (i', ch || ch'))
-          (inst', changed) egds
-      in
-      if Obs.Trace.enabled () then
-        Obs.Trace.event
-          ~attrs:
-            [
-              ("round", Obs.Trace.Int round);
-              ( "facts",
-                Obs.Trace.Int (List.length (Structure.Instance.facts inst'')) );
-            ]
-          "chase.round";
-      if changed' then go inst'' (round + 1)
-      else finish (round + 1) { instance = inst''; saturated = true }
-    end
-  in
-  go inst 0
-
-(* Typed form: on a trip, the partial payload is the chase state after
-   the last fully completed round — every fact in it is entailed, so it
-   is a sound under-approximation of the universal model. *)
-let try_run budget ?(max_rounds = 50) ?(egds = []) rules inst =
-  let last = ref { instance = inst; saturated = false } in
-  Budget.protect budget
-    ~partial:(fun () -> !last)
-    (fun () ->
-      Obs.Trace.with_span
-        ~attrs:[ ("rules", Obs.Trace.Int (List.length rules)) ]
-        "chase.run"
-      @@ fun () ->
-      let rec go inst round =
-        if round >= max_rounds then { instance = inst; saturated = false }
-        else begin
-          let inst', changed =
-            List.fold_left
-              (fun (i, ch) r ->
-                let i', ch' = apply_rule ~budget i r in
-                (i', ch || ch'))
-              (inst, false) rules
-          in
-          let inst'', changed' =
-            List.fold_left
-              (fun (i, ch) e ->
-                let i', ch' = apply_egd ~budget i e in
-                (i', ch || ch'))
-              (inst', changed) egds
-          in
-          last := { instance = inst''; saturated = not changed' };
+  let rec go n st =
+    match round ~budget rules egds st with
+    | None ->
+        if Obs.Trace.enabled () then Obs.Trace.add_attr "rounds" (Obs.Trace.Int (n + 1));
+        st.inst
+    | Some st ->
+        on_round st.inst;
+        if Obs.Trace.enabled () then
           Obs.Trace.event
-            ~attrs:[ ("round", Obs.Trace.Int round) ]
+            ~attrs:
+              [ ("round", Obs.Trace.Int n); ("facts", Obs.Trace.Int (Instance.cardinal st.inst)) ]
             "chase.round";
-          if changed' then go inst'' (round + 1)
-          else { instance = inst''; saturated = true }
-        end
-      in
-      go inst 0)
+        go (n + 1) st
+  in
+  let next_null =
+    match Instance.fresh_nulls 1 inst with Element.Null n :: _ -> n | _ -> 0
+  in
+  go 0 { inst; delta = None; next_null }
+
+let run ?(budget = Budget.unlimited) ?(egds = []) rules inst =
+  { instance = chase ~budget ~on_round:ignore egds rules inst }
+
+let try_run budget ?(egds = []) rules inst =
+  let last = ref inst in
+  Budget.protect budget
+    ~partial:(fun () -> { instance = !last })
+    (fun () -> { instance = chase ~budget ~on_round:(fun i -> last := i) egds rules inst })
 
 (* Certain answers over the chase result: for Horn rule sets the chase
    is a universal model, so CQ answers over it (restricted to tuples of
    original constants) are exactly the certain answers. *)
-let certain_cq ?budget ?max_rounds ?egds rules inst q tuple =
-  match run ?budget ?max_rounds ?egds rules inst with
-  | { instance = chased; _ } -> Query.Cq.holds chased q tuple
+let certain_cq ?budget ?egds rules inst q tuple =
+  match run ?budget ?egds rules inst with
+  | { instance } -> Query.Cq.holds instance q tuple
   | exception Egd_failure _ -> true

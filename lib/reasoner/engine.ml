@@ -284,6 +284,10 @@ let build ~budget t m =
     "engine.ground"
     (fun () ->
       let t0 = Obs.Clock.now () in
+      (* a grounding that trips still spent its time grounding *)
+      Fun.protect ~finally:(fun () ->
+          t.stats.Stats.ground_seconds <- t.stats.Stats.ground_seconds +. (Obs.Clock.now () -. t0))
+      @@ fun () ->
       let rels =
         Logic.Signature.union (Logic.Ontology.signature t.ontology) t.extra_signature
       in
@@ -327,9 +331,7 @@ let build ~budget t m =
         g
       in
       sync t g;
-      let dt = Obs.Clock.now () -. t0 in
       t.stats.Stats.groundings <- t.stats.Stats.groundings + 1;
-      t.stats.Stats.ground_seconds <- t.stats.Stats.ground_seconds +. dt;
       if Obs.Trace.enabled () then
         Obs.Trace.add_attr "vars" (Obs.Trace.Int (Ground.nvars g.ground));
       g)

@@ -4,7 +4,7 @@
     phase. *)
 
 type t = {
-  mutable groundings : int;  (** SAT groundings built from scratch *)
+  mutable groundings : int;  (** SAT groundings built from scratch (completed) *)
   mutable solves : int;  (** solver invocations (incl. assumption solves) *)
   mutable decisions : int;
   mutable propagations : int;
@@ -13,7 +13,7 @@ type t = {
   mutable budget_fuel_trips : int;  (** budget trips on fuel / clause caps *)
   mutable ground_seconds : float;
       (** wall time spent building groundings, each one's first clause
-          load included *)
+          load included, and groundings that tripped their budget too *)
   mutable solve_seconds : float;  (** wall time spent in the solver *)
   mutable clauses : int;
       (** clause records and cardinality constraints loaded into the

@@ -54,10 +54,11 @@ val fold :
 
     The single entry point through which rule and query bodies —
     [(rel, terms)] atoms over named variables and constants — reach the
-    planner: [Query.Cq] evaluation, the chase's trigger search and
-    semi-naive Datalog all compile here. The reference implementations
-    the equivalence suites compare against are
-    {!Homomorphism.fold_naive} and [Datalog.Seminaive.evaluate_naive]. *)
+    planner: [Query.Cq] evaluation and the chase's trigger search (its
+    semi-naive delta pins, Datalog≠ programs included) all compile here.
+    The reference implementations the equivalence suites compare against
+    are {!Homomorphism.fold_naive} and a naive Datalog≠ fixpoint in the
+    test helpers. *)
 
 type body = {
   var_ix : int Logic.Names.SMap.t;

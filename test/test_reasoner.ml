@@ -665,7 +665,6 @@ let horn_rules =
 let test_chase_horn () =
   let d = inst [ ("A", [ "a" ]) ] in
   let r = Reasoner.Chase.run horn_rules d in
-  check "saturated" true r.saturated;
   let qc = cq ~answer:[ "x" ] [ ("C", [ v "x" ]) ] in
   check "C derived" true (Query.Cq.holds r.instance qc [ e "a" ]);
   (* chase result is a model of the rules: the bounded engine agrees *)
@@ -679,6 +678,27 @@ let test_chase_restricted () =
   check "no fresh nulls" true
     (Structure.Element.Set.for_all Structure.Element.is_const
        (Structure.Instance.domain r.instance))
+
+(* R(x,y), S(y,z) → R(x,z) walks R one S-step further per round: a
+   60-step S-chain takes 60 rounds to close, and the chase has no round
+   cap, so R(a,b60) is derived. *)
+let test_chase_long_chain () =
+  let n = 60 in
+  let b i = "b" ^ string_of_int i in
+  let d = inst (("R", [ "a"; b 0 ]) :: List.init n (fun i -> ("S", [ b i; b (i + 1) ]))) in
+  let rules =
+    [
+      Reasoner.Chase.rule ~name:"compose"
+        ~body:[ ("R", [ v "x"; v "y" ]); ("S", [ v "y"; v "z" ]) ]
+        ~head:[ ("R", [ v "x"; v "z" ]) ]
+        ();
+    ]
+  in
+  let r = Reasoner.Chase.run rules d in
+  check "R(a,b60)" true
+    (Structure.Instance.mem (Structure.Instance.fact "R" [ e "a"; e (b n) ]) r.instance);
+  Alcotest.(check int) "R(a,b0) .. R(a,b60)" (n + 1)
+    (List.length (Structure.Instance.tuples "R" r.instance))
 
 let test_chase_egd () =
   let rules = [] in
@@ -735,5 +755,6 @@ let suite =
     Alcotest.test_case "countermodel_is_model" `Quick test_countermodel_is_model;
     Alcotest.test_case "chase_horn" `Quick test_chase_horn;
     Alcotest.test_case "chase_restricted" `Quick test_chase_restricted;
+    Alcotest.test_case "chase_long_chain" `Quick test_chase_long_chain;
     Alcotest.test_case "chase_egd" `Quick test_chase_egd;
   ]
