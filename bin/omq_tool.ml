@@ -25,33 +25,20 @@ module P = Omq.Protocol
    [run_result]. *)
 
 let read_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Ok s
+  try Ok (In_channel.with_open_bin path In_channel.input_all)
   with Sys_error m -> Error m
 
 let ( let* ) = Result.bind
 
 let load_tbox path =
   let* text = read_file path in
-  try Ok (Dl.Parser.parse_tbox text) with
-  | Dl.Parser.Parse_error { line; message } ->
-      Error (Printf.sprintf "%s:%d: %s" path line message)
-  | Dl.Lexer.Lex_error { line; col; message } ->
-      Error (Printf.sprintf "%s:%d:%d: %s" path line col message)
+  Omq.parse_tbox ~source:path text
 
 let load_instance path =
   let* text = read_file path in
-  try Ok (Structure.Parse.instance_of_string text) with
-  | Structure.Parse.Parse_error { line; message } ->
-      Error (Printf.sprintf "%s:%d: %s" path line message)
+  Omq.parse_instance ~source:path text
 
-let load_query text =
-  try Ok (Query.Parse.ucq_of_string text)
-  with Query.Parse.Parse_error m -> Error (Printf.sprintf "query: %s" m)
+let load_query = Omq.parse_query ~source:"query"
 
 let run_result f =
   match f () with
@@ -204,10 +191,8 @@ let common_term =
     $ trace_format_arg $ profile_arg)
 
 let budget_of (c : common) =
-  match (c.timeout, c.fuel, c.max_clauses) with
-  | None, None, None -> Reasoner.Budget.unlimited
-  | timeout, fuel, max_clauses ->
-      Reasoner.Budget.create ?timeout ?fuel ?max_clauses ()
+  Reasoner.Budget.create ?timeout:c.timeout ?fuel:c.fuel
+    ?max_clauses:c.max_clauses ()
 
 (* --trace FILE installs an Obs collector for the duration of the
    command and exports it in the requested format; --profile prints a
@@ -240,27 +225,13 @@ let classify_cmd =
     run_result @@ fun () ->
     with_tracing c @@ fun () ->
     let* tbox = load_tbox path in
-    let o = Dl.Translate.tbox tbox in
-    let fragment = Gf.Fragment.of_ontology o in
-    let ev = Classify.Landscape.of_tbox tbox in
-    if c.json then
-      print_response
-        (P.Classified
-           {
-             dl_name = Dl.Tbox.name tbox;
-             depth = Dl.Tbox.depth tbox;
-             fragment = Option.map Gf.Fragment.name fragment;
-             status = status_name ev.Classify.Landscape.status;
-             evidence_fragment = ev.Classify.Landscape.fragment;
-             source = ev.Classify.Landscape.source;
-           })
+    if c.json then print_response (Omq.classify_response tbox)
     else begin
-      Fmt.pr "DL name:   %s (depth %d)@." (Dl.Tbox.name tbox)
-        (Dl.Tbox.depth tbox);
-      (match fragment with
-      | Some d -> Fmt.pr "fragment:  %s@." (Gf.Fragment.name d)
-      | None -> Fmt.pr "fragment:  outside uGF/uGC2@.");
-      Fmt.pr "status:    %a@." Classify.Landscape.pp_evidence ev
+      let k = Omq.classification tbox in
+      Fmt.pr "DL name:   %s (depth %d)@." k.dl_name k.depth;
+      Fmt.pr "fragment:  %s@."
+        (Option.value k.fragment ~default:"outside uGF/uGC2");
+      Fmt.pr "status:    %s via %s (%s)@." k.status k.evidence_fragment k.source
     end;
     Ok 0
   in
@@ -316,84 +287,37 @@ let eval_cmd =
                   J.Arr
                     (List.map (Query.Cq.explain d) (Query.Ucq.disjuncts q)) );
               ]));
-    let omq = Omq.of_tbox tbox q in
-    let budget = budget_of c in
-    let session = Omq.open_session ~max_extra omq d in
+    let session = Omq.open_session ~max_extra (Omq.of_tbox tbox q) d in
+    let outcome = Omq.Session.evaluate (budget_of c) session in
     let boolean = Query.Ucq.is_boolean q in
-    let names = List.map (List.map element_name) in
-    let proto_stats () =
-      if stats then Some (Reasoner.Stats.json (Omq.Session.stats session))
-      else None
-    in
-    (* A tripped budget: report what was certified before exhaustion and
-       where to resume, then exit with the reason's code. *)
-    let partial reason (p : Omq.Session.partial_answers) =
-      let next =
-        match p.Omq.Session.undecided () with
-        | Seq.Nil -> None
-        | Seq.Cons (t, _) -> Some t
-      in
-      if c.json then
-        print_response
-          (P.Partial
-             {
-               reason;
-               certified = names p.Omq.Session.certified;
-               resume_from = Option.map (List.map element_name) next;
-               stats = proto_stats ();
-             })
-      else begin
-        Fmt.pr "%a: partial result@." Reasoner.Budget.pp_reason reason;
-        Fmt.pr "%d tuple(s) certified before exhaustion@."
-          (List.length p.Omq.Session.certified);
-        List.iter
-          (fun t ->
-            Fmt.pr "  (%a)@." Fmt.(list ~sep:comma Structure.Element.pp) t)
-          p.Omq.Session.certified;
-        (match next with
-        | Some t ->
-            Fmt.pr "resume from tuple (%a)@."
-              Fmt.(list ~sep:comma Structure.Element.pp)
-              t
-        | None -> ());
-        if stats then Fmt.pr "%a@." Reasoner.Stats.pp (Omq.Session.stats session)
-      end;
-      Ok (reason_code reason)
-    in
-    let complete consistent answers =
-      if c.json then
-        print_response
-          (P.Evaled
-             {
-               result = { P.consistent; boolean; tuples = names answers };
-               stats = proto_stats ();
-             })
-      else begin
-        if not consistent then
+    let reason = Reasoner.Budget.outcome_reason outcome in
+    if c.json then
+      print_response
+        (Omq.eval_response ~boolean
+           ?stats:
+             (if stats then Some (Reasoner.Stats.json (Omq.Session.stats session))
+              else None)
+           outcome)
+    else begin
+      let pp_tuple = Fmt.(list ~sep:comma Structure.Element.pp) in
+      let pp_tuples = List.iter (Fmt.pr "  (%a)@." pp_tuple) in
+      (match outcome with
+      | `Ok { Omq.consistent = false; _ } ->
           Fmt.pr
             "instance inconsistent with the ontology: every tuple is an answer@."
-        else if boolean then Fmt.pr "certain: %b@." (answers <> [])
-        else begin
+      | `Ok { answers; _ } when boolean -> Fmt.pr "certain: %b@." (answers <> [])
+      | `Ok { answers; _ } ->
           Fmt.pr "%d certain answer(s)@." (List.length answers);
-          List.iter
-            (fun t ->
-              Fmt.pr "  (%a)@." Fmt.(list ~sep:comma Structure.Element.pp) t)
-            answers
-        end;
-        if stats then Fmt.pr "%a@." Reasoner.Stats.pp (Omq.Session.stats session)
-      end;
-      Ok 0
-    in
-    let no_partial = { Omq.Session.certified = []; undecided = Seq.empty } in
-    match Omq.Session.is_consistent_within budget session with
-    | `Timeout () -> partial Reasoner.Budget.Timeout no_partial
-    | `Out_of_fuel () -> partial Reasoner.Budget.Fuel no_partial
-    | `Ok false -> complete false []
-    | `Ok true -> (
-        match Omq.Session.certain_answers_within budget session with
-        | `Ok answers -> complete true answers
-        | `Timeout p -> partial Reasoner.Budget.Timeout p
-        | `Out_of_fuel p -> partial Reasoner.Budget.Fuel p)
+          pp_tuples answers
+      | `Timeout p | `Out_of_fuel p ->
+          Fmt.pr "%a: partial result@." Fmt.(option Reasoner.Budget.pp_reason) reason;
+          Fmt.pr "%d tuple(s) certified before exhaustion@."
+            (List.length p.Omq.certified);
+          pp_tuples p.certified;
+          Option.iter (Fmt.pr "resume from tuple (%a)@." pp_tuple) p.resume_from);
+      if stats then Fmt.pr "%a@." Reasoner.Stats.pp (Omq.Session.stats session)
+    end;
+    Ok (Option.fold ~none:0 ~some:reason_code reason)
   in
   Cmd.v
     (Cmd.info "eval" ~exits

@@ -8,10 +8,11 @@
    solving, so asking for all certain answers of an n-ary query costs
    one grounding instead of |dom|^n of them.
 
-   Every evaluation entry accepts a [?budget]; the [_within] forms
-   return typed outcomes instead of raising, and certain_answers_within
-   degrades to the tuples certified so far plus the undecided candidate
-   stream as a resumption hint. *)
+   Every evaluation entry accepts a [?budget]; Session.evaluate, the
+   one verdict the CLI, the daemon and the corpus serve, returns a
+   typed outcome instead of raising, and degrades to the tuples
+   certified so far plus the first undecided candidate as a resumption
+   hint. *)
 
 module Protocol = Protocol
 
@@ -37,7 +38,7 @@ type session = {
      a dynamic engine (facts as solver assumptions) so insert_facts /
      retract_facts can delta-maintain it instead of reopening *)
   engine : Reasoner.Engine.t;
-  (* budget trips of this session's [_within] calls (only the two trip
+  (* budget trips of this session's evaluations (only the two trip
      counters are used); shared by the delta-updated sessions derived
      from this one, fresh on a reopen *)
   trips : Reasoner.Stats.t;
@@ -54,6 +55,13 @@ let open_session ?(max_extra = Reasoner.Problem.default_max_extra)
         ~dynamic:updatable omq.ontology d;
     trips = Reasoner.Stats.create ();
   }
+
+type evaluation = { consistent : bool; answers : Structure.Element.t list list }
+
+type partial = {
+  certified : Structure.Element.t list list;
+  resume_from : Structure.Element.t list option;
+}
 
 module Session = struct
   type t = session
@@ -111,21 +119,42 @@ module Session = struct
       Obs.Trace.add_attr "answers" (Obs.Trace.Int (List.length answers));
     answers
 
-  (* Graceful degradation: on a trip, report the tuples already
-     certified and the undecided candidate tail (headed by the tuple in
-     flight) as a resumption hint. *)
-  type partial_answers = {
-    certified : Structure.Element.t list list;
-    undecided : Structure.Element.t list Seq.t;
-  }
-
-  (* Budget.protect, with the trip counted into the session. The root
-     span opens OUTSIDE it: when a trip unwinds, the inner spans close
-     with the classifier label and protect's handler stamps the trip
-     status on this still-open root — so a budget-tripped trace exports
-     with a closed, labelled root. *)
-  let protect s budget ~partial f =
-    let o = Reasoner.Budget.protect budget ~partial f in
+  (* The verdict on D: consistency first, then every candidate in
+     order. A trip reports the tuples already certified and the first
+     candidate not yet decided (the tuple in flight, or the first of
+     all when consistency was still being checked) and is counted once
+     into the session. The root span opens OUTSIDE Budget.protect: when
+     a trip unwinds, the inner spans close with the classifier label
+     and protect's handler stamps the trip status on this still-open
+     root, so a budget-tripped trace exports with a closed, labelled
+     root. *)
+  let evaluate budget s =
+    Obs.Trace.with_span ~attrs:[ ("op", Obs.Trace.Str "evaluate") ] "omq.query"
+    @@ fun () ->
+    let certified = ref [] in
+    let cursor = ref (candidates s) in
+    let partial () =
+      {
+        certified = List.rev !certified;
+        resume_from = Option.map fst (Seq.uncons !cursor);
+      }
+    in
+    let o =
+      Reasoner.Budget.protect budget ~partial (fun () ->
+          if not (is_consistent ~budget s) then { consistent = false; answers = [] }
+          else begin
+            let rec go () =
+              match !cursor () with
+              | Seq.Nil -> ()
+              | Seq.Cons (tuple, rest) ->
+                  if certain ~budget s tuple then certified := tuple :: !certified;
+                  cursor := rest;
+                  go ()
+            in
+            go ();
+            { consistent = true; answers = List.rev !certified }
+          end)
+    in
     (match Reasoner.Budget.outcome_reason o with
     | Some Reasoner.Budget.Timeout ->
         s.trips.Reasoner.Stats.budget_timeouts <-
@@ -135,37 +164,6 @@ module Session = struct
           s.trips.Reasoner.Stats.budget_fuel_trips + 1
     | None -> ());
     o
-
-  let certain_answers_within budget s =
-    Obs.Trace.with_span
-      ~attrs:[ ("op", Obs.Trace.Str "certain_answers_within") ]
-      "omq.query"
-    @@ fun () ->
-    let certified = ref [] in
-    let cursor = ref (candidates s) in
-    protect s budget
-      ~partial:(fun () ->
-        { certified = List.rev !certified; undecided = !cursor })
-      (fun () ->
-        let rec go () =
-          match !cursor () with
-          | Seq.Nil -> ()
-          | Seq.Cons (tuple, rest) ->
-              if certain ~budget s tuple then certified := tuple :: !certified;
-              cursor := rest;
-              go ()
-        in
-        go ();
-        List.rev !certified)
-
-  let is_consistent_within budget s =
-    Obs.Trace.with_span
-      ~attrs:[ ("op", Obs.Trace.Str "is_consistent_within") ]
-      "omq.query"
-    @@ fun () ->
-    protect s budget
-      ~partial:(fun () -> ())
-      (fun () -> is_consistent ~budget s)
 
   (* The work of this session's engine, plus its budget trips. *)
   let stats s =
@@ -210,26 +208,75 @@ end
 (* Semantics                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Certain answer O,D ⊨ q(ā), up to [max_extra] fresh elements in the
-   countermodel search (exact for refutation; GF/GC2 have the finite
-   model property, so iterative deepening converges). *)
-let certain ?budget ?max_extra omq d tuple =
-  Session.certain ?budget (open_session ?max_extra omq d) tuple
-
-(* All certain answers over the active domain. *)
+(* All certain answers over the active domain, in a fresh session. *)
 let certain_answers ?budget ?max_extra omq d =
   Session.certain_answers ?budget (open_session ?max_extra omq d)
-
-let is_consistent ?budget ?max_extra omq d =
-  Session.is_consistent ?budget (open_session ?max_extra omq d)
-
-let certain_answers_within budget ?max_extra omq d =
-  Session.certain_answers_within budget (open_session ?max_extra omq d)
 
 (* The answering stack keeps no cache across sessions: each engine
    grounds its own (O, D) once. Kept as a no-op for callers written
    when the grounder had a cross-session memo. *)
 let clear_caches () = ()
+
+(* ------------------------------------------------------------------ *)
+(* Front ends: the CLI, the daemon and the corpus parse, classify and  *)
+(* render verdicts here, so each wire field is written once.            *)
+(* ------------------------------------------------------------------ *)
+
+(* Parse errors read [source:line: message] ([source:line:col:] for
+   lexical ones), with the file path or the wire field as the source. *)
+let parse_tbox ~source text =
+  try Ok (Dl.Parser.parse_tbox text) with
+  | Dl.Parser.Parse_error { line; message } ->
+      Error (Printf.sprintf "%s:%d: %s" source line message)
+  | Dl.Lexer.Lex_error { line; col; message } ->
+      Error (Printf.sprintf "%s:%d:%d: %s" source line col message)
+
+let parse_instance ~source text =
+  try Ok (Structure.Parse.instance_of_string text)
+  with Structure.Parse.Parse_error { line; message } ->
+    Error (Printf.sprintf "%s:%d: %s" source line message)
+
+let parse_query ~source text =
+  try Ok (Query.Parse.ucq_of_string text)
+  with Query.Parse.Parse_error m -> Error (Printf.sprintf "%s: %s" source m)
+
+let classification tbox =
+  let ev = Classify.Landscape.of_tbox tbox in
+  {
+    Protocol.dl_name = Dl.Tbox.name tbox;
+    depth = Dl.Tbox.depth tbox;
+    fragment =
+      Option.map Gf.Fragment.name
+        (Gf.Fragment.of_ontology (Dl.Translate.tbox tbox));
+    status = Fmt.str "%a" Classify.Landscape.pp_status ev.Classify.Landscape.status;
+    evidence_fragment = ev.Classify.Landscape.fragment;
+    source = ev.Classify.Landscape.source;
+  }
+
+let classify_response tbox = Protocol.Classified (classification tbox)
+
+let eval_response ~boolean ?stats outcome =
+  let tuple = List.map (Fmt.str "%a" Structure.Element.pp) in
+  let names = List.map tuple in
+  let partial reason p =
+    Protocol.Partial
+      {
+        reason;
+        certified = names p.certified;
+        resume_from = Option.map tuple p.resume_from;
+        stats;
+      }
+  in
+  match outcome with
+  | `Ok e ->
+      Protocol.Evaled
+        {
+          result =
+            { consistent = e.consistent; boolean; tuples = names e.answers };
+          stats;
+        }
+  | `Timeout p -> partial Reasoner.Budget.Timeout p
+  | `Out_of_fuel p -> partial Reasoner.Budget.Fuel p
 
 (* ------------------------------------------------------------------ *)
 (* Analyses                                                             *)
@@ -282,23 +329,10 @@ module Corpus = struct
       (fun i tbox -> { name = Printf.sprintf "gen%d-%03d" seed i; tbox })
       (Bioportal.Generate.corpus ~seed ~n ())
 
-  let read_file path =
-    try
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Ok s
-    with Sys_error m -> Error m
-
   let load_file path =
-    Result.bind (read_file path) (fun text ->
-        match Dl.Parser.parse_tbox text with
-        | tbox -> Ok tbox
-        | exception Dl.Parser.Parse_error { line; message } ->
-            Error (Printf.sprintf "%s:%d: %s" path line message)
-        | exception Dl.Lexer.Lex_error { line; col; message } ->
-            Error (Printf.sprintf "%s:%d:%d: %s" path line col message))
+    match In_channel.with_open_bin path In_channel.input_all with
+    | text -> parse_tbox ~source:path text
+    | exception Sys_error m -> Error m
 
   (* Items sorted by file name: directory enumeration order is
      filesystem-dependent, and the corpus order is part of the
@@ -340,7 +374,7 @@ module Corpus = struct
     evidence : Classify.Landscape.evidence;
   }
 
-  type evaluation = {
+  type nonrec evaluation = evaluation = {
     consistent : bool;
     answers : Structure.Element.t list list;
   }
@@ -389,32 +423,13 @@ module Corpus = struct
      not to batch submission, so a queue full of healthy items behind
      one slow one does not time out in bulk. *)
   let eval_item ~timeout ~fuel ~max_clauses ~query ~data ~max_extra item =
-    let budget =
-      match (timeout, fuel, max_clauses) with
-      | None, None, None -> Reasoner.Budget.unlimited
-      | _ -> Reasoner.Budget.create ?timeout ?fuel ?max_clauses ()
-    in
+    let budget = Reasoner.Budget.create ?timeout ?fuel ?max_clauses () in
     let s = open_session ~max_extra (of_tbox item.tbox query) data in
     let outcome =
-      match Session.is_consistent_within budget s with
-      | `Timeout () -> Error { reason = Reasoner.Budget.Timeout; certified = [] }
-      | `Out_of_fuel () -> Error { reason = Reasoner.Budget.Fuel; certified = [] }
-      | `Ok false -> Ok (Evaluated { consistent = false; answers = [] })
-      | `Ok true -> (
-          match Session.certain_answers_within budget s with
-          | `Ok answers -> Ok (Evaluated { consistent = true; answers })
-          | `Timeout p ->
-              Error
-                {
-                  reason = Reasoner.Budget.Timeout;
-                  certified = p.Session.certified;
-                }
-          | `Out_of_fuel p ->
-              Error
-                {
-                  reason = Reasoner.Budget.Fuel;
-                  certified = p.Session.certified;
-                })
+      match Session.evaluate budget s with
+      | `Ok e -> Ok (Evaluated e)
+      | `Timeout p -> Error { reason = Reasoner.Budget.Timeout; certified = p.certified }
+      | `Out_of_fuel p -> Error { reason = Reasoner.Budget.Fuel; certified = p.certified }
     in
     (outcome, Session.stats s)
 

@@ -3,17 +3,16 @@
     the examples and the command-line tool.
 
     Evaluation runs on the incremental {!Reasoner.Engine}: open a
-    {!session} to ground (O, D) once per countermodel bound and answer
-    many tuples against it; the tuple-at-a-time entry points below are
-    shorthands that open a fresh session per call.
+    {!session} to ground (O, D) once and answer many tuples against
+    it; {!certain_answers} is a shorthand that opens a fresh session
+    per call.
 
-    Every evaluation entry accepts a [?budget] (default
+    Every evaluation entry takes a budget (default
     {!Reasoner.Budget.unlimited}). The plain forms raise
-    {!Reasoner.Budget.Exhausted} on a trip; the [_within] forms return a
-    typed {!Reasoner.Budget.outcome} and degrade gracefully —
-    {!Session.certain_answers_within} reports the tuples certified
-    before exhaustion plus the undecided candidate stream as a
-    resumption hint. *)
+    {!Reasoner.Budget.Exhausted} on a trip; {!Session.evaluate}, the one
+    verdict the CLI, the daemon and the corpus serve, returns a typed
+    {!Reasoner.Budget.outcome} and degrades gracefully to the tuples
+    certified before exhaustion plus where to resume. *)
 
 (** The versioned typed wire schema shared by the serve daemon, the
     blocking client and [omq_tool]'s one-shot [--json] output. *)
@@ -35,6 +34,19 @@ val of_tbox : Dl.Tbox.t -> Query.Ucq.t -> t
     max_extra nulls, on first use, plus candidate streaming, partial answers
     and budget-trip counting. *)
 type session
+
+(** The verdict on D: whether D is consistent with O and, if so, the
+    certain answers in candidate order ([[]] when inconsistent). *)
+type evaluation = { consistent : bool; answers : Structure.Element.t list list }
+
+(** A budget-tripped evaluation: the tuples certified before the trip,
+    and the first candidate not yet decided — resume by re-checking it
+    and every later candidate. [resume_from] is [None] only for a query
+    with no candidate (an empty active domain). *)
+type partial = {
+  certified : Structure.Element.t list list;
+  resume_from : Structure.Element.t list option;
+}
 
 (** [open_session ?updatable omq d] opens an evaluation session.
     Updatable sessions hold a {e dynamic} engine — instance facts are
@@ -86,42 +98,23 @@ module Session : sig
   val certain_answers :
     ?budget:Reasoner.Budget.t -> t -> Structure.Element.t list list
 
-  (** On a budget trip: tuples certified so far and the undecided
-      candidate tail (headed by the tuple in flight) — resume by
-      re-checking exactly the [undecided] stream. *)
-  type partial_answers = {
-    certified : Structure.Element.t list list;
-    undecided : Structure.Element.t list Seq.t;
-  }
-
-  (** Typed, gracefully degrading form of {!certain_answers}. *)
-  val certain_answers_within :
-    Reasoner.Budget.t ->
-    t ->
-    (Structure.Element.t list list, partial_answers) Reasoner.Budget.outcome
-
-  val is_consistent_within :
-    Reasoner.Budget.t -> t -> (bool, unit) Reasoner.Budget.outcome
+  (** [evaluate budget s] checks consistency and then decides every
+      candidate tuple, under one ["omq.query"] span. A trip in either
+      phase is counted once in {!stats} and returned as a {!partial};
+      a trip while consistency is checked resumes from the first
+      candidate. *)
+  val evaluate :
+    Reasoner.Budget.t -> t -> (evaluation, partial) Reasoner.Budget.outcome
 
   (** The work of this session's engine, summed over the bounds it
       grounded ({!Reasoner.Engine.stats}), plus the budget trips of its
-      [_within] calls. A session returned by a [`Delta] update keeps
+      {!evaluate} calls. A session returned by a [`Delta] update keeps
       counting where its predecessor left off; a [`Reopen] counts from
       zero. *)
   val stats : t -> Reasoner.Stats.t
 end
 
-(** Certain answer O,D ⊨ q(ā); refutations are exact, confirmations hold
-    up to [max_extra] fresh countermodel elements. *)
-val certain :
-  ?budget:Reasoner.Budget.t ->
-  ?max_extra:int ->
-  t ->
-  Structure.Instance.t ->
-  Structure.Element.t list ->
-  bool
-
-(** All certain answers over the active domain. *)
+(** All certain answers over the active domain, in a fresh session. *)
 val certain_answers :
   ?budget:Reasoner.Budget.t ->
   ?max_extra:int ->
@@ -129,17 +122,34 @@ val certain_answers :
   Structure.Instance.t ->
   Structure.Element.t list list
 
-val is_consistent :
-  ?budget:Reasoner.Budget.t -> ?max_extra:int -> t -> Structure.Instance.t -> bool
+(** {2 Front ends}
 
-(** Typed-outcome shorthand over a fresh session. *)
-val certain_answers_within :
-  Reasoner.Budget.t ->
-  ?max_extra:int ->
-  t ->
-  Structure.Instance.t ->
-  (Structure.Element.t list list, Session.partial_answers)
-  Reasoner.Budget.outcome
+    What the CLI, the daemon and the corpus runner share: input parsing
+    with one error format, and the {!Protocol} payloads of a
+    classification and of an evaluation. *)
+
+(** Parse errors read [source:line: message] ([source:line:col:
+    message] for a lexical error in an ontology; [source: message] for
+    a query), where [source] names the file or the wire field. *)
+val parse_tbox : source:string -> string -> (Dl.Tbox.t, string) result
+
+val parse_instance : source:string -> string -> (Structure.Instance.t, string) result
+val parse_query : source:string -> string -> (Query.Ucq.t, string) result
+
+(** The Figure 1 classification payload of a TBox, and its wire
+    response. *)
+val classification : Dl.Tbox.t -> Protocol.classification
+
+val classify_response : Dl.Tbox.t -> Protocol.response
+
+(** [eval_response ~boolean ?stats o] is the wire response for the
+    outcome of {!Session.evaluate}: [Evaled] or [Partial], carrying
+    [stats] (a {!Reasoner.Stats.to_json} object) when given. *)
+val eval_response :
+  boolean:bool ->
+  ?stats:Protocol.Json.t ->
+  (evaluation, partial) Reasoner.Budget.outcome ->
+  Protocol.response
 
 (** Figure 1 classification of the ontology. *)
 val classify : t -> Classify.Landscape.evidence
@@ -219,7 +229,7 @@ module Corpus : sig
     evidence : Classify.Landscape.evidence;
   }
 
-  type evaluation = {
+  type nonrec evaluation = evaluation = {
     consistent : bool;
     answers : Structure.Element.t list list;
   }

@@ -98,5 +98,7 @@ let answers t edb =
   |> Structure.Instance.tuples t.goal
   |> List.sort_uniq (List.compare Structure.Element.compare)
 
-let pp ppf t = Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_rule) t.rules
+(* One line per rule: a rule is a horizontal box, so the break hints of
+   its commas never split it. *)
+let pp ppf t = Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut (hbox pp_rule)) t.rules
 let size t = List.length t.rules

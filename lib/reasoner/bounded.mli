@@ -3,10 +3,12 @@
 
     Countermodels are searched over domains dom(D) ∪ {k fresh nulls},
     with a fresh grounding and a fresh solver per tuple and per bound.
-    Refutations are exact (any countermodel refutes); confirmations are
-    "entailed up to the bound". GF and GC2 enjoy the finite model
-    property, so iterative deepening ({!Problem.deepen}) converges;
-    experiments record the bound they use.
+    Refutations are exact (any countermodel refutes); a confirmation
+    means that no countermodel exists over dom(D) plus k nulls, which
+    converges, as k grows ({!Problem.deepen}), to the finite-model
+    certain answers. GF has the finite model property (Grädel 1999);
+    GC2 does not, so there the limit is a finite-model verdict.
+    Experiments record the bound they use.
 
     Library code answers on {!Engine}; this module is the independent
     oracle that tests, examples and the bench harness check it against.

@@ -55,9 +55,12 @@ let make ~active ?deadline ?fuel ?max_clauses ?(inject_at = -1)
 let unlimited = make ~active:false ()
 
 let create ?timeout ?fuel ?max_clauses () =
-  make ~active:true
-    ?deadline:(Option.map (fun s -> Unix.gettimeofday () +. s) timeout)
-    ?fuel ?max_clauses ()
+  match (timeout, fuel, max_clauses) with
+  | None, None, None -> unlimited
+  | _ ->
+      make ~active:true
+        ?deadline:(Option.map (fun s -> Unix.gettimeofday () +. s) timeout)
+        ?fuel ?max_clauses ()
 
 let observer () = make ~active:true ()
 

@@ -10,8 +10,8 @@
 
     Exhaustion is signalled internally by the {!Exhausted} exception,
     which the budgeted entry points of the public modules convert into a
-    typed {!outcome} — callers that pass a budget to a [try_*] / [_within]
-    function never see an exception, only
+    typed {!outcome} — callers that pass a budget to a [try_*] function
+    or to [Omq.Session.evaluate] never see an exception, only
     [`Ok v | `Timeout partial | `Out_of_fuel partial].
 
     Cancellation points are placed so that raising there never corrupts
@@ -27,8 +27,8 @@ type reason =
   | Fuel  (** the fuel counter or the grounding-clause cap ran out *)
 
 (** Raised by cancellation points when the budget is exhausted. Never
-    escapes a budgeted public entry point ([try_*] / [_within]): those
-    return an {!outcome} instead. *)
+    escapes a budgeted public entry point ([try_*],
+    [Omq.Session.evaluate]): those return an {!outcome} instead. *)
 exception Exhausted of reason
 
 type t
@@ -45,7 +45,7 @@ val unlimited : t
     number of ground clauses emitted, where a reified cardinality
     constraint (one per wide counting node of an engine's grounding,
     see {!Ground}) counts as one clause. Omitted dimensions are
-    unlimited. *)
+    unlimited; with none given, the result is {!unlimited}. *)
 val create : ?timeout:float -> ?fuel:int -> ?max_clauses:int -> unit -> t
 
 (** A fresh budget that never trips but counts checkpoints — run a

@@ -247,24 +247,7 @@ let unknown_session sid =
    parse errors carry omq_tool's file-loader message shape, with the
    field name as the file. *)
 
-let load_tbox_text text =
-  try Ok (Dl.Parser.parse_tbox text) with
-  | Dl.Parser.Parse_error { line; message } ->
-      Error (Printf.sprintf "ontology:%d: %s" line message)
-  | Dl.Lexer.Lex_error { line; col; message } ->
-      Error (Printf.sprintf "ontology:%d:%d: %s" line col message)
-
-let load_instance_text what text =
-  try Ok (Structure.Parse.instance_of_string text) with
-  | Structure.Parse.Parse_error { line; message } ->
-      Error (Printf.sprintf "%s:%d: %s" what line message)
-
-let load_query_text text =
-  try Ok (Query.Parse.ucq_of_string text)
-  with Query.Parse.Parse_error m -> Error (Printf.sprintf "query: %s" m)
-
 let bad_request msg = reply (rejected P.Bad_request msg)
-let element_name e = Fmt.str "%a" Structure.Element.pp e
 
 let omin cmp a b =
   match (a, b) with
@@ -278,102 +261,60 @@ let clamp (caps : P.budget_spec) (want : P.budget_spec) : P.budget_spec =
     max_clauses = omin Int.compare want.max_clauses caps.max_clauses;
   }
 
-let budget_of_spec (spec : P.budget_spec) =
-  match spec with
-  | { timeout_s = None; fuel = None; max_clauses = None } ->
-      Reasoner.Budget.unlimited
-  | { timeout_s; fuel; max_clauses } ->
-      Reasoner.Budget.create ?timeout:timeout_s ?fuel ?max_clauses ()
+(* The OMQ and instance of an open request's payload. *)
+let parse_open ~ontology ~data ~query =
+  let ( let* ) = Result.bind in
+  let* tbox = Omq.parse_tbox ~source:"ontology" ontology in
+  let* inst = Omq.parse_instance ~source:"data" data in
+  let* q = Omq.parse_query ~source:"query" query in
+  Ok (Omq.of_tbox tbox q, inst)
 
 let open_job ~sid ~worker ~ontology ~data ~query ~max_extra () =
-  let ( let* ) r f = match r with Ok v -> f v | Error msg -> bad_request msg in
-  let* tbox = load_tbox_text ontology in
-  let* inst = load_instance_text "data" data in
-  let* q = load_query_text query in
-  let omq = Omq.of_tbox tbox q in
-  (* Daemon sessions are updatable: their engines carry fact assumptions
-     so insert_facts/retract_facts delta-maintain instead of reopening. *)
-  let session = Omq.open_session ~max_extra ~updatable:true omq inst in
-  let log = [ Journal.Open { sid; ontology; data; query; max_extra } ] in
-  reply
-    ~register:(New { omq; worker; session; log })
-    (P.Opened { session = sid })
+  match parse_open ~ontology ~data ~query with
+  | Error msg -> bad_request msg
+  | Ok (omq, inst) ->
+      (* Daemon sessions are updatable: their engines carry fact
+         assumptions so insert_facts/retract_facts delta-maintain
+         instead of reopening. *)
+      let session = Omq.open_session ~max_extra ~updatable:true omq inst in
+      let log = [ Journal.Open { sid; ontology; data; query; max_extra } ] in
+      reply
+        ~register:(New { omq; worker; session; log })
+        (P.Opened { session = sid })
 
 (* The work an eval charges to its session is the session's Stats delta
    across the job: the eval's [want_stats] object and [reasoner] share
    it. *)
 let eval_job caps (se : sess) (want : P.budget_spec) want_stats () =
-  let budget = budget_of_spec (clamp caps want) in
-  let session = se.session in
-  let before = Omq.Session.stats session in
-  let work = lazy (S.diff (Omq.Session.stats session) before) in
-  let boolean = Query.Ucq.is_boolean se.omq.Omq.query in
-  let names = List.map (List.map element_name) in
-  let stats () = if want_stats then Some (S.json (Lazy.force work)) else None in
-  let partial reason (p : Omq.Session.partial_answers) =
-    let resume_from =
-      match p.Omq.Session.undecided () with
-      | Seq.Nil -> None
-      | Seq.Cons (t, _) -> Some (List.map element_name t)
-    in
-    P.Partial
-      { reason; certified = names p.Omq.Session.certified; resume_from; stats = stats () }
-  in
-  let complete consistent answers =
-    P.Evaled
-      { result = { P.consistent; boolean; tuples = names answers }; stats = stats () }
-  in
-  let no_partial = { Omq.Session.certified = []; undecided = Seq.empty } in
-  let resp =
-    match Omq.Session.is_consistent_within budget session with
-    | `Timeout () -> partial Reasoner.Budget.Timeout no_partial
-    | `Out_of_fuel () -> partial Reasoner.Budget.Fuel no_partial
-    | `Ok false -> complete false []
-    | `Ok true -> (
-        match Omq.Session.certain_answers_within budget session with
-        | `Ok answers -> complete true answers
-        | `Timeout p -> partial Reasoner.Budget.Timeout p
-        | `Out_of_fuel p -> partial Reasoner.Budget.Fuel p)
-  in
-  reply ~work:(Lazy.force work) resp
+  let { P.timeout_s; fuel; max_clauses } = clamp caps want in
+  let budget = Reasoner.Budget.create ?timeout:timeout_s ?fuel ?max_clauses () in
+  let before = Omq.Session.stats se.session in
+  let outcome = Omq.Session.evaluate budget se.session in
+  let work = S.diff (Omq.Session.stats se.session) before in
+  reply ~work
+    (Omq.eval_response
+       ~boolean:(Query.Ucq.is_boolean se.omq.Omq.query)
+       ?stats:(if want_stats then Some (S.json work) else None)
+       outcome)
 
 (* The id-less rendering of the complete eval response of a session
    opened on these inputs, computed in process by a plain (not
    updatable) session with no budget: what every eval of a
    load-generator client must equal byte for byte. *)
 let expected_eval ~ontology ~data ~query ~max_extra =
-  let ( let* ) = Result.bind in
-  let* tbox = load_tbox_text ontology in
-  let* inst = load_instance_text "data" data in
-  let* q = load_query_text query in
-  let session = Omq.open_session ~max_extra (Omq.of_tbox tbox q) inst in
-  let consistent = Omq.Session.is_consistent session in
-  let answers = if consistent then Omq.Session.certain_answers session else [] in
-  let result =
-    {
-      P.consistent;
-      boolean = Query.Ucq.is_boolean q;
-      tuples = List.map (List.map element_name) answers;
-    }
-  in
-  Ok (P.render_response (P.Evaled { result; stats = None }))
+  Result.map
+    (fun (omq, inst) ->
+      P.render_response
+        (Omq.eval_response
+           ~boolean:(Query.Ucq.is_boolean omq.Omq.query)
+           (Omq.Session.evaluate Reasoner.Budget.unlimited
+              (Omq.open_session ~max_extra omq inst))))
+    (parse_open ~ontology ~data ~query)
 
 let classify_job ontology () =
-  match load_tbox_text ontology with
+  match Omq.parse_tbox ~source:"ontology" ontology with
   | Error msg -> bad_request msg
-  | Ok tbox ->
-      let o = Dl.Translate.tbox tbox in
-      let ev = Classify.Landscape.of_tbox tbox in
-      reply
-        (P.Classified
-           {
-             dl_name = Dl.Tbox.name tbox;
-             depth = Dl.Tbox.depth tbox;
-             fragment = Option.map Gf.Fragment.name (Gf.Fragment.of_ontology o);
-             status = Fmt.str "%a" Classify.Landscape.pp_status ev.status;
-             evidence_fragment = ev.Classify.Landscape.fragment;
-             source = ev.Classify.Landscape.source;
-           })
+  | Ok tbox -> reply (Omq.classify_response tbox)
 
 (* Insert/retract delta-maintain the session's engines where possible
    (Omq.Session falls back to a reopen when not) and update the live
@@ -381,7 +322,7 @@ let classify_job ontology () =
    taken rides the reply; a delta-maintained session reports the work
    the update charged to it, a reopened one starts counting from zero. *)
 let update_job (se : sess) ~insert sid facts () =
-  match load_instance_text "facts" facts with
+  match Omq.parse_instance ~source:"facts" facts with
   | Error msg -> bad_request msg
   | Ok inst ->
       let before = Omq.Session.stats se.session in

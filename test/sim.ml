@@ -204,6 +204,9 @@ let query = "q(x) <- Thumb(x)"
 let open_req = P.Open_session { ontology = onto; data; query; max_extra = 2 }
 let eval_req session = P.Eval { session; budget = P.no_budget; want_stats = false }
 
+(* Built by hand over Session.certain_answers, not through
+   Omq.eval_response, so the daemon's responses are checked against
+   code other than the code that renders them. *)
 let direct_eval ?(extra = "") () =
   let tbox = Dl.Parser.parse_tbox onto in
   let d = Structure.Parse.instance_of_string (data ^ "\n" ^ extra) in

@@ -20,7 +20,7 @@ let omq_disj =
 let d_disj = inst [ ("D", [ "a" ]); ("D", [ "b" ]); ("A", [ "c" ]) ]
 
 let eval budget =
-  Omq.certain_answers_within budget ~max_extra:1 omq_disj d_disj
+  Omq.Session.evaluate budget (Omq.open_session ~max_extra:1 omq_disj d_disj)
 
 let fresh_expected () = Omq.certain_answers ~max_extra:1 omq_disj d_disj
 
@@ -33,7 +33,9 @@ let test_unbudgeted_unchanged () =
   let expected = fresh_expected () in
   check Alcotest.bool "has answers" true (expected <> []);
   match eval Budget.unlimited with
-  | `Ok a -> check answers "unlimited budget = plain run" expected a
+  | `Ok a ->
+      check Alcotest.bool "consistent" true a.Omq.consistent;
+      check answers "unlimited budget = plain run" expected a.answers
   | `Timeout _ | `Out_of_fuel _ -> Alcotest.fail "unlimited budget tripped"
 
 let test_observer_counts () =
@@ -65,10 +67,13 @@ let test_checkpoints_history_free () =
   check Alcotest.int "second fresh session = first" warm again
 
 (* THE sweep: inject exhaustion at every cancellation point the
-   workload passes. Each injection must (a) produce a typed outcome
-   whose certified tuples are sound, and (b) leave every structure the
-   session shares (its engine's bounds, solver state, grounder tables)
-   able to answer the unbudgeted query exactly. *)
+   workload passes, in the consistency check and in the candidate loop.
+   Each injection must (a) produce a typed outcome whose certified
+   tuples are sound and which names where to resume (the query has
+   candidates, so there is always one left to decide), and (b) leave
+   every structure the session shares (its engine's bounds, solver
+   state, grounder tables) able to answer the unbudgeted query
+   exactly. *)
 let test_inject_everywhere () =
   let expected = fresh_expected () in
   let obs = Budget.observer () in
@@ -78,7 +83,7 @@ let test_inject_everywhere () =
   for i = 0 to n - 1 do
     let s = Omq.open_session ~max_extra:1 omq_disj d_disj in
     let b = Budget.inject_after i in
-    (match Omq.Session.certain_answers_within b s with
+    (match Omq.Session.evaluate b s with
     | `Ok _ ->
         Alcotest.failf "inject %d completed: checkpoint %d of %d never came"
           i i n
@@ -87,7 +92,11 @@ let test_inject_everywhere () =
         check Alcotest.bool
           (Printf.sprintf "inject %d: certified sound" i)
           true
-          (subset_of ~expected p.Omq.Session.certified));
+          (subset_of ~expected p.Omq.certified);
+        check Alcotest.bool
+          (Printf.sprintf "inject %d: names where to resume" i)
+          true
+          (Option.is_some p.resume_from));
     (* session reuse AFTER the trip: the interrupted engine must answer
        like a fresh one *)
     let after = Omq.Session.certain_answers s in
@@ -105,10 +114,10 @@ let test_inject_timeout_reason () =
 (* A trip is counted once, in the stats of the session it tripped. *)
 let test_expired_deadline () =
   let s = Omq.open_session ~max_extra:1 omq_disj d_disj in
-  (match Omq.Session.certain_answers_within (Budget.create ~timeout:0.0 ()) s with
+  (match Omq.Session.evaluate (Budget.create ~timeout:0.0 ()) s with
   | `Timeout p ->
       check Alcotest.bool "nothing certified under a dead deadline" true
-        (p.Omq.Session.certified = [])
+        (p.Omq.certified = [])
   | `Ok _ -> Alcotest.fail "a 0-second deadline must trip"
   | `Out_of_fuel _ -> Alcotest.fail "deadline trips are Timeout");
   let st = Omq.Session.stats s in
@@ -118,7 +127,7 @@ let test_expired_deadline () =
 
 let test_fuel_exhaustion () =
   let s = Omq.open_session ~max_extra:1 omq_disj d_disj in
-  (match Omq.Session.certain_answers_within (Budget.create ~fuel:1 ()) s with
+  (match Omq.Session.evaluate (Budget.create ~fuel:1 ()) s with
   | `Out_of_fuel _ -> ()
   | `Ok _ -> Alcotest.fail "1 unit of fuel must not complete the eval"
   | `Timeout _ -> Alcotest.fail "fuel trips are Out_of_fuel");

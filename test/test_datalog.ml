@@ -177,6 +177,33 @@ let test_same_generation () =
   check "no goal on the diagonal" false (has t "goal" [ e "g1"; e "g1" ]);
   Alcotest.(check int) "goal pairs" 4 (List.length (Structure.Instance.tuples "goal" t))
 
+(* A program prints one rule per line, however many atoms a body has. *)
+let test_pp_one_line_per_rule () =
+  let p =
+    Datalog.Program.make ~goal:"goal"
+      [
+        Datalog.Program.rule
+          ~head:("goal", [ v "x" ])
+          ~body:
+            [
+              Datalog.Program.Pos ("R", [ v "x"; v "y" ]);
+              Datalog.Program.Pos ("B", [ v "y" ]);
+            ];
+        Datalog.Program.rule
+          ~head:("P", [ v "x"; v "z" ])
+          ~body:
+            [
+              Datalog.Program.Pos ("R", [ v "x"; v "y" ]);
+              Datalog.Program.Pos ("R", [ v "y"; v "z" ]);
+              Datalog.Program.Neq (v "x", v "z");
+            ];
+      ]
+  in
+  Alcotest.(check string)
+    "one line per rule"
+    "goal(x) <- R(x, y), B(y)\nP(x, z) <- R(x, y), R(y, z), x != z"
+    (Fmt.str "%a" Datalog.Program.pp p)
+
 let suite =
   [
     Alcotest.test_case "transitive_closure" `Quick test_transitive_closure;
@@ -186,4 +213,5 @@ let suite =
     Alcotest.test_case "unsafe_rejected" `Quick test_unsafe_rejected;
     Alcotest.test_case "constants_in_rules" `Quick test_constants_in_rules;
     Alcotest.test_case "same_generation" `Quick test_same_generation;
+    Alcotest.test_case "pp_one_line_per_rule" `Quick test_pp_one_line_per_rule;
   ]

@@ -367,7 +367,9 @@ let test_certain_agreement =
                 Reasoner.Bounded.certain_cq ~max_extra:extra o d q [ el ]
               in
               let session =
-                Omq.certain ~max_extra:extra (Omq.of_cq o q) d [ el ]
+                Omq.Session.certain
+                  (Omq.open_session ~max_extra:extra (Omq.of_cq o q) d)
+                  [ el ]
               in
               Bool.equal reference bounded && Bool.equal reference session)
             (Structure.Instance.domain_list d))

@@ -209,14 +209,14 @@ let test_noop_identical () =
 let test_budget_trip_trace_closed () =
   (* trip halfway through the checkpoints the query passes *)
   let obs = Reasoner.Budget.observer () in
-  ignore (Omq.certain_answers_within obs ~max_extra:1 omq_disj d_disj);
+  let evaluate budget =
+    Omq.Session.evaluate budget (Omq.open_session ~max_extra:1 omq_disj d_disj)
+  in
+  ignore (evaluate obs);
   let n = Reasoner.Budget.checkpoints obs in
   Alcotest.(check bool) "the query passes checkpoints" true (n > 1);
   let outcome, c =
-    Trace.collect (fun () ->
-        Omq.certain_answers_within
-          (Reasoner.Budget.inject_after (n / 2))
-          ~max_extra:1 omq_disj d_disj)
+    Trace.collect (fun () -> evaluate (Reasoner.Budget.inject_after (n / 2)))
   in
   (match outcome with
   | `Out_of_fuel _ -> ()

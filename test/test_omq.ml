@@ -12,7 +12,8 @@ let hand_instance =
     :: List.map (fun f -> ("hasFinger", [ "h"; f ])) [ "f1"; "f2"; "f3"; "f4"; "f5" ])
 
 let test_certain_answers () =
-  check "consistent" true (Omq.is_consistent omq_union hand_instance);
+  check "consistent" true
+    (Omq.Session.is_consistent (Omq.open_session omq_union hand_instance));
   Alcotest.(check int) "no certain thumbs" 0
     (List.length (Omq.certain_answers ~max_extra:1 omq_union hand_instance))
 

@@ -12,38 +12,17 @@ module P = Omq.Protocol
 
 let check_str = Alcotest.(check string)
 
-let onto = "Hand << exists hasFinger . Thumb"
-let data = "Hand(h)\nThumb(t)\nhasFinger(h, t)"
-let query = "q(x) <- Thumb(x)"
-
-let open_req =
-  P.Open_session { ontology = onto; data; query; max_extra = 2 }
+let onto = Sim.onto
+let data = Sim.data
+let query = Sim.query
+let open_req = Sim.open_req
 
 let eval_req ?(budget = P.no_budget) session =
   P.Eval { session; budget; want_stats = false }
 
 (* The sequential ground truth, rendered through the same codec the
    daemon uses — server responses must equal this byte for byte. *)
-let direct_eval ?(extra = "") () =
-  let tbox = Dl.Parser.parse_tbox onto in
-  let d = Structure.Parse.instance_of_string (data ^ "\n" ^ extra) in
-  let q = Query.Parse.ucq_of_string query in
-  let omq = Omq.of_tbox tbox q in
-  let session = Omq.open_session ~max_extra:2 omq d in
-  let answers = Omq.Session.certain_answers session in
-  P.Evaled
-    {
-      result =
-        {
-          P.consistent = true;
-          boolean = false;
-          tuples =
-            List.map
-              (List.map (fun e -> Fmt.str "%a" Structure.Element.pp e))
-              answers;
-        };
-      stats = None;
-    }
+let direct_eval = Sim.direct_eval
 
 (* ---------------------------------------------------------------- *)
 (* Daemon-on-a-thread harness *)
