@@ -549,12 +549,9 @@ let corpus_cmd =
                                   ("depth", json_int c.depth);
                                   ( "fragment",
                                     match c.fragment with
-                                    | Some d -> J.Str (Gf.Fragment.name d)
+                                    | Some d -> J.Str d
                                     | None -> J.Null );
-                                  ( "status",
-                                    J.Str
-                                      (status_name
-                                         c.evidence.Classify.Landscape.status) );
+                                  ("status", J.Str c.status);
                                 ])))
                        report.Omq.Corpus.results) );
               ]))
@@ -566,13 +563,10 @@ let corpus_cmd =
               Fmt.pr "%-14s %a@." r.item_name Reasoner.Budget.pp_reason f.reason
           | Ok (Omq.Corpus.Evaluated _) -> assert false
           | Ok (Omq.Corpus.Classified c) ->
-              Fmt.pr "%-14s %-10s depth=%d  %-12s %a@." r.item_name c.dl_name
+              Fmt.pr "%-14s %-10s depth=%d  %-12s %s@." r.item_name c.dl_name
                 c.depth
-                (match c.fragment with
-                | Some d -> Gf.Fragment.name d
-                | None -> "outside")
-                Classify.Landscape.pp_status
-                c.evidence.Classify.Landscape.status)
+                (Option.value c.fragment ~default:"outside")
+                c.status)
         report.Omq.Corpus.results
   in
   let render_eval json q report =

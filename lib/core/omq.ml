@@ -367,19 +367,12 @@ module Corpus = struct
         max_extra : int;
       }
 
-  type classification = {
-    dl_name : string;
-    depth : int;
-    fragment : Gf.Fragment.t option;
-    evidence : Classify.Landscape.evidence;
-  }
-
   type nonrec evaluation = evaluation = {
     consistent : bool;
     answers : Structure.Element.t list list;
   }
 
-  type verdict = Classified of classification | Evaluated of evaluation
+  type verdict = Classified of Protocol.classification | Evaluated of evaluation
 
   (* A budget trip on one item degrades that item alone — the pool keeps
      running its siblings; [certified] is what the item had proven
@@ -406,17 +399,6 @@ module Corpus = struct
     seconds : float;  (* wall time of the whole batch *)
     total : Reasoner.Stats.t;  (* per-item stats summed in order *)
   }
-
-  let classify_item item =
-    let o = Dl.Translate.tbox item.tbox in
-    Ok
-      (Classified
-         {
-           dl_name = Dl.Tbox.name item.tbox;
-           depth = Dl.Tbox.depth item.tbox;
-           fragment = Gf.Fragment.of_ontology o;
-           evidence = Classify.Landscape.of_tbox item.tbox;
-         })
 
   (* The per-item budget is created at item start on the item's worker:
      wall-clock deadlines are relative to when the item begins running,
@@ -448,7 +430,8 @@ module Corpus = struct
         let (outcome, stats), seconds =
           Obs.Clock.timed (fun () ->
               match task with
-              | Classify -> (classify_item item, Reasoner.Stats.create ())
+              | Classify ->
+                  (Ok (Classified (classification item.tbox)), Reasoner.Stats.create ())
               | Eval { query; data; max_extra } ->
                   eval_item ~timeout ~fuel ~max_clauses ~query ~data ~max_extra item)
         in

@@ -222,19 +222,12 @@ module Corpus : sig
         max_extra : int;
       }  (** certain answers of (O, q) over [data], per ontology O *)
 
-  type classification = {
-    dl_name : string;
-    depth : int;
-    fragment : Gf.Fragment.t option;
-    evidence : Classify.Landscape.evidence;
-  }
-
   type nonrec evaluation = evaluation = {
     consistent : bool;
     answers : Structure.Element.t list list;
   }
 
-  type verdict = Classified of classification | Evaluated of evaluation
+  type verdict = Classified of Protocol.classification | Evaluated of evaluation
 
   (** A budget trip on one item degrades that item alone — its siblings
       still run to completion. [certified] is what the item had proven

@@ -1,9 +1,11 @@
 (* A CDCL SAT solver: two-watched-literal propagation, 1-UIP conflict
-   analysis with non-chronological backjumping, VSIDS branching with
-   phase saving, and geometric restarts, plus native reified
-   cardinality constraints propagated by counting and probed for
-   failed literals before their first search. Literals are non-zero
-   integers ±v for 1-based variables.
+   analysis with non-chronological backjumping, VSIDS branching at each
+   variable's initial phase (no phase saving: a countermodel must not
+   inherit the last model's facts, DESIGN.md §5 "Branching phase"), and
+   geometric restarts, plus native reified cardinality constraints
+   propagated by counting and probed for failed literals before their
+   first search. Literals are non-zero integers ±v for 1-based
+   variables.
 
    The solver is persistent and incremental: it survives across solves,
    accepts new variables and clauses between calls (keeping its learned
@@ -74,7 +76,7 @@ type t = {
   mutable heap_pos : int array;  (* var -> index in heap, -1 if absent *)
   mutable heap_size : int;
   mutable decision : bool array;  (* var may be branched on (default true) *)
-  mutable phase : bool array;
+  mutable phase : bool array;  (* the value a decision sets; never saved *)
   mutable seen : bool array;  (* scratch for conflict analysis *)
   mutable scratch : int array;  (* scratch for clause simplification *)
   mutable learnt : int array;  (* scratch for the learned clause *)
@@ -370,15 +372,13 @@ let uncount s p =
   done
 
 (* Only the trail entries below [qhead] were counted, so only they are
-   uncounted. [save_phase] is false only for a probe, whose trial
-   values must not become the phases the search branches on. *)
-let backtrack ~save_phase s lvl =
+   uncounted. *)
+let cancel_until s lvl =
   if s.decision_level > lvl then begin
     let bound = s.trail_lim.(lvl) in
     for i = s.trail_size - 1 downto bound do
       if s.has_cards && i < s.qhead then uncount s s.trail.(i);
       let v = lit_var s.trail.(i) in
-      if save_phase then s.phase.(v) <- s.assign.(v) = 1;
       s.assign.(v) <- 0;
       s.reason.(v) <- -1;
       heap_insert s v
@@ -387,8 +387,6 @@ let backtrack ~save_phase s lvl =
     s.qhead <- bound;
     s.decision_level <- lvl
   end
-
-let cancel_until s lvl = backtrack ~save_phase:true s lvl
 
 let ensure_scratch s n =
   if Array.length s.scratch < n then
@@ -938,14 +936,14 @@ let analyze_final s p =
    refuted by a second r-predecessor of b. The search, branching false
    first, would only meet r(a,b) when an existential forced it as a
    last witness, and learn the same unit after a descent through every
-   other fact. A probe saves no phase, and [spend] is the search's
-   budget checkpoint, called between probes at level 0. *)
+   other fact. [spend] is the search's budget checkpoint, called
+   between probes at level 0. *)
 let probe_lit s p =
   s.trail_lim.(0) <- s.trail_size;
   s.decision_level <- 1;
   enqueue s p (-1);
   let failed = propagate s <> -1 in
-  backtrack ~save_phase:false s 0;
+  cancel_until s 0;
   if failed then begin
     s.n_conflicts <- s.n_conflicts + 1;
     enqueue s (-p) (-1);

@@ -34,7 +34,8 @@ val make : nvars:int -> t
     {!seed_clause_slice} leaves the others' activity alone. Admit as
     non-decision the variables that unit propagation fixes once the
     decision variables are set (Tseitin auxiliaries): the search then
-    branches only on the rest, at their saved phase ([false] first).
+    branches only on the rest, each at its initial phase, [false]
+    (no phase is saved: DESIGN.md §5, "Branching phase").
     Verdicts stay complete either way — a variable left unassigned when
     no decision variable remains is decided anyway, so a model always
     assigns every variable. *)
@@ -67,7 +68,7 @@ val assert_clause_slice : t -> int array -> int -> int -> unit
     probes the constraint: at level 0, each unassigned b one step from
     fixing an unassigned [lit] is tried at that value, and one that
     propagation refutes is negated as a level-0 unit (a conflict in
-    {!counters}; the trials save no phase). [buf] is not modified.
+    {!counters}). [buf] is not modified.
     Registers unseen variables (as decision variables).
     @raise Invalid_argument unless 1 ≤ k ≤ n, or if [lit]'s variable is
     among the b's. *)

@@ -613,23 +613,35 @@ let test_proofs_survive_until_their_facts_go () =
   check_int "a static engine's repeats cost no solve" before
     (Reasoner.Engine.stats static).solves
 
-(* 3d. The same on serve-update's shape (its non-Horn ontology and
-   query over a 600-fact random instance, an updatable session): a
+(* Serve-update's shape: its non-Horn ontology and query over a
+   600-fact random instance. *)
+let served_update_omq =
+  Omq.of_tbox
+    (Dl.Parser.parse_tbox
+       "C0 << C1 or C2\nexists r0 . C1 << C3\nexists r0 . C2 << C3\nC3 << exists r1 . C0\n")
+    (Query.Parse.ucq_of_string "q(x) <- C3(x), r1(x,y)")
+
+let served_update_d () =
+  Structure.Randgen.large ~rng:(Random.State.make [| 2017 |]) ~nconst:50
+    ~unary_p:0.1 ~nfacts:600 ()
+
+(* [n] distinct facts from [fresh ()], none of them [avoid]ed. *)
+let draw_facts ~avoid n fresh =
+  let rec go acc =
+    if List.length acc = n then acc
+    else
+      let f = fresh () in
+      if avoid f || List.mem f acc then go acc else go (f :: acc)
+  in
+  go []
+
+(* 3d. The same on serve-update's shape, in an updatable session: a
    repeated certain_answers on an unchanged session makes no solve, and
    after an insert of ten absent facts every earlier answer is still
    certain without a solve. The answers after the insert and after the
    retract equal a cold session's. *)
 let test_served_update_shape () =
-  let omq =
-    Omq.of_tbox
-      (Dl.Parser.parse_tbox
-         "C0 << C1 or C2\nexists r0 . C1 << C3\nexists r0 . C2 << C3\nC3 << exists r1 . C0\n")
-      (Query.Parse.ucq_of_string "q(x) <- C3(x), r1(x,y)")
-  in
-  let d =
-    Structure.Randgen.large ~rng:(Random.State.make [| 2017 |]) ~nconst:50
-      ~unary_p:0.1 ~nfacts:600 ()
-  in
+  let omq = served_update_omq and d = served_update_d () in
   let cold d = Omq.certain_answers ~max_extra:2 omq d in
   let s = Omq.open_session ~max_extra:2 ~updatable:true omq d in
   let solves s = (Omq.Session.stats s).solves in
@@ -640,17 +652,12 @@ let test_served_update_shape () =
   check_int "a repeated eval makes no solve" before (solves s);
   let dom = Array.of_list (Structure.Instance.domain_list d) in
   let rng = Random.State.make [| 24 |] in
-  let rec draw acc =
-    if List.length acc = 10 then acc
-    else
-      let pick () = dom.(Random.State.int rng (Array.length dom)) in
-      let f =
+  let facts =
+    draw_facts ~avoid:(fun f -> Structure.Instance.mem f d) 10 (fun () ->
+        let pick () = dom.(Random.State.int rng (Array.length dom)) in
         if Random.State.bool rng then Structure.Instance.fact "r0" [ pick (); pick () ]
-        else Structure.Instance.fact "C0" [ pick () ]
-      in
-      if Structure.Instance.mem f d || List.mem f acc then draw acc else draw (f :: acc)
+        else Structure.Instance.fact "C0" [ pick () ])
   in
-  let facts = draw [] in
   let s, how = Omq.Session.insert_facts s facts in
   check "the insert is a delta" true (how = `Delta);
   let before = solves s in
@@ -662,6 +669,51 @@ let test_served_update_shape () =
   let s, how = Omq.Session.retract_facts s facts in
   check "the retract is a delta" true (how = `Delta);
   check "answers after the retract" true (Omq.Session.certain_answers s = answers)
+
+(* 3e. A solve branches from each variable's initial phase, not from
+   the last model (DESIGN.md §5, "Branching phase"). Serve-update's
+   rounds on a dynamic engine — insert ten absent r0 facts, answer,
+   retract them, answer — twenty times over: O never forces an r0 fact
+   (r0 occurs only under an existential on the left of an inclusion),
+   so a countermodel for a non-answer holds none of the 200 retracted
+   ones. Were the previous model's values kept as phases, a retracted
+   fact, once assumed true, would be decided true again. *)
+let test_retracted_facts_leave_countermodels () =
+  let d = served_update_d () in
+  let eng = Reasoner.Engine.create ~dynamic:true served_update_omq.ontology d in
+  let dom = Structure.Instance.domain_list d in
+  let answers () =
+    List.filter
+      (fun el ->
+        Reasoner.Engine.certain_ucq ~max_extra:2 eng served_update_omq.query [ el ])
+      dom
+  in
+  let first = answers () in
+  let dom_a = Array.of_list dom in
+  let rng = Random.State.make [| 34 |] in
+  let pick () = dom_a.(Random.State.int rng (Array.length dom_a)) in
+  let retracted = ref [] in
+  for _ = 1 to 20 do
+    let facts =
+      draw_facts
+        ~avoid:(fun f -> Structure.Instance.mem f d || List.mem f !retracted)
+        10
+        (fun () -> Structure.Instance.fact "r0" [ pick (); pick () ])
+    in
+    check "insert is a delta" true (Reasoner.Engine.insert_facts eng facts = `Delta);
+    ignore (answers ());
+    check "retract is a delta" true (Reasoner.Engine.retract_facts eng facts = `Delta);
+    check "answers after the retract" true (answers () = first);
+    retracted := facts @ !retracted
+  done;
+  check_int "200 facts retracted" 200 (List.length !retracted);
+  let non_answer = List.find (fun el -> not (List.mem el first)) dom in
+  let q = List.hd (Query.Ucq.disjuncts served_update_omq.query) in
+  match Reasoner.Engine.signed_model ~max_extra:2 eng [ (q, [ non_answer ], false) ] with
+  | None -> Alcotest.fail "no countermodel for a non-answer"
+  | Some m ->
+      check_int "retracted facts in the countermodel" 0
+        (List.length (List.filter (fun f -> Structure.Instance.mem f m) !retracted))
 
 (* 4. Session stats count only the bounds the session's engine
    grounded. *)
@@ -809,6 +861,8 @@ let suite =
     Alcotest.test_case "proofs_survive_until_their_facts_go" `Quick
       test_proofs_survive_until_their_facts_go;
     Alcotest.test_case "served_update_shape" `Quick test_served_update_shape;
+    Alcotest.test_case "retracted_facts_leave_countermodels" `Quick
+      test_retracted_facts_leave_countermodels;
     Alcotest.test_case "session_stats" `Quick test_session_stats;
     Alcotest.test_case "horn_witness_refutes_in_bulk" `Quick
       test_horn_witness_refutes_in_bulk;

@@ -88,11 +88,9 @@ let project (r : Corpus.result_one) =
   ( r.item_name,
     match r.outcome with
     | Ok (Corpus.Classified c) ->
-        Fmt.str "classified %s depth=%d %s %a" c.dl_name c.depth
-          (match c.fragment with
-          | Some d -> Gf.Fragment.name d
-          | None -> "outside")
-          Classify.Landscape.pp_status c.evidence.Classify.Landscape.status
+        Fmt.str "classified %s depth=%d %s %s" c.dl_name c.depth
+          (Option.value c.fragment ~default:"outside")
+          c.status
     | Ok (Corpus.Evaluated e) ->
         Fmt.str "eval consistent=%b answers=%a" e.consistent
           Fmt.(

@@ -451,8 +451,9 @@ let test_dpll_probe_refutes_guarded_b () =
   check "refuted under 1" false (sat s [ 1 ]);
   Alcotest.(check (list int)) "at level 0" [ 1 ] (Reasoner.Dpll.core s)
 
-(* A probe that propagates without conflict saves no phase: b's tried
-   true stay false-first, so the model is the one without probing. *)
+(* A probe that propagates without conflict leaves the search
+   false-first: b's tried true stay false, so the model is the one
+   without probing. *)
 let test_dpll_probe_keeps_phases () =
   let s = Reasoner.Dpll.make ~nvars:0 in
   Reasoner.Dpll.ensure_nvars ~decision:(fun v -> v <> 4) s 4;
@@ -462,6 +463,21 @@ let test_dpll_probe_keeps_phases () =
   | Reasoner.Dpll.Sat m ->
       Alcotest.(check (array bool)) "model" [| false; true; false; false |] m
   | Reasoner.Dpll.Unsat -> Alcotest.fail "unsat"
+
+(* Decisions take the initial phase, whatever earlier solves found
+   (DESIGN.md §5, "Branching phase"): under the assumption a, the
+   clause ¬a ∨ b makes b true, and a later solve with no assumption
+   decides both false again. *)
+let test_dpll_branching_ignores_history () =
+  let s = Reasoner.Dpll.make ~nvars:2 in
+  Reasoner.Dpll.assert_clause s [ -1; 2 ];
+  let model assumptions =
+    match Reasoner.Dpll.solve_assuming s assumptions with
+    | Reasoner.Dpll.Sat m -> m
+    | Reasoner.Dpll.Unsat -> Alcotest.fail "unsat"
+  in
+  Alcotest.(check (array bool)) "under a" [| true; true |] (model [ 1 ]);
+  Alcotest.(check (array bool)) "then without" [| false; false |] (model [])
 
 (* A core names the assumptions a refutation rests on, and only those:
    1 → 2 → 3 makes -3 fail under 1, while 4 plays no part. *)
@@ -748,6 +764,8 @@ let suite =
     Alcotest.test_case "dpll_probe_refutes_guarded_b" `Quick
       test_dpll_probe_refutes_guarded_b;
     Alcotest.test_case "dpll_probe_keeps_phases" `Quick test_dpll_probe_keeps_phases;
+    Alcotest.test_case "dpll_branching_ignores_history" `Quick
+      test_dpll_branching_ignores_history;
     Alcotest.test_case "consistency" `Quick test_consistency;
     Alcotest.test_case "certain_disjunctive" `Quick test_certain_disjunctive;
     Alcotest.test_case "certain_horn" `Quick test_certain_horn;
