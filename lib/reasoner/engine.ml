@@ -146,6 +146,17 @@ type grounding = {
     list;
 }
 
+(* A kept countermodel: a model of O and the D it was found under,
+   over dom(D) plus [nulls] active nulls. It is live while it contains
+   the current D ([missing] = 0); [born] is the insert generation it was
+   found in. *)
+type witness = {
+  model : Structure.Instance.t;
+  nulls : int;
+  born : int;
+  mutable missing : int;  (* facts of the current D it lacks *)
+}
+
 type t = {
   ontology : Logic.Ontology.t;
   extra_signature : Logic.Signature.t;
@@ -153,16 +164,19 @@ type t = {
   mutable instance : Structure.Instance.t;
   mutable relativized : F.t list option;  (* O's sentences, once needed *)
   mutable grounding : grounding option;
-  (* Every countermodel found, with its active-null count k: a model of
-     O and D over dom(D) plus k nulls refutes every tuple whose query it
-     falsifies at every ceiling >= k, so most non-answers are settled by
-     direct evaluation instead of a solver call. A new one is kept only
-     when none of these refuted the tuple, so there are at most as many
-     as non-answers that needed a solve. They do not depend on the
-     grounding (a larger ceiling keeps them); an insert drops those
-     lacking a new fact, and a retract keeps them all (a model of the
-     old D is one of the new). *)
-  mutable witnesses : (Structure.Instance.t * int) list;
+  (* The countermodels found: a live one refutes every tuple whose query
+     it falsifies at every ceiling >= its [nulls], so most non-answers
+     are settled by direct evaluation instead of a solver call. A new
+     one is kept only when no live one refuted the tuple. They do not
+     depend on the grounding (a larger ceiling keeps them). An insert
+     suspends those lacking a new fact and a retract revives them;
+     DESIGN.md §5, "Witness reuse", has the rule. *)
+  mutable witnesses : witness list;
+  (* The insert generation (0 until the first insert), and the
+     generation each inserted fact of D arrived in (D's base facts are
+     absent: generation 0). *)
+  mutable generation : int;
+  arrived : (Structure.Instance.fact, int) Hashtbl.t;
   (* O and D have no model at any ceiling up to this one (-1: none
      known); reset by a retract *)
   mutable inconsistent_upto : int;
@@ -178,6 +192,8 @@ let create ?(extra_signature = Logic.Signature.empty) ?(dynamic = false) o d =
     relativized = None;
     grounding = None;
     witnesses = [];
+    generation = 0;
+    arrived = Hashtbl.create 16;
     inconsistent_upto = -1;
     stats = Stats.create ();
   }
@@ -396,7 +412,24 @@ let model_of t g m =
   Ground.extend_model g.ground m ~known:(Hashtbl.mem g.known) t.instance
 
 let keep_witness t g m =
-  t.witnesses <- (model_of t g m, Ground.active_nulls g.ground m) :: t.witnesses
+  let w =
+    {
+      model = model_of t g m;
+      nulls = Ground.active_nulls g.ground m;
+      born = t.generation;
+      missing = 0;
+    }
+  in
+  t.witnesses <- w :: t.witnesses
+
+(* [w] is live and within ceiling [c]. *)
+let usable c w = w.missing = 0 && w.nulls <= c
+
+(* The facts of [facts] that [w] lacks. *)
+let lacking w facts =
+  List.fold_left
+    (fun n f -> if Structure.Instance.mem f w.model then n else n + 1)
+    0 facts
 
 (* Admit the relations of [sg] into the grounding. D's facts of a newly
    admitted relation join it as they would have at grounding time. Only
@@ -461,7 +494,7 @@ let signed_lits t g flagged =
 
 (* [w] already demonstrates O,D ⊭ ⋁ qᵢ(āᵢ): every disjunct fails on it. *)
 let witness_refutes w pointed =
-  List.for_all (fun (cq, tuple) -> not (Query.Cq.holds w cq tuple)) pointed
+  List.for_all (fun (cq, tuple) -> not (Query.Cq.holds w.model cq tuple)) pointed
 
 let proof_table g pointed =
   let cqs = List.map fst pointed in
@@ -476,12 +509,12 @@ let proof_table g pointed =
 (* Entry points                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Consistent at ceiling [c]: a kept model within it, or one solve with
-   the nulls up to n_c free. *)
+(* Consistent at ceiling [c]: a live kept model within it, or one solve
+   with the nulls up to n_c free. *)
 let is_consistent ?(budget = Budget.unlimited) ?max_extra t =
   let c = ceiling t max_extra in
   c >= 0
-  && (List.exists (fun (_, k) -> k <= c) t.witnesses
+  && (List.exists (usable c) t.witnesses
      || c > t.inconsistent_upto
         &&
         let g = grounding ~budget t c in
@@ -514,8 +547,8 @@ let signed_model ?(budget = Budget.unlimited) ?max_extra t flagged =
 
 (* Certain at ceiling [c]. The hot path needs no solver call: a proof
    under a ceiling >= [c] whose facts are all still assumed settles an
-   answer, and a kept countermodel within [c] — direct CQ evaluation —
-   settles most non-answers. Only when neither does is a countermodel
+   answer, and a live kept countermodel within [c] — direct CQ
+   evaluation — settles most non-answers. Only when neither does is a countermodel
    searched for, in one solve across every bound up to [c]; a Sat keeps
    the countermodel, an Unsat records its proof. Over a batch of n²
    candidate tuples one countermodel typically settles nearly all
@@ -536,7 +569,7 @@ let certain_disjunction ?(budget = Budget.unlimited) ?max_extra t pointed =
   || proved ()
   || (not
         (List.exists
-           (fun (w, k) -> k <= c && witness_refutes w pointed)
+           (fun w -> usable c w && witness_refutes w pointed)
            t.witnesses))
      &&
      let g = grounding ~budget t c in
@@ -567,9 +600,18 @@ let certain_cq ?budget ?max_extra t q tuple =
 (* Delta maintenance (dynamic engines)                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The kept countermodels' fate in a delta, on its span. *)
+let witness_attrs ~suspended ~revived ~dropped =
+  if Obs.Trace.enabled () then begin
+    Obs.Trace.add_attr "suspended" (Obs.Trace.Int suspended);
+    Obs.Trace.add_attr "revived" (Obs.Trace.Int revived);
+    Obs.Trace.add_attr "dropped" (Obs.Trace.Int dropped)
+  end
+
 (* Inserting changes D upward: a known inconsistency and every proof
-   survive; a kept countermodel survives iff it already contains the
-   new facts. Once grounded, the grounding quantifies over dom(D), so a
+   survive; a live countermodel lacking a new fact is suspended, and a
+   suspended one lacking one is dropped (DESIGN.md §5, "Witness
+   reuse"). Once grounded, the grounding quantifies over dom(D), so a
    fact over any other element needs a new engine. Facts of relations
    the grounding has not admitted only join the instance (admission
    picks them up). *)
@@ -603,20 +645,34 @@ let insert_facts t facts =
               List.fold_left
                 (fun i f -> Structure.Instance.add_fact f i)
                 t.instance fresh;
+            if fresh <> [] then t.generation <- t.generation + 1;
+            List.iter (fun f -> Hashtbl.replace t.arrived f t.generation) fresh;
+            let suspended = ref 0 and dropped = ref 0 in
             t.witnesses <-
               List.filter
-                (fun (w, _) ->
-                  List.for_all (fun f -> Structure.Instance.mem f w) fresh)
+                (fun w ->
+                  match lacking w fresh with
+                  | 0 -> true
+                  | n when w.missing = 0 ->
+                      w.missing <- n;
+                      incr suspended;
+                      true
+                  | _ ->
+                      incr dropped;
+                      false)
                 t.witnesses;
+            witness_attrs ~suspended:!suspended ~revived:0 ~dropped:!dropped;
             `Delta)
 
-(* Retraction changes D downward: every kept countermodel (a model
-   containing the old D, hence the new one) survives; a known
-   inconsistency does not, nor do the proofs that cite a retracted fact
-   (they lapse at lookup). A retraction that vacates a domain element is
-   reported as [`Needs_rebuild] once grounded: the grounding quantifies
-   over the old domain, and answering over a larger domain than dom(D)
-   would not match an engine built on the shrunk instance. *)
+(* Retraction changes D downward: a suspended countermodel that lacked
+   only retracted facts is live again, and one found while a retracted
+   fact was in D is dropped (DESIGN.md §5, "Witness reuse"). A known
+   inconsistency does not survive, nor do the proofs that cite a
+   retracted fact (they lapse at lookup). A retraction that vacates a
+   domain element is reported as [`Needs_rebuild] once grounded: the
+   grounding quantifies over the old domain, and answering over a
+   larger domain than dom(D) would not match an engine built on the
+   shrunk instance. *)
 let retract_facts t facts =
   Obs.Trace.with_span
     ~attrs:[ ("facts", Obs.Trace.Int (List.length facts)) ]
@@ -641,6 +697,7 @@ let retract_facts t facts =
                   (Structure.Instance.domain t.instance))
         then `Needs_rebuild
         else begin
+          let revived = ref 0 and dropped = ref 0 in
           if present <> [] then begin
             t.instance <- shrunk;
             t.inconsistent_upto <- -1;
@@ -653,7 +710,35 @@ let retract_facts t facts =
                   present;
                 g.fact_assumptions <-
                   Hashtbl.fold (fun v () acc -> v :: acc) g.known [])
-              t.grounding
+              t.grounding;
+            (* every countermodel found since the oldest retracted fact
+               arrived contains it *)
+            let oldest =
+              List.fold_left
+                (fun o f ->
+                  min o (Option.value ~default:0 (Hashtbl.find_opt t.arrived f)))
+                max_int present
+            in
+            List.iter (Hashtbl.remove t.arrived) present;
+            t.witnesses <-
+              List.filter
+                (fun w ->
+                  if w.born >= oldest then begin
+                    incr dropped;
+                    false
+                  end
+                  else begin
+                    if w.missing > 0 then begin
+                      w.missing <- w.missing - lacking w present;
+                      if w.missing = 0 then incr revived
+                    end;
+                    true
+                  end)
+                t.witnesses
           end;
+          witness_attrs ~suspended:0 ~revived:!revived ~dropped:!dropped;
           `Delta
         end)
+
+let countermodels t =
+  List.map (fun w -> (w.model, w.nulls, w.missing = 0)) t.witnesses

@@ -20,14 +20,15 @@
     engine remembers the ceiling and the facts of the solver's
     failed-assumption core ({!Dpll.core}), and answers that tuple again
     at that ceiling or below without a solver call while those facts are
-    present. Non-answers are settled by the countermodels found so far,
-    each of which stays a model as facts are retracted; a new one is
-    kept only when none of them refutes the tuple at hand. So on a
-    dynamic engine an update sends back to the solver only the answers
-    whose proofs cite a retracted fact and the non-answers no kept
-    countermodel refutes: an insert keeps every proof, a retract every
-    countermodel. A static engine's proofs cite no fact, so re-asking a
-    certain tuple never costs a solve.
+    present. Non-answers are settled by the countermodels found so far
+    that contain the current D; a new one is kept only when none of
+    them refutes the tuple at hand. So on a dynamic engine an update
+    sends back to the solver only the answers whose proofs cite a
+    retracted fact and the non-answers no such countermodel refutes: an
+    insert keeps every proof and suspends the countermodels lacking a
+    new fact, and a retract of those facts revives them (DESIGN.md §5,
+    "Witness reuse"). A static engine's proofs cite no fact, so
+    re-asking a certain tuple never costs a solve.
 
     Semantics match the {!Bounded} reference exactly, at every
     [max_extra]. Over an empty D, bounds 0 and 1 coincide (the
@@ -86,9 +87,9 @@ val signed_model :
   Structure.Instance.t option
 
 (** No bound refutes q(ā). A countermodel within the ceiling refutes
-    it (a kept one, or a fresh solve across every bound); a remembered
-    proof at that ceiling or above whose facts are all still in D
-    confirms it, or an unsatisfiable solve whose proof is then
+    it (a live kept one, or a fresh solve across every bound); a
+    remembered proof at that ceiling or above whose facts are all still
+    in D confirms it, or an unsatisfiable solve whose proof is then
     remembered. *)
 val certain_ucq :
   ?budget:Budget.t ->
@@ -126,7 +127,8 @@ val certain_disjunction :
     keep verdicts identical to a fresh one); such a refusal leaves the
     engine as it was. On [`Delta] the engine's instance, remembered
     inconsistency and kept countermodels are all kept consistent, and an
-    [engine.delta.*] span is emitted. *)
+    [engine.delta.*] span is emitted, carrying the countermodels the
+    delta [suspended], [revived] and [dropped]. *)
 
 val is_dynamic : t -> bool
 
@@ -141,3 +143,8 @@ val insert_facts :
     ignored. *)
 val retract_facts :
   t -> Structure.Instance.fact list -> [ `Delta | `Needs_rebuild ]
+
+(** The kept countermodels, newest first: each model with its active-null
+    count and whether it is live (contains the current D, so it settles
+    candidates). *)
+val countermodels : t -> (Structure.Instance.t * int * bool) list

@@ -24,7 +24,8 @@
     with {!Engine}:
     - [`Reference] (the default): plain quantifier expansion and
       sequential-counter ladders for wide counting nodes. {!Bounded},
-      [Universal] and [Typeprog] ground this way.
+      [Typeprog] and the tests' hom-universality oracle ground this
+      way.
     - [`Engine]: cardinality constraints for wide counting nodes and
       shared nested quantifier nodes. Only {!Engine} grounds this way.
 

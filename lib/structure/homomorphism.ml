@@ -249,6 +249,3 @@ let all ?(fixed = EMap.empty) ?(injective = false) ?limit ~source ~target () =
       []
   in
   List.rev res
-
-let fixed_identity elems =
-  ESet.fold (fun e m -> EMap.add e e m) elems EMap.empty

@@ -58,7 +58,3 @@ val all :
   target:Instance.t ->
   unit ->
   map list
-
-(** Identity map on a set of elements, for use as [fixed] (homomorphisms
-    preserving a set of constants). *)
-val fixed_identity : Element.Set.t -> map

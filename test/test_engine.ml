@@ -715,6 +715,161 @@ let test_retracted_facts_leave_countermodels () =
       check_int "retracted facts in the countermodel" 0
         (List.length (List.filter (fun f -> Structure.Instance.mem f m) !retracted))
 
+(* 3f. Kept countermodels outlive an update round (DESIGN.md §5,
+   "Witness reuse"). Serve-update's rounds on a dynamic engine — insert
+   ten absent facts of its relations, answer, retract them, answer —
+   twenty times over: the insert suspends the countermodels lacking a
+   new fact and the retract revives them (as its [engine.delta.*]
+   spans count), so every answer after a retract, and the consistency
+   check before it, is settled without a solve, and the answers are the
+   base answers. *)
+let test_retract_revives_countermodels () =
+  let d = served_update_d () in
+  let eng = Reasoner.Engine.create ~dynamic:true served_update_omq.ontology d in
+  let dom = Structure.Instance.domain_list d in
+  let answers () =
+    List.filter
+      (fun el ->
+        Reasoner.Engine.certain_ucq ~max_extra:2 eng served_update_omq.query [ el ])
+      dom
+  in
+  let solves () = (Reasoner.Engine.stats eng).solves in
+  let base = answers () in
+  let dom_a = Array.of_list dom in
+  let rels =
+    [| ("r0", 2); ("r1", 2); ("r2", 2); ("r3", 2); ("C0", 1); ("C1", 1); ("C2", 1); ("C3", 1) |]
+  in
+  let rng = Random.State.make [| 35 |] in
+  let pick () = dom_a.(Random.State.int rng (Array.length dom_a)) in
+  let suspended = ref 0 in
+  for _ = 1 to 20 do
+    let facts =
+      draw_facts ~avoid:(fun f -> Structure.Instance.mem f d) 10 (fun () ->
+          let r, k = rels.(Random.State.int rng (Array.length rels)) in
+          Structure.Instance.fact r (List.init k (fun _ -> pick ())))
+    in
+    let (), trace =
+      Obs.Trace.collect (fun () ->
+          check "insert is a delta" true
+            (Reasoner.Engine.insert_facts eng facts = `Delta);
+          ignore (answers ());
+          check "retract is a delta" true
+            (Reasoner.Engine.retract_facts eng facts = `Delta))
+    in
+    let count span key =
+      let s =
+        List.find (fun (s : Obs.Trace.span) -> s.name = span) (Obs.Trace.spans trace)
+      in
+      match List.assoc_opt key s.attrs with
+      | Some (Obs.Trace.Int n) -> n
+      | _ -> Alcotest.failf "%s without an int %s attribute" span key
+    in
+    check_int "the retract revives what the insert suspended"
+      (count "engine.delta.insert" "suspended")
+      (count "engine.delta.retract" "revived");
+    check_int "nothing was suspended before the insert" 0
+      (count "engine.delta.insert" "dropped");
+    suspended := !suspended + count "engine.delta.insert" "suspended";
+    let before = solves () in
+    check "consistent after the retract" true
+      (Reasoner.Engine.is_consistent ~max_extra:2 eng);
+    check "answers after the retract" true (answers () = base);
+    check_int "no solve after the retract" before (solves ())
+  done;
+  check "inserts suspended countermodels" true (!suspended > 0)
+
+(* 3g. The same rule under random batches, against Bounded. A dynamic
+   engine takes 1–4-fact batches in a script that retracts a newer
+   batch before an older one, part of a batch, base facts, and
+   re-inserts retracted batches, each step followed by questions at a
+   random ceiling. After every step it answers like Bounded on the net
+   instance, and every live kept countermodel contains D and is a model
+   of O by Modelcheck. Then come rounds of insert a batch, answer,
+   retract it, answer, at one ceiling: a round revives what its insert
+   suspended and drops what was found in between, so after the first
+   round the kept count never grows. Every element carries an [E] fact
+   that no step retracts (E is no relation of O), so no delta vacates
+   an element. *)
+let test_batched_updates =
+  QCheck.Test.make ~count:8
+    ~name:"dynamic engine agrees with Bounded over batched updates"
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let o = [| o_horn; o_disj; o_active |].(seed mod 3) in
+      let base =
+        Structure.Randgen.nonempty_instance ~rng ~signature:sig_abcdr ~size:3 ~p:0.3
+      in
+      let dom = Structure.Instance.domain_list base in
+      let d =
+        List.fold_left
+          (fun d el -> Structure.Instance.add_fact (Structure.Instance.fact "E" [ el ]) d)
+          base dom
+      in
+      let pool =
+        List.concat_map
+          (fun (r, k) ->
+            List.map (Structure.Instance.fact r) (Structure.Randgen.tuples dom k))
+          (Logic.Signature.to_list sig_abcdr)
+      in
+      let eng = Reasoner.Engine.create ~dynamic:true o d in
+      let net () = Reasoner.Engine.instance eng in
+      let shuffle l =
+        List.map snd
+          (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
+      in
+      let batch ?(least = 1) ?(avoid = []) () =
+        let absent =
+          List.filter
+            (fun f -> not (Structure.Instance.mem f (net ()) || List.mem f avoid))
+            pool
+        in
+        let n = least + Random.State.int rng (5 - least) in
+        List.filteri (fun i _ -> i < n) (shuffle absent)
+      in
+      let live_checked () =
+        let d = net () in
+        List.for_all
+          (fun (m, _, live) ->
+            (not live)
+            || Structure.Instance.subset d m
+               && Structure.Modelcheck.is_model m (Logic.Ontology.all_sentences o))
+          (Reasoner.Engine.countermodels eng)
+      in
+      let step delta max_extra facts =
+        delta eng facts = `Delta
+        && agrees_at eng o (net ()) max_extra
+        && live_checked ()
+      in
+      let ins ?(max_extra = Random.State.int rng 3) facts =
+        step Reasoner.Engine.insert_facts max_extra facts
+      and ret ?(max_extra = Random.State.int rng 3) facts =
+        step Reasoner.Engine.retract_facts max_extra facts
+      in
+      let a = batch ~least:2 () in
+      let a1, a2 = List.partition (fun f -> f <> List.hd a) a in
+      let old =
+        List.filteri (fun i _ -> i < 2) (shuffle (Structure.Instance.facts base))
+      in
+      let scripted =
+        agrees_at eng o d (Random.State.int rng 3)
+        && ins a && ret a1
+        &&
+        let b = batch ~avoid:a1 () in
+        ins b && ins a1 && ret a1 && ret b && ret a2 && ins b && ret old && ins old
+        && ret b
+      in
+      let max_extra = Random.State.int rng 3 in
+      let round () =
+        let f = batch () in
+        ins ~max_extra f && ret ~max_extra f
+      in
+      let kept () = List.length (Reasoner.Engine.countermodels eng) in
+      scripted && round ()
+      &&
+      let first = kept () in
+      List.for_all (fun _ -> round ()) (List.init 8 Fun.id) && kept () <= first)
+
 (* 4. Session stats count only the bounds the session's engine
    grounded. *)
 let test_session_stats () =
@@ -863,6 +1018,9 @@ let suite =
     Alcotest.test_case "served_update_shape" `Quick test_served_update_shape;
     Alcotest.test_case "retracted_facts_leave_countermodels" `Quick
       test_retracted_facts_leave_countermodels;
+    Alcotest.test_case "retract_revives_countermodels" `Quick
+      test_retract_revives_countermodels;
+    QCheck_alcotest.to_alcotest test_batched_updates;
     Alcotest.test_case "session_stats" `Quick test_session_stats;
     Alcotest.test_case "horn_witness_refutes_in_bulk" `Quick
       test_horn_witness_refutes_in_bulk;

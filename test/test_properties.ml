@@ -153,10 +153,10 @@ let test_scott_random =
 let test_hom_universal () =
   let d = inst [ ("A", [ "a" ]) ] in
   check "Horn: hom-universal exists" true
-    (Material.Universal.admits_hom_universal ~extra:1 ~limit:100 o_horn d);
+    (Universal.admits_hom_universal ~extra:1 ~limit:100 o_horn d);
   let dd = inst [ ("D", [ "a" ]) ] in
   check "disjunctive: no hom-universal" false
-    (Material.Universal.admits_hom_universal ~extra:0 ~limit:100 o_disj dd)
+    (Universal.admits_hom_universal ~extra:0 ~limit:100 o_disj dd)
 
 (* 7. Materializability coincides with the disjunction property on the
    paper's examples (Theorem 17). *)
